@@ -471,10 +471,10 @@ let partition_bench () =
 (* optimized with compress2rs and mitered against its own baseline — an  *)
 (* UNSAT instance whose difficulty comes from the structural divergence  *)
 (* the flow introduced.  Stages compare the legacy kernel (Luby          *)
-(* restarts, no minimization/inprocessing), the modern kernel (LBD       *)
-(* tiers, EMA restarts, learnt minimization, inprocessing) and a 2-way   *)
-(* portfolio race.  The whole-network [div] miter is too hard for the    *)
-(* budget ladder: what we record there is *bounded* termination.         *)
+(* restarts, no minimization/inprocessing) with the modern kernel (LBD   *)
+(* tiers, EMA restarts, learnt minimization, inprocessing).  The         *)
+(* whole-network [div] miter is too hard for the budget ladder: what we  *)
+(* record there is *bounded* termination.                                *)
 (* -------------------------------------------------------------------- *)
 
 let sat_bench () =
@@ -553,9 +553,7 @@ let sat_bench () =
         time_it (fun () ->
             C.check_full ~ladder:[] ~config:Sat.default_config a b)
       in
-      stage name "modern" modern t_modern;
-      let port, t_port = time_it (fun () -> C.check_full ~jobs:2 a b) in
-      stage name "portfolio-j2" port t_port)
+      stage name "modern" modern t_modern)
     instances;
   let div = Suite.build "div" in
   let opt_div = F.run_script env (Copy.convert div) "rw; bz" in
@@ -779,22 +777,16 @@ let ablation () =
   Printf.printf "resub: plain %d gates, with ODCs %d gates\n" odc_no odc_yes;
   ab "resub-plain" [ ("nodes", Bench_json.Int odc_no) ];
   ab "resub-odc" [ ("nodes", Bench_json.Int odc_yes) ];
-  (* 7: exact synthesis, incremental vs fence topologies (time per class) *)
-  let synth_all strategy =
-    let t0 = Unix.gettimeofday () in
-    let config = { Exact_synth.aig_config with Exact_synth.strategy } in
-    for v = 0 to 255 do
-      ignore (Exact_synth.synthesize config (Tt.of_int64 3 (Int64.of_int v)))
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let t_inc = synth_all Exact_synth.Incremental in
-  let t_fen = synth_all Exact_synth.Fences in
-  Printf.printf
-    "exact synthesis of all 256 3-var functions: incremental %.2fs, fences %.2fs\n"
-    t_inc t_fen;
+  (* 7: exact synthesis of every 3-input function (time per class) *)
+  let t0 = Unix.gettimeofday () in
+  for v = 0 to 255 do
+    ignore
+      (Exact_synth.synthesize Exact_synth.aig_config
+         (Tt.of_int64 3 (Int64.of_int v)))
+  done;
+  let t_inc = Unix.gettimeofday () -. t0 in
+  Printf.printf "exact synthesis of all 256 3-var functions: %.2fs\n" t_inc;
   ab "exact-incremental" [ ("seconds", Bench_json.Float t_inc) ];
-  ab "exact-fences" [ ("seconds", Bench_json.Float t_fen) ];
   (* 8: MIG algebraic depth rewriting on the carry-chain benchmarks *)
   let module Dm = Depth.Make (Mig) in
   let module Sm = Suite_gen.Make (Mig) in

@@ -113,16 +113,6 @@ let jobs_arg =
               several input files (default: the runtime's recommended \
               domain count).")
 
-let sat_jobs_arg =
-  Arg.(
-    value
-    & opt int base_cfg.RC.sat_jobs
-    & info [ "sat-jobs" ] ~docv:"N"
-        ~doc:"Race $(docv) diversified SAT solver configurations in parallel \
-              in SAT-heavy passes (fraig escalation, exact synthesis); the \
-              first answer wins and cancels the rest. 1 disables the \
-              portfolio.")
-
 let cache_arg =
   Arg.(
     value
@@ -279,7 +269,7 @@ let opt_cmd =
                 $(i,FILE).opt.aag next to each input).")
   in
   let run files rep script output trace_file stats sample partition jobs
-      sat_jobs cache kernel cost timeout retries faults =
+      cache kernel cost timeout retries faults =
     let representation =
       match rep with
       | `Aig -> RC.Aig
@@ -294,7 +284,7 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~sample
-        ~partition ~jobs ~sat_jobs ~budget:base_cfg.RC.budget ~kernel ~cost
+        ~partition ~jobs ~budget:base_cfg.RC.budget ~kernel ~cost
         ?cache ~timeout ~retries ?faults ()
     in
     RC.publish_kernel cfg;
@@ -525,9 +515,8 @@ let opt_cmd =
        ~doc:"Optimize with the generic resynthesis flow (batch mode: pass \
              several FILEs to amortize exact synthesis across them)")
     Term.(const run $ files $ representation $ script_arg $ output $ trace_arg
-          $ stats_flag $ sample_arg $ partition_arg $ jobs_arg $ sat_jobs_arg
-          $ cache_arg $ kernel_arg $ cost_arg $ timeout_arg $ retries_arg
-          $ faults_arg)
+          $ stats_flag $ sample_arg $ partition_arg $ jobs_arg $ cache_arg
+          $ kernel_arg $ cost_arg $ timeout_arg $ retries_arg $ faults_arg)
 
 (* -- map -- *)
 
@@ -570,18 +559,15 @@ let cec_cmd =
                 escalating budget ladder and reports UNKNOWN when the \
                 instance stays open; -1 solves without any budget.")
   in
-  let run file_a file_b budget sat_jobs kernel =
-    let cfg = RC.make ~budget ~sat_jobs ~kernel () in
+  let run file_a file_b budget kernel =
+    let cfg = RC.make ~budget ~kernel () in
     RC.publish_kernel cfg;
     let a = read_aig file_a and b = read_aig file_b in
     let module C = Genlog.Cec.Make (Aig) (Aig) in
     let config = RC.solver_config cfg in
     let result, report =
-      if cfg.RC.budget < 0 then
-        C.check_full ~ladder:[] ~config ~jobs:cfg.RC.sat_jobs a b
-      else
-        C.check_full ~conflict_budget:cfg.RC.budget ~config
-          ~jobs:cfg.RC.sat_jobs a b
+      if cfg.RC.budget < 0 then C.check_full ~ladder:[] ~config a b
+      else C.check_full ~conflict_budget:cfg.RC.budget ~config a b
     in
     Printf.eprintf "cec: winner = %s, conflicts = %d, rungs = %d\n%!"
       report.C.winner report.C.conflicts report.C.rungs_used;
@@ -599,7 +585,7 @@ let cec_cmd =
       exit 2
   in
   Cmd.v (Cmd.info "cec" ~doc:"SAT combinational equivalence check")
-    Term.(const run $ file_a $ file_b $ budget $ sat_jobs_arg $ kernel_arg)
+    Term.(const run $ file_a $ file_b $ budget $ kernel_arg)
 
 (* -- exact -- *)
 
@@ -611,8 +597,8 @@ let exact_cmd =
       & opt (enum [ ("aig", `Aig); ("xag", `Xag); ("mig", `Mig); ("xmg", `Xmg) ]) `Xag
       & info [ "r"; "representation" ] ~docv:"REP")
   in
-  let run hex rep sat_jobs kernel =
-    let cfg = RC.make ~sat_jobs ~kernel () in
+  let run hex rep kernel =
+    let cfg = RC.make ~kernel () in
     RC.publish_kernel cfg;
     (* infer the variable count from the hex length: 2^n bits = 4*len *)
     let bits = 4 * String.length hex in
@@ -628,7 +614,6 @@ let exact_cmd =
       | `Mig -> Genlog.Exact_synth.mig_config
       | `Xmg -> Genlog.Exact_synth.xmg_config
     in
-    let config = { config with Genlog.Exact_synth.sat_jobs = cfg.RC.sat_jobs } in
     match Genlog.Exact_synth.synthesize config f with
     | Genlog.Exact_synth.Const b -> Printf.printf "constant %d\n" (if b then 1 else 0)
     | Genlog.Exact_synth.Projection (v, c) ->
@@ -643,7 +628,7 @@ let exact_cmd =
   Cmd.v
     (Cmd.info "exact"
        ~doc:"SAT-exact synthesis of a function given as a hex truth table")
-    Term.(const run $ hex $ rep $ sat_jobs_arg $ kernel_arg)
+    Term.(const run $ hex $ rep $ kernel_arg)
 
 (* -- report -- *)
 

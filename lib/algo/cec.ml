@@ -130,9 +130,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
 
   (* Kernel counters of the answering solver, published as [solver_*]
      gauges under the "cec" registry so Trace.summarize attributes the
-     miter's work to the enclosing pass span.  Race outcomes go through
-     the race event instead (the summary sums both sources, so each solve
-     reports through exactly one). *)
+     miter's work to the enclosing pass span. *)
   let publish_solver trace solver (rep : report) =
     if Obs.Trace.enabled trace then begin
       let m = Obs.Metrics.of_trace trace ~algo:"cec" in
@@ -150,11 +148,9 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      semantics.  Otherwise [ladder] applies — escalating attempts, then
      [Unknown]; [~ladder:[]] requests a single unbounded solve.
 
-     [jobs] > 1 races a diversified portfolio (total ladder budget per
-     worker) instead of climbing the ladder sequentially; [config] selects
-     the kernel for single-job solving (default: {!Satkit.Solver.env_config},
+     [config] selects the kernel (default: {!Satkit.Solver.env_config},
      i.e. the GENLOG_SAT_KERNEL toggle).  [trace] publishes the kernel's
-     counters (and, racing, the per-config outcome) into the sink.
+     counters into the sink.
 
      [wall_timeout] > 0 caps the whole check in wall-clock seconds on top
      of the conflict ladder; on expiry the answer is [Unknown] (never a
@@ -166,8 +162,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      winner ["anomaly"].  Correctness guards built on CEC treat both the
      same way they treat a budget exhaustion. *)
   let check_full ?(trace = Obs.Trace.null) ?(conflict_budget = 0) ?ladder
-      ?(jobs = 1) ?config ?(wall_timeout = 0.) (a : A.t) (b : B.t) :
-      result * report =
+      ?config ?(wall_timeout = 0.) (a : A.t) (b : B.t) : result * report =
     let mismatch = A.num_pis a <> B.num_pis b || A.num_pos a <> B.num_pos b in
     if mismatch then
       (Counterexample [||], { winner = "shape"; conflicts = 0; rungs_used = 0 })
@@ -219,37 +214,16 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         publish_solver trace solver rep;
         (r, rep)
       in
-      let race () =
-        (* portfolio race: each worker gets the whole ladder as one budget *)
-        let total = List.fold_left ( + ) 0 rungs in
-        let o =
-          Satkit.Portfolio.solve ~jobs ~conflict_budget:total ~deadline
-            ~build:(fun s -> encode_miter a b s)
-            ()
-        in
-        if Obs.Trace.enabled trace then
-          Obs.Trace.race trace ~algo:"cec" ~winner:o.Satkit.Portfolio.winner
-            ~configs:(Satkit.Portfolio.race_counters o);
-        ( decode o.Satkit.Portfolio.solver o.Satkit.Portfolio.payload
-            o.Satkit.Portfolio.result,
-          {
-            winner = o.Satkit.Portfolio.winner;
-            conflicts = Satkit.Solver.num_conflicts o.Satkit.Portfolio.solver;
-            rungs_used = 1;
-          } )
-      in
       let anomaly e =
         Printf.eprintf "cec: solver anomaly (%s); answering UNKNOWN\n%!"
           (Printexc.to_string e);
         (Unknown, { winner = "anomaly"; conflicts = 0; rungs_used = 0 })
       in
-      let attempt = if jobs <= 1 then fun () -> single config else race in
-      match attempt () with
+      match single config with
       | r -> r
       | exception e ->
         let legacy = Satkit.Solver.legacy_config in
-        if jobs <= 1 && config.Satkit.Solver.name = legacy.Satkit.Solver.name
-        then anomaly e
+        if config.Satkit.Solver.name = legacy.Satkit.Solver.name then anomaly e
         else begin
           Printf.eprintf
             "cec: solver anomaly (%s); retrying on the %s kernel\n%!"
@@ -258,9 +232,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         end
     end
 
-  let check ?trace ?conflict_budget ?ladder ?jobs ?config ?wall_timeout
-      (a : A.t) (b : B.t) : result =
-    fst
-      (check_full ?trace ?conflict_budget ?ladder ?jobs ?config ?wall_timeout a
-         b)
+  let check ?trace ?conflict_budget ?ladder ?config ?wall_timeout (a : A.t)
+      (b : B.t) : result =
+    fst (check_full ?trace ?conflict_budget ?ladder ?config ?wall_timeout a b)
 end

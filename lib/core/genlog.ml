@@ -68,7 +68,6 @@ module Cost = Algo.Cost
 (* SAT and exact synthesis *)
 module Sat = Satkit.Solver
 module Sat_lit = Satkit.Lit
-module Sat_portfolio = Satkit.Portfolio
 module Dimacs = Satkit.Dimacs
 module Exact_chain = Exact.Chain
 module Exact_synth = Exact.Synth

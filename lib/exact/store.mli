@@ -47,9 +47,9 @@ val fingerprint : Synth.config -> int32
 (** Identity of the synthesis domain a store caches results for.  Covers
     arity, allowed operators, [allow_constant], [max_gates] and
     [conflict_budget] (a result — especially a [Failed] one — is only
-    reusable under the budgets that produced it); deliberately excludes
-    [strategy] and [sat_jobs], which affect how a result is found, not
-    which result is correct. *)
+    reusable under the budgets that produced it).  The fingerprint of each
+    preset is pinned by a test, so caches written by earlier builds stay
+    attachable. *)
 
 val load : config:Synth.config -> string -> load_result
 (** Read a store file.  A missing or empty file is an empty store.  A file

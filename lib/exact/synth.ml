@@ -16,23 +16,12 @@
 
 open Kitty
 
-(* How the search over gate counts is organized:
-   - [Incremental]: one SAT instance per gate count r (all DAG topologies
-     at once);
-   - [Fences]: one SAT instance per *fence* — a partition of the r gates
-     into levels where every gate must use a fanin from the immediately
-     preceding level (ref [10]).  Each instance is smaller; there are more
-     of them. *)
-type strategy = Incremental | Fences
-
 type config = {
   arity : int;
   allowed_ops : Tt.t list;  (* normal operators over [arity] variables *)
   allow_constant : bool;    (* offer constant-0 as a fanin candidate *)
   max_gates : int;
   conflict_budget : int;    (* per SAT call; 0 = unlimited *)
-  strategy : strategy;
-  sat_jobs : int;           (* > 1 races a diversified solver portfolio *)
 }
 
 (* AND with optionally complemented inputs / output covers AND, OR and the
@@ -56,23 +45,19 @@ let xor3 = Tt.(nth_var 3 0 ^: nth_var 3 1 ^: nth_var 3 2)
 
 let aig_config =
   { arity = 2; allowed_ops = and_family; allow_constant = false;
-    max_gates = 10; conflict_budget = 10_000; strategy = Incremental;
-    sat_jobs = 1 }
+    max_gates = 10; conflict_budget = 10_000 }
 
 let xag_config =
   { arity = 2; allowed_ops = xor2 :: and_family; allow_constant = false;
-    max_gates = 10; conflict_budget = 10_000; strategy = Incremental;
-    sat_jobs = 1 }
+    max_gates = 10; conflict_budget = 10_000 }
 
 let mig_config =
   { arity = 3; allowed_ops = maj_family; allow_constant = true;
-    max_gates = 7; conflict_budget = 10_000; strategy = Incremental;
-    sat_jobs = 1 }
+    max_gates = 7; conflict_budget = 10_000 }
 
 let xmg_config =
   { arity = 3; allowed_ops = xor3 :: maj_family; allow_constant = true;
-    max_gates = 7; conflict_budget = 10_000; strategy = Incremental;
-    sat_jobs = 1 }
+    max_gates = 7; conflict_budget = 10_000 }
 
 type result =
   | Const of bool
@@ -92,7 +77,6 @@ let t_calls = Atomic.make 0        (* SAT solver invocations *)
 let t_sat = Atomic.make 0
 let t_unsat = Atomic.make 0
 let t_unknown = Atomic.make 0
-let t_races = Atomic.make 0        (* portfolio races among the calls *)
 let t_conflicts = Atomic.make 0
 let t_propagations = Atomic.make 0
 let t_decisions = Atomic.make 0
@@ -118,7 +102,6 @@ let telemetry () =
     ("sat", Atomic.get t_sat);
     ("unsat", Atomic.get t_unsat);
     ("unknown", Atomic.get t_unknown);
-    ("races", Atomic.get t_races);
     ("solver_conflicts", Atomic.get t_conflicts);
     ("solver_propagations", Atomic.get t_propagations);
     ("solver_decisions", Atomic.get t_decisions);
@@ -128,8 +111,8 @@ let telemetry () =
 let reset_telemetry () =
   List.iter
     (fun c -> Atomic.set c 0)
-    [ t_calls; t_sat; t_unsat; t_unknown; t_races; t_conflicts;
-      t_propagations; t_decisions; t_restarts ]
+    [ t_calls; t_sat; t_unsat; t_unknown; t_conflicts; t_propagations;
+      t_decisions; t_restarts ]
 
 (* choose [k] elements of [candidates] (ascending combinations) *)
 let combinations k candidates =
@@ -144,49 +127,24 @@ let combinations k candidates =
   List.map Array.of_list (go k candidates)
 
 (* try to synthesize with exactly [r] gates; [f] is normal (f(0...0) = 0).
-   When [fence] is given (gate index -> level), fanin candidates are
-   restricted to strictly earlier levels and every combination must include
-   a signal from the immediately preceding level (ref [10]). *)
-let synthesize_fixed_size ?fence config f r =
+   One SAT instance covers every DAG topology of [r] gates. *)
+let synthesize_fixed_size config f r =
   let n = Tt.num_vars f in
   let num_minterms = (1 lsl n) - 1 in
   let k = config.arity in
   let num_op_bits = (1 lsl k) - 1 in
   (* candidates, as chain signal indices: 0 = const, 1..n inputs, n+1+i gates *)
-  let level_of_gate g = match fence with Some lv -> lv.(g) | None -> -1 in
   let candidates_for i =
-    let gates =
-      match fence with
-      | None -> List.init i (fun g -> n + 1 + g)
-      | Some lv ->
-        List.filteri (fun g _ -> lv.(g) < lv.(i)) (List.init r (fun g -> g))
-        |> List.map (fun g -> n + 1 + g)
-    in
     (if config.allow_constant then [ 0 ] else [])
     @ List.init n (fun v -> 1 + v)
-    @ gates
-  in
-  let combo_allowed i combo =
-    match fence with
-    | None -> true
-    | Some lv ->
-      lv.(i) = 0
-      || Array.exists
-           (fun j -> j > n && level_of_gate (j - n - 1) = lv.(i) - 1)
-           combo
+    @ List.init i (fun g -> n + 1 + g)
   in
   let combos =
-    Array.init r (fun i ->
-        Array.of_list
-          (List.filter (combo_allowed i)
-             (combinations k (candidates_for i))))
+    Array.init r (fun i -> Array.of_list (combinations k (candidates_for i)))
   in
   let pos v = Satkit.Lit.of_var v ~negated:false in
   let neg v = Satkit.Lit.of_var v ~negated:true in
-  (* Encode the whole instance into [s]; returns the variable layout needed
-     to decode a model.  Run once per solver, so a portfolio can build the
-     same instance in every worker. *)
-  let build s =
+  let s = Satkit.Solver.create ~config:(Satkit.Solver.env_config ()) () in
   let fresh =
     let counter = ref (-1) in
     fun () ->
@@ -283,9 +241,7 @@ let synthesize_fixed_size ?fence config f r =
     let l = if Tt.get_bit f t = 1 then pos x.(r - 1).(t - 1) else neg x.(r - 1).(t - 1) in
     Satkit.Solver.add_clause s [ l ]
   done;
-  (o, sel)
-  in
-  let decode s (o, sel) =
+  let decode () =
     Array.init r (fun i ->
         let ci =
           let rec find j =
@@ -301,60 +257,14 @@ let synthesize_fixed_size ?fence config f r =
         done;
         { Chain.fanins = Array.copy combos.(i).(ci); op })
   in
-  if config.sat_jobs <= 1 then begin
-    let s = Satkit.Solver.create ~config:(Satkit.Solver.env_config ()) () in
-    let layout = build s in
-    let r = Satkit.Solver.solve ~conflict_budget:config.conflict_budget s in
-    bump t_calls 1;
-    note_result r;
-    note_counters (Satkit.Solver.stats s);
-    match r with
-    | Satkit.Solver.Unsat -> `Unsat
-    | Satkit.Solver.Unknown -> `Unknown
-    | Satkit.Solver.Sat -> `Sat (decode s layout)
-  end
-  else begin
-    (* diversified portfolio race over the same encoding *)
-    let out =
-      Satkit.Portfolio.solve ~jobs:config.sat_jobs
-        ~conflict_budget:config.conflict_budget ~build ()
-    in
-    bump t_calls 1;
-    bump t_races 1;
-    note_result out.Satkit.Portfolio.result;
-    (* attribute every worker's work, losers included *)
-    List.iter (fun (_, cs) -> note_counters cs) out.Satkit.Portfolio.stats;
-    match out.Satkit.Portfolio.result with
-    | Satkit.Solver.Unsat -> `Unsat
-    | Satkit.Solver.Unknown -> `Unknown
-    | Satkit.Solver.Sat ->
-      `Sat (decode out.Satkit.Portfolio.solver out.Satkit.Portfolio.payload)
-  end
-
-(* All fences with [r] gates: compositions of r into levels (each level
-   non-empty), returned as per-gate level arrays, fewest levels first. *)
-let fences r =
-  let rec compositions r =
-    if r = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun first ->
-          List.map (fun rest -> first :: rest) (compositions (r - first)))
-        (List.init r (fun i -> i + 1))
-  in
-  compositions r
-  |> List.sort (fun a b -> compare (List.length a) (List.length b))
-  |> List.map (fun parts ->
-         let lv = Array.make r 0 in
-         let g = ref 0 in
-         List.iteri
-           (fun level count ->
-             for _ = 1 to count do
-               lv.(!g) <- level;
-               incr g
-             done)
-           parts;
-         lv)
+  let verdict = Satkit.Solver.solve ~conflict_budget:config.conflict_budget s in
+  bump t_calls 1;
+  note_result verdict;
+  note_counters (Satkit.Solver.stats s);
+  match verdict with
+  | Satkit.Solver.Unsat -> `Unsat
+  | Satkit.Solver.Unknown -> `Unknown
+  | Satkit.Solver.Sat -> `Sat (decode ())
 
 (* Size-optimal synthesis of [f]; increments the gate count until SAT. *)
 let synthesize config f =
@@ -381,23 +291,10 @@ let synthesize config f =
       let rec loop r =
         if r > config.max_gates then Failed
         else
-          match config.strategy with
-          | Incremental -> (
-            match synthesize_fixed_size config target r with
-            | `Unsat -> loop (r + 1)
-            | `Unknown -> Failed
-            | `Sat steps -> finish steps)
-          | Fences ->
-            (* one smaller SAT instance per fence of r gates *)
-            let rec try_fences = function
-              | [] -> loop (r + 1)
-              | fence :: rest -> (
-                match synthesize_fixed_size ~fence config target r with
-                | `Unsat -> try_fences rest
-                | `Unknown -> Failed
-                | `Sat steps -> finish steps)
-            in
-            try_fences (fences r)
+          match synthesize_fixed_size config target r with
+          | `Unsat -> loop (r + 1)
+          | `Unknown -> Failed
+          | `Sat steps -> finish steps
       in
       loop 1
   end

@@ -128,7 +128,7 @@ let default_jobs : (module JOB) list =
 
    [config] supplies the typed run configuration: its script is used
    unless [script] overrides it, and job environments missing from [envs]
-   are built through [Engine.env_of_config] so sat-jobs and the
+   are built through [Engine.env_of_config] so the cost objective and the
    persistent exact-synthesis cache apply to every roster member (the
    cache path is suffixed per representation — stores are
    per-synthesis-domain). *)

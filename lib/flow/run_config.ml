@@ -21,7 +21,6 @@ type t = {
   sample : int;  (* node-event sampling rate; 0 = off *)
   partition : int;  (* partition size cap; 0 = whole-network flow *)
   jobs : int;  (* worker domains for partition/batch parallelism *)
-  sat_jobs : int;  (* diversified SAT portfolio width; 1 = single solver *)
   budget : int;  (* CEC conflict budget; 0 = ladder default, <0 = complete *)
   kernel : string;  (* SAT kernel: "modern" | "legacy" *)
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
@@ -53,7 +52,6 @@ let default =
     sample = 0;
     partition = 0;
     jobs = Domain.recommended_domain_count ();
-    sat_jobs = 1;
     budget = 0;
     kernel = "modern";
     cost = "area";
@@ -65,7 +63,7 @@ let default =
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(sample = 0) ?(partition = 0)
-    ?(jobs = default.jobs) ?(sat_jobs = 1) ?(budget = 0) ?(kernel = "modern")
+    ?(jobs = default.jobs) ?(budget = 0) ?(kernel = "modern")
     ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
   {
     representation;
@@ -75,7 +73,6 @@ let make ?(representation = default.representation) ?(script = default.script)
     sample;
     partition;
     jobs;
-    sat_jobs;
     budget;
     kernel;
     cost;
@@ -120,7 +117,6 @@ let with_env cfg =
     sample = int_env "GENLOG_SAMPLE" cfg.sample;
     partition = int_env "GENLOG_PARTITION" cfg.partition;
     jobs = int_env "GENLOG_JOBS" cfg.jobs;
-    sat_jobs = int_env "GENLOG_SAT_JOBS" cfg.sat_jobs;
     budget = int_env "GENLOG_BUDGET" cfg.budget;
     kernel =
       (match str_env "GENLOG_SAT_KERNEL" cfg.kernel with
@@ -176,10 +172,10 @@ let json_opt = function None -> "null" | Some s -> json_string s
 
 let to_json cfg =
   Printf.sprintf
-    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"sat_jobs\":%d,\"budget\":%d,\"kernel\":%s,\"cost\":%s,\"cache\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
+    "{\"representation\":%s,\"script\":%s,\"trace\":%s,\"stats\":%b,\"sample\":%d,\"partition\":%d,\"jobs\":%d,\"budget\":%d,\"kernel\":%s,\"cost\":%s,\"cache\":%s,\"timeout\":%.6g,\"retries\":%d,\"faults\":%s}"
     (json_string (representation_to_string cfg.representation))
     (json_string cfg.script) (json_opt cfg.trace_path) cfg.stats cfg.sample
-    cfg.partition cfg.jobs cfg.sat_jobs cfg.budget (json_string cfg.kernel)
+    cfg.partition cfg.jobs cfg.budget (json_string cfg.kernel)
     (json_string cfg.cost) (json_opt cfg.cache) cfg.timeout cfg.retries
     (json_opt cfg.faults)
 
@@ -229,7 +225,6 @@ let of_json (j : Obs.Json.t) : (t, string) result =
           sample = int "sample" 0;
           partition = int "partition" 0;
           jobs = int "jobs" default.jobs;
-          sat_jobs = int "sat_jobs" 1;
           budget = int "budget" 0;
           kernel;
           cost;

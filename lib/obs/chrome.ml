@@ -37,7 +37,6 @@ let flow_tracks events =
       | Trace.Counters { flow; _ }
       | Trace.Metrics { flow; _ }
       | Trace.Node_event { flow; _ }
-      | Trace.Race { flow; _ }
       | Trace.Degraded { flow; _ } -> see flow)
     events;
   (tids, List.rev !order)
@@ -118,26 +117,6 @@ let lines (t : Trace.t) =
           (Printf.sprintf
              "{\"name\":\"%s node\",\"cat\":\"node\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"node\":%d,\"gain\":%d,\"accepted\":%b}}"
              (esc algo) (us t) (tid flow) node gain accepted)
-      | Trace.Race { t; flow; algo; winner; configs } ->
-        (* one instant per race: winner in the name so Perfetto's track
-           shows who won at a glance, per-config work in the args *)
-        let args =
-          ("\"winner\":\"" ^ esc winner ^ "\"")
-          :: List.map
-               (fun (name, result, counters) ->
-                 let g k =
-                   Option.value ~default:0 (List.assoc_opt k counters)
-                 in
-                 Printf.sprintf
-                   "\"%s\":\"%s c=%d p=%d\"" (esc name) (esc result)
-                   (g "conflicts") (g "propagations"))
-               configs
-        in
-        emit t
-          (Printf.sprintf
-             "{\"name\":\"%s race: %s\",\"cat\":\"race\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-             (esc algo) (esc winner) (us t) (tid flow)
-             (String.concat "," args))
       | Trace.Degraded { t; flow; pass; reason; detail } ->
         (* an instant marker so degradations are visible on the timeline *)
         emit t

@@ -1,7 +1,7 @@
 (* Single-file HTML dashboard over the observability artifacts: per-pass
    time/gain tables from a trace, SAT kernel summaries (conflict and
-   propagation totals, portfolio race winners), exact-store hit rates,
-   bench rows, and cross-run history sparklines.
+   propagation totals), exact-store hit rates, bench rows, and cross-run
+   history sparklines.
 
    The page is fully self-contained — inline CSS, inline SVG, no external
    assets or requests — so it can be archived as a CI artifact and opened
@@ -82,14 +82,6 @@ let section_meta b =
     (Runmeta.fields ());
   Buffer.add_string b "</table>"
 
-let races_cell (r : Trace.pass_row) =
-  match r.Trace.row_races with
-  | [] -> "<span class=\"muted\">-</span>"
-  | ws ->
-    esc
-      (String.concat ", "
-         (List.map (fun (w, n) -> Printf.sprintf "%s:%d" w n) ws))
-
 let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
   Buffer.add_string b "<h2 id=\"passes\">Passes</h2>";
   (* degraded-job banner first: a dashboard reader must not mistake a
@@ -116,7 +108,7 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
       "<table><tr><th class=\"l\">#</th><th class=\"l\">flow</th>\
        <th class=\"l\">pass</th><th>gates</th><th>dG</th><th>dD</th>\
        <th>time</th><th>%</th><th>sat confl</th><th>sat props</th>\
-       <th>deg</th><th class=\"l\">races</th></tr>";
+       <th>deg</th></tr>";
     List.iter
       (fun (r : Trace.pass_row) ->
         let pct =
@@ -127,7 +119,7 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
              "<tr><td class=\"l\">%d</td><td class=\"l\">%s</td>\
               <td class=\"l\">%s</td><td>%d</td><td>%d</td><td>%d</td>\
               <td>%.3fs</td><td>%.1f%%</td><td>%d</td><td>%d</td>\
-              <td%s>%d</td><td class=\"l\">%s</td></tr>"
+              <td%s>%d</td></tr>"
              r.Trace.row_index (esc r.Trace.row_flow) (esc r.Trace.row_pass)
              r.Trace.gates_after
              (r.Trace.gates_after - r.Trace.gates_before)
@@ -135,14 +127,14 @@ let section_passes b (trace : Trace.t) (rows : Trace.pass_row list) =
              r.Trace.row_elapsed pct r.Trace.row_sat_conflicts
              r.Trace.row_sat_propagations
              (if r.Trace.row_degraded > 0 then " class=\"bad\"" else "")
-             r.Trace.row_degraded (races_cell r)))
+             r.Trace.row_degraded))
       rows;
     Buffer.add_string b "</table>"
   end
 
-(* SAT summary: totals over the pass rows, winner tally over all races,
-   and the exact-synthesis store's hit rate (from the last "exact_db"
-   metrics event the engine emits after cleanup). *)
+(* SAT summary: totals over the pass rows and the exact-synthesis store's
+   hit rate (from the last "exact_db" metrics event the engine emits after
+   cleanup). *)
 let section_sat b (trace : Trace.t) (rows : Trace.pass_row list) =
   Buffer.add_string b "<h2 id=\"sat\">SAT kernel</h2>";
   let confl =
@@ -151,34 +143,9 @@ let section_sat b (trace : Trace.t) (rows : Trace.pass_row list) =
   let props =
     List.fold_left (fun a r -> a + r.Trace.row_sat_propagations) 0 rows
   in
-  let winners = Hashtbl.create 8 in
-  let races = ref 0 in
-  List.iter
-    (function
-      | Trace.Race { winner; _ } ->
-        incr races;
-        Hashtbl.replace winners winner
-          (1 + Option.value ~default:0 (Hashtbl.find_opt winners winner))
-      | _ -> ())
-    (Trace.events trace);
   Buffer.add_string b
-    (Printf.sprintf
-       "<p>conflicts <b>%d</b>, propagations <b>%d</b>, portfolio races \
-        <b>%d</b></p>"
-       confl props !races);
-  if Hashtbl.length winners > 0 then begin
-    Buffer.add_string b
-      "<table><tr><th class=\"l\">race winner</th><th>wins</th></tr>";
-    List.iter
-      (fun (w, n) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "<tr><td class=\"l\">%s</td><td>%d</td></tr>" (esc w) n))
-      (List.sort
-         (fun (_, a) (_, b) -> compare b a)
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) winners []));
-    Buffer.add_string b "</table>"
-  end;
+    (Printf.sprintf "<p>conflicts <b>%d</b>, propagations <b>%d</b></p>" confl
+       props);
   (* exact-synthesis store: last exact_db gauge set wins (cumulative) *)
   let db_gauges = ref [] in
   List.iter

@@ -12,8 +12,8 @@
 
 (* Rebuild trace events from a JSONL file.  Histogram payloads of metrics
    events are summarized away (count/min/max survive via the JSON but are
-   not needed for tables); unknown events — including the meta line — are
-   skipped. *)
+   not needed for tables); unknown events — the meta line, and the "race"
+   lines of traces written while a SAT portfolio existed — are skipped. *)
 let events_of_json (lines : Json.t list) : Trace.event list =
   List.filter_map
     (fun j ->
@@ -99,43 +99,6 @@ let events_of_json (lines : Json.t list) : Trace.event list =
                gain = int "gain";
                accepted = Json.member "accepted" j = Some (Json.Bool true);
              })
-      | Some "race" ->
-        let configs =
-          match Option.bind (Json.member "configs" j) Json.to_list with
-          | None -> []
-          | Some cs ->
-            List.filter_map
-              (fun c ->
-                match Json.str_member "name" c with
-                | None -> None
-                | Some name ->
-                  let counters =
-                    match Json.member "counters" c with
-                    | Some (Json.Obj kvs) ->
-                      List.filter_map
-                        (fun (k, v) ->
-                          Option.map
-                            (fun f -> (k, int_of_float f))
-                            (Json.to_num v))
-                        kvs
-                    | _ -> []
-                  in
-                  Some
-                    ( name,
-                      Option.value ~default:"unknown"
-                        (Json.str_member "result" c),
-                      counters ))
-              cs
-        in
-        Some
-          (Trace.Race
-             {
-               t;
-               flow;
-               algo = Option.value ~default:"" (Json.str_member "algo" j);
-               winner = Option.value ~default:"" (Json.str_member "winner" j);
-               configs;
-             })
       | Some "degraded" ->
         Some
           (Trace.Degraded
@@ -160,16 +123,9 @@ let load_trace path : Trace.t =
    with End_of_file -> close_in ic);
   Trace.of_events (events_of_json (List.rev !lines))
 
-(* Compact winner tally for the races column: "modern:2,luby:1", or "-". *)
-let races_cell (r : Trace.pass_row) =
-  match r.Trace.row_races with
-  | [] -> "-"
-  | ws ->
-    String.concat "," (List.map (fun (w, n) -> Printf.sprintf "%s:%d" w n) ws)
-
 (* The per-pass table with GC and SAT accounting: time %, gate/depth
    deltas, minor/major words allocated during the pass, SAT kernel
-   conflicts/propagations attributed to it, and portfolio race winners. *)
+   conflicts/propagations attributed to it, and degradation markers. *)
 let pp_trace fmt (t : Trace.t) =
   let rows = Trace.summarize t in
   if rows = [] then
@@ -178,13 +134,13 @@ let pp_trace fmt (t : Trace.t) =
     let total = List.fold_left (fun a r -> a +. r.Trace.row_elapsed) 0.0 rows in
     let pct e = if total <= 0.0 then 0.0 else 100.0 *. e /. total in
     Format.fprintf fmt
-      "%4s  %-20s %-10s | %8s %5s | %5s | %8s %5s | %10s %10s | %9s %11s | %3s  %s@."
+      "%4s  %-20s %-10s | %8s %5s | %5s | %8s %5s | %10s %10s | %9s %11s | %3s@."
       "#" "flow" "pass" "gates" "dG" "dD" "time" "%" "minor_w" "major_w"
-      "sat_confl" "sat_props" "deg" "races";
+      "sat_confl" "sat_props" "deg";
     List.iter
       (fun (r : Trace.pass_row) ->
         Format.fprintf fmt
-          "%4d  %-20s %-10s | %8d %5d | %5d | %7.3fs %4.1f%% | %10.0f %10.0f | %9d %11d | %3d  %s@."
+          "%4d  %-20s %-10s | %8d %5d | %5d | %7.3fs %4.1f%% | %10.0f %10.0f | %9d %11d | %3d@."
           r.Trace.row_index r.Trace.row_flow r.Trace.row_pass
           r.Trace.gates_after
           (r.Trace.gates_after - r.Trace.gates_before)
@@ -192,7 +148,7 @@ let pp_trace fmt (t : Trace.t) =
           r.Trace.row_elapsed (pct r.Trace.row_elapsed)
           r.Trace.row_gc.Trace.minor_words r.Trace.row_gc.Trace.major_words
           r.Trace.row_sat_conflicts r.Trace.row_sat_propagations
-          r.Trace.row_degraded (races_cell r))
+          r.Trace.row_degraded)
       rows;
     let sum f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
     let sumi f = List.fold_left (fun a r -> a + f r) 0 rows in

@@ -108,16 +108,6 @@ type event =
       gain : int;
       accepted : bool;
     }
-  | Race of {
-      t : float;
-      flow : string;
-      algo : string;  (* which racer: "cec", "fraig", "exact", ... *)
-      winner : string;
-      configs : (string * string * counters) list;
-          (* per worker: config name, result ("sat"/"unsat"/"unknown"),
-             kernel counters at finish or cancel time — losers included, so
-             the work a lost race burned stays visible *)
-    }
   | Degraded of {
       t : float;
       flow : string;
@@ -231,17 +221,6 @@ let metrics t ~algo ~counters ~gauges ~hists =
       Metrics { t = now s; flow = s.flow; algo; counters; gauges; hists }
       :: s.rev_events
 
-(* One portfolio race outcome (see satkit/portfolio.ml): who won, and what
-   every worker — including cancelled losers — had done when it stopped.
-   Building the [configs] payload walks the losers' solvers, so call sites
-   guard with [enabled]. *)
-let race t ~algo ~winner ~configs =
-  match t with
-  | Null -> ()
-  | Sink s ->
-    s.rev_events <-
-      Race { t = now s; flow = s.flow; algo; winner; configs } :: s.rev_events
-
 (* A graceful-degradation marker: the run kept a valid (best-so-far)
    result but gave up on part of the work — a pass deadline expired, a
    pass raised and was rolled back to the last checkpoint, a partition
@@ -335,17 +314,6 @@ let json_of_event = function
     Printf.sprintf
       "{\"event\":\"node\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"node\":%d,\"gain\":%d,\"accepted\":%b}"
       t (escape flow) (escape algo) node gain accepted
-  | Race { t; flow; algo; winner; configs } ->
-    Printf.sprintf
-      "{\"event\":\"race\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"winner\":\"%s\",\"configs\":[%s]}"
-      t (escape flow) (escape algo) (escape winner)
-      (String.concat ","
-         (List.map
-            (fun (name, result, counters) ->
-              Printf.sprintf
-                "{\"name\":\"%s\",\"result\":\"%s\",\"counters\":%s}"
-                (escape name) (escape result) (json_of_counters counters))
-            configs))
   | Degraded { t; flow; pass; reason; detail } ->
     Printf.sprintf
       "{\"event\":\"degraded\",\"t\":%.6f,\"flow\":\"%s\",\"pass\":\"%s\",\"reason\":\"%s\",\"detail\":\"%s\"}"
@@ -393,32 +361,16 @@ type pass_row = {
   row_counters : (string * counters) list;  (* algo -> counters, in order *)
   row_sat_conflicts : int;     (* SAT kernel work attributed to the span *)
   row_sat_propagations : int;
-  row_races : (string * int) list;  (* race winner name -> wins, in order *)
   row_degraded : int;  (* degradation markers attributed to the span *)
 }
 
-(* SAT work inside a span comes from two disjoint sources: single-solver
-   call sites publish [solver_*] gauges through a metrics registry, and
-   portfolio races publish per-config counters on the race event itself
-   (the call sites emit one or the other, never both, so summing both here
-   never double-counts). *)
+(* SAT work inside a span: solver call sites publish [solver_*] gauges
+   through a metrics registry. *)
 let sat_of_gauges gauges =
   let g k = Option.value ~default:0 (List.assoc_opt k gauges) in
   (g "solver_conflicts", g "solver_propagations")
 
-let sat_of_race configs =
-  List.fold_left
-    (fun (c, p) (_, _, counters) ->
-      let g k = Option.value ~default:0 (List.assoc_opt k counters) in
-      (c + g "conflicts", p + g "propagations"))
-    (0, 0) configs
-
-let bump_winner races winner =
-  if List.mem_assoc winner races then
-    List.map (fun (w, n) -> if w = winner then (w, n + 1) else (w, n)) races
-  else races @ [ (winner, 1) ]
-
-(* SAT events from child sinks (partition workers, racing domains) carry
+(* SAT events from child sinks (partition workers, portfolio domains) carry
    extended flow labels like ["opt/part3"] while the enclosing span lives
    under the parent label: resolve to the nearest open ancestor span. *)
 let rec find_ancestor_span pending flow =
@@ -430,8 +382,8 @@ let rec find_ancestor_span pending flow =
     | None -> if flow = "" then None else find_ancestor_span pending "")
 
 (* Pair begin/end events into rows.  Spans never nest within one flow, so a
-   single pending slot per flow label suffices; counter, metrics and race
-   events attach to the open span of their flow. *)
+   single pending slot per flow label suffices; counter, metrics and
+   degradation events attach to the open span of their flow. *)
 let summarize t : pass_row list =
   let pending : (string, pass_row) Hashtbl.t = Hashtbl.create 4 in
   let rows = ref [] in
@@ -452,7 +404,6 @@ let summarize t : pass_row list =
             row_counters = [];
             row_sat_conflicts = 0;
             row_sat_propagations = 0;
-            row_races = [];
             row_degraded = 0;
           }
       | Counters { flow; algo; counters; _ } -> (
@@ -472,18 +423,6 @@ let summarize t : pass_row list =
                 row_sat_conflicts = row.row_sat_conflicts + c;
                 row_sat_propagations = row.row_sat_propagations + p;
               }
-        | None -> ())
-      | Race { flow; winner; configs; _ } -> (
-        match find_ancestor_span pending flow with
-        | Some (key, row) ->
-          let c, p = sat_of_race configs in
-          Hashtbl.replace pending key
-            {
-              row with
-              row_sat_conflicts = row.row_sat_conflicts + c;
-              row_sat_propagations = row.row_sat_propagations + p;
-              row_races = bump_winner row.row_races winner;
-            }
         | None -> ())
       | Degraded { flow; _ } -> (
         match find_ancestor_span pending flow with
@@ -520,16 +459,13 @@ let pp_counters fmt cs =
             ^ ")")
           cs))
 
-(* The SAT/race annotation appended to a row's counters column: nothing
-   when the pass did no SAT work, so pure-rewrite tables stay clean. *)
+(* The SAT/degradation annotation appended to a row's counters column:
+   nothing when the pass did no SAT work, so pure-rewrite tables stay
+   clean. *)
 let pp_sat fmt r =
   if r.row_sat_conflicts <> 0 || r.row_sat_propagations <> 0 then
     Format.fprintf fmt " sat(confl=%d,props=%d)" r.row_sat_conflicts
       r.row_sat_propagations;
-  if r.row_races <> [] then
-    Format.fprintf fmt " race(%s)"
-      (String.concat ","
-         (List.map (fun (w, n) -> Printf.sprintf "%s=%d" w n) r.row_races));
   if r.row_degraded > 0 then
     Format.fprintf fmt " DEGRADED(%d)" r.row_degraded
 

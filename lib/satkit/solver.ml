@@ -21,9 +21,8 @@
      subsumption / self-subsuming strengthening, and clause vivification
      under a propagation budget.
 
-   Behaviour is controlled by a [config] record so a portfolio can run
-   diversified instances (see portfolio.ml); [legacy_config] approximates
-   the pre-modernization kernel for A/B benchmarking.
+   Behaviour is controlled by a [config] record; [legacy_config]
+   approximates the pre-modernization kernel for A/B benchmarking.
 
    The solver is used by SAT-based exact synthesis (paper §2.2.2), by
    combinational equivalence checking and by SAT sweeping. *)
@@ -33,7 +32,6 @@ type result = Sat | Unsat | Unknown
 (* -- configuration -- *)
 
 type restart_policy = Luby | Ema
-type polarity_mode = Phase_saved | Always_true | Always_false | Random_init
 
 (* [Tiered] is the modern lbd-driven scheme (core / tier2 / local);
    [Activity_half] is the MiniSat-style deletion the seed kernel used —
@@ -43,9 +41,6 @@ type reduce_strategy = Tiered | Activity_half
 type config = {
   name : string;
   restart : restart_policy;
-  polarity : polarity_mode;
-  seed : int;
-  random_decision_freq : float;  (* probability of a random branch var *)
   var_decay : float;
   clause_decay : float;
   minimize : bool;               (* learnt-clause minimization *)
@@ -60,9 +55,6 @@ let default_config =
   {
     name = "modern";
     restart = Ema;
-    polarity = Phase_saved;
-    seed = 91648253;
-    random_decision_freq = 0.0;
     var_decay = 0.95;
     clause_decay = 0.999;
     minimize = true;
@@ -170,7 +162,6 @@ let wlist_push w c b =
 
 type t = {
   config : config;
-  rng : Random.State.t;
   mutable num_vars : int;
   clauses : cvec;                        (* original problem clauses *)
   learnts : cvec;
@@ -233,7 +224,6 @@ type t = {
 let create ?(config = default_config) () =
   {
     config;
-    rng = Random.State.make [| config.seed |];
     num_vars = 0;
     clauses = cvec_make ();
     learnts = cvec_make ();
@@ -389,10 +379,6 @@ let new_var t =
   t.num_vars <- v + 1;
   ensure_var_capacity t v;
   t.assign.(v) <- -1;
-  (match t.config.polarity with
-  | Random_init -> t.polarity.(v) <- Random.State.bool t.rng
-  | Always_true -> t.polarity.(v) <- true
-  | Phase_saved | Always_false -> ());
   heap_insert t v;
   v
 
@@ -1035,26 +1021,13 @@ let luby y x =
   let size, seq = grow 1 0 in
   y ** float_of_int (shrink x size seq)
 
-let pick_branch_var t =
-  let rec go () =
-    if t.heap_size = 0 then -1
-    else begin
-      let v = heap_pop t in
-      if t.assign.(v) < 0 then v else go ()
-    end
-  in
-  let freq = t.config.random_decision_freq in
-  if freq > 0.0 && t.heap_size > 0 && Random.State.float t.rng 1.0 < freq then begin
-    let v = t.heap.(Random.State.int t.rng t.heap_size) in
-    if t.assign.(v) < 0 then v else go ()
+(* Highest-activity unassigned variable, or -1 when all are assigned. *)
+let rec pick_branch_var t =
+  if t.heap_size = 0 then -1
+  else begin
+    let v = heap_pop t in
+    if t.assign.(v) < 0 then v else pick_branch_var t
   end
-  else go ()
-
-let decision_polarity t v =
-  match t.config.polarity with
-  | Phase_saved | Random_init -> t.polarity.(v)
-  | Always_true -> true
-  | Always_false -> false
 
 let record_learnt t lits btlevel lbd =
   (* [btlevel] has already been clamped to the root (assumption) level by
@@ -1173,7 +1146,8 @@ let search t ~root_level ~restart_limit ~budget ~stop =
         else begin
           t.decisions <- t.decisions + 1;
           new_decision_level t;
-          enqueue t (Lit.of_var v ~negated:(not (decision_polarity t v))) None
+          (* saved phase: branch on the value [v] last held *)
+          enqueue t (Lit.of_var v ~negated:(not t.polarity.(v))) None
         end
       end
   done;

@@ -77,8 +77,6 @@ let env_with db kernel =
     {
       Flow.Engine.db = Lazy.force db;
       kernel;
-      max_refactor_inputs = 10;
-      sat_jobs = 1;
       cost = Algo.Cost.Spec.Area;
     }
 

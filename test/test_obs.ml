@@ -26,7 +26,7 @@ let span_events trace =
     (function
       | T.Pass_begin { pass; index; _ } -> Some ("pass_begin", pass, index)
       | T.Pass_end { pass; index; _ } -> Some ("pass_end", pass, index)
-      | T.Counters _ | T.Metrics _ | T.Node_event _ | T.Race _ | T.Degraded _
+      | T.Counters _ | T.Metrics _ | T.Node_event _ | T.Degraded _
         -> None)
     (T.events trace)
 
@@ -60,7 +60,6 @@ let timestamp = function
   | T.Counters { t; _ }
   | T.Metrics { t; _ }
   | T.Node_event { t; _ }
-  | T.Race { t; _ }
   | T.Degraded { t; _ } -> t
 
 let flow_of = function
@@ -69,7 +68,6 @@ let flow_of = function
   | T.Counters { flow; _ }
   | T.Metrics { flow; _ }
   | T.Node_event { flow; _ }
-  | T.Race { flow; _ }
   | T.Degraded { flow; _ } -> flow
 
 let test_monotonic_timestamps () =

@@ -6,22 +6,34 @@ module RC = Flow.Run_config
 let cfg =
   Alcotest.testable (fun fmt c -> Format.pp_print_string fmt (RC.to_json c)) ( = )
 
+(* The key of the SAT portfolio width option, since removed: old job specs
+   may still carry it. *)
+let retired_key = "sat_jobs"
+
 let test_json_round_trip () =
   let c =
     RC.make ~representation:RC.Xmg ~script:"bz; rw; rf" ~trace_path:"t.jsonl"
-      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~sat_jobs:2 ~budget:1000
+      ~stats:true ~sample:10 ~partition:500 ~jobs:3 ~budget:1000
       ~kernel:"legacy" ~cost:"depth" ~cache:"/tmp/store.glxs" ~timeout:1.5
       ~retries:2 ~faults:"parmap.job:0.1,sat.solve:1:2" ()
   in
-  match RC.of_json_string (RC.to_json c) with
+  let json = RC.to_json c in
+  Alcotest.(check bool)
+    "retired key not emitted" true
+    (Obs.Json.member retired_key (Obs.Json.parse json) = None);
+  match RC.of_json_string json with
   | Ok c' -> Alcotest.check cfg "round-trips" c c'
   | Error e -> Alcotest.fail e
 
 let test_json_defaults () =
-  (* missing fields fall back to the builder defaults *)
-  match RC.of_json_string "{}" with
-  | Ok c -> Alcotest.check cfg "empty object is default" RC.default c
-  | Error e -> Alcotest.fail e
+  (* missing fields fall back to the builder defaults; unknown keys, such
+     as the retired one, are ignored *)
+  List.iter
+    (fun spec ->
+      match RC.of_json_string spec with
+      | Ok c -> Alcotest.check cfg (spec ^ " is default") RC.default c
+      | Error e -> Alcotest.fail e)
+    [ "{}"; Printf.sprintf "{%S:2}" retired_key ]
 
 let test_json_rejects_unknown () =
   (match RC.of_json_string "{\"representation\":\"zzz\"}" with
@@ -50,7 +62,7 @@ let with_env kvs f =
 let test_env_overrides () =
   with_env
     [
-      ("GENLOG_SAT_JOBS", "3");
+      ("GENLOG_SAMPLE", "3");
       ("GENLOG_PARTITION", "250");
       ("GENLOG_CACHE", "/tmp/env_store.glxs");
       ("GENLOG_SAT_KERNEL", "legacy");
@@ -61,7 +73,7 @@ let test_env_overrides () =
     ]
     (fun () ->
       let c = RC.of_env () in
-      Alcotest.(check int) "sat_jobs from env" 3 c.RC.sat_jobs;
+      Alcotest.(check int) "sample from env" 3 c.RC.sample;
       Alcotest.(check int) "partition from env" 250 c.RC.partition;
       Alcotest.(check (option string))
         "cache from env"
@@ -98,12 +110,12 @@ let test_env_cost () =
 let test_env_layering () =
   (* env overrides defaults, explicit values override env *)
   with_env
-    [ ("GENLOG_SAT_JOBS", "7") ]
+    [ ("GENLOG_BUDGET", "7") ]
     (fun () ->
       let base = RC.of_env () in
-      Alcotest.(check int) "env wins over default" 7 base.RC.sat_jobs;
-      let explicit = { base with RC.sat_jobs = 2 } in
-      Alcotest.(check int) "explicit wins over env" 2 explicit.RC.sat_jobs)
+      Alcotest.(check int) "env wins over default" 7 base.RC.budget;
+      let explicit = { base with RC.budget = 2 } in
+      Alcotest.(check int) "explicit wins over env" 2 explicit.RC.budget)
 
 let test_solver_config () =
   let legacy = RC.solver_config { RC.default with RC.kernel = "legacy" } in

@@ -231,31 +231,6 @@ let prop_minimization_preserves_models =
           | Solver.Unknown -> false)
         [ aggressive_config; Solver.legacy_config ])
 
-(* every roster configuration of the portfolio must agree with brute force
-   on its own (diversification must never cost soundness) *)
-let prop_config_matrix =
-  QCheck.Test.make ~name:"portfolio roster configs agree with brute force"
-    ~count:60
-    QCheck.(make Gen.(pair (int_range 4 9) (int_bound 1000000)))
-    (fun (n, seed) ->
-      let rng = Random.State.make [| seed + 13 |] in
-      let num_clauses = 2 + Random.State.int rng (4 * n) in
-      let cnf =
-        List.init num_clauses (fun _ ->
-            List.init 3 (fun _ ->
-                lit (Random.State.int rng n) (Random.State.bool rng)))
-      in
-      let expected = brute_force_sat n cnf in
-      List.for_all
-        (fun config ->
-          let s = Solver.create ~config () in
-          List.iter (Solver.add_clause s) cnf;
-          match Solver.solve s with
-          | Solver.Sat -> expected
-          | Solver.Unsat -> not expected
-          | Solver.Unknown -> false)
-        (Portfolio.default_roster 6))
-
 let add_php s n =
   let var p h = (p * n) + h in
   for p = 0 to n do
@@ -268,39 +243,6 @@ let add_php s n =
       done
     done
   done
-
-let test_portfolio_unsat () =
-  let o = Portfolio.solve ~jobs:3 ~build:(fun s -> add_php s 6) () in
-  Alcotest.(check bool) "php(7,6) unsat" true
-    (o.Portfolio.result = Solver.Unsat);
-  Alcotest.(check bool) "winner named" true (o.Portfolio.winner <> "");
-  Alcotest.(check int) "one report per racer" 3
-    (List.length o.Portfolio.per_config)
-
-let test_portfolio_sat_model () =
-  (* x2 = x0 xor x1, plus x2: the winning solver's model must be readable
-     through [payload] *)
-  let build s =
-    Solver.add_clause s [ lit 2 true; lit 0 false; lit 1 false ];
-    Solver.add_clause s [ lit 2 true; lit 0 true; lit 1 true ];
-    Solver.add_clause s [ lit 2 false; lit 0 false; lit 1 true ];
-    Solver.add_clause s [ lit 2 false; lit 0 true; lit 1 false ];
-    Solver.add_clause s [ lit 2 false ]
-  in
-  let o = Portfolio.solve ~jobs:3 ~build () in
-  Alcotest.(check bool) "sat" true (o.Portfolio.result = Solver.Sat);
-  let v i = Solver.model_value o.Portfolio.solver i in
-  Alcotest.(check bool) "model is an xor witness" true (v 0 <> v 1);
-  Alcotest.(check bool) "x2 true" true (v 2)
-
-let test_portfolio_budget () =
-  let o =
-    Portfolio.solve ~jobs:2 ~conflict_budget:10 ~build:(fun s -> add_php s 9)
-      ()
-  in
-  match o.Portfolio.result with
-  | Solver.Unknown | Solver.Unsat -> ()
-  | Solver.Sat -> Alcotest.fail "php(10,9) cannot be SAT"
 
 let test_stop_hook () =
   (* a stop hook that fires immediately must yield Unknown, not an answer *)
@@ -322,9 +264,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_3sat_assumptions;
     Alcotest.test_case "repeated assumption solves" `Quick test_repeated_solves_with_assumptions;
     QCheck_alcotest.to_alcotest prop_minimization_preserves_models;
-    QCheck_alcotest.to_alcotest prop_config_matrix;
-    Alcotest.test_case "portfolio unsat race" `Quick test_portfolio_unsat;
-    Alcotest.test_case "portfolio sat model" `Quick test_portfolio_sat_model;
-    Alcotest.test_case "portfolio conflict budget" `Quick test_portfolio_budget;
     Alcotest.test_case "stop hook" `Quick test_stop_hook;
   ]

@@ -134,8 +134,22 @@ let test_compaction_preserves () =
   Sys.remove path
 
 (* A store written under one synthesis config must not feed a database
-   with a different one: the fingerprint detaches it, data intact. *)
+   with a different one: the fingerprint detaches it, data intact.  The
+   fingerprint of every preset is pinned, so a change to [Synth.config]
+   that would detach existing .glxs caches fails here. *)
 let test_domain_mismatch_detaches () =
+  List.iter
+    (fun (name, cfg, want) ->
+      Alcotest.(check string)
+        (name ^ " fingerprint") want
+        (Printf.sprintf "%08lx" (Exact.Store.fingerprint cfg)))
+    Exact.Synth.
+      [
+        ("aig", aig_config, "9ec88cf0");
+        ("xag", xag_config, "8a6e75cf");
+        ("mig", mig_config, "8a0691ae");
+        ("xmg", xmg_config, "7176e086");
+      ];
   let path = fresh_path () in
   let n = populate path in
   let db = Exact.Database.create ~store:path Exact.Synth.mig_config in
