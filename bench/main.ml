@@ -275,7 +275,7 @@ let smoke () =
 (* Cost matrix: the generic flow under each built-in objective on three  *)
 (* smoke benchmarks.  Every run is CEC-checked against its input and the *)
 (* engine's own objective must never worsen across the flow; rows land   *)
-(* in BENCH_cost.json (one row per benchmark x cost) for the history.    *)
+(* in BENCH_cost.json (one row per benchmark x cost).                    *)
 (* -------------------------------------------------------------------- *)
 
 let cost_bench () =

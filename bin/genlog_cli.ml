@@ -662,73 +662,20 @@ let report_cmd =
       & opt (some file) None
       & info [ "check" ] ~docv:"BASELINE.json"
           ~doc:"QoR gate: compare $(b,--bench) against $(docv) and exit \
-                nonzero when nodes/levels/luts/lut_levels or wall time \
-                regress beyond thresholds. Requires $(b,--bench).")
+                1 when a QoR field (nodes/levels/luts/lut_levels, or the \
+                fields of the run's cost objective) regresses by more \
+                than 2%. Requires $(b,--bench).")
   in
-  let max_qor_pct =
-    Arg.(
-      value
-      & opt float Genlog.Report.default_thresholds.Genlog.Report.qor_pct
-      & info [ "max-qor-pct" ] ~docv:"PCT"
-          ~doc:"Maximum allowed QoR (gates/depth/LUTs) regression, percent.")
+  (* a malformed artifact is bad input, not an internal error *)
+  let load f path =
+    try f path
+    with Genlog.Json.Parse_error msg ->
+      Printf.eprintf "report: %s: %s\n" path msg;
+      exit 2
   in
-  let max_time_pct =
-    Arg.(
-      value
-      & opt float Genlog.Report.default_thresholds.Genlog.Report.time_pct
-      & info [ "max-time-pct" ] ~docv:"PCT"
-          ~doc:"Maximum allowed wall-time regression, percent.")
-  in
-  let ignore_time =
-    Arg.(
-      value
-      & flag
-      & info [ "ignore-time" ]
-          ~doc:"Gate only on QoR fields; skip the (noisy) time fields. \
-                Recommended on shared CI runners.")
-  in
-  let history_in =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "history" ] ~docv:"HISTORY.jsonl"
-          ~doc:"Cross-run history log (appended by $(b,--append-history)): \
-                render per-benchmark trend tables and exit nonzero when the \
-                latest run regresses against the rolling median of the last \
-                runs.")
-  in
-  let append_history =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "append-history" ] ~docv:"HISTORY.jsonl"
-          ~doc:"Append the $(b,--bench) payload to $(docv) (created if \
-                missing) before any $(b,--history) analysis. Requires \
-                $(b,--bench).")
-  in
-  let history_window =
-    Arg.(
-      value
-      & opt int Genlog.History.default_thresholds.Genlog.History.window
-      & info [ "history-window" ] ~docv:"K"
-          ~doc:"Rolling window for drift detection: the latest run is \
-                compared against the median of the previous $(docv) runs.")
-  in
-  let html_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "html" ] ~docv:"OUT.html"
-          ~doc:"Write a self-contained HTML dashboard (no external assets) \
-                joining whatever artifacts were passed: per-pass tables and \
-                SAT summaries from $(b,--trace), rows from $(b,--bench), \
-                sparkline trends from $(b,--history).")
-  in
-  let run trace_in bench_in chrome_out check_against max_qor_pct max_time_pct
-      ignore_time history_in append_history history_window html_out =
-    if trace_in = None && bench_in = None && history_in = None then begin
-      Printf.eprintf
-        "report: nothing to do; pass --trace, --bench and/or --history\n";
+  let run trace_in bench_in chrome_out check_against =
+    if trace_in = None && bench_in = None then begin
+      Printf.eprintf "report: nothing to do; pass --trace and/or --bench\n";
       exit 2
     end;
     (match chrome_out with
@@ -741,109 +688,45 @@ let report_cmd =
       Printf.eprintf "report: --check requires --bench (the current run)\n";
       exit 2
     | _ -> ());
-    (match append_history with
-    | Some _ when bench_in = None ->
-      Printf.eprintf "report: --append-history requires --bench\n";
-      exit 2
-    | _ -> ());
-    let failed = ref false in
-    let trace =
-      Option.map
-        (fun path ->
-          let trace = Genlog.Report.load_trace path in
-          Format.printf "%a" Genlog.Report.pp_trace trace;
-          (match chrome_out with
-          | None -> ()
-          | Some out ->
+    Option.iter
+      (fun path ->
+        let trace = load Genlog.Trace.read_file path in
+        Format.printf "%a" Genlog.Report.pp_trace trace;
+        Option.iter
+          (fun out ->
             Genlog.Chrome.write_file trace out;
-            Printf.printf "[report] wrote chrome trace %s\n" out);
-          trace)
-        trace_in
-    in
-    let current = Option.map Genlog.Json.parse_file bench_in in
-    (match current with
-    | None -> ()
-    | Some current -> (
-      Format.printf "%a" Genlog.Report.pp_bench current;
-      (match append_history with
-      | None -> ()
-      | Some hpath ->
-        Genlog.History.append ~path:hpath current;
-        Printf.printf "[report] appended %s to %s\n"
-          (Option.get bench_in) hpath);
-      match check_against with
-      | None -> ()
-      | Some base_path -> (
-        let baseline = Genlog.Json.parse_file base_path in
-        let thresholds =
-          {
-            Genlog.Report.qor_pct = max_qor_pct;
-            time_pct = max_time_pct;
-            time_floor = Genlog.Report.default_thresholds.Genlog.Report.time_floor;
-            check_time = not ignore_time;
-          }
-        in
-        match Genlog.Report.check ~baseline ~current thresholds with
-        | [] ->
-          (* evidence on success too: what was compared, and how it moved *)
-          Printf.printf "[report] QoR gate passed: %s vs baseline %s\n"
-            (Option.get bench_in) base_path;
-          List.iter
-            (fun d -> Printf.printf "  %s\n" d)
-            (Genlog.Report.deltas ~baseline ~current)
-        | problems ->
-          Printf.eprintf "[report] QoR gate FAILED (%d regressions):\n"
-            (List.length problems);
-          List.iter (fun p -> Printf.eprintf "  %s\n" p) problems;
-          failed := true)));
-    let history_runs =
-      match history_in with
-      | None -> []
-      | Some path ->
-        let runs, skipped = Genlog.History.load ~path in
-        if skipped > 0 then
-          Printf.eprintf "[report] history: skipped %d corrupt line(s)\n"
-            skipped;
-        let thresholds =
-          {
-            Genlog.History.default_thresholds with
-            Genlog.History.window = history_window;
-          }
-        in
-        Format.printf "%a" (Genlog.History.pp_trends ~thresholds) runs;
-        (match Genlog.History.regressions ~thresholds runs with
-        | [] -> ()
-        | regs ->
-          Printf.eprintf "[report] history: %d regression(s) vs rolling median:\n"
-            (List.length regs);
-          List.iter
-            (fun (v : Genlog.History.verdict) ->
-              let s = v.Genlog.History.v_series in
-              Printf.eprintf "  %s/%s/%s: %s %.6g -> %.6g (%+.1f%%)\n"
-                s.Genlog.History.s_bench s.Genlog.History.s_benchmark
-                s.Genlog.History.s_stage s.Genlog.History.s_field
-                v.Genlog.History.v_reference v.Genlog.History.v_latest
-                v.Genlog.History.v_delta_pct)
-            regs;
-          failed := true);
-        runs
-    in
-    (match html_out with
-    | None -> ()
-    | Some out ->
-      Genlog.Html.write_file ?trace ?bench:current ~history:history_runs
-        ~path:out ();
-      Printf.printf "[report] wrote dashboard %s\n" out);
-    if !failed then exit 1
+            Printf.printf "[report] wrote chrome trace %s\n" out)
+          chrome_out)
+      trace_in;
+    Option.iter
+      (fun bench_path ->
+        let current = load Genlog.Json.parse_file bench_path in
+        Format.printf "%a" Genlog.Report.pp_bench current;
+        Option.iter
+          (fun base_path ->
+            let baseline = load Genlog.Json.parse_file base_path in
+            match Genlog.Report.check ~baseline ~current with
+            | [] ->
+              (* evidence on success too: what was compared, and how it
+                 moved *)
+              Printf.printf "[report] QoR gate passed: %s vs baseline %s\n"
+                bench_path base_path;
+              List.iter
+                (fun d -> Printf.printf "  %s\n" d)
+                (Genlog.Report.deltas ~baseline ~current)
+            | problems ->
+              Printf.eprintf "[report] QoR gate FAILED (%d regressions):\n"
+                (List.length problems);
+              List.iter (fun p -> Printf.eprintf "  %s\n" p) problems;
+              exit 1)
+          check_against)
+      bench_in
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Join trace/bench artifacts into tables; gate QoR against a \
-             baseline and cross-run history; export Chrome traces and an \
-             HTML dashboard")
-    Term.(const run $ trace_in $ bench_in $ chrome_out $ check_against
-          $ max_qor_pct $ max_time_pct $ ignore_time $ history_in
-          $ append_history $ history_window $ html_out)
+       ~doc:"Join trace/bench artifacts into tables, gate QoR against a \
+             baseline, and export Chrome traces")
+    Term.(const run $ trace_in $ bench_in $ chrome_out $ check_against)
 
 (* -- fraig -- *)
 

@@ -96,8 +96,6 @@ module Report = Obs.Report
 module Json = Obs.Json
 module Runmeta = Obs.Runmeta
 module Bench_json = Obs.Bench_json
-module History = Obs.History
-module Html = Obs.Html
 
 (* flows *)
 module Script = Flow.Script

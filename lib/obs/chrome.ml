@@ -43,33 +43,39 @@ let flow_tracks events =
 
 let track_name flow = if flow = "" then "main" else flow
 
-let esc = Trace.escape
+let ints = List.map (fun (k, v) -> (k, Json.int v))
 
-let counters_args cs =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (esc k) v) cs)
-
-(* Render every event as (sort timestamp, line); metadata events carry no
-   timestamp and are emitted first, unsorted. *)
-let lines (t : Trace.t) =
+(* Render every event as a JSON object, metadata events (no timestamp)
+   first, then the timed events stable-sorted by timestamp. *)
+let events_json (t : Trace.t) =
   let events = Trace.events t in
   let tids, order = flow_tracks events in
   let tid flow = Hashtbl.find tids flow in
+  let obj ~name ~ph ~tid fields args =
+    Json.Obj
+      ((("name", Json.Str name) :: ("ph", Json.Str ph) :: fields)
+      @ [ ("pid", Json.int 1); ("tid", Json.int tid); ("args", Json.Obj args) ])
+  in
   let meta =
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"genlog\"}}"
+    obj ~name:"process_name" ~ph:"M" ~tid:0 [] [ ("name", Json.Str "genlog") ]
     :: List.map
          (fun flow ->
-           Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-             (tid flow)
-             (esc (track_name flow)))
+           obj ~name:"thread_name" ~ph:"M" ~tid:(tid flow) []
+             [ ("name", Json.Str (track_name flow)) ])
          order
   in
   (* spans never nest within one flow, so one pending begin per flow
      pairs every end with its begin *)
   let pending : (string, float * int * int) Hashtbl.t = Hashtbl.create 8 in
   let timed = ref [] in
-  let emit ts line = timed := (ts, line) :: !timed in
+  let instant t flow ~name ~cat args =
+    timed :=
+      ( t,
+        obj ~name ~ph:"i" ~tid:(tid flow)
+          [ ("cat", Json.Str cat); ("s", Json.Str "t"); ("ts", Json.Num (us t)) ]
+          args )
+      :: !timed
+  in
   List.iter
     (function
       | Trace.Pass_begin { t; flow; gates; depth; _ } ->
@@ -82,68 +88,55 @@ let lines (t : Trace.t) =
             p
           | None -> (t -. elapsed, gates, depth)
         in
-        emit t0
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"pass\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"gates_before\":%d,\"gates_after\":%d,\"depth_before\":%d,\"depth_after\":%d,\"gc_minor_words\":%.0f,\"gc_major_words\":%.0f}}"
-             (esc pass) (us t0)
-             (us elapsed)
-             (tid flow) gates0 gates depth0 depth gc.Trace.minor_words
-             gc.Trace.major_words)
+        timed :=
+          ( t0,
+            obj ~name:pass ~ph:"X" ~tid:(tid flow)
+              [
+                ("cat", Json.Str "pass"); ("ts", Json.Num (us t0));
+                ("dur", Json.Num (us elapsed));
+              ]
+              (ints
+                 [
+                   ("gates_before", gates0); ("gates_after", gates);
+                   ("depth_before", depth0); ("depth_after", depth);
+                 ]
+              @ [
+                  ("gc_minor_words", Json.Num gc.Trace.minor_words);
+                  ("gc_major_words", Json.Num gc.Trace.major_words);
+                ]) )
+          :: !timed
       | Trace.Counters { t; flow; algo; counters } ->
-        emit t
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"counters\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-             (esc algo) (us t) (tid flow) (counters_args counters))
+        instant t flow ~name:algo ~cat:"counters" (ints counters)
       | Trace.Metrics { t; flow; algo; counters; gauges; hists } ->
         let hist_args =
-          List.map
+          List.concat_map
             (fun (k, h) ->
-              Printf.sprintf "\"%s_count\":%d,\"%s_max\":%d" (esc k)
-                h.Trace.h_count (esc k) h.Trace.h_max)
+              [ (k ^ "_count", h.Trace.h_count); (k ^ "_max", h.Trace.h_max) ])
             hists
         in
-        let args =
-          String.concat ","
-            (List.filter
-               (fun s -> s <> "")
-               ([ counters_args counters; counters_args gauges ] @ hist_args))
-        in
-        emit t
-          (Printf.sprintf
-             "{\"name\":\"%s metrics\",\"cat\":\"metrics\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-             (esc algo) (us t) (tid flow) args)
+        instant t flow ~name:(algo ^ " metrics") ~cat:"metrics"
+          (ints (counters @ gauges @ hist_args))
       | Trace.Node_event { t; flow; algo; node; gain; accepted } ->
-        emit t
-          (Printf.sprintf
-             "{\"name\":\"%s node\",\"cat\":\"node\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"node\":%d,\"gain\":%d,\"accepted\":%b}}"
-             (esc algo) (us t) (tid flow) node gain accepted)
+        instant t flow ~name:(algo ^ " node") ~cat:"node"
+          (ints [ ("node", node); ("gain", gain) ]
+          @ [ ("accepted", Json.Bool accepted) ])
       | Trace.Degraded { t; flow; pass; reason; detail } ->
         (* an instant marker so degradations are visible on the timeline *)
-        emit t
-          (Printf.sprintf
-             "{\"name\":\"degraded: %s\",\"cat\":\"degraded\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"pass\":\"%s\",\"detail\":\"%s\"}}"
-             (esc reason) (us t) (tid flow) (esc pass) (esc detail)))
+        instant t flow ~name:("degraded: " ^ reason) ~cat:"degraded"
+          [ ("pass", Json.Str pass); ("detail", Json.Str detail) ])
     events;
   let timed =
     List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !timed)
   in
   meta @ List.map snd timed
 
+(* One event per line, so a large export stays greppable. *)
 let to_string t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b line)
-    (lines t);
-  Buffer.add_string b
-    (Printf.sprintf "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{%s}}\n"
-       (Runmeta.json_fields ()));
-  Buffer.contents b
+  "{\"traceEvents\":[\n"
+  ^ String.concat ",\n" (List.map Json.render (events_json t))
+  ^ "\n],\"displayTimeUnit\":\"ms\",\"otherData\":"
+  ^ Json.render (Json.Obj (Runmeta.json_fields ()))
+  ^ "}\n"
 
 let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string t))

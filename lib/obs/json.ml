@@ -1,8 +1,9 @@
-(* A minimal JSON reader for the observability artifacts this repo writes
-   itself (TRACE_*.jsonl, BENCH_*.json, Chrome traces).  No external
-   dependency: the container pins the package set, so [report] carries its
-   own recursive-descent parser.  Numbers are floats (the artifacts only
-   hold scalars), objects preserve key order. *)
+(* The one JSON codec of the observability artifacts this repo writes
+   (TRACE_*.jsonl, BENCH_*.json, Chrome traces): every writer builds a
+   [t] and renders it with [render], and [report] reads the files back
+   with [parse].  No external dependency: a recursive-descent parser and
+   a compact writer.  Numbers are floats (the artifacts only hold
+   scalars), objects preserve key order. *)
 
 type t =
   | Null
@@ -192,10 +193,9 @@ let int_member key j = Option.map int_of_float (num_member key j)
 (* -- compact writer --
 
    One-line rendering, the inverse of [parse] for the values this repo
-   produces: integers print without a fractional part so re-rendered
-   artifacts stay byte-stable under parse/render round trips.  Used by
-   the history log, which appends whole BENCH payloads as single JSONL
-   lines. *)
+   produces.  Integers print without a fractional part, so counts stay
+   byte-stable under parse/render round trips; other numbers print with
+   6 decimals, and non-finite ones (which JSON cannot spell) as null. *)
 
 let escape_string s =
   let b = Buffer.create (String.length s) in
@@ -216,15 +216,16 @@ let escape_string s =
 let rec render = function
   | Null -> "null"
   | Bool b -> string_of_bool b
+  | Num f when not (Float.is_finite f) -> "null"
   | Num f ->
     if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
+    else Printf.sprintf "%.6f" f
   | Str s -> "\"" ^ escape_string s ^ "\""
   | Arr l -> "[" ^ String.concat "," (List.map render l) ^ "]"
   | Obj kvs ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> "\"" ^ escape_string k ^ "\":" ^ render v)
-           kvs)
-    ^ "}"
+    let member (k, v) = render (Str k) ^ ":" ^ render v in
+    "{" ^ String.concat "," (List.map member kvs) ^ "}"
+
+(* constructors for the writers *)
+let int n = Num (float_of_int n)
+let ints kvs = Obj (List.map (fun (k, v) -> (k, int v)) kvs)

@@ -1,127 +1,10 @@
-(* Offline report over the observability artifacts: join a TRACE_*.jsonl
-   with its BENCH_*.json into per-pass / per-benchmark tables, and — the
-   QoR regression gate — compare two BENCH files and fail when quality or
-   time regress beyond thresholds.  This turns "did this PR regress
-   Table 1" from eyeballing JSON diffs into an exit code CI can enforce.
-
-   Everything here parses the files this repo writes (schema stamped by
-   runmeta.ml); unknown events and fields are skipped so newer producers
+(* Offline report over the observability artifacts: render a
+   TRACE_*.jsonl (read back by [Trace.read_file]) and a BENCH_*.json as
+   per-pass / per-benchmark tables, and — the QoR regression gate —
+   compare two BENCH files and fail when quality regresses.  This turns
+   "did this PR regress Table 1" from eyeballing JSON diffs into an exit
+   code CI can enforce.  Unknown fields are skipped so newer producers
    stay readable by older reports. *)
-
-(* -- trace side: JSONL -> events -> spans -- *)
-
-(* Rebuild trace events from a JSONL file.  Histogram payloads of metrics
-   events are summarized away (count/min/max survive via the JSON but are
-   not needed for tables); unknown events — the meta line, and the "race"
-   lines of traces written while a SAT portfolio existed — are skipped. *)
-let events_of_json (lines : Json.t list) : Trace.event list =
-  List.filter_map
-    (fun j ->
-      let t = Option.value ~default:0.0 (Json.num_member "t" j) in
-      let flow = Option.value ~default:"" (Json.str_member "flow" j) in
-      let int k = Option.value ~default:0 (Json.int_member k j) in
-      let counters key =
-        match Json.member key j with
-        | Some (Json.Obj kvs) ->
-          List.filter_map
-            (fun (k, v) ->
-              Option.map (fun f -> (k, int_of_float f)) (Json.to_num v))
-            kvs
-        | _ -> []
-      in
-      match Json.str_member "event" j with
-      | Some "pass_begin" ->
-        Some
-          (Trace.Pass_begin
-             {
-               t;
-               flow;
-               pass = Option.value ~default:"" (Json.str_member "pass" j);
-               index = int "index";
-               gates = int "gates";
-               depth = int "depth";
-             })
-      | Some "pass_end" ->
-        let gc =
-          match Json.member "gc" j with
-          | Some g ->
-            let num k = Option.value ~default:0.0 (Json.num_member k g) in
-            let cnt k = Option.value ~default:0 (Json.int_member k g) in
-            {
-              Trace.minor_words = num "minor_words";
-              major_words = num "major_words";
-              promoted_words = num "promoted_words";
-              minor_collections = cnt "minor_collections";
-              major_collections = cnt "major_collections";
-            }
-          | None -> Trace.gc_zero
-        in
-        Some
-          (Trace.Pass_end
-             {
-               t;
-               flow;
-               pass = Option.value ~default:"" (Json.str_member "pass" j);
-               index = int "index";
-               gates = int "gates";
-               depth = int "depth";
-               elapsed = Option.value ~default:0.0 (Json.num_member "elapsed" j);
-               gc;
-             })
-      | Some "counters" ->
-        Some
-          (Trace.Counters
-             {
-               t;
-               flow;
-               algo = Option.value ~default:"" (Json.str_member "algo" j);
-               counters = counters "counters";
-             })
-      | Some "metrics" ->
-        Some
-          (Trace.Metrics
-             {
-               t;
-               flow;
-               algo = Option.value ~default:"" (Json.str_member "algo" j);
-               counters = counters "counters";
-               gauges = counters "gauges";
-               hists = [];
-             })
-      | Some "node" ->
-        Some
-          (Trace.Node_event
-             {
-               t;
-               flow;
-               algo = Option.value ~default:"" (Json.str_member "algo" j);
-               node = int "node";
-               gain = int "gain";
-               accepted = Json.member "accepted" j = Some (Json.Bool true);
-             })
-      | Some "degraded" ->
-        Some
-          (Trace.Degraded
-             {
-               t;
-               flow;
-               pass = Option.value ~default:"" (Json.str_member "pass" j);
-               reason = Option.value ~default:"" (Json.str_member "reason" j);
-               detail = Option.value ~default:"" (Json.str_member "detail" j);
-             })
-      | _ -> None)
-    lines
-
-let load_trace path : Trace.t =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then lines := Json.parse line :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Trace.of_events (events_of_json (List.rev !lines))
 
 (* The per-pass table with GC and SAT accounting: time %, gate/depth
    deltas, minor/major words allocated during the pass, SAT kernel
@@ -244,11 +127,11 @@ let pp_bench fmt (j : Json.t) =
 (* -- the QoR regression gate -- *)
 
 (* Lower is better for every metric we gate on.  QoR fields are exact
-   (deterministic flows), so the threshold only absorbs genuine
-   regressions; seconds are noisy, so their threshold is loose and an
-   absolute floor ignores sub-50ms jitter entirely. *)
+   (deterministic flows), so the limit only absorbs genuine regressions.
+   Wall time is not gated: it is only comparable on one machine, where
+   the perfbench pipeline measures it. *)
+let qor_pct = 2.0
 let qor_fields = [ "nodes"; "levels"; "luts"; "lut_levels" ]
-let time_fields = [ "seconds"; "seconds_sum" ]
 
 (* The gated QoR field set follows the run's cost objective (the "cost"
    header stamped by Runmeta): an area run gates the historical four
@@ -271,56 +154,56 @@ let qor_fields_for (cost : string option) =
 
 let cost_of (doc : Json.t) = Json.str_member "cost" doc
 
-type thresholds = {
-  qor_pct : float;   (* max allowed relative QoR regression, percent *)
-  time_pct : float;  (* max allowed relative time regression, percent *)
-  time_floor : float;  (* absolute seconds below which time diffs are noise *)
-  check_time : bool;
-}
-
-let default_thresholds =
-  { qor_pct = 2.0; time_pct = 50.0; time_floor = 0.05; check_time = true }
-
-(* Per-metric comparison lines over the gated fields, independent of the
-   verdict: a passing gate should still leave evidence in the CI log of
-   what was compared and by how much it moved. *)
-let deltas ~baseline ~current : string list =
+(* Pair every baseline row with its (benchmark, stage) match in [current]
+   and the gated (field, baseline, current) triples both carry. *)
+let compare_rows ~baseline ~current =
   let curr_rows = bench_rows current in
   let gated =
     qor_fields_for
       (match cost_of current with Some c -> Some c | None -> cost_of baseline)
   in
-  let find b s =
-    List.find_opt (fun r -> r.benchmark = b && r.stage = s) curr_rows
-  in
-  List.concat_map
+  List.map
     (fun (b : bench_row) ->
-      match find b.benchmark b.stage with
-      | None -> [ Printf.sprintf "%s/%s: missing from current" b.benchmark b.stage ]
-      | Some c ->
-        List.filter_map
-          (fun (key, base_v) ->
-            if not (List.mem key gated || List.mem key time_fields) then None
-            else
-              Option.map
-                (fun cur_v ->
-                  Printf.sprintf "%s/%s: %s %.6g -> %.6g (%+.1f%%)" b.benchmark
-                    b.stage key base_v cur_v
-                    (100.0 *. (cur_v -. base_v) /. Float.max base_v 1e-9))
-                (List.assoc_opt key c.fields))
-          b.fields)
+      ( b,
+        Option.map
+          (fun c ->
+            List.filter_map
+              (fun (key, base_v) ->
+                if not (List.mem key gated) then None
+                else
+                  Option.map
+                    (fun cur_v -> (key, base_v, cur_v))
+                    (List.assoc_opt key c.fields))
+              b.fields)
+          (List.find_opt
+             (fun r -> r.benchmark = b.benchmark && r.stage = b.stage)
+             curr_rows) ))
     (bench_rows baseline)
+
+let pct base_v cur_v = 100.0 *. (cur_v -. base_v) /. Float.max base_v 1e-9
+
+(* Per-metric comparison lines over the gated fields, independent of the
+   verdict: a passing gate should still leave evidence in the CI log of
+   what was compared and by how much it moved. *)
+let deltas ~baseline ~current : string list =
+  List.concat_map
+    (fun ((b : bench_row), matched) ->
+      match matched with
+      | None -> [ Printf.sprintf "%s/%s: missing from current" b.benchmark b.stage ]
+      | Some fields ->
+        List.map
+          (fun (key, base_v, cur_v) ->
+            Printf.sprintf "%s/%s: %s %.6g -> %.6g (%+.1f%%)" b.benchmark
+              b.stage key base_v cur_v (pct base_v cur_v))
+          fields)
+    (compare_rows ~baseline ~current)
 
 (* Compare [current] against [baseline]; returns one message per
    regression (empty = gate passes).  Rows are matched on
    (benchmark, stage); rows missing from [current] are regressions (a
    silently dropped benchmark must not pass the gate), extra rows in
    [current] are fine (new coverage). *)
-let check ~baseline ~current (th : thresholds) : string list =
-  let curr_rows = bench_rows current in
-  let find b s =
-    List.find_opt (fun r -> r.benchmark = b && r.stage = s) curr_rows
-  in
+let check ~baseline ~current : string list =
   let problems = ref [] in
   let problem fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
   (match (Json.int_member "schema" baseline, Json.int_member "schema" current) with
@@ -334,31 +217,17 @@ let check ~baseline ~current (th : thresholds) : string list =
   | Some b, Some c when b <> c ->
     problem "cost-spec mismatch: baseline optimized for %S, current for %S" b c
   | _ -> ());
-  let gated =
-    qor_fields_for
-      (match cost_of current with Some c -> Some c | None -> cost_of baseline)
-  in
   List.iter
-    (fun (b : bench_row) ->
-      match find b.benchmark b.stage with
+    (fun ((b : bench_row), matched) ->
+      match matched with
       | None -> problem "%s/%s: row missing from current" b.benchmark b.stage
-      | Some c ->
+      | Some fields ->
         List.iter
-          (fun (key, base_v) ->
-            match List.assoc_opt key c.fields with
-            | None -> ()
-            | Some cur_v ->
-              let qor = List.mem key gated in
-              let timed = List.mem key time_fields in
-              if qor || (timed && th.check_time) then begin
-                let pct = if qor then th.qor_pct else th.time_pct in
-                let floor = if qor then 0.0 else th.time_floor in
-                let limit = base_v *. (1.0 +. (pct /. 100.0)) in
-                if cur_v > limit +. 1e-9 && cur_v -. base_v > floor then
-                  problem "%s/%s: %s regressed %.6g -> %.6g (limit %.6g, +%.1f%%)"
-                    b.benchmark b.stage key base_v cur_v limit
-                    (100.0 *. (cur_v -. base_v) /. Float.max base_v 1e-9)
-              end)
-          b.fields)
-    (bench_rows baseline);
+          (fun (key, base_v, cur_v) ->
+            let limit = base_v *. (1.0 +. (qor_pct /. 100.0)) in
+            if cur_v > limit +. 1e-9 then
+              problem "%s/%s: %s regressed %.6g -> %.6g (limit %.6g, +%.1f%%)"
+                b.benchmark b.stage key base_v cur_v limit (pct base_v cur_v))
+          fields)
+    (compare_rows ~baseline ~current);
   List.rev !problems

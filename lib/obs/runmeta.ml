@@ -9,48 +9,43 @@
    v2: gc deltas on pass_end, metrics/node events, meta stamping. *)
 let schema_version = 2
 
+(* Lazy: one subprocess per process, not one per artifact. *)
+let git_head =
+  lazy
+    (try
+       let ic =
+         Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null"
+       in
+       let line = try input_line ic with End_of_file -> "" in
+       match Unix.close_process_in ic with
+       | Unix.WEXITED 0 when line <> "" -> line
+       | _ -> "unknown"
+     with _ -> "unknown")
+
+(* GENLOG_GIT_COMMIT overrides the checkout's HEAD (builds from an
+   exported tree have no .git). *)
 let git_commit () =
   match Sys.getenv_opt "GENLOG_GIT_COMMIT" with
   | Some c when c <> "" -> c
-  | _ -> (
-    try
-      let ic =
-        Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null"
-      in
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown"
-    with _ -> "unknown")
-
-(* Lazy: one subprocess per process, not one per artifact. *)
-let commit = lazy (git_commit ())
+  | _ -> Lazy.force git_head
 
 let domains () = Domain.recommended_domain_count ()
 
-(* The shared key/value set, as strings; consumers render them into their
-   own container format. *)
-let fields () =
+let base () =
   [
-    ("schema", string_of_int schema_version);
-    ("git_commit", Lazy.force commit);
-    ("ocaml", Sys.ocaml_version);
-    ("domains", string_of_int (domains ()));
+    ("schema", Json.int schema_version);
+    ("git_commit", Json.Str (git_commit ()));
+    ("ocaml", Json.Str Sys.ocaml_version);
+    ("domains", Json.int (domains ()));
   ]
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The base key/value set as strings, for consumers that render it into
+   their own format. *)
+let fields () =
+  List.map
+    (fun (k, v) ->
+      (k, match v with Json.Str s -> s | v -> Json.render v))
+    (base ())
 
 (* Optional per-run cache block: counters of the exact-synthesis store
    (hits, misses, loaded, flushed, ...) stamped by the driver via
@@ -60,17 +55,6 @@ let escape s =
 let cache_fields : (string * int) list option ref = ref None
 let set_cache kvs = cache_fields := Some kvs
 
-let cache_json () =
-  Option.map
-    (fun kvs ->
-      "{"
-      ^ String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\":%d" (escape k) v)
-             kvs)
-      ^ "}")
-    !cache_fields
-
 (* Optional cost-objective spec ("area", "depth", "weights:FILE", ...)
    stamped by the driver via [set_cost]; rendered into the trace meta line
    and BENCH headers only when set, mirroring the cache block, so the QoR
@@ -78,19 +62,12 @@ let cache_json () =
    different objectives. *)
 let cost_field : string option ref = ref None
 let set_cost spec = cost_field := Some spec
-let cost () = !cost_field
-let cost_json () = Option.map (fun s -> "\"" ^ escape s ^ "\"") !cost_field
 
-(* The fields as the inner part of a JSON object (no braces), numbers
-   unquoted: [ "schema":2,"git_commit":"6cdd9ab",... ]. *)
+(* Every header field, typed: values keep their JSON type by key, so a
+   digits-only commit hash is still a string. *)
 let json_fields () =
-  String.concat ","
-    (List.map
-       (fun (k, v) ->
-         let quoted =
-           match int_of_string_opt v with
-           | Some _ -> v
-           | None -> Printf.sprintf "\"%s\"" (escape v)
-         in
-         Printf.sprintf "\"%s\":%s" k quoted)
-       (fields ()))
+  base ()
+  @ (match !cache_fields with
+    | Some kvs -> [ ("cache", Json.ints kvs) ]
+    | None -> [])
+  @ match !cost_field with Some s -> [ ("cost", Json.Str s) ] | None -> []

@@ -250,101 +250,151 @@ let node_event t ~algo ~node ~gain ~accepted =
           :: s.rev_events
     end
 
-(* -- JSONL rendering -- *)
+(* -- JSONL codec --
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_of_counters cs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (escape k) v) cs)
-  ^ "}"
+   One event object per line, preceded by one meta line stamping the
+   producing run.  The decoder is the encoder's inverse, except that
+   histogram payloads are dropped on load (the tables only need the
+   counters and gauges); unknown events — the meta line, and the "race"
+   lines of traces written while a SAT portfolio existed — are skipped,
+   so newer producers stay readable by older reports. *)
 
 let json_of_gc gc =
-  Printf.sprintf
-    "{\"minor_words\":%.0f,\"major_words\":%.0f,\"promoted_words\":%.0f,\"minor_collections\":%d,\"major_collections\":%d}"
-    gc.minor_words gc.major_words gc.promoted_words gc.minor_collections
-    gc.major_collections
+  Json.Obj
+    [
+      ("minor_words", Json.Num gc.minor_words);
+      ("major_words", Json.Num gc.major_words);
+      ("promoted_words", Json.Num gc.promoted_words);
+      ("minor_collections", Json.int gc.minor_collections);
+      ("major_collections", Json.int gc.major_collections);
+    ]
 
 let json_of_hist h =
-  Printf.sprintf
-    "{\"count\":%d,\"sum\":%.0f,\"min\":%d,\"max\":%d,\"buckets\":{%s}}"
-    h.h_count h.h_sum
-    (if h.h_count = 0 then 0 else h.h_min)
-    h.h_max
-    (String.concat ","
-       (List.map (fun (b, c) -> Printf.sprintf "\"%d\":%d" b c) h.h_buckets))
+  Json.Obj
+    [
+      ("count", Json.int h.h_count);
+      ("sum", Json.Num h.h_sum);
+      ("min", Json.int (if h.h_count = 0 then 0 else h.h_min));
+      ("max", Json.int h.h_max);
+      ( "buckets",
+        Json.ints (List.map (fun (b, c) -> (string_of_int b, c)) h.h_buckets) );
+    ]
 
-let json_of_event = function
+let json_of_event e =
+  let ev name t flow fields =
+    Json.Obj
+      (("event", Json.Str name) :: ("t", Json.Num t) :: ("flow", Json.Str flow)
+      :: fields)
+  in
+  let str k v = (k, Json.Str v) and int k v = (k, Json.int v) in
+  match e with
   | Pass_begin { t; flow; pass; index; gates; depth } ->
-    Printf.sprintf
-      "{\"event\":\"pass_begin\",\"t\":%.6f,\"flow\":\"%s\",\"pass\":\"%s\",\"index\":%d,\"gates\":%d,\"depth\":%d}"
-      t (escape flow) (escape pass) index gates depth
+    ev "pass_begin" t flow
+      [ str "pass" pass; int "index" index; int "gates" gates; int "depth" depth ]
   | Pass_end { t; flow; pass; index; gates; depth; elapsed; gc } ->
-    Printf.sprintf
-      "{\"event\":\"pass_end\",\"t\":%.6f,\"flow\":\"%s\",\"pass\":\"%s\",\"index\":%d,\"gates\":%d,\"depth\":%d,\"elapsed\":%.6f,\"gc\":%s}"
-      t (escape flow) (escape pass) index gates depth elapsed (json_of_gc gc)
+    ev "pass_end" t flow
+      [
+        str "pass" pass; int "index" index; int "gates" gates;
+        int "depth" depth; ("elapsed", Json.Num elapsed); ("gc", json_of_gc gc);
+      ]
   | Counters { t; flow; algo; counters } ->
-    Printf.sprintf
-      "{\"event\":\"counters\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"counters\":%s}"
-      t (escape flow) (escape algo) (json_of_counters counters)
+    ev "counters" t flow [ str "algo" algo; ("counters", Json.ints counters) ]
   | Metrics { t; flow; algo; counters; gauges; hists } ->
-    Printf.sprintf
-      "{\"event\":\"metrics\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"counters\":%s,\"gauges\":%s,\"hists\":{%s}}"
-      t (escape flow) (escape algo) (json_of_counters counters)
-      (json_of_counters gauges)
-      (String.concat ","
-         (List.map
-            (fun (k, h) -> Printf.sprintf "\"%s\":%s" (escape k) (json_of_hist h))
-            hists))
+    ev "metrics" t flow
+      [
+        str "algo" algo; ("counters", Json.ints counters);
+        ("gauges", Json.ints gauges);
+        ("hists", Json.Obj (List.map (fun (k, h) -> (k, json_of_hist h)) hists));
+      ]
   | Node_event { t; flow; algo; node; gain; accepted } ->
-    Printf.sprintf
-      "{\"event\":\"node\",\"t\":%.6f,\"flow\":\"%s\",\"algo\":\"%s\",\"node\":%d,\"gain\":%d,\"accepted\":%b}"
-      t (escape flow) (escape algo) node gain accepted
+    ev "node" t flow
+      [
+        str "algo" algo; int "node" node; int "gain" gain;
+        ("accepted", Json.Bool accepted);
+      ]
   | Degraded { t; flow; pass; reason; detail } ->
-    Printf.sprintf
-      "{\"event\":\"degraded\",\"t\":%.6f,\"flow\":\"%s\",\"pass\":\"%s\",\"reason\":\"%s\",\"detail\":\"%s\"}"
-      t (escape flow) (escape pass) (escape reason) (escape detail)
+    ev "degraded" t flow
+      [ str "pass" pass; str "reason" reason; str "detail" detail ]
 
-let meta_line () =
-  let cache =
-    match Runmeta.cache_json () with
-    | Some c -> Printf.sprintf ",\"cache\":%s" c
-    | None -> ""
+let event_of_json j =
+  let num k = Option.value ~default:0.0 (Json.num_member k j) in
+  let int k = Option.value ~default:0 (Json.int_member k j) in
+  let str k = Option.value ~default:"" (Json.str_member k j) in
+  let ints k =
+    match Json.member k j with
+    | Some (Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) -> Option.map (fun f -> (k, int_of_float f)) (Json.to_num v))
+        kvs
+    | _ -> []
   in
-  let cost =
-    match Runmeta.cost_json () with
-    | Some c -> Printf.sprintf ",\"cost\":%s" c
-    | None -> ""
-  in
-  Printf.sprintf "{\"event\":\"meta\",%s%s%s,\"generated_unix\":%.0f}"
-    (Runmeta.json_fields ()) cache cost (Unix.time ())
+  let t = num "t" and flow = str "flow" in
+  match Json.str_member "event" j with
+  | Some "pass_begin" ->
+    Some
+      (Pass_begin
+         { t; flow; pass = str "pass"; index = int "index"; gates = int "gates";
+           depth = int "depth" })
+  | Some "pass_end" ->
+    let gc =
+      match Json.member "gc" j with
+      | Some g ->
+        let num k = Option.value ~default:0.0 (Json.num_member k g) in
+        let int k = Option.value ~default:0 (Json.int_member k g) in
+        {
+          minor_words = num "minor_words";
+          major_words = num "major_words";
+          promoted_words = num "promoted_words";
+          minor_collections = int "minor_collections";
+          major_collections = int "major_collections";
+        }
+      | None -> gc_zero
+    in
+    Some
+      (Pass_end
+         { t; flow; pass = str "pass"; index = int "index"; gates = int "gates";
+           depth = int "depth"; elapsed = num "elapsed"; gc })
+  | Some "counters" ->
+    Some (Counters { t; flow; algo = str "algo"; counters = ints "counters" })
+  | Some "metrics" ->
+    Some
+      (Metrics
+         { t; flow; algo = str "algo"; counters = ints "counters";
+           gauges = ints "gauges"; hists = [] })
+  | Some "node" ->
+    Some
+      (Node_event
+         { t; flow; algo = str "algo"; node = int "node"; gain = int "gain";
+           accepted = Json.member "accepted" j = Some (Json.Bool true) })
+  | Some "degraded" ->
+    Some
+      (Degraded
+         { t; flow; pass = str "pass"; reason = str "reason";
+           detail = str "detail" })
+  | _ -> None
 
-let write_channel t oc =
-  output_string oc (meta_line ());
-  output_char oc '\n';
-  List.iter
-    (fun e ->
-      output_string oc (json_of_event e);
-      output_char oc '\n')
-    (events t)
+let meta_json () =
+  Json.Obj
+    ((("event", Json.Str "meta") :: Runmeta.json_fields ())
+    @ [ ("generated_unix", Json.Num (Unix.time ())) ])
 
 let write_file t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel t oc)
+  Out_channel.with_open_text path (fun oc ->
+      let line j =
+        output_string oc (Json.render j);
+        output_char oc '\n'
+      in
+      line (meta_json ());
+      List.iter (fun e -> line (json_of_event e)) (events t))
+
+(* Rebuild a trace from a JSONL file; raises [Json.Parse_error] on a
+   malformed line. *)
+let read_file path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         if String.trim line = "" then None else event_of_json (Json.parse line))
+  |> of_events
 
 (* -- per-pass summary -- *)
 

@@ -315,6 +315,31 @@ let test_network_cost_area_is_seed_order () =
   Alcotest.(check int) "gates" (Aig.num_gates a) g;
   Alcotest.(check int) "depth" (Dp.depth a) d
 
+(* Networks on which rewriting once claimed more gain than it realized:
+   the winning candidate resolved to an existing node inside the MFFC it
+   was priced as freeing. *)
+let test_gain_bound_regressions () =
+  List.iter
+    (fun (spec, seed) ->
+      let net =
+        G.generate ~seed ~num_pis:5 ~num_gates:40 ~num_pos:3 ()
+      in
+      let before = Co.eval spec net in
+      let gain = Rw.run net ~db:(Lazy.force db) ~cost:spec () in
+      let after = Co.eval spec net in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed %d: gain %d <= delta %d" (spec_name spec)
+           seed gain (before - after))
+        true
+        (gain >= 0 && before - after >= gain))
+    [
+      (Algo.Cost.Spec.Area, 114);
+      (Algo.Cost.Spec.Area, 143);
+      (Algo.Cost.Spec.Edges, 183);
+      (Algo.Cost.Spec.Activity, 60);
+      (Algo.Cost.Spec.Activity, 101);
+    ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     (monoid_props @ eval_is_fold_props @ eval_is_fold_mig_props
@@ -326,4 +351,6 @@ let suite =
       Alcotest.test_case "engine area semantics" `Quick test_engine_area;
       Alcotest.test_case "network cost (area = seed order)" `Quick
         test_network_cost_area_is_seed_order;
+      Alcotest.test_case "rewrite gain bound regressions" `Quick
+        test_gain_bound_regressions;
     ]

@@ -1,12 +1,8 @@
-(* Tests for the solver-depth telemetry layer and the cross-run history:
-   Solver snapshot monotonicity under both kernels, per-pass SAT
-   aggregation in Trace.summarize, history
-   append/rolling-median/regression logic, and the HTML dashboard's
-   golden structure. *)
+(* Tests for the solver-depth telemetry layer: Solver snapshot
+   monotonicity under both kernels, per-pass SAT aggregation in
+   Trace.summarize, and exact-synthesis telemetry counters. *)
 
 module T = Obs.Trace
-module H = Obs.History
-module J = Obs.Json
 module Solver = Satkit.Solver
 
 let lit v neg = Satkit.Lit.of_var v ~negated:neg
@@ -122,8 +118,8 @@ let test_summarize_sat_attribution () =
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* Traces written before the SAT portfolio was removed may hold
-   {"event":"race",...} lines.  [load_trace] skips them, and the summary
-   equals the one of the same file without that line. *)
+   {"event":"race",...} lines.  [Trace.read_file] skips them, and the
+   summary equals the one of the same file without that line. *)
 let test_old_race_line_ignored () =
   let trace = T.create ~flow:"opt" () in
   T.pass_begin trace ~pass:"rw" ~index:0 ~gates:10 ~depth:3;
@@ -151,8 +147,8 @@ let test_old_race_line_ignored () =
   let old = Filename.temp_file "old" ".jsonl" in
   Out_channel.with_open_text old (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) with_race);
-  let t_plain = Obs.Report.load_trace plain in
-  let t_old = Obs.Report.load_trace old in
+  let t_plain = Obs.Trace.read_file plain in
+  let t_old = Obs.Trace.read_file old in
   Sys.remove plain;
   Sys.remove old;
   Alcotest.(check int) "race line dropped"
@@ -177,7 +173,7 @@ let test_empty_trace_graceful () =
   (* a real file holding only the meta line parses to zero events *)
   let path = Filename.temp_file "meta" ".jsonl" in
   T.write_file empty path;
-  let parsed = Obs.Report.load_trace path in
+  let parsed = Obs.Trace.read_file path in
   Sys.remove path;
   Alcotest.(check int) "meta-only file has no events" 0
     (List.length (T.events parsed))
@@ -186,8 +182,6 @@ let test_empty_trace_graceful () =
 
 let test_exact_telemetry () =
   Exact.Synth.reset_telemetry ();
-  let t0 = H.median [] in
-  ignore t0;
   let get k l = match List.assoc_opt k l with Some v -> v | None -> -1 in
   let before = Exact.Synth.telemetry () in
   Alcotest.(check int) "calls reset" 0 (get "calls" before);
@@ -204,155 +198,6 @@ let test_exact_telemetry () =
   Alcotest.(check bool) "propagations counted" true
     (get "solver_propagations" after > 0)
 
-(* -- history: append / load / rolling median / regression flag -- *)
-
-let bench_payload ~seconds ~nodes ~commit ~at =
-  J.parse
-    (Printf.sprintf
-       "{\"bench\":\"smoke\",\"schema\":2,\"git_commit\":\"%s\",\
-        \"generated_unix\":%d,\"rows\":[{\"benchmark\":\"voter\",\
-        \"stage\":\"generic\",\"nodes\":%d,\"seconds\":%f}]}"
-       commit at nodes seconds)
-
-let test_history_roundtrip () =
-  let path = Filename.temp_file "hist" ".jsonl" in
-  Sys.remove path;
-  H.append ~path (bench_payload ~seconds:1.0 ~nodes:100 ~commit:"aaa" ~at:1);
-  H.append ~path (bench_payload ~seconds:1.1 ~nodes:100 ~commit:"bbb" ~at:2);
-  (* a corrupt line must be skipped, not fatal *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{corrupt\n";
-  close_out oc;
-  H.append ~path (bench_payload ~seconds:0.9 ~nodes:100 ~commit:"ccc" ~at:3);
-  let runs, skipped = H.load ~path in
-  Sys.remove path;
-  Alcotest.(check int) "three runs" 3 (List.length runs);
-  Alcotest.(check int) "one corrupt line skipped" 1 skipped;
-  let commits = List.map (fun (r : H.run) -> r.H.commit) runs in
-  Alcotest.(check (list string)) "append order" [ "aaa"; "bbb"; "ccc" ] commits;
-  match H.series_of_runs runs with
-  | series ->
-    let sec =
-      List.find (fun (s : H.series) -> s.H.s_field = "seconds") series
-    in
-    Alcotest.(check (list (float 1e-9))) "series in run order" [ 1.0; 1.1; 0.9 ]
-      sec.H.values
-
-let test_history_median () =
-  Alcotest.(check (float 1e-9)) "odd" 2.0 (H.median [ 3.0; 1.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "even" 1.5 (H.median [ 1.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (H.median [])
-
-let test_history_regression_flag () =
-  let runs =
-    [
-      bench_payload ~seconds:1.00 ~nodes:100 ~commit:"a" ~at:1;
-      bench_payload ~seconds:1.02 ~nodes:100 ~commit:"b" ~at:2;
-      bench_payload ~seconds:0.99 ~nodes:100 ~commit:"c" ~at:3;
-    ]
-    |> List.filter_map H.run_of_json
-  in
-  (* three steady runs: no regression *)
-  Alcotest.(check int) "steady history clean" 0
-    (List.length (H.regressions runs));
-  (* +20% time on the next run trips the (15%) time gate *)
-  let with_reg =
-    runs
-    @ List.filter_map H.run_of_json
-        [ bench_payload ~seconds:1.20 ~nodes:100 ~commit:"d" ~at:4 ]
-  in
-  (match H.regressions with_reg with
-  | [ v ] ->
-    Alcotest.(check string) "regressed field" "seconds"
-      v.H.v_series.H.s_field;
-    Alcotest.(check bool) "delta is ~20%" true
-      (v.H.v_delta_pct > 15.0 && v.H.v_delta_pct < 25.0)
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  (* a QoR step of +1 node on 100 is under the 2% gate; +5 is over *)
-  let qor_ok =
-    runs
-    @ List.filter_map H.run_of_json
-        [ bench_payload ~seconds:1.0 ~nodes:101 ~commit:"e" ~at:5 ]
-  in
-  Alcotest.(check int) "+1% nodes passes" 0 (List.length (H.regressions qor_ok));
-  let qor_bad =
-    runs
-    @ List.filter_map H.run_of_json
-        [ bench_payload ~seconds:1.0 ~nodes:105 ~commit:"f" ~at:6 ]
-  in
-  Alcotest.(check int) "+5% nodes flagged" 1
-    (List.length (H.regressions qor_bad))
-
-let test_history_window () =
-  (* the rolling window forgets old values: after K fast runs, an old slow
-     era must not mask a regression against the recent median *)
-  let mk s i = bench_payload ~seconds:s ~nodes:100 ~commit:"x" ~at:i in
-  let runs =
-    [ mk 5.0 1; mk 1.0 2; mk 1.0 3; mk 1.0 4; mk 1.0 5; mk 1.0 6; mk 1.3 7 ]
-    |> List.filter_map H.run_of_json
-  in
-  let th = { H.default_thresholds with H.window = 5 } in
-  match H.regressions ~thresholds:th runs with
-  | [ v ] ->
-    (* reference is the median of the last 5 (all 1.0), not of everything *)
-    Alcotest.(check (float 1e-9)) "windowed reference" 1.0 v.H.v_reference
-  | l -> Alcotest.failf "expected 1 windowed regression, got %d" (List.length l)
-
-(* -- HTML dashboard golden structure -- *)
-
-let test_html_structure () =
-  let trace =
-    T.of_events
-      [
-        T.Pass_begin { t = 0.0; flow = "aig"; pass = "rw"; index = 0; gates = 10; depth = 3 };
-        T.Metrics
-          {
-            t = 0.1; flow = "aig"; algo = "cec"; counters = [];
-            gauges = [ ("solver_conflicts", 4321); ("solver_propagations", 9) ];
-            hists = [];
-          };
-        T.Pass_end
-          { t = 0.2; flow = "aig"; pass = "rw"; index = 0; gates = 8; depth = 3;
-            elapsed = 0.2; gc = T.gc_zero };
-      ]
-  in
-  let bench = bench_payload ~seconds:1.0 ~nodes:100 ~commit:"aaa" ~at:1 in
-  let history =
-    [
-      bench_payload ~seconds:1.0 ~nodes:100 ~commit:"a" ~at:1;
-      bench_payload ~seconds:1.1 ~nodes:100 ~commit:"b" ~at:2;
-      bench_payload ~seconds:0.9 ~nodes:100 ~commit:"c" ~at:3;
-    ]
-    |> List.filter_map H.run_of_json
-  in
-  let html = Obs.Html.render ~trace ~bench ~history () in
-  let contains needle =
-    let nl = String.length needle and hl = String.length html in
-    let rec go i =
-      i + nl <= hl && (String.sub html i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  (* well-formed shell *)
-  Alcotest.(check bool) "doctype" true (contains "<!DOCTYPE html>");
-  Alcotest.(check bool) "closes html" true (contains "</html>");
-  (* every section anchor present *)
-  List.iter
-    (fun anchor ->
-      Alcotest.(check bool) ("anchor " ^ anchor) true
-        (contains (Printf.sprintf "id=\"%s\"" anchor)))
-    [ "meta"; "passes"; "sat"; "bench"; "history" ];
-  (* content made it in: SAT totals, bench row, sparkline *)
-  Alcotest.(check bool) "sat conflicts shown" true
-    (contains "conflicts <b>4321</b>");
-  Alcotest.(check bool) "benchmark row shown" true (contains "voter");
-  Alcotest.(check bool) "sparkline svg" true (contains "<svg class=\"spark\"");
-  (* self-contained: no external requests of any kind *)
-  List.iter
-    (fun banned ->
-      Alcotest.(check bool) ("no " ^ banned) true (not (contains banned)))
-    [ "http://"; "https://"; "src="; "href="; "url("; "@import" ]
-
 let suite =
   [
     Alcotest.test_case "snapshot monotone (modern kernel)" `Quick
@@ -367,12 +212,4 @@ let suite =
       test_empty_trace_graceful;
     Alcotest.test_case "exact synthesis telemetry counters" `Quick
       test_exact_telemetry;
-    Alcotest.test_case "history append/load round trip" `Quick
-      test_history_roundtrip;
-    Alcotest.test_case "history median" `Quick test_history_median;
-    Alcotest.test_case "history regression flag" `Quick
-      test_history_regression_flag;
-    Alcotest.test_case "history rolling window" `Quick test_history_window;
-    Alcotest.test_case "html dashboard golden structure" `Quick
-      test_html_structure;
   ]
