@@ -11,6 +11,8 @@
      dune exec bench/main.exe cost       -- cost-objective matrix, CEC-checked
      dune exec bench/main.exe partition  -- partition-parallel engine vs sequential
      dune exec bench/main.exe sat        -- CDCL kernel on CEC miters (legacy vs modern)
+     dune exec bench/main.exe cache      -- on-the-fly synthesis store, cold vs warm
+     dune exec bench/main.exe tables     -- regenerate the shipped NPN tables
 
    Every subcommand additionally writes a machine-readable
    [BENCH_<name>.json] (benchmark, stage, nodes, levels, LUTs, seconds)
@@ -332,12 +334,15 @@ let cost_bench () =
   Bench_json.write "cost" (List.rev !rows)
 
 (* -------------------------------------------------------------------- *)
-(* Cache: the persistent exact-synthesis store, cold vs warm.  A cold    *)
-(* phase populates the store over the smoke suite; a warm phase reloads  *)
-(* it in a fresh database and must re-synthesize nothing (misses = 0);   *)
-(* a corrupt phase tears the store's tail off and must still load with   *)
-(* entries skipped, never fail.  The counters land in BENCH_cache.json   *)
-(* (aggregate rows benchmark="all") and CI gates on them.                *)
+(* Cache: the persistent exact-synthesis store, cold vs warm.  The       *)
+(* presets start from shipped tables and never miss, so the bench runs   *)
+(* one rewrite pass per smoke benchmark under a config with no table     *)
+(* (the AIG operator set, conflict budget 20k).  A cold phase populates  *)
+(* the store; a warm phase reloads it in a fresh database and must       *)
+(* re-synthesize nothing (misses = 0); a corrupt phase tears the store's *)
+(* tail off and must still load with entries skipped, never fail.  The   *)
+(* counters land in BENCH_cache.json (aggregate rows benchmark="all")    *)
+(* and CI gates on them.                                                 *)
 (* -------------------------------------------------------------------- *)
 
 let cache_bench () =
@@ -348,31 +353,28 @@ let cache_bench () =
       (Printf.sprintf "genlog_bench_cache_%d.glxs" (Unix.getpid ()))
   in
   if Sys.file_exists store then Sys.remove store;
-  let module F = Flow.Make (Aig) in
+  let config = { Exact_synth.aig_config with Exact_synth.conflict_budget = 20_000 } in
+  let module Rw = Rewrite.Make (Aig) in
   let benchmarks = [ "ctrl"; "cavlc"; "int2float"; "dec"; "router" ] in
   let rows = ref [] in
   Printf.printf "%-10s | %8s %8s %8s %8s %8s %8s\n" "stage" "hits" "misses"
     "classes" "loaded" "skipped" "time";
   let phase stage =
-    let cfg = { Flow.Run_config.default with Flow.Run_config.cache = Some store } in
-    let env = Flow.env_of_config cfg in
+    let db = Database.create ~store config in
     let total = ref 0.0 in
     List.iter
       (fun name ->
-        let baseline = Suite.build name in
-        let opt, seconds =
-          time_it (fun () -> F.run_script env baseline Script.compress2rs)
-        in
+        let net = Suite.build name in
+        let (), seconds = time_it (fun () -> ignore (Rw.run net ~db ())) in
         total := !total +. seconds;
         rows :=
           row name stage
-            [ ("nodes", Bench_json.Int (Aig.num_gates opt));
-              ("levels", Bench_json.Int (D.depth opt));
+            [ ("nodes", Bench_json.Int (Aig.num_gates net));
+              ("levels", Bench_json.Int (D.depth net));
               ("seconds", Bench_json.Float seconds) ]
           :: !rows)
       benchmarks;
-    Database.flush env.Flow.db;
-    let db = env.Flow.db in
+    Database.flush db;
     let si = Database.store_info db in
     Printf.printf "%-10s | %8d %8d %8d %8d %8d %7.2fs\n%!" stage
       (Database.hits db) (Database.misses db) (Database.size db)
@@ -805,6 +807,41 @@ let ablation () =
   print_newline ();
   Bench_json.write "ablation" (List.rev !rows)
 
+(* -------------------------------------------------------------------- *)
+(* Tables: regenerate the shipped 4-input NPN tables (lib/exact/tables). *)
+(* Every canonical class of 0..4 variables is synthesized with the call  *)
+(* a database miss makes and written in sorted order, so two runs give   *)
+(* the same bytes.                                                       *)
+(*                                                                       *)
+(*   dune exec bench/main.exe tables [DIR]                               *)
+(* -------------------------------------------------------------------- *)
+
+let tables_bench dir =
+  (* the tables hold the default kernel's answers *)
+  Unix.putenv "GENLOG_SAT_KERNEL" "modern";
+  let classes, t_canon = time_it Exact_tables.classes in
+  Printf.printf "%d NPN classes of 0..%d variables (canonized in %.1fs)\n%!"
+    (List.length classes) Exact_tables.max_vars t_canon;
+  List.iter
+    (fun (name, config) ->
+      let entries, seconds =
+        time_it (fun () ->
+            List.map
+              (fun c ->
+                { Exact_store.num_vars = Tt.num_vars c; key = Tt.to_hex c;
+                  result = Exact_synth.synthesize config c })
+              classes)
+      in
+      let path = Filename.concat dir (name ^ ".glxs") in
+      Exact_store.compact ~config path entries;
+      let failed =
+        List.length
+          (List.filter (fun e -> e.Exact_store.result = Exact_synth.Failed) entries)
+      in
+      Printf.printf "%s: %d classes, %d failed, %.1fs -> %s (%d bytes)\n%!" name
+        (List.length entries) failed seconds path (Unix.stat path).Unix.st_size)
+    Exact_tables.presets
+
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match what with
@@ -818,6 +855,9 @@ let () =
   | "sat" -> sat_bench ()
   | "cache" -> cache_bench ()
   | "cost" -> cost_bench ()
+  | "tables" ->
+    tables_bench
+      (if Array.length Sys.argv > 2 then Sys.argv.(2) else "lib/exact/tables")
   | "all" ->
     micro ();
     cuts_bench ();
@@ -830,6 +870,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown bench target %s \
-       (table1|table2|micro|cuts|ablation|smoke|partition|sat|cache|cost|all)\n"
+       (table1|table2|micro|cuts|ablation|smoke|partition|sat|cache|cost|tables|all)\n"
       other;
     exit 1

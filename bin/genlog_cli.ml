@@ -11,7 +11,15 @@ open Cmdliner
 module Aig = Genlog.Aig
 module D = Genlog.Depth.Make (Aig)
 
-let read_aig path = Genlog.Aiger.read_file path
+(* A malformed input is bad input (exit 2), not an internal error.  [opt]
+   reads with [Aiger.read_file] instead: in a batch, one bad file fails
+   only its own job. *)
+let read_aig path =
+  match Genlog.Aiger.read_file path with
+  | t -> t
+  | exception Genlog.Aiger.Parse_error msg ->
+    Printf.eprintf "genlog: %s: %s\n%!" path msg;
+    exit 2
 
 let stats_of_aig t =
   Printf.sprintf "i/o = %d/%d  gates = %d  depth = %d" (Aig.num_pis t)
@@ -118,12 +126,14 @@ let cache_arg =
     value
     & opt (some string) base_cfg.RC.cache
     & info [ "cache" ] ~docv:"PATH"
-        ~doc:"Persistent exact-synthesis store: NPN-class results are \
-              loaded from $(docv) on start and newly synthesized classes \
-              are appended once at exit, so warm runs skip SAT-based \
-              re-synthesis entirely. The file is keyed to the synthesis \
-              domain by a fingerprinted header; a mismatched or corrupt \
-              store is skipped with a warning, never an error.")
+        ~doc:"Persistent store for NPN classes synthesized on the fly: \
+              results are loaded from $(docv) on start and new ones are \
+              appended once at exit. Every representation starts from a \
+              shipped table of all classes of up to four inputs, so the \
+              built-in flows synthesize, and store, nothing. The file is \
+              keyed to the synthesis domain by a fingerprinted header; a \
+              mismatched or corrupt store is skipped with a warning, never \
+              an error.")
 
 let kernel_arg =
   Arg.(
@@ -353,7 +363,7 @@ let opt_cmd =
           (Cb.convert r, degs)
     in
     let optimize_one (file, tr) =
-      let t = read_aig file in
+      let t = Genlog.Aiger.read_file file in
       Printf.eprintf "%s: %s\n%!" file (stats_of_aig t);
       let r, degs = process tr t in
       List.iter

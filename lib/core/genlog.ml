@@ -72,6 +72,7 @@ module Dimacs = Satkit.Dimacs
 module Exact_chain = Exact.Chain
 module Exact_synth = Exact.Synth
 module Exact_store = Exact.Store
+module Exact_tables = Exact.Tables
 module Database = Exact.Database
 module Decode = Exact.Decode
 

@@ -2,11 +2,16 @@
 
    Rewriting asks for the optimum implementation of millions of cut
    functions, but only a few hundred NPN classes occur (222 classes for all
-   4-variable functions).  Each class is synthesized at most once per
-   process; the result — or the fact that synthesis gave up — is cached
-   under the canonical truth table.  This realizes option (ii) of paper
-   §2.3.2, exact synthesis on the fly, with the cache standing in for
-   mockturtle's precomputed database.
+   4-variable functions).  Results — or the fact that synthesis gave up —
+   are kept under the canonical truth table.  Paper §2.3.2 allows two
+   sources for them, and the database uses both:
+
+   - (i) a precomputed database: [create] starts from the shipped table
+     for its config ({!Tables}), which covers every class of up to four
+     variables for each preset operator set;
+   - (ii) exact synthesis on the fly: a class the table does not hold (a
+     wider cut, or a config with no table) is synthesized on its first
+     lookup and cached, so each is synthesized at most once per database.
 
    The cache is domain-safe: accesses are mutex-guarded so one database
    can be shared across parallel workers (the portfolio's domains, the
@@ -22,7 +27,8 @@
    preserving first-insert-wins across the process/disk boundary) and
    classes synthesized since the last flush are appended by [flush] — one
    append per batch, not per class, so a batch run pays the write cost
-   once at exit. *)
+   once at exit.  [flush] never appends classes that came from the
+   shipped table. *)
 
 open Kitty
 
@@ -85,6 +91,11 @@ let create ?store config =
       flushed = 0;
     }
   in
+  Option.iter
+    (List.iter (fun (e : Store.entry) ->
+         Hashtbl.replace db.cache (key_of e.Store.num_vars e.Store.key)
+           e.Store.result))
+    (Tables.find config);
   (match store with Some path -> attach db path | None -> ());
   db
 

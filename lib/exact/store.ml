@@ -29,20 +29,20 @@ let max_payload = 1 lsl 24 (* sanity bound when reading length fields *)
 
 (* ---------------------------------------------------------------- CRC-32 *)
 
+(* Built eagerly: [crc32] runs inside parallel workers, where forcing a
+   shared lazy value from two domains at once raises. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xffffffffl in
   String.iter
     (fun ch ->
@@ -50,7 +50,7 @@ let crc32 s =
         Int32.to_int
           (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl)
       in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
+      c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8))
     s;
   Int32.logxor !c 0xffffffffl
 
@@ -221,72 +221,74 @@ let read_file path =
 
 let empty_load = { entries = []; loaded = 0; skipped = 0; domain_ok = true }
 
+let header_fingerprint data =
+  if
+    String.length data < header_size
+    || String.sub data 0 (String.length magic) <> magic
+  then None
+  else Some (String.get_int32_le data (String.length magic))
+
+let decode ~config ~source data =
+  let n = String.length data in
+  if n = 0 then empty_load
+  else
+    match header_fingerprint data with
+    | None ->
+      warn source "unrecognized header; ignoring store";
+      { empty_load with domain_ok = false }
+    | Some fp when fp <> fingerprint config ->
+      warn source
+        "synthesis-domain fingerprint mismatch (store %08lx, config %08lx); \
+         ignoring store"
+        fp (fingerprint config);
+      { empty_load with domain_ok = false }
+    | Some _ ->
+      let entries = ref [] in
+      let loaded = ref 0 in
+      let skipped = ref 0 in
+      let pos = ref header_size in
+      let stop = ref false in
+      while (not !stop) && !pos + 8 <= n do
+        let len = Int32.to_int (String.get_int32_le data !pos) in
+        let crc = String.get_int32_le data (!pos + 4) in
+        if len < 0 || len > max_payload || !pos + 8 + len > n then begin
+          (* implausible length or not enough bytes left: a torn tail
+             write (or corruption of the length field itself) — nothing
+             after this point can be re-framed reliably *)
+          incr skipped;
+          stop := true
+        end
+        else begin
+          let payload = String.sub data (!pos + 8) len in
+          (if crc32 payload <> crc then incr skipped
+           else
+             match decode_entry payload with
+             | exception Corrupt -> incr skipped
+             | e ->
+               if valid e then begin
+                 entries := e :: !entries;
+                 incr loaded
+               end
+               else incr skipped);
+          pos := !pos + 8 + len
+        end
+      done;
+      if (not !stop) && !pos < n then incr skipped (* trailing runt *);
+      if !skipped > 0 then
+        warn source "skipped %d corrupt or truncated entr%s (%d loaded)"
+          !skipped
+          (if !skipped = 1 then "y" else "ies")
+          !loaded;
+      {
+        entries = List.rev !entries;
+        loaded = !loaded;
+        skipped = !skipped;
+        domain_ok = true;
+      }
+
 let load ~config path =
   if not (Sys.file_exists path) then empty_load
-  else
-    let data = read_file path in
-    let n = String.length data in
-    if n = 0 then empty_load
-    else if
-      n < header_size || String.sub data 0 (String.length magic) <> magic
-    then begin
-      warn path "unrecognized header; ignoring store";
-      { empty_load with domain_ok = false }
-    end
-    else
-      let fp = String.get_int32_le data (String.length magic) in
-      let want = fingerprint config in
-      if fp <> want then begin
-        warn path
-          "synthesis-domain fingerprint mismatch (store %08lx, config %08lx); \
-           ignoring store"
-          fp want;
-        { empty_load with domain_ok = false }
-      end
-      else begin
-        let entries = ref [] in
-        let loaded = ref 0 in
-        let skipped = ref 0 in
-        let pos = ref header_size in
-        let stop = ref false in
-        while (not !stop) && !pos + 8 <= n do
-          let len = Int32.to_int (String.get_int32_le data !pos) in
-          let crc = String.get_int32_le data (!pos + 4) in
-          if len < 0 || len > max_payload || !pos + 8 + len > n then begin
-            (* implausible length or not enough bytes left: a torn tail
-               write (or corruption of the length field itself) — nothing
-               after this point can be re-framed reliably *)
-            incr skipped;
-            stop := true
-          end
-          else begin
-            let payload = String.sub data (!pos + 8) len in
-            (if crc32 payload <> crc then incr skipped
-             else
-               match decode_entry payload with
-               | exception Corrupt -> incr skipped
-               | e ->
-                 if valid e then begin
-                   entries := e :: !entries;
-                   incr loaded
-                 end
-                 else incr skipped);
-            pos := !pos + 8 + len
-          end
-        done;
-        if (not !stop) && !pos < n then incr skipped (* trailing runt *);
-        if !skipped > 0 then
-          warn path "skipped %d corrupt or truncated entr%s (%d loaded)"
-            !skipped
-            (if !skipped = 1 then "y" else "ies")
-            !loaded;
-        {
-          entries = List.rev !entries;
-          loaded = !loaded;
-          skipped = !skipped;
-          domain_ok = true;
-        }
-      end
+  else decode ~config ~source:path (read_file path)
 
 (* ----------------------------------------------------------------- append *)
 
@@ -323,10 +325,9 @@ let read_header path =
     (fun () ->
       if in_channel_length ic < header_size then Error "short header"
       else
-        let h = really_input_string ic header_size in
-        if String.sub h 0 (String.length magic) <> magic then
-          Error "unrecognized header"
-        else Ok (String.get_int32_le h (String.length magic)))
+        match header_fingerprint (really_input_string ic header_size) with
+        | None -> Error "unrecognized header"
+        | Some fp -> Ok fp)
 
 let append ~config path entries =
   if entries = [] then true

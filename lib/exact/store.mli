@@ -57,6 +57,15 @@ val load : config:Synth.config -> string -> load_result
     ([domain_ok = false], warning on stderr).  Corrupt frames and a torn
     tail are skipped with a warning; [load] never raises on bad content. *)
 
+val decode : config:Synth.config -> source:string -> string -> load_result
+(** [load] on the bytes of a store already in memory; [source] names them
+    in warnings.  The same checks apply: header, fingerprint, frame
+    checksums, and each record must simulate to its key. *)
+
+val header_fingerprint : string -> int32 option
+(** The fingerprint in the header of store bytes, or [None] when they do
+    not start with a store header. *)
+
 val append : config:Synth.config -> string -> entry list -> bool
 (** Append entries, creating the file (with its header) if needed.
     Returns [false] — with a warning, without writing — when the existing

@@ -56,50 +56,61 @@ let write_file (t : Aig.t) (path : string) =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write t oc)
 
+(* Header fields and literals are non-negative decimals; anything else is
+   a [Parse_error], never a [Failure] from [int_of_string]. *)
+let number what s =
+  match int_of_string_opt s with
+  | Some v when v >= 0 -> v
+  | Some _ | None -> raise (Parse_error (Printf.sprintf "bad %s: %s" what s))
+
 let read (ic : in_channel) : Aig.t =
   let line () = try input_line ic with End_of_file -> raise (Parse_error "unexpected EOF") in
   let header = line () in
   let m, i, l, o, a =
     match String.split_on_char ' ' (String.trim header) with
     | [ "aag"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
+      let field = number "header field" in
+      (field m, field i, field l, field o, field a)
     | _ -> raise (Parse_error ("bad header: " ^ header))
   in
   if l <> 0 then raise (Parse_error "latches not supported");
-  let t = Aig.create ~initial_capacity:(m + 2) () in
-  (* map AIGER variable -> our signal *)
-  let map = Array.make (m + 1) (-1) in
-  map.(0) <- Aig.constant false;
-  let inputs =
-    Array.init i (fun _ ->
-        match String.split_on_char ' ' (String.trim (line ())) with
-        | [ v ] -> int_of_string v
-        | _ -> raise (Parse_error "bad input line"))
+  (* every section is read before anything is sized, so a header that
+     overstates a count fails at end of file instead of allocating for it *)
+  let lits what = function
+    | [ v ] -> number what v
+    | _ -> raise (Parse_error ("bad " ^ what ^ " line"))
   in
-  Array.iter
-    (fun l ->
-      if l land 1 = 1 || l = 0 then raise (Parse_error "bad input literal");
-      map.(l / 2) <- Aig.create_pi t)
-    inputs;
-  let outputs = Array.init o (fun _ -> int_of_string (String.trim (line ()))) in
+  let fields () = String.split_on_char ' ' (String.trim (line ())) in
+  let inputs = List.init i (fun _ -> lits "input" (fields ())) in
+  let outputs = List.init o (fun _ -> lits "output" (fields ())) in
   let and_lines =
-    Array.init a (fun _ ->
-        match String.split_on_char ' ' (String.trim (line ())) with
-        | [ x; y; z ] -> (int_of_string x, int_of_string y, int_of_string z)
+    List.init a (fun _ ->
+        match fields () with
+        | [ x; y; z ] -> (number "literal" x, number "literal" y, number "literal" z)
         | _ -> raise (Parse_error "bad and line"))
+  in
+  let t = Aig.create ~initial_capacity:(i + a + 2) () in
+  (* map AIGER variable -> our signal; sized by what the file defines, not
+     by the header's M *)
+  let map = Hashtbl.create (i + a + 1) in
+  Hashtbl.replace map 0 (Aig.constant false);
+  let define what l s =
+    if l land 1 = 1 || l = 0 then raise (Parse_error ("bad " ^ what ^ " literal"));
+    if l / 2 > m then raise (Parse_error "literal out of range");
+    Hashtbl.replace map (l / 2) s
   in
   let signal_of l =
     let v = l / 2 in
     if v > m then raise (Parse_error "literal out of range");
-    if map.(v) < 0 then raise (Parse_error "use before definition");
-    Aig.complement_if (l land 1 = 1) map.(v)
+    match Hashtbl.find_opt map v with
+    | None -> raise (Parse_error "use before definition")
+    | Some s -> Aig.complement_if (l land 1 = 1) s
   in
-  Array.iter
-    (fun (x, y, z) ->
-      if x land 1 = 1 then raise (Parse_error "bad and output literal");
-      map.(x / 2) <- Aig.create_and t (signal_of y) (signal_of z))
+  List.iter (fun l -> define "input" l (Aig.create_pi t)) inputs;
+  List.iter
+    (fun (x, y, z) -> define "and output" x (Aig.create_and t (signal_of y) (signal_of z)))
     and_lines;
-  Array.iter (fun l -> Aig.create_po t (signal_of l)) outputs;
+  List.iter (fun l -> Aig.create_po t (signal_of l)) outputs;
   t
 
 let read_file (path : string) : Aig.t =

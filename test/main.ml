@@ -7,6 +7,7 @@ let () =
       ("dimacs", Test_dimacs.suite);
       ("exact", Test_exact.suite);
       ("store", Test_store.suite);
+      ("tables", Test_tables.suite);
       ("algo", Test_algo.suite);
       ("lsgen", Test_lsgen.suite);
       ("lsio", Test_lsio.suite);

@@ -40,3 +40,9 @@ let fuzz_iters =
     | _ ->
       Printf.eprintf "GENLOG_FUZZ_ITERS=%S is not a positive integer; using 1\n%!" s;
       1)
+
+(* QCheck properties.  Without [~rand], QCheck_alcotest seeds itself at
+   random (or from QCHECK_SEED), bypassing the override above; each
+   property gets its own state seeded with [get 1], so GENLOG_TEST_SEED
+   replays them too. *)
+let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(state 1) t

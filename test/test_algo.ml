@@ -642,7 +642,7 @@ let extra_suite =
     Alcotest.test_case "cuts k=6 functions" `Quick test_cuts_k6;
     Alcotest.test_case "cuts on klut with distinct luts" `Quick
       test_cuts_klut_distinct_luts;
-    QCheck_alcotest.to_alcotest prop_cuts_random;
+    Seed.to_alcotest prop_cuts_random;
     Alcotest.test_case "cuts on mig" `Quick test_cuts_mig;
     Alcotest.test_case "window divisors" `Quick test_window_divisors;
     Alcotest.test_case "lutmap k=4" `Quick test_lutmap_k4;

@@ -341,7 +341,7 @@ let test_gain_bound_regressions () =
     ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Seed.to_alcotest
     (monoid_props @ eval_is_fold_props @ eval_is_fold_mig_props
    @ freed_is_mffc_mass_props @ added_is_eval_delta_props @ telescoping_props
    @ [ depth_never_worsens ])

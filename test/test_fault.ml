@@ -379,6 +379,17 @@ let test_degraded_trace_round_trip () =
 
 (* -- end-to-end fuzz: the layer's invariant -- *)
 
+(* An env whose database has no shipped table, so [rw] runs exact
+   synthesis and a [sat.solve] fault can fire partway through a pass that
+   has already changed the network. *)
+let untabled_env () =
+  {
+    (Flow.Engine.aig_env ()) with
+    Flow.Engine.db =
+      Exact.Database.create
+        { Exact.Synth.aig_config with conflict_budget = 20_000 };
+  }
+
 let test_fault_fuzz () =
   let iters = 4 * Seed.fuzz_iters in
   let base_seed = Seed.get 0xfa17 in
@@ -391,11 +402,11 @@ let test_fault_fuzz () =
     with_faults ~seed
       "engine.pass:0.3,parmap.job:0.3,partition.stitch:0.2,sat.solve:0.05:2"
       (fun () ->
-        let env = Flow.Engine.aig_env () in
+        let env = untabled_env () in
         let r, degs = F.run_script_safe env (Copy.convert net) "bz; rw; rf" in
         let p, _ =
           P.run ~size_cap:30 ~jobs:2 ~retries:1 ~script:"rw"
-            ~make_env:(fun () -> Flow.Engine.aig_env ())
+            ~make_env:untabled_env
             (Copy.convert net)
         in
         (* disarm before the oracle so the verification itself is clean *)

@@ -150,8 +150,16 @@ let test_full_compress2rs_small () =
     Alcotest.fail "compress2rs broke int2float"
 
 let test_env_reuse_across_benchmarks () =
-  (* one env (and its NPN database) across several benchmarks *)
-  let env = Flow.Engine.aig_env () in
+  (* one env (and its NPN database) across several benchmarks; a config
+     with no shipped table, so the database fills as it goes *)
+  let env =
+    {
+      (Flow.Engine.aig_env ()) with
+      Flow.Engine.db =
+        Exact.Database.create
+          { Exact.Synth.aig_config with conflict_budget = 20_000 };
+    }
+  in
   List.iter
     (fun name ->
       let baseline = S.build name in

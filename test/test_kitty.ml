@@ -205,12 +205,12 @@ let suite =
     Alcotest.test_case "npn db assignment" `Quick test_npn_db_assignment;
     Alcotest.test_case "isop simple" `Quick test_isop_simple;
     Alcotest.test_case "factor simple" `Quick test_factor_simple;
-    QCheck_alcotest.to_alcotest prop_demorgan;
-    QCheck_alcotest.to_alcotest prop_shannon;
-    QCheck_alcotest.to_alcotest prop_npn_invariant;
-    QCheck_alcotest.to_alcotest prop_isop_sound;
-    QCheck_alcotest.to_alcotest prop_factor_sound;
-    QCheck_alcotest.to_alcotest prop_isop_sound_6;
+    Seed.to_alcotest prop_demorgan;
+    Seed.to_alcotest prop_shannon;
+    Seed.to_alcotest prop_npn_invariant;
+    Seed.to_alcotest prop_isop_sound;
+    Seed.to_alcotest prop_factor_sound;
+    Seed.to_alcotest prop_isop_sound_6;
   ]
 
 (* -- multi-word truth tables (more than 6 variables) -- *)

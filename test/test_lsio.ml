@@ -270,16 +270,74 @@ let test_bench_reader_rejects_garbage () =
       | exception Lsio.Bench.Parse_error _ -> ()
       | _ -> Alcotest.fail "expected parse error")
 
+(* -- hostile AIGER headers: a clean Parse_error, never a Failure or an
+   allocation sized by the header -- *)
+
+let bad_field = "aag x 1 0 1 0\n"
+let huge_m = "aag 99999999999999 1 0 1 0\n2\n2\n"
+let bad_and = "aag 3 2 0 1 1\n2\n4\n6\n6 2\n"
+
+let with_text ext text f =
+  with_temp_file ext (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let test_aiger_hostile_headers () =
+  List.iter
+    (fun (text, want) ->
+      with_text ".aag" text (fun path ->
+          match Lsio.Aiger.read_file path with
+          | exception Lsio.Aiger.Parse_error msg ->
+            Alcotest.(check string) (String.escaped text) want msg
+          | _ -> Alcotest.fail ("accepted " ^ String.escaped text)))
+    [ (bad_field, "bad header field: x"); (bad_and, "bad and line");
+      ("aag 1 -1 0 0 0\n", "bad header field: -1");
+      ("aag 5 99999999999 0 0 0\n2\n", "unexpected EOF") ];
+  (* M only bounds the literals; the tables are sized by what is defined *)
+  with_text ".aag" huge_m (fun path ->
+      let t = Lsio.Aiger.read_file path in
+      Alcotest.(check (pair int int)) "huge M: i/o" (1, 1)
+        (Aig.num_pis t, Aig.num_pos t))
+
+(* The CLI reports a malformed input as `genlog: FILE: msg` with the
+   bad-input exit code 2, for each reader. *)
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/genlog_cli.exe"
+
+let test_cli_parse_errors () =
+  if not (Sys.file_exists cli) then Alcotest.fail ("not built: " ^ cli);
+  let stats path =
+    with_temp_file ".err" (fun err ->
+        let code =
+          Sys.command
+            (Printf.sprintf "%s stats %s > /dev/null 2> %s" (Filename.quote cli)
+               (Filename.quote path) (Filename.quote err))
+        in
+        (code, String.trim (In_channel.with_open_bin err In_channel.input_all)))
+  in
+  List.iter
+    (fun (ext, text, msg) ->
+      with_text ext text (fun path ->
+          Alcotest.(check (pair int string)) (String.escaped text)
+            (2, Printf.sprintf "genlog: %s: %s" path msg)
+            (stats path)))
+    [ (".aag", bad_field, "bad header field: x");
+      (".aag", bad_and, "bad and line") ];
+  with_text ".aag" huge_m (fun path ->
+      Alcotest.(check int) "huge M accepted" 0 (fst (stats path)))
+
 let extra_suite =
   [
+    Alcotest.test_case "aiger hostile headers" `Quick test_aiger_hostile_headers;
+    Alcotest.test_case "cli maps parse errors to exit 2" `Quick
+      test_cli_parse_errors;
     Alcotest.test_case "blif complemented po" `Quick test_blif_complemented_po;
     Alcotest.test_case "blif constant po" `Quick test_blif_constant_po;
     Alcotest.test_case "aiger all benchmarks" `Slow test_aiger_all_benchmarks;
     Alcotest.test_case "bench writer klut" `Quick test_bench_writer_klut;
-    QCheck_alcotest.to_alcotest prop_aiger_roundtrip;
-    QCheck_alcotest.to_alcotest prop_blif_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bench_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bench_roundtrip_klut;
+    Seed.to_alcotest prop_aiger_roundtrip;
+    Seed.to_alcotest prop_blif_roundtrip;
+    Seed.to_alcotest prop_bench_roundtrip;
+    Seed.to_alcotest prop_bench_roundtrip_klut;
     Alcotest.test_case "bench reader mig" `Quick test_bench_reader_mig;
     Alcotest.test_case "bench reader parse error" `Quick
       test_bench_reader_rejects_garbage;

@@ -110,8 +110,8 @@ let suite =
     Alcotest.test_case "boolean difference" `Quick test_boolean_difference;
     Alcotest.test_case "symmetry" `Quick test_symmetry;
     Alcotest.test_case "top decomposition" `Quick test_top_decomposition;
-    QCheck_alcotest.to_alcotest prop_symmetry_swap;
-    QCheck_alcotest.to_alcotest prop_difference_support;
+    Seed.to_alcotest prop_symmetry_swap;
+    Seed.to_alcotest prop_difference_support;
     Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
     Alcotest.test_case "dimacs solve" `Quick test_dimacs_solve;
     Alcotest.test_case "dimacs parse error" `Quick test_dimacs_parse_error;

@@ -260,9 +260,9 @@ let suite =
     Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
     Alcotest.test_case "assumptions" `Quick test_assumptions;
     Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
-    QCheck_alcotest.to_alcotest prop_random_3sat;
-    QCheck_alcotest.to_alcotest prop_random_3sat_assumptions;
+    Seed.to_alcotest prop_random_3sat;
+    Seed.to_alcotest prop_random_3sat_assumptions;
     Alcotest.test_case "repeated assumption solves" `Quick test_repeated_solves_with_assumptions;
-    QCheck_alcotest.to_alcotest prop_minimization_preserves_models;
+    Seed.to_alcotest prop_minimization_preserves_models;
     Alcotest.test_case "stop hook" `Quick test_stop_hook;
   ]

@@ -4,7 +4,10 @@
 
 open Kitty
 
-let config = Exact.Synth.xag_config
+(* The store caches what is synthesized on the fly, so these tests use a
+   config with no shipped table: the XAG operator set under a larger
+   conflict budget. *)
+let config = { Exact.Synth.xag_config with conflict_budget = 20_000 }
 
 let fresh_path () =
   let path = Filename.temp_file "genlog_store" ".glxs" in
@@ -134,7 +137,8 @@ let test_compaction_preserves () =
   Sys.remove path
 
 (* A store written under one synthesis config must not feed a database
-   with a different one: the fingerprint detaches it, data intact.  The
+   with a different one (here the MIG operator set, again with no shipped
+   table): the fingerprint detaches it, data intact.  The
    fingerprint of every preset is pinned, so a change to [Synth.config]
    that would detach existing .glxs caches fails here. *)
 let test_domain_mismatch_detaches () =
@@ -152,7 +156,10 @@ let test_domain_mismatch_detaches () =
       ];
   let path = fresh_path () in
   let n = populate path in
-  let db = Exact.Database.create ~store:path Exact.Synth.mig_config in
+  let db =
+    Exact.Database.create ~store:path
+      { Exact.Synth.mig_config with conflict_budget = 20_000 }
+  in
   Alcotest.(check int) "nothing merged" 0 (Exact.Database.size db);
   let si = Exact.Database.store_info db in
   Alcotest.(check bool) "detached" true (si.Exact.Database.path = None);
