@@ -10,7 +10,7 @@
      dune exec bench/main.exe smoke      -- fast deterministic CI QoR gate
      dune exec bench/main.exe cost       -- cost-objective matrix, CEC-checked
      dune exec bench/main.exe partition  -- partition-parallel engine vs sequential
-     dune exec bench/main.exe sat        -- CDCL kernel on CEC miters (legacy vs modern)
+     dune exec bench/main.exe sat        -- CDCL kernel on CEC miters
      dune exec bench/main.exe cache      -- on-the-fly synthesis store, cold vs warm
      dune exec bench/main.exe tables     -- regenerate the shipped NPN tables
 
@@ -472,15 +472,14 @@ let partition_bench () =
 (* Sat: the CDCL kernel on CEC miters.  Each smoke benchmark is          *)
 (* optimized with compress2rs and mitered against its own baseline — an  *)
 (* UNSAT instance whose difficulty comes from the structural divergence  *)
-(* the flow introduced.  Stages compare the legacy kernel (Luby          *)
-(* restarts, no minimization/inprocessing) with the modern kernel (LBD   *)
-(* tiers, EMA restarts, learnt minimization, inprocessing).  The         *)
+(* the flow introduced.  Each miter is one unbounded solve, in the stage *)
+(* [modern] (the name the committed rows have always used).  The        *)
 (* whole-network [div] miter is too hard for the budget ladder: what we  *)
 (* record there is *bounded* termination.                                *)
 (* -------------------------------------------------------------------- *)
 
 let sat_bench () =
-  print_endline "=== SAT kernel: legacy vs modern CDCL on CEC miters ===";
+  print_endline "=== SAT kernel: CDCL on CEC miters ===";
   let module F = Flow.Make (Aig) in
   let module C = Cec.Make (Aig) (Aig) in
   let module Copy = Convert.Make (Aig) (Aig) in
@@ -545,17 +544,9 @@ let sat_bench () =
   List.iter
     (fun (name, a, b) ->
       (* equivalent by construction: the miter is UNSAT; [~ladder:[]] asks
-         for a single unbounded attempt so kernels are compared head on *)
-      let legacy, t_legacy =
-        time_it (fun () ->
-            C.check_full ~ladder:[] ~config:Sat.legacy_config a b)
-      in
-      stage name "legacy" legacy t_legacy;
-      let modern, t_modern =
-        time_it (fun () ->
-            C.check_full ~ladder:[] ~config:Sat.default_config a b)
-      in
-      stage name "modern" modern t_modern)
+         for a single unbounded attempt *)
+      let r, t = time_it (fun () -> C.check_full ~ladder:[] a b) in
+      stage name "modern" r t)
     instances;
   let div = Suite.build "div" in
   let opt_div = F.run_script env (Copy.convert div) "rw; bz" in
@@ -817,8 +808,6 @@ let ablation () =
 (* -------------------------------------------------------------------- *)
 
 let tables_bench dir =
-  (* the tables hold the default kernel's answers *)
-  Unix.putenv "GENLOG_SAT_KERNEL" "modern";
   let classes, t_canon = time_it Exact_tables.classes in
   Printf.printf "%d NPN classes of 0..%d variables (canonized in %.1fs)\n%!"
     (List.length classes) Exact_tables.max_vars t_canon;

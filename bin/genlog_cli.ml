@@ -60,10 +60,9 @@ let stats_cmd =
 
 module RC = Genlog.Run_config
 
-(* Flag defaults are seeded from the environment-resolved config, so the
-   precedence is: built-in defaults < GENLOG_* variables < explicit
-   flags.  One resolution, shared by every subcommand. *)
-let base_cfg = RC.of_env ()
+(* Flag defaults come from the typed config's defaults: the flag is the
+   one source of each setting, shared by every subcommand. *)
+let base_cfg = RC.default
 
 let representation =
   Arg.(
@@ -135,15 +134,6 @@ let cache_arg =
               mismatched or corrupt store is skipped with a warning, never \
               an error.")
 
-let kernel_arg =
-  Arg.(
-    value
-    & opt (enum [ ("modern", "modern"); ("legacy", "legacy") ]) base_cfg.RC.kernel
-    & info [ "kernel" ] ~docv:"KERNEL"
-        ~doc:"SAT kernel: $(b,modern) (EMA restarts, inprocessing) or \
-              $(b,legacy) (pre-modernization baseline). Equivalent to \
-              setting GENLOG_SAT_KERNEL.")
-
 let cost_arg =
   Arg.(
     value
@@ -155,7 +145,7 @@ let cost_arg =
               deterministic simulation), $(b,lut) or $(b,lut:K) \
               (technology-aware K-LUT cost), or $(b,weights:FILE) \
               (per-gate-kind integer weights). The spec is stamped into \
-              trace meta and BENCH headers. Equivalent to GENLOG_COST.")
+              trace meta and BENCH headers.")
 
 let timeout_arg =
   Arg.(
@@ -165,7 +155,7 @@ let timeout_arg =
         ~doc:"Wall-clock budget per input network (0 disables). On expiry \
               the engine stops at the next pass boundary and returns the \
               best checkpointed network so far, marked degraded; the \
-              process exits 4 instead of 0. Equivalent to GENLOG_TIMEOUT.")
+              process exits 4 instead of 0.")
 
 let retries_arg =
   Arg.(
@@ -173,8 +163,7 @@ let retries_arg =
     & opt int base_cfg.RC.retries
     & info [ "retries" ] ~docv:"N"
         ~doc:"Extra attempts for a failed batch file or partition job \
-              before it is reported as failed (default 0). Equivalent to \
-              GENLOG_RETRIES.")
+              before it is reported as failed (default 0).")
 
 let faults_arg =
   Arg.(
@@ -279,7 +268,7 @@ let opt_cmd =
                 $(i,FILE).opt.aag next to each input).")
   in
   let run files rep script output trace_file stats sample partition jobs
-      cache kernel cost timeout retries faults =
+      cache cost timeout retries faults =
     let representation =
       match rep with
       | `Aig -> RC.Aig
@@ -294,10 +283,9 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~sample
-        ~partition ~jobs ~budget:base_cfg.RC.budget ~kernel ~cost
-        ?cache ~timeout ~retries ?faults ()
+        ~partition ~jobs ~budget:base_cfg.RC.budget ~cost ?cache ~timeout
+        ~retries ?faults ()
     in
-    RC.publish_kernel cfg;
     (* stamp the objective into trace meta and BENCH headers *)
     Genlog.Runmeta.set_cost cfg.RC.cost;
     (match cfg.RC.faults with
@@ -526,7 +514,7 @@ let opt_cmd =
              several FILEs to amortize exact synthesis across them)")
     Term.(const run $ files $ representation $ script_arg $ output $ trace_arg
           $ stats_flag $ sample_arg $ partition_arg $ jobs_arg $ cache_arg
-          $ kernel_arg $ cost_arg $ timeout_arg $ retries_arg $ faults_arg)
+          $ cost_arg $ timeout_arg $ retries_arg $ faults_arg)
 
 (* -- map -- *)
 
@@ -569,15 +557,12 @@ let cec_cmd =
                 escalating budget ladder and reports UNKNOWN when the \
                 instance stays open; -1 solves without any budget.")
   in
-  let run file_a file_b budget kernel =
-    let cfg = RC.make ~budget ~kernel () in
-    RC.publish_kernel cfg;
+  let run file_a file_b budget =
     let a = read_aig file_a and b = read_aig file_b in
     let module C = Genlog.Cec.Make (Aig) (Aig) in
-    let config = RC.solver_config cfg in
     let result, report =
-      if cfg.RC.budget < 0 then C.check_full ~ladder:[] ~config a b
-      else C.check_full ~conflict_budget:cfg.RC.budget ~config a b
+      if budget < 0 then C.check_full ~ladder:[] a b
+      else C.check_full ~conflict_budget:budget a b
     in
     Printf.eprintf "cec: winner = %s, conflicts = %d, rungs = %d\n%!"
       report.C.winner report.C.conflicts report.C.rungs_used;
@@ -595,7 +580,7 @@ let cec_cmd =
       exit 2
   in
   Cmd.v (Cmd.info "cec" ~doc:"SAT combinational equivalence check")
-    Term.(const run $ file_a $ file_b $ budget $ kernel_arg)
+    Term.(const run $ file_a $ file_b $ budget)
 
 (* -- exact -- *)
 
@@ -607,16 +592,20 @@ let exact_cmd =
       & opt (enum [ ("aig", `Aig); ("xag", `Xag); ("mig", `Mig); ("xmg", `Xmg) ]) `Xag
       & info [ "r"; "representation" ] ~docv:"REP")
   in
-  let run hex rep kernel =
-    let cfg = RC.make ~kernel () in
-    RC.publish_kernel cfg;
+  let run hex rep =
     (* infer the variable count from the hex length: 2^n bits = 4*len *)
     let bits = 4 * String.length hex in
     let n =
       let rec go n = if 1 lsl n >= bits then n else go (n + 1) in
       go 0
     in
-    let f = Genlog.Tt.of_hex n hex in
+    let f =
+      match Genlog.Tt.of_hex n hex with
+      | f -> f
+      | exception Invalid_argument msg ->
+        Printf.eprintf "genlog: exact: %s\n%!" msg;
+        exit 2
+    in
     let config =
       match rep with
       | `Aig -> Genlog.Exact_synth.aig_config
@@ -638,7 +627,7 @@ let exact_cmd =
   Cmd.v
     (Cmd.info "exact"
        ~doc:"SAT-exact synthesis of a function given as a hex truth table")
-    Term.(const run $ hex $ rep $ kernel_arg)
+    Term.(const run $ hex $ rep)
 
 (* -- report -- *)
 

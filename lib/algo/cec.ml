@@ -123,7 +123,9 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
   let default_ladder = [ 10_000; 100_000; 1_000_000 ]
 
   type report = {
-    winner : string;      (* config name that produced the answer *)
+    winner : string;
+        (* "solver" (first attempt), "retry" (the re-encode after an
+           anomaly), "shape" (I/O mismatch) or "anomaly" (both failed) *)
     conflicts : int;      (* conflicts spent by the answering solver *)
     rungs_used : int;     (* ladder rungs consumed (1 = first try) *)
   }
@@ -148,28 +150,23 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      semantics.  Otherwise [ladder] applies — escalating attempts, then
      [Unknown]; [~ladder:[]] requests a single unbounded solve.
 
-     [config] selects the kernel (default: {!Satkit.Solver.env_config},
-     i.e. the GENLOG_SAT_KERNEL toggle).  [trace] publishes the kernel's
-     counters into the sink.
+     [trace] publishes the kernel's counters into the sink.
 
      [wall_timeout] > 0 caps the whole check in wall-clock seconds on top
      of the conflict ladder; on expiry the answer is [Unknown] (never a
      wrong answer), so deadline-bound flows keep their guards.
 
      A check never raises: if the kernel itself throws (a solver bug, or
-     an injected [sat.solve] fault), the miter is re-encoded once on the
-     legacy kernel; if that also fails, the answer is [Unknown] with
-     winner ["anomaly"].  Correctness guards built on CEC treat both the
-     same way they treat a budget exhaustion. *)
+     an injected [sat.solve] fault), the miter is re-encoded once on a
+     fresh solver (winner ["retry"]); if that also fails, the answer is
+     [Unknown] with winner ["anomaly"].  Correctness guards built on CEC
+     treat both the same way they treat a budget exhaustion. *)
   let check_full ?(trace = Obs.Trace.null) ?(conflict_budget = 0) ?ladder
-      ?config ?(wall_timeout = 0.) (a : A.t) (b : B.t) : result * report =
+      ?(wall_timeout = 0.) (a : A.t) (b : B.t) : result * report =
     let mismatch = A.num_pis a <> B.num_pis b || A.num_pos a <> B.num_pos b in
     if mismatch then
       (Counterexample [||], { winner = "shape"; conflicts = 0; rungs_used = 0 })
     else begin
-      let config =
-        match config with Some c -> c | None -> Satkit.Solver.env_config ()
-      in
       let rungs =
         if conflict_budget > 0 then [ conflict_budget ]
         else match ladder with Some l -> l | None -> default_ladder
@@ -185,8 +182,8 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
           Counterexample
             (Array.map (fun v -> Satkit.Solver.model_value solver v) pi_vars)
       in
-      let single config =
-        let solver = Satkit.Solver.create ~config () in
+      let single winner =
+        let solver = Satkit.Solver.create () in
         let pi_vars = encode_miter a b solver in
         let rec climb used = function
           | [] ->
@@ -206,7 +203,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         let r, used = climb 0 rungs in
         let rep =
           {
-            winner = config.Satkit.Solver.name;
+            winner;
             conflicts = Satkit.Solver.num_conflicts solver;
             rungs_used = used;
           }
@@ -219,20 +216,16 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
           (Printexc.to_string e);
         (Unknown, { winner = "anomaly"; conflicts = 0; rungs_used = 0 })
       in
-      match single config with
+      match single "solver" with
       | r -> r
-      | exception e ->
-        let legacy = Satkit.Solver.legacy_config in
-        if config.Satkit.Solver.name = legacy.Satkit.Solver.name then anomaly e
-        else begin
-          Printf.eprintf
-            "cec: solver anomaly (%s); retrying on the %s kernel\n%!"
-            (Printexc.to_string e) legacy.Satkit.Solver.name;
-          match single legacy with r -> r | exception e2 -> anomaly e2
-        end
+      | exception e -> (
+        Printf.eprintf
+          "cec: solver anomaly (%s); retrying once on a fresh solver\n%!"
+          (Printexc.to_string e);
+        match single "retry" with r -> r | exception e2 -> anomaly e2)
     end
 
-  let check ?trace ?conflict_budget ?ladder ?config ?wall_timeout (a : A.t)
-      (b : B.t) : result =
-    fst (check_full ?trace ?conflict_budget ?ladder ?config ?wall_timeout a b)
+  let check ?trace ?conflict_budget ?ladder ?wall_timeout (a : A.t) (b : B.t) :
+      result =
+    fst (check_full ?trace ?conflict_budget ?ladder ?wall_timeout a b)
 end

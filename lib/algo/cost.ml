@@ -144,22 +144,6 @@ module Spec = struct
         (Printf.sprintf "unknown cost spec %S (expected %s)" s
            (String.concat " | " names))
 
-  (* Syntax-only validation, for config round-trips that must not touch
-     the filesystem (the weights file is read when the spec is used). *)
-  let validate_string s =
-    match String.trim s with
-    | "area" | "depth" | "edges" | "activity" | "lut" -> Ok ()
-    | s when String.length s > 8 && String.sub s 0 8 = "weights:" -> Ok ()
-    | s when String.length s > 4 && String.sub s 0 4 = "lut:" -> (
-      match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
-      | Some k when k >= 2 -> Ok ()
-      | Some _ | None ->
-        Error (Printf.sprintf "bad LUT size in cost spec %S (need K >= 2)" s))
-    | s ->
-      Error
-        (Printf.sprintf "unknown cost spec %S (expected %s)" s
-           (String.concat " | " names))
-
   (* Additive objectives sum node prices; depth is the max-monoid. *)
   let is_additive = function
     | Area | Edges | Activity | Lut _ | Weights _ -> true

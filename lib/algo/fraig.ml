@@ -66,8 +66,9 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
     add 0;
     N.foreach_pi net add;
     List.iter add (T.order net);
-    (* 3. prove candidate pairs on a static CNF of the whole network *)
-    let solver = Satkit.Solver.create ~config:(Satkit.Solver.env_config ()) () in
+    (* 3. prove candidate pairs on a static CNF of the whole network, in one
+       incremental solver of the satkit kernel *)
+    let solver = Satkit.Solver.create () in
     let const_var = Satkit.Solver.new_var solver in
     Satkit.Solver.add_clause solver [ Satkit.Lit.of_var const_var ~negated:true ];
     let pi_vars =

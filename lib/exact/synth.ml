@@ -144,7 +144,7 @@ let synthesize_fixed_size config f r =
   in
   let pos v = Satkit.Lit.of_var v ~negated:false in
   let neg v = Satkit.Lit.of_var v ~negated:true in
-  let s = Satkit.Solver.create ~config:(Satkit.Solver.env_config ()) () in
+  let s = Satkit.Solver.create () in
   let fresh =
     let counter = ref (-1) in
     fun () ->

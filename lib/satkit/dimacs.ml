@@ -49,9 +49,9 @@ let read_file path =
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
 
 (* Load a DIMACS problem into a fresh solver. *)
-let load_file ?config path : Solver.t =
+let load_file path : Solver.t =
   let num_vars, clauses = read_file path in
-  let s = Solver.create ?config () in
+  let s = Solver.create () in
   Solver.ensure_var s (num_vars - 1);
   List.iter (Solver.add_clause s) clauses;
   s

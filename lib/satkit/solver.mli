@@ -8,9 +8,9 @@
     minimization by self-subsuming resolution, and periodic inprocessing
     (level-0 simplification, learnt-clause subsumption, vivification).
 
-    Behaviour is parameterized by a {!config}: {!default_config} is the
-    modern kernel, {!legacy_config} the reference it is benchmarked
-    against.
+    There is one kernel: every feature above is always on, and a
+    {!config} sets only how often the clause database is reduced and
+    inprocessing runs.
 
     Used by SAT-based exact synthesis (paper §2.2.2), combinational
     equivalence checking and SAT sweeping. *)
@@ -21,43 +21,19 @@ type result = Sat | Unsat | Unknown
 
 (** {1 Configuration} *)
 
-type restart_policy = Luby | Ema
-
-type reduce_strategy =
-  | Tiered         (** lbd-driven core/tier2/local clause database *)
-  | Activity_half  (** MiniSat-style: drop the lower-activity half *)
-
 type config = {
-  name : string;
-  restart : restart_policy;
-  var_decay : float;
-  clause_decay : float;
-  minimize : bool;     (** learnt-clause minimization *)
-  inprocess : bool;    (** subsumption + vivification between restarts *)
-  blockers : bool;     (** blocker-literal fast path in propagation *)
-  reduce : reduce_strategy;
   reduce_interval : int;
       (** conflicts between learnt-clause-database reductions *)
   inprocess_interval : int;  (** conflicts between inprocessing rounds *)
 }
 
 val default_config : config
-(** The modern kernel: EMA restarts, minimization, inprocessing. *)
-
-val legacy_config : config
-(** Approximates the pre-modernization kernel (Luby restarts,
-    activity-sorted clause deletion, no minimization, no inprocessing) for
-    A/B benchmarking. *)
-
-val env_config : unit -> config
-(** [default_config], or [legacy_config] when the environment variable
-    [GENLOG_SAT_KERNEL] is set to ["legacy"]. *)
+(** The cadence every caller in the library uses: reduce every 2000
+    conflicts, inprocess every 6000. *)
 
 (** {1 Solving} *)
 
 val create : ?config:config -> unit -> t
-
-val config : t -> config
 
 val new_var : t -> int
 (** Allocate the next variable; variables are dense integers from 0. *)

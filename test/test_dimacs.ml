@@ -27,8 +27,6 @@ let files () =
     |> List.filter (fun f -> Filename.check_suffix f ".cnf")
     |> List.sort compare
 
-let configs = [ Solver.legacy_config; Solver.default_config ]
-
 let lit_true solver l =
   let v = Solver.model_value solver (Lit.var l) in
   if Lit.is_neg l then not v else v
@@ -66,8 +64,8 @@ let check_file file () =
     Filename.check_suffix (Filename.remove_extension file) "_unsat"
   in
   List.iter
-    (fun (config : Solver.config) ->
-      let ctx = Printf.sprintf "%s [%s]" file config.Solver.name in
+    (fun (name, config) ->
+      let ctx = Printf.sprintf "%s [%s]" file name in
       let s = fresh_solver config num_vars clauses in
       match (Solver.solve s, expect_unsat) with
       | Solver.Unknown, _ -> Alcotest.failf "%s: unknown without budget" ctx
@@ -90,7 +88,7 @@ let check_file file () =
           [ pivot; Lit.neg pivot ];
         if num_vars <= 18 && brute_force_sat num_vars clauses then
           Alcotest.failf "%s: brute force found a model" ctx)
-    configs
+    Test_satkit.configs
 
 let test_all_files_present () =
   (* the corpus is part of the repo; an empty directory means the test

@@ -272,17 +272,15 @@ let test_engine_clean_run_no_markers () =
 
 (* -- sat / cec fault containment -- *)
 
-let test_cec_kernel_fallback () =
+let test_cec_retry () =
   let a = S.build "ctrl" in
   let b = Copy.convert a in
-  (* one injected solver fault: the modern kernel's attempt dies, the
-     legacy re-encode answers *)
+  (* one injected solver fault: the first attempt dies, the re-encode on a
+     fresh solver answers *)
   with_faults "sat.solve:1:1" (fun () ->
       let r, rep = Cec_aa.check_full a b in
       Alcotest.(check bool) "still equivalent" true (r = Algo.Cec.Equivalent);
-      Alcotest.(check string)
-        "legacy kernel answered" Satkit.Solver.legacy_config.Satkit.Solver.name
-        rep.Cec_aa.winner)
+      Alcotest.(check string) "retry answered" "retry" rep.Cec_aa.winner)
 
 let test_cec_anomaly_unknown () =
   let a = S.build "ctrl" in
@@ -443,8 +441,8 @@ let suite =
     Alcotest.test_case "engine: stop degrades" `Quick test_engine_stop_degrades;
     Alcotest.test_case "engine: clean run has no markers" `Slow
       test_engine_clean_run_no_markers;
-    Alcotest.test_case "cec: injected fault falls back to legacy" `Slow
-      test_cec_kernel_fallback;
+    Alcotest.test_case "cec: injected fault is retried once" `Slow
+      test_cec_retry;
     Alcotest.test_case "cec: total anomaly answers Unknown" `Slow
       test_cec_anomaly_unknown;
     Alcotest.test_case "solver: expired deadline answers Unknown" `Quick

@@ -300,17 +300,18 @@ let test_aiger_hostile_headers () =
         (Aig.num_pis t, Aig.num_pos t))
 
 (* The CLI reports a malformed input as `genlog: FILE: msg` with the
-   bad-input exit code 2, for each reader. *)
+   bad-input exit code 2, for each reader; `exact` does the same for a
+   malformed truth table. *)
 let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/genlog_cli.exe"
 
 let test_cli_parse_errors () =
   if not (Sys.file_exists cli) then Alcotest.fail ("not built: " ^ cli);
-  let stats path =
+  let run cmd arg =
     with_temp_file ".err" (fun err ->
         let code =
           Sys.command
-            (Printf.sprintf "%s stats %s > /dev/null 2> %s" (Filename.quote cli)
-               (Filename.quote path) (Filename.quote err))
+            (Printf.sprintf "%s %s %s > /dev/null 2> %s" (Filename.quote cli)
+               cmd (Filename.quote arg) (Filename.quote err))
         in
         (code, String.trim (In_channel.with_open_bin err In_channel.input_all)))
   in
@@ -319,11 +320,17 @@ let test_cli_parse_errors () =
       with_text ext text (fun path ->
           Alcotest.(check (pair int string)) (String.escaped text)
             (2, Printf.sprintf "genlog: %s: %s" path msg)
-            (stats path)))
+            (run "stats" path)))
     [ (".aag", bad_field, "bad header field: x");
       (".aag", bad_and, "bad and line") ];
   with_text ".aag" huge_m (fun path ->
-      Alcotest.(check int) "huge M accepted" 0 (fst (stats path)))
+      Alcotest.(check int) "huge M accepted" 0 (fst (run "stats" path)));
+  List.iter
+    (fun (hex, msg) ->
+      Alcotest.(check (pair int string)) (Printf.sprintf "exact %S" hex)
+        (2, "genlog: exact: Tt.of_hex: " ^ msg)
+        (run "exact" hex))
+    [ ("zz", "bad character"); ("abc", "bad length"); ("", "bad length") ]
 
 let extra_suite =
   [

@@ -185,18 +185,17 @@ let test_conflict_budget () =
   | Solver.Unknown | Solver.Unsat -> ()
   | Solver.Sat -> Alcotest.fail "php(9,8) cannot be SAT"
 
-(* An intentionally over-eager configuration: reduction and inprocessing
-   fire orders of magnitude more often than the defaults, so minimization,
+(* An intentionally over-eager cadence: reduction and inprocessing fire
+   orders of magnitude more often than the defaults, so minimization,
    subsumption, vivification and clause deletion all churn on even tiny
    instances.  Any unsoundness in those paths shows up as a wrong answer
-   or an invalid model below. *)
-let aggressive_config =
-  {
-    Solver.default_config with
-    Solver.name = "aggressive";
-    reduce_interval = 60;
-    inprocess_interval = 40;
-  }
+   or an invalid model.  The DIMACS corpus and the telemetry checks run
+   under both configs too. *)
+let small_intervals =
+  { Solver.reduce_interval = 60; Solver.inprocess_interval = 40 }
+
+let configs =
+  [ ("default", Solver.default_config); ("small intervals", small_intervals) ]
 
 let prop_minimization_preserves_models =
   QCheck.Test.make
@@ -213,7 +212,7 @@ let prop_minimization_preserves_models =
       in
       let expected = brute_force_sat n cnf in
       List.for_all
-        (fun config ->
+        (fun (_, config) ->
           let s = Solver.create ~config () in
           List.iter (Solver.add_clause s) cnf;
           match Solver.solve s with
@@ -229,7 +228,7 @@ let prop_minimization_preserves_models =
                  cnf
           | Solver.Unsat -> not expected
           | Solver.Unknown -> false)
-        [ aggressive_config; Solver.legacy_config ])
+        configs)
 
 let add_php s n =
   let var p h = (p * n) + h in

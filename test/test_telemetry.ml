@@ -79,13 +79,21 @@ let check_snapshot_monotone config name =
       Alcotest.(check bool) (name ^ ": stats carries " ^ k) true
         (List.mem k labels))
     [ "conflicts"; "propagations"; "learned_total"; "lbd_glue"; "lbd_mid";
-      "lbd_high" ]
+      "lbd_high" ];
+  s1
 
 let test_snapshot_modern () =
-  check_snapshot_monotone Solver.default_config "modern"
+  ignore (check_snapshot_monotone Solver.default_config "modern")
 
-let test_snapshot_legacy () =
-  check_snapshot_monotone Solver.legacy_config "legacy"
+(* the over-eager cadence makes reductions and inprocessing fire on php(6),
+   so their counters are covered too *)
+let test_snapshot_small_intervals () =
+  let s1 =
+    check_snapshot_monotone Test_satkit.small_intervals "small intervals"
+  in
+  Alcotest.(check bool) "reductions fired" true (s1.Solver.s_reduces > 0);
+  Alcotest.(check bool) "inprocessing fired" true
+    (s1.Solver.s_inprocess_rounds > 0)
 
 (* -- per-pass SAT aggregation by summarize -- *)
 
@@ -202,8 +210,8 @@ let suite =
   [
     Alcotest.test_case "snapshot monotone (modern kernel)" `Quick
       test_snapshot_modern;
-    Alcotest.test_case "snapshot monotone (legacy kernel)" `Quick
-      test_snapshot_legacy;
+    Alcotest.test_case "snapshot monotone (small intervals)" `Quick
+      test_snapshot_small_intervals;
     Alcotest.test_case "summarize attributes SAT work to spans" `Quick
       test_summarize_sat_attribution;
     Alcotest.test_case "old race event line is ignored" `Quick
