@@ -759,18 +759,7 @@ let ablation () =
     native via_aig;
   ab "mig-native-db" [ ("nodes", Bench_json.Int native) ];
   ab "mig-aig-db" [ ("nodes", Bench_json.Int via_aig) ];
-  (* 6: resubstitution with observability don't-cares *)
-  let module Rs2 = Resub.Make (Aig) in
-  let odc_total use_odc =
-    total (fun t ->
-        ignore (Rs2.run t ~kernel:Resub.And_or ~max_inserted:2 ~use_odc ());
-        Aig.num_gates t)
-  in
-  let odc_no = odc_total false and odc_yes = odc_total true in
-  Printf.printf "resub: plain %d gates, with ODCs %d gates\n" odc_no odc_yes;
-  ab "resub-plain" [ ("nodes", Bench_json.Int odc_no) ];
-  ab "resub-odc" [ ("nodes", Bench_json.Int odc_yes) ];
-  (* 7: exact synthesis of every 3-input function (time per class) *)
+  (* 6: exact synthesis of every 3-input function (time per class) *)
   let t0 = Unix.gettimeofday () in
   for v = 0 to 255 do
     ignore
@@ -780,7 +769,7 @@ let ablation () =
   let t_inc = Unix.gettimeofday () -. t0 in
   Printf.printf "exact synthesis of all 256 3-var functions: %.2fs\n" t_inc;
   ab "exact-incremental" [ ("seconds", Bench_json.Float t_inc) ];
-  (* 8: MIG algebraic depth rewriting on the carry-chain benchmarks *)
+  (* 7: MIG algebraic depth rewriting on the carry-chain benchmarks *)
   let module Dm = Depth.Make (Mig) in
   let module Sm = Suite_gen.Make (Mig) in
   List.iter

@@ -283,8 +283,7 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~sample
-        ~partition ~jobs ~budget:base_cfg.RC.budget ~cost ?cache ~timeout
-        ~retries ?faults ()
+        ~partition ~jobs ~cost ?cache ~timeout ~retries ?faults ()
     in
     (* stamp the objective into trace meta and BENCH headers *)
     Genlog.Runmeta.set_cost cfg.RC.cost;
@@ -551,7 +550,7 @@ let cec_cmd =
   let budget =
     Arg.(
       value
-      & opt int base_cfg.RC.budget
+      & opt int 0
       & info [ "budget" ] ~docv:"CONFLICTS"
           ~doc:"Single-attempt conflict budget. 0 (the default) climbs the \
                 escalating budget ladder and reports UNKNOWN when the \
@@ -690,7 +689,7 @@ let report_cmd =
     Option.iter
       (fun path ->
         let trace = load Genlog.Trace.read_file path in
-        Format.printf "%a" Genlog.Report.pp_trace trace;
+        Format.printf "%a" Genlog.Trace.pp_summary trace;
         Option.iter
           (fun out ->
             Genlog.Chrome.write_file trace out;

@@ -1,4 +1,4 @@
-(* Verification-centric workflow: SAT sweeping, don't-care optimization and
+(* Verification-centric workflow: SAT sweeping, resubstitution and
    equivalence checking on one design.
 
    Logic synthesis and formal verification share their engines (the paper's
@@ -7,8 +7,8 @@
 
    1. FRAIG-style SAT sweeping merges functionally equivalent nodes that
       structural hashing cannot see;
-   2. resubstitution with observability don't-cares rewrites nodes that are
-      only partially observable at the outputs;
+   2. simulation-guided resubstitution re-expresses the remaining nodes
+      with divisors that already exist in the network;
    3. a final SAT CEC proves the whole pipeline preserved every output.
 
    Run with:  dune exec examples/verification_flow.exe *)
@@ -53,11 +53,11 @@ let () =
     stats.Fr.classes stats.Fr.proved stats.Fr.refuted;
   report "after SAT sweeping:" t;
 
-  (* 2. don't-care-aware resubstitution cleans up what is left *)
-  let subs = Rs.run t ~kernel:Resub.And_or ~max_inserted:2 ~use_odc:true () in
+  (* 2. resubstitution cleans up what is left *)
+  let subs = Rs.run t ~kernel:Resub.And_or ~max_inserted:2 () in
   let t = Cl.cleanup t in
-  Printf.printf "odc resub: %d substitutions\n" subs;
-  report "after ODC resubstitution:" t;
+  Printf.printf "resub: %d substitutions\n" subs;
+  report "after resubstitution:" t;
 
   (* 3. prove the pipeline *)
   (match C.check reference t with

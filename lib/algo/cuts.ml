@@ -37,7 +37,6 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
 
   (* Native ints give 63 usable bits; leaf [l] hashes to bit [l mod 63]. *)
   let leaf_bit l = 1 lsl (l mod 63)
-  let signature_of leaves = Array.fold_left (fun s l -> s lor leaf_bit l) 0 leaves
 
   (* Number of set bits; signatures carry at most ~2k bits, so the
      clear-lowest-bit loop beats a full SWAR popcount here. *)
@@ -498,6 +497,4 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
 
   let cuts_of r n = Array.to_list r.cuts.(n)
   let cuts_array r n = r.cuts.(n)
-
-  let foreach_cut r n f = Array.iter f r.cuts.(n)
 end

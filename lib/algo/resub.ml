@@ -26,35 +26,31 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* literal = (signal, function over window leaves) *)
   type literal = N.signal * Tt.t
 
-  (* comparisons modulo the care set (observability don't-cares make the
-     care set smaller and resubstitution correspondingly more powerful) *)
-  let equal_c care a b = Tt.is_const0 Tt.((a ^: b) &: care)
-  let implies_c care a b = Tt.is_const0 Tt.(a &: ~:b &: care)
+  let implies a b = Tt.is_const0 Tt.(a &: ~:b)
 
-  (* 0-resub: an existing literal — or, under don't-cares, a constant —
-     already computes the target on the care set. *)
-  let resub0 care (lits : literal array) target =
-    if Tt.is_const0 Tt.(target &: care) then Some (N.constant false)
-    else if Tt.is_const0 Tt.(~:target &: care) then Some (N.constant true)
+  (* 0-resub: the target is a constant or an existing literal. *)
+  let resub0 (lits : literal array) target =
+    if Tt.is_const0 target then Some (N.constant false)
+    else if Tt.is_const1 target then Some (N.constant true)
     else begin
       let found = ref None in
       Array.iter
         (fun (s, tt) ->
-          if !found = None && equal_c care tt target then found := Some s)
+          if !found = None && Tt.equal tt target then found := Some s)
         lits;
       !found
     end
 
   (* OR 1-resub: target = l1 | l2 with both literals implying the target. *)
-  let resub_or care net (lits : literal array) target =
+  let resub_or net (lits : literal array) target =
     let pool =
-      List.filter (fun (_, tt) -> implies_c care tt target) (Array.to_list lits)
+      List.filter (fun (_, tt) -> implies tt target) (Array.to_list lits)
     in
     let rec pairs = function
       | [] -> None
       | (s1, t1) :: rest ->
         let hit =
-          List.find_opt (fun (_, t2) -> equal_c care Tt.(t1 |: t2) target) rest
+          List.find_opt (fun (_, t2) -> Tt.equal Tt.(t1 |: t2) target) rest
         in
         (match hit with
         | Some (s2, _) -> Some (N.create_or net s1 s2)
@@ -63,15 +59,15 @@ module Make (N : Network.Intf.NETWORK) = struct
     pairs pool
 
   (* AND 1-resub via duality: target = l1 & l2  iff  !target = !l1 | !l2. *)
-  let resub_and care net (lits : literal array) target =
+  let resub_and net (lits : literal array) target =
     let pool =
-      List.filter (fun (_, tt) -> implies_c care target tt) (Array.to_list lits)
+      List.filter (fun (_, tt) -> implies target tt) (Array.to_list lits)
     in
     let rec pairs = function
       | [] -> None
       | (s1, t1) :: rest ->
         let hit =
-          List.find_opt (fun (_, t2) -> equal_c care Tt.(t1 &: t2) target) rest
+          List.find_opt (fun (_, t2) -> Tt.equal Tt.(t1 &: t2) target) rest
         in
         (match hit with
         | Some (s2, _) -> Some (N.create_and net s1 s2)
@@ -79,64 +75,44 @@ module Make (N : Network.Intf.NETWORK) = struct
     in
     pairs pool
 
-  (* XOR 1-resub: target = l1 ^ l2.  With a full care set this uses exact
-     hashing of the needed counterpart; under don't-cares it falls back to
-     pair enumeration with care-masked comparison. *)
-  let resub_xor care net (lits : literal array) target =
+  (* XOR 1-resub: target = l1 ^ l2, by exact hashing of the needed
+     counterpart. *)
+  let resub_xor net (lits : literal array) target =
     let found = ref None in
-    if Tt.is_const1 care then begin
-      let table = Hashtbl.create (Array.length lits) in
-      Array.iter (fun (s, tt) -> Hashtbl.replace table (Tt.to_hex tt) s) lits;
-      Array.iter
-        (fun (s1, t1) ->
-          if !found = None then begin
-            let needed = Tt.( ^: ) target t1 in
-            match Hashtbl.find_opt table (Tt.to_hex needed) with
-            | Some s2 when s2 <> s1 -> found := Some (N.create_xor net s1 s2)
-            | Some _ | None -> ()
-          end)
-        lits
-    end
-    else begin
-      let m = Array.length lits in
-      let i = ref 0 in
-      while !found = None && !i < m do
-        let s1, t1 = lits.(!i) in
-        let j = ref (!i + 1) in
-        while !found = None && !j < m do
-          let s2, t2 = lits.(!j) in
-          if
-            N.node_of_signal s1 <> N.node_of_signal s2
-            && equal_c care Tt.(t1 ^: t2) target
-          then found := Some (N.create_xor net s1 s2);
-          incr j
-        done;
-        incr i
-      done
-    end;
+    let table = Hashtbl.create (Array.length lits) in
+    Array.iter (fun (s, tt) -> Hashtbl.replace table (Tt.to_hex tt) s) lits;
+    Array.iter
+      (fun (s1, t1) ->
+        if !found = None then begin
+          let needed = Tt.( ^: ) target t1 in
+          match Hashtbl.find_opt table (Tt.to_hex needed) with
+          | Some s2 when s2 <> s1 -> found := Some (N.create_xor net s1 s2)
+          | Some _ | None -> ()
+        end)
+      lits;
     !found
 
   (* OR 2-resub: target = l1 | (l2 & l3). *)
-  let resub_or_and care net (lits : literal array) target =
+  let resub_or_and net (lits : literal array) target =
     let unate =
-      List.filter (fun (_, tt) -> implies_c care tt target) (Array.to_list lits)
+      List.filter (fun (_, tt) -> implies tt target) (Array.to_list lits)
     in
     let result = ref None in
     List.iter
       (fun (s1, t1) ->
         if !result = None then begin
-          let rem = Tt.(target &: ~:t1 &: care) in
+          let rem = Tt.(target &: ~:t1) in
           if not (Tt.is_const0 rem) then begin
             (* both remaining literals must cover the remainder *)
             let covering =
-              List.filter (fun (_, tt) -> implies_c care rem tt) (Array.to_list lits)
+              List.filter (fun (_, tt) -> implies rem tt) (Array.to_list lits)
             in
             let rec pairs = function
               | [] -> ()
               | (s2, t2) :: rest ->
                 let hit =
                   List.find_opt
-                    (fun (_, t3) -> equal_c care Tt.(t1 |: (t2 &: t3)) target)
+                    (fun (_, t3) -> Tt.equal Tt.(t1 |: (t2 &: t3)) target)
                     rest
                 in
                 (match hit with
@@ -151,46 +127,42 @@ module Make (N : Network.Intf.NETWORK) = struct
     !result
 
   (* AND 2-resub via duality: target = l1 & (l2 | l3). *)
-  let resub_and_or care net (lits : literal array) target =
+  let resub_and_or net (lits : literal array) target =
     let neg_lits = Array.map (fun (s, tt) -> (N.complement s, Tt.( ~: ) tt)) lits in
-    match resub_or_and care net neg_lits (Tt.( ~: ) target) with
+    match resub_or_and net neg_lits (Tt.( ~: ) target) with
     | Some s -> Some (N.complement s)
     | None -> None
 
-  (* XOR 2-resub: target = l1 ^ (l2 & l3); exact hashing requires a full
-     care set, so don't-cares simply skip this kernel. *)
-  let resub_xor_and care net (lits : literal array) target =
-    if not (Tt.is_const1 care) then None
-    else begin
-      let table = Hashtbl.create (Array.length lits) in
-      Array.iter (fun (s, tt) -> Hashtbl.replace table (Tt.to_hex tt) s) lits;
-      let n_lits = Array.length lits in
-      let result = ref None in
-      let i = ref 0 in
-      while !result = None && !i < n_lits do
-        let s2, t2 = lits.(!i) in
-        let j = ref (!i + 1) in
-        while !result = None && !j < n_lits do
-          let s3, t3 = lits.(!j) in
-          if N.node_of_signal s2 <> N.node_of_signal s3 then begin
-            let conj = Tt.( &: ) t2 t3 in
-            let needed = Tt.( ^: ) target conj in
-            match Hashtbl.find_opt table (Tt.to_hex needed) with
-            | Some s1 -> result := Some (N.create_xor net s1 (N.create_and net s2 s3))
-            | None -> ()
-          end;
-          incr j
-        done;
-        incr i
+  (* XOR 2-resub: target = l1 ^ (l2 & l3), by exact hashing of l1. *)
+  let resub_xor_and net (lits : literal array) target =
+    let table = Hashtbl.create (Array.length lits) in
+    Array.iter (fun (s, tt) -> Hashtbl.replace table (Tt.to_hex tt) s) lits;
+    let n_lits = Array.length lits in
+    let result = ref None in
+    let i = ref 0 in
+    while !result = None && !i < n_lits do
+      let s2, t2 = lits.(!i) in
+      let j = ref (!i + 1) in
+      while !result = None && !j < n_lits do
+        let s3, t3 = lits.(!j) in
+        if N.node_of_signal s2 <> N.node_of_signal s3 then begin
+          let conj = Tt.( &: ) t2 t3 in
+          let needed = Tt.( ^: ) target conj in
+          match Hashtbl.find_opt table (Tt.to_hex needed) with
+          | Some s1 -> result := Some (N.create_xor net s1 (N.create_and net s2 s3))
+          | None -> ()
+        end;
+        incr j
       done;
-      !result
-    end
+      incr i
+    done;
+    !result
 
   (* MAJ 1-resub with the pairwise filtering rules: in maj(l1,l2,l3) any two
      true literals force the output, so l_i & l_j must imply the target and
      the target must imply l_i | l_j; the third literal is then determined
-     on the care set l1 ^ l2. *)
-  let resub_maj odc_care net (lits : literal array) target =
+     where l1 and l2 disagree. *)
+  let resub_maj net (lits : literal array) target =
     let n_lits = Array.length lits in
     let result = ref None in
     let i = ref 0 in
@@ -201,17 +173,17 @@ module Make (N : Network.Intf.NETWORK) = struct
         let s2, t2 = lits.(!j) in
         if
           N.node_of_signal s1 <> N.node_of_signal s2
-          && implies_c odc_care Tt.(t1 &: t2) target
-          && implies_c odc_care target Tt.(t1 |: t2)
+          && implies Tt.(t1 &: t2) target
+          && implies target Tt.(t1 |: t2)
         then begin
-          let care = Tt.((t1 ^: t2) &: odc_care) in
+          let differ = Tt.(t1 ^: t2) in
           let k = ref 0 in
           while !result = None && !k < n_lits do
             let s3, t3 = lits.(!k) in
             if
               N.node_of_signal s3 <> N.node_of_signal s1
               && N.node_of_signal s3 <> N.node_of_signal s2
-              && Tt.is_const0 Tt.((t3 ^: target) &: care)
+              && Tt.is_const0 Tt.((t3 ^: target) &: differ)
             then result := Some (N.create_maj net s1 s2 s3);
             incr k
           done
@@ -234,16 +206,16 @@ module Make (N : Network.Intf.NETWORK) = struct
     | Maj3, _ -> []
     | (And_or | And_or_xor), _ -> []
 
-  let try_kernel ~care net kernel k (lits : literal array) target =
+  let try_kernel net kernel k (lits : literal array) target =
     let try_one = function
-      | `Zero -> resub0 care lits target
-      | `Or -> resub_or care net lits target
-      | `And -> resub_and care net lits target
-      | `Xor -> resub_xor care net lits target
-      | `Or_and -> resub_or_and care net lits target
-      | `And_or -> resub_and_or care net lits target
-      | `Xor_and -> resub_xor_and care net lits target
-      | `Maj -> resub_maj care net lits target
+      | `Zero -> resub0 lits target
+      | `Or -> resub_or net lits target
+      | `And -> resub_and net lits target
+      | `Xor -> resub_xor net lits target
+      | `Or_and -> resub_or_and net lits target
+      | `And_or -> resub_and_or net lits target
+      | `Xor_and -> resub_xor_and net lits target
+      | `Maj -> resub_maj net lits target
     in
     let rec go = function
       | [] -> None
@@ -255,8 +227,7 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* One resubstitution pass (paper Algorithm 5). *)
   let run (net : N.t) ~(kernel : kernel) ?(trace = Obs.Trace.null)
       ?(cost = Cost.Spec.Area) ?(max_leaves = 8) ?(max_divisors = 24)
-      ?(max_inserted = 1) ?(use_odc = false) () : int =
-    let module O = Odc.Make (N) in
+      ?(max_inserted = 1) () : int =
     let eng = Co.engine cost in
     let substitutions = ref 0 in
     let tried = ref 0 and rejected = ref 0 in
@@ -280,14 +251,6 @@ module Make (N : Network.Intf.NETWORK) = struct
               let values = W.simulate net w in
               W.simulate_divisors net w values divisors;
               let target = Hashtbl.find values n in
-              (* observability don't-cares over the same leaf basis *)
-              let care =
-                if not use_odc then Tt.const1 (Array.length w.W.leaves)
-                else
-                  match O.compute net n ~base_leaves:leaves () with
-                  | Some ow -> ow.O.care
-                  | None -> Tt.const1 (Array.length w.W.leaves)
-              in
               let lits =
                 Array.of_list
                   (List.concat_map
@@ -307,7 +270,7 @@ module Make (N : Network.Intf.NETWORK) = struct
                 if k > max_inserted || k >= mffc_size then ()
                 else begin
                   let mark = eng.Co.mark net in
-                  match try_kernel ~care net kernel k lits target with
+                  match try_kernel net kernel k lits target with
                   | None -> attempt (k + 1)
                   | Some s ->
                     incr tried;

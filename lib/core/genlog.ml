@@ -28,7 +28,6 @@
 (* truth tables and Boolean function utilities *)
 module Tt = Kitty.Tt
 module Npn = Kitty.Npn
-module Props = Kitty.Props
 module Isop = Kitty.Isop
 module Cube = Kitty.Cube
 module Factor = Kitty.Factor
@@ -58,7 +57,6 @@ module Rewrite = Algo.Rewrite
 module Rewrite_aig = Algo.Rewrite_aig
 module Mig_algebraic = Algo.Mig_algebraic
 module Fraig = Algo.Fraig
-module Odc = Algo.Odc
 module Refactor = Algo.Refactor
 module Resub = Algo.Resub
 module Lutmap = Algo.Lutmap
@@ -79,8 +77,6 @@ module Decode = Exact.Decode
 (* I/O *)
 module Aiger = Lsio.Aiger
 module Blif = Lsio.Blif
-module Bench_format = Lsio.Bench
-module Dot = Lsio.Dot
 
 (* benchmark generators *)
 module Blocks = Lsgen.Blocks

@@ -5,12 +5,11 @@
 
    Portfolio members are first-class [JOB] modules, each packaging one
    representation's functor instantiations (engine, mapper, converter) plus
-   its default environment.  The default roster is AIG/MIG/XAG/XMG; callers
-   can pass any roster, including custom jobs built with [Make_job].
+   its default environment.  The roster is AIG/MIG/XAG/XMG.
 
    The per-representation flows are independent — each owns its network
-   copy, its exact-synthesis environment, and its trace sink — so by
-   default they run on separate OCaml 5 domains and the portfolio costs the
+   copy, its exact-synthesis environment, and its trace sink — so they
+   run on separate OCaml 5 domains and the portfolio costs the
    *maximum* of the per-representation times instead of their sum (see
    DESIGN.md, "Domain-parallel portfolio").  Conversions happen up front on
    the calling domain because [Convert] marks traversal state on the source
@@ -49,7 +48,6 @@ module type JOB = sig
   val stage :
     env:Engine.env ->
     script:string ->
-    k:int ->
     trace:Obs.Trace.t ->
     Aig.t ->
     unit ->
@@ -68,11 +66,11 @@ module Make_job
   let representation = R.representation
   let default_env = R.default_env
 
-  let stage ~env ~script ~k ~trace baseline =
+  let stage ~env ~script ~trace baseline =
     let net = Conv.convert baseline in
     fun () ->
       let opt, t_opt = time_it (fun () -> F.run_script env ~trace net script) in
-      let m, t_map = time_it (fun () -> L.map opt ~trace ~k ()) in
+      let m, t_map = time_it (fun () -> L.map opt ~trace ~k:6 ()) in
       let s = F.network_stats opt in
       {
         representation;
@@ -116,76 +114,45 @@ module Job_xmg =
       let default_env () = Engine.xmg_env ()
     end)
 
-let default_jobs : (module JOB) list =
+let jobs : (module JOB) list =
   [ (module Job_aig); (module Job_mig); (module Job_xag); (module Job_xmg) ]
 
-(* Run the given script on every representation in [jobs].  Pass [envs]
-   (keyed by representation name) to reuse exact-synthesis databases across
+(* Run the given script (default [Script.compress2rs]) on every
+   representation and map each result into 6-LUTs.  Pass [envs] (keyed by
+   representation name) to reuse exact-synthesis databases across
    benchmarks — they are keyed by NPN class, so they warm up once per
    process; each environment is only ever touched by its own
-   representation's domain.  [parallel:false] falls back to sequential
-   execution, e.g. for deterministic timing of the individual flows.
-
-   [config] supplies the typed run configuration: its script is used
-   unless [script] overrides it, and job environments missing from [envs]
-   are built through [Engine.env_of_config] so the cost objective and the
-   persistent exact-synthesis cache apply to every roster member (the
-   cache path is suffixed per representation — stores are
-   per-synthesis-domain). *)
-let run ?config ?script ?(k = 6) ?(envs = []) ?(jobs = default_jobs)
-    ?(parallel = true) ?(trace = Obs.Trace.null) (baseline : Aig.t) : result =
-  let script =
-    match (script, config) with
-    | Some s, _ -> s
-    | None, Some c -> c.Run_config.script
-    | None, None -> Script.compress2rs
-  in
-  let env_for (module J : JOB) =
-    match List.assoc_opt J.representation envs with
-    | Some e -> e
-    | None -> (
-      match
-        ( config,
-          Run_config.representation_of_string J.representation )
-      with
-      | Some c, Some representation ->
-        let cache =
-          Option.map
-            (fun p -> p ^ "." ^ J.representation)
-            c.Run_config.cache
-        in
-        Engine.env_of_config { c with Run_config.representation; cache }
-      | _ -> J.default_env ())
-  in
+   representation's domain. *)
+let run ?(script = Script.compress2rs) ?(envs = []) ?(trace = Obs.Trace.null)
+    (baseline : Aig.t) : result =
   let staged =
     List.map
       (fun (module J : JOB) ->
-        let env = env_for (module J : JOB) in
+        let env =
+          match List.assoc_opt J.representation envs with
+          | Some e -> e
+          | None -> J.default_env ()
+        in
         let child = Obs.Trace.child trace ~flow:J.representation in
-        (child, J.stage ~env ~script ~k ~trace:child baseline))
+        (child, J.stage ~env ~script ~trace:child baseline))
       jobs
   in
   let entries =
     match staged with
-    | [] -> invalid_arg "Portfolio.run: empty job list"
+    | [] -> assert false
     | (_, first) :: rest ->
-      if parallel then begin
-        (* first job on the calling domain, the rest on spawned domains *)
-        let spawned = List.map (fun (_, job) -> Domain.spawn job) rest in
-        let first_entry = first () in
-        first_entry :: List.map Domain.join spawned
-      end
-      else List.map (fun (_, job) -> job ()) staged
+      (* first job on the calling domain, the rest on spawned domains *)
+      let spawned = List.map (fun (_, job) -> Domain.spawn job) rest in
+      let first_entry = first () in
+      first_entry :: List.map Domain.join spawned
   in
   Obs.Trace.merge trace (List.map fst staged);
   (* one roster-level record so the merged trace is self-describing:
-     how many jobs ran, whether they were domain-parallel, and how many
-     hardware domains the host offers (the chrome export shows one [tid]
-     track per job flow) *)
+     how many jobs ran and how many hardware domains the host offers
+     (the chrome export shows one [tid] track per job flow) *)
   Obs.Trace.report trace ~algo:"portfolio"
     [
       ("jobs", List.length staged);
-      ("parallel", if parallel then 1 else 0);
       ("recommended_domains", Domain.recommended_domain_count ());
     ];
   let best =

@@ -15,7 +15,6 @@ type t = {
   sample : int;  (* node-event sampling rate; 0 = off *)
   partition : int;  (* partition size cap; 0 = whole-network flow *)
   jobs : int;  (* worker domains for partition/batch parallelism *)
-  budget : int;  (* CEC conflict budget; 0 = ladder default, <0 = complete *)
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
   cache : string option;  (* persistent exact-synthesis store path *)
   timeout : float;  (* wall-clock budget per network, seconds; 0 = none *)
@@ -45,7 +44,6 @@ let default =
     sample = 0;
     partition = 0;
     jobs = Domain.recommended_domain_count ();
-    budget = 0;
     cost = "area";
     cache = None;
     timeout = 0.;
@@ -55,8 +53,7 @@ let default =
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(sample = 0) ?(partition = 0)
-    ?(jobs = default.jobs) ?(budget = 0)
-    ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
+    ?(jobs = default.jobs) ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
   {
     representation;
     script;
@@ -65,7 +62,6 @@ let make ?(representation = default.representation) ?(script = default.script)
     sample;
     partition;
     jobs;
-    budget;
     cost;
     cache;
     timeout;

@@ -1,72 +1,10 @@
-(* Offline report over the observability artifacts: render a
-   TRACE_*.jsonl (read back by [Trace.read_file]) and a BENCH_*.json as
-   per-pass / per-benchmark tables, and — the QoR regression gate —
+(* Offline report over the BENCH_*.json artifacts: render one as a
+   per-benchmark table (traces are rendered by [Trace.pp_summary]) and —
+   the QoR regression gate —
    compare two BENCH files and fail when quality regresses.  This turns
    "did this PR regress Table 1" from eyeballing JSON diffs into an exit
    code CI can enforce.  Unknown fields are skipped so newer producers
    stay readable by older reports. *)
-
-(* The per-pass table with GC and SAT accounting: time %, gate/depth
-   deltas, minor/major words allocated during the pass, SAT kernel
-   conflicts/propagations attributed to it, and degradation markers. *)
-let pp_trace fmt (t : Trace.t) =
-  let rows = Trace.summarize t in
-  if rows = [] then
-    Format.fprintf fmt "trace: no spans recorded (empty or meta-only file)@."
-  else begin
-    let total = List.fold_left (fun a r -> a +. r.Trace.row_elapsed) 0.0 rows in
-    let pct e = if total <= 0.0 then 0.0 else 100.0 *. e /. total in
-    Format.fprintf fmt
-      "%4s  %-20s %-10s | %8s %5s | %5s | %8s %5s | %10s %10s | %9s %11s | %3s@."
-      "#" "flow" "pass" "gates" "dG" "dD" "time" "%" "minor_w" "major_w"
-      "sat_confl" "sat_props" "deg";
-    List.iter
-      (fun (r : Trace.pass_row) ->
-        Format.fprintf fmt
-          "%4d  %-20s %-10s | %8d %5d | %5d | %7.3fs %4.1f%% | %10.0f %10.0f | %9d %11d | %3d@."
-          r.Trace.row_index r.Trace.row_flow r.Trace.row_pass
-          r.Trace.gates_after
-          (r.Trace.gates_after - r.Trace.gates_before)
-          (r.Trace.depth_after - r.Trace.depth_before)
-          r.Trace.row_elapsed (pct r.Trace.row_elapsed)
-          r.Trace.row_gc.Trace.minor_words r.Trace.row_gc.Trace.major_words
-          r.Trace.row_sat_conflicts r.Trace.row_sat_propagations
-          r.Trace.row_degraded)
-      rows;
-    let sum f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
-    let sumi f = List.fold_left (fun a r -> a + f r) 0 rows in
-    Format.fprintf fmt
-      "%4s  %-20s %-10s | %8s %5d | %5d | %7.3fs %5s | %10.0f %10.0f | %9d %11d | %3d@."
-      "" "total" "" ""
-      (sumi (fun r -> r.Trace.gates_after - r.Trace.gates_before))
-      (sumi (fun r -> r.Trace.depth_after - r.Trace.depth_before))
-      total "100%"
-      (sum (fun r -> r.Trace.row_gc.Trace.minor_words))
-      (sum (fun r -> r.Trace.row_gc.Trace.major_words))
-      (sumi (fun r -> r.Trace.row_sat_conflicts))
-      (sumi (fun r -> r.Trace.row_sat_propagations))
-      (sumi (fun r -> r.Trace.row_degraded));
-    (* a run that degraded anywhere gets its markers spelled out under the
-       table — the per-row count says "how many", these lines say "why" *)
-    let degs = Trace.degraded_events t in
-    if degs <> [] then begin
-      Format.fprintf fmt "degraded: %d marker(s)@." (List.length degs);
-      List.iter
-        (fun (pass, reason, detail) ->
-          Format.fprintf fmt "  %-16s %-10s %s@." pass reason detail)
-        degs
-    end;
-    (* fault-injection telemetry (CLI runs under GENLOG_FAULTS emit one
-       "faults" counters event at exit) *)
-    List.iter
-      (function
-        | Trace.Counters { algo = "faults"; counters; _ } ->
-          Format.fprintf fmt "faults: %s@."
-            (String.concat " "
-               (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
-        | _ -> ())
-      (Trace.events t)
-  end
 
 (* -- bench side: BENCH_*.json rows -- *)
 

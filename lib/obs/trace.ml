@@ -512,12 +512,10 @@ let pp_counters fmt cs =
 (* The SAT/degradation annotation appended to a row's counters column:
    nothing when the pass did no SAT work, so pure-rewrite tables stay
    clean. *)
-let pp_sat fmt r =
-  if r.row_sat_conflicts <> 0 || r.row_sat_propagations <> 0 then
-    Format.fprintf fmt " sat(confl=%d,props=%d)" r.row_sat_conflicts
-      r.row_sat_propagations;
-  if r.row_degraded > 0 then
-    Format.fprintf fmt " DEGRADED(%d)" r.row_degraded
+let pp_sat fmt (conflicts, propagations, degraded) =
+  if conflicts <> 0 || propagations <> 0 then
+    Format.fprintf fmt " sat(confl=%d,props=%d)" conflicts propagations;
+  if degraded > 0 then Format.fprintf fmt " DEGRADED(%d)" degraded
 
 (* All degradation markers in event order, whether or not a span was open
    to attribute them to (CLI-level markers land outside any span). *)
@@ -530,40 +528,50 @@ let degraded_events t =
 
 let degraded_count t = List.length (degraded_events t)
 
-(* The per-pass table: one row per span plus a totals row; the [%] column
-   is each pass's share of the summed wall time, so the table answers
-   "where did the time go" without a calculator. *)
+(* The per-pass table ([opt --stats], [report --trace]): one row per span
+   plus a totals row.  The [%] column is each pass's share of the summed
+   wall time, so the table answers "where did the time go" without a
+   calculator; minor/major words are the GC work the pass caused, and the
+   counters column carries the pass's decision counters, the SAT work
+   attributed to it and its degradation count.  Degradation markers and
+   fault-injection telemetry are spelled out under the table. *)
 let pp_summary fmt t =
   let rows = summarize t in
   if rows = [] then Format.fprintf fmt "trace: no spans recorded@."
   else begin
-    let total_elapsed =
-      List.fold_left (fun acc r -> acc +. r.row_elapsed) 0.0 rows
-    in
-    let pct e =
-      if total_elapsed <= 0.0 then 0.0 else 100.0 *. e /. total_elapsed
-    in
+    let total = List.fold_left (fun acc r -> acc +. r.row_elapsed) 0.0 rows in
+    let pct e = if total <= 0.0 then 0.0 else 100.0 *. e /. total in
     Format.fprintf fmt
-      "%4s  %-16s %-10s | %7s %7s %5s | %5s %5s | %8s %5s  %s@."
-      "#" "flow" "pass" "gates" "->" "dG" "depth" "->" "time" "%" "counters";
+      "%4s  %-16s %-13s | %7s %7s %5s | %5s %5s | %8s %5s | %10s %10s | %s@."
+      "#" "flow" "pass" "gates" "->" "dG" "depth" "->" "time" "%" "minor_w"
+      "major_w" "counters";
     List.iter
       (fun r ->
         Format.fprintf fmt
-          "%4d  %-16s %-10s | %7d %7d %5d | %5d %5d | %7.3fs %4.1f%%  %a%a@."
+          "%4d  %-16s %-13s | %7d %7d %5d | %5d %5d | %7.3fs %4.1f%% | %10.0f \
+           %10.0f | %a%a@."
           r.row_index r.row_flow r.row_pass r.gates_before r.gates_after
           (r.gates_after - r.gates_before)
           r.depth_before r.depth_after r.row_elapsed (pct r.row_elapsed)
-          pp_counters r.row_counters pp_sat r)
+          r.row_gc.minor_words r.row_gc.major_words pp_counters r.row_counters
+          pp_sat
+          (r.row_sat_conflicts, r.row_sat_propagations, r.row_degraded))
       rows;
-    match (rows, List.rev rows) with
-    | first :: _, last :: _ ->
-      Format.fprintf fmt
-        "%4s  %-16s %-10s | %7d %7d %5d | %5d %5d | %7.3fs %4.1f%%@."
-        "" "total" "" first.gates_before last.gates_after
-        (List.fold_left (fun a r -> a + (r.gates_after - r.gates_before)) 0 rows)
-        first.depth_before last.depth_after total_elapsed
-        (pct total_elapsed)
-    | _ -> ()
+    let sum f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
+    let sumi f = List.fold_left (fun a r -> a + f r) 0 rows in
+    let first = List.hd rows and last = List.nth rows (List.length rows - 1) in
+    Format.fprintf fmt
+      "%4s  %-16s %-13s | %7d %7d %5d | %5d %5d | %7.3fs %4.1f%% | %10.0f \
+       %10.0f |%a@."
+      "" "total" "" first.gates_before last.gates_after
+      (sumi (fun r -> r.gates_after - r.gates_before))
+      first.depth_before last.depth_after total (pct total)
+      (sum (fun r -> r.row_gc.minor_words))
+      (sum (fun r -> r.row_gc.major_words))
+      pp_sat
+      ( sumi (fun r -> r.row_sat_conflicts),
+        sumi (fun r -> r.row_sat_propagations),
+        sumi (fun r -> r.row_degraded) )
   end;
   let degs = degraded_events t in
   if degs <> [] then begin
@@ -572,4 +580,14 @@ let pp_summary fmt t =
       (fun (pass, reason, detail) ->
         Format.fprintf fmt "  %-16s %-10s %s@." pass reason detail)
       degs
-  end
+  end;
+  (* fault-injection telemetry (CLI runs under GENLOG_FAULTS emit one
+     "faults" counters event at exit) *)
+  List.iter
+    (function
+      | Counters { algo = "faults"; counters; _ } ->
+        Format.fprintf fmt "faults: %s@."
+          (String.concat " "
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
+      | _ -> ())
+    (events t)

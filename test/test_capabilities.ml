@@ -35,7 +35,6 @@ module _ = Algo.Cec.Make (Traversable) (Traversable)
 (* COUNTED: traversal + reference counts. *)
 module _ = Algo.Mffc.Make (Counted)
 module _ = Algo.Window.Make (Counted)
-module _ = Algo.Odc.Make (Counted)
 module Lutmap_min = Algo.Lutmap.Make (Counted)
 
 (* SWEEPABLE: traversal + substitution, no construction. *)
@@ -45,10 +44,6 @@ module _ = Algo.Fraig.Make (Sweepable)
 module _ = Network.Build.Make (Builder)
 module _ = Exact.Decode.Make (Builder)
 module _ = Lsgen.Blocks.Make (Builder)
-
-(* STRUCTURE: read-only writers. *)
-module _ = Lsio.Bench.Make (Structure)
-module _ = Lsio.Dot.Make (Structure)
 
 (* Conversion: read-only source, construct-only destination. *)
 module _ = Convert.Make (Traversable) (Builder)

@@ -225,110 +225,3 @@ let fraig_suite =
   ]
 
 let suite = suite @ fraig_suite
-
-(* -- observability don't-cares -- *)
-
-let test_odc_absorption () =
-  (* po = (a & b) | a  is just  a : the and-gate is unobservable when a=1,
-     and equals constant 0 on the care set a=0, so ODC-aware 0-resub
-     collapses it; care-oblivious resub cannot *)
-  let t = Aig.create () in
-  let a = Aig.create_pi t and b = Aig.create_pi t in
-  let f = Aig.create_and t a b in
-  let g = Aig.create_or t f a in
-  Aig.create_po t g;
-  let module Cl = Convert.Cleanup (Aig) in
-  let reference = Cl.cleanup t in
-  let module Rs = Algo.Resub.Make (Aig) in
-  let with_odc = Rs.run t ~kernel:Algo.Resub.And_or ~use_odc:true () in
-  Alcotest.(check bool) "odc resub substitutes" true (with_odc > 0);
-  let module C = Algo.Cec.Make (Aig) (Aig) in
-  (match C.check reference t with
-  | Algo.Cec.Equivalent -> ()
-  | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
-    Alcotest.fail "odc resub broke the outputs");
-  let t' = Cl.cleanup t in
-  Alcotest.(check int) "collapsed to a wire" 0 (Aig.num_gates t')
-
-let test_odc_window_care () =
-  (* direct check of the care computation on the absorption example *)
-  let t = Aig.create () in
-  let a = Aig.create_pi t and b = Aig.create_pi t in
-  let f = Aig.create_and t a b in
-  let g = Aig.create_or t f a in
-  Aig.create_po t g;
-  let module O = Algo.Odc.Make (Aig) in
-  let n = Aig.node_of_signal f in
-  let base = [ Aig.node_of_signal a; Aig.node_of_signal b ] in
-  match O.compute t n ~base_leaves:base () with
-  | None -> Alcotest.fail "odc window failed"
-  | Some w ->
-    (* leaves are (a, b); f is observable only when a = 0 *)
-    let expected = Kitty.Tt.(~:(nth_var 2 0)) in
-    Alcotest.(check (Alcotest.testable Kitty.Tt.pp Kitty.Tt.equal))
-      "care = !a" expected w.O.care
-
-let test_odc_resub_preserves_random () =
-  (* the decisive test: ODC-aware resubstitution must preserve the primary
-     outputs on random networks (SAT-proved) *)
-  let module Rs = Algo.Resub.Make (Aig) in
-  let module C = Algo.Cec.Make (Aig) (Aig) in
-  let module Cl = Convert.Cleanup (Aig) in
-  List.iter
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let t = Aig.create () in
-      let signals = ref [] in
-      for _ = 1 to 6 do
-        signals := Aig.create_pi t :: !signals
-      done;
-      let pick () =
-        Aig.complement_if (Random.State.bool rng)
-          (List.nth !signals (Random.State.int rng (List.length !signals)))
-      in
-      for _ = 1 to 70 do
-        let s =
-          match Random.State.int rng 3 with
-          | 0 -> Aig.create_and t (pick ()) (pick ())
-          | 1 -> Aig.create_or t (pick ()) (pick ())
-          | _ -> Aig.create_ite t (pick ()) (pick ()) (pick ())
-        in
-        signals := s :: !signals
-      done;
-      for _ = 1 to 4 do
-        Aig.create_po t (pick ())
-      done;
-      let reference = Cl.cleanup t in
-      ignore (Rs.run t ~kernel:Algo.Resub.And_or ~max_inserted:2 ~use_odc:true ());
-      (match Aig.check_integrity t with
-      | [] -> ()
-      | errs -> Alcotest.failf "seed %d integrity: %s" seed (String.concat "; " errs));
-      match C.check reference t with
-      | Algo.Cec.Equivalent -> ()
-      | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
-        Alcotest.failf "odc resub seed %d: outputs changed" seed)
-    (Seed.list [ 41; 42; 43; 44; 45; 46 ])
-
-let test_odc_resub_gains () =
-  (* on a real benchmark, ODC resub should do at least as well as plain *)
-  let module S = Lsgen.Suite.Make (Aig) in
-  let module Rs = Algo.Resub.Make (Aig) in
-  let t1 = S.build "priority" in
-  let t2 = S.build "priority" in
-  ignore (Rs.run t1 ~kernel:Algo.Resub.And_or ());
-  ignore (Rs.run t2 ~kernel:Algo.Resub.And_or ~use_odc:true ());
-  Alcotest.(check bool)
-    (Printf.sprintf "odc >= plain (%d vs %d gates)" (Aig.num_gates t2)
-       (Aig.num_gates t1))
-    true
-    (Aig.num_gates t2 <= Aig.num_gates t1)
-
-let odc_suite =
-  [
-    Alcotest.test_case "odc absorption" `Quick test_odc_absorption;
-    Alcotest.test_case "odc window care" `Quick test_odc_window_care;
-    Alcotest.test_case "odc resub preserves outputs" `Slow test_odc_resub_preserves_random;
-    Alcotest.test_case "odc resub gains" `Quick test_odc_resub_gains;
-  ]
-
-let suite = suite @ odc_suite

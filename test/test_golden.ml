@@ -133,10 +133,60 @@ let test_depth_regression () =
       check_qor (name ^ " (depth)") golden q)
     depth_goldens
 
+(* Resub kernel pins: one [rs -c 8 -d 2] pass on each suite baseline,
+   built natively in the representation, for the two kernels the AIG
+   smoke flow never runs.  Any drift in (tried, accepted, final gates)
+   means a kernel changed its decisions. *)
+module Kernel_pin (N : Network.Intf.NETWORK) = struct
+  module Sn = Lsgen.Suite.Make (N)
+  module Rs = Algo.Resub.Make (N)
+
+  let run kernel name =
+    let net = Sn.build name in
+    let trace = Obs.Trace.create ~flow:name () in
+    let accepted = Rs.run net ~kernel ~trace ~max_leaves:8 ~max_inserted:2 () in
+    let tried =
+      List.fold_left
+        (fun acc -> function
+          | Obs.Trace.Counters { algo = "resub"; counters; _ } ->
+            acc + Option.value ~default:0 (List.assoc_opt "tried" counters)
+          | _ -> acc)
+        0 (Obs.Trace.events trace)
+    in
+    (tried, accepted, N.num_gates net)
+end
+
+module Pin_xag = Kernel_pin (Xag)
+module Pin_mig = Kernel_pin (Mig)
+module Pin_xmg = Kernel_pin (Xmg)
+
+let kernel_goldens =
+  [
+    ("xag And_or_xor", Pin_xag.run Algo.Resub.And_or_xor,
+     [ ("ctrl", (24, 22, 216)); ("cavlc", (31, 24, 923)) ]);
+    ("mig Maj3", Pin_mig.run Algo.Resub.Maj3,
+     [ ("ctrl", (20, 20, 208)); ("cavlc", (25, 25, 736)) ]);
+    ("xmg Maj3", Pin_xmg.run Algo.Resub.Maj3,
+     [ ("ctrl", (17, 17, 181)); ("cavlc", (21, 21, 619)) ]);
+  ]
+
+let test_kernel_pins () =
+  List.iter
+    (fun (label, run, pins) ->
+      List.iter
+        (fun (name, expected) ->
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%s %s tried/accepted/gates" label name)
+            expected (run name))
+        pins)
+    kernel_goldens
+
 let suite =
   [
     Alcotest.test_case "area matches seed smoke goldens" `Quick
       test_area_parity;
     Alcotest.test_case "depth QoR regression pins" `Quick
       test_depth_regression;
+    Alcotest.test_case "xor and maj resub kernel pins" `Quick
+      test_kernel_pins;
   ]

@@ -1,5 +1,5 @@
 (* Tests for the I/O formats: AIGER and BLIF roundtrips are verified by SAT
-   equivalence; BENCH and DOT writers by structural sanity. *)
+   equivalence. *)
 
 open Network
 
@@ -77,47 +77,12 @@ let test_blif_roundtrip () =
       | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
         Alcotest.fail "blif roundtrip not equivalent")
 
-let test_bench_writer () =
-  let t = small_aig () in
-  let module W = Lsio.Bench.Make (Aig) in
-  let path = Filename.temp_file "genlog" ".bench" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      W.write_file t path;
-      let ic = open_in path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let contains sub =
-        let n = String.length sub and m = String.length content in
-        let rec go i = i + n <= m && (String.sub content i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "has inputs" true
-        (contains "INPUT(" && contains "OUTPUT(" && contains "AND("))
-
-let test_dot_writer () =
-  let t = small_aig () in
-  let module W = Lsio.Dot.Make (Aig) in
-  let path = Filename.temp_file "genlog" ".dot" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      W.write_file t path;
-      let ic = open_in path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check bool) "digraph" true
-        (String.length content > 10 && String.sub content 0 7 = "digraph"))
-
 let suite =
   [
     Alcotest.test_case "aiger roundtrip" `Quick test_aiger_roundtrip;
     Alcotest.test_case "aiger roundtrip benchmark" `Quick test_aiger_roundtrip_benchmark;
     Alcotest.test_case "aiger parse error" `Quick test_aiger_rejects_garbage;
     Alcotest.test_case "blif roundtrip" `Quick test_blif_roundtrip;
-    Alcotest.test_case "bench writer" `Quick test_bench_writer;
-    Alcotest.test_case "dot writer" `Quick test_dot_writer;
   ]
 
 (* -- additional coverage -- *)
@@ -165,33 +130,10 @@ let test_aiger_all_benchmarks () =
       Alcotest.(check int) (name ^ " pos") (Aig.num_pos t) (Aig.num_pos t'))
     [ "adder"; "bar"; "dec"; "priority"; "router"; "ctrl"; "int2float" ]
 
-let test_bench_writer_klut () =
-  let open Kitty in
-  let t = Klut.create () in
-  let a = Klut.create_pi t and b = Klut.create_pi t and c = Klut.create_pi t in
-  let f = Klut.create_lut t [| a; b; c |] (Tt.of_hex 3 "e8") in
-  Klut.create_po t f;
-  let module W = Lsio.Bench.Make (Klut) in
-  let path = Filename.temp_file "genlog" ".bench" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      W.write_file t path;
-      let ic = open_in path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let contains sub =
-        let n = String.length sub and m = String.length content in
-        let rec go i = i + n <= m && (String.sub content i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "lut line present" true (contains "LUT 0xe8"))
-
 (* -- round-trip properties: write -> read -> CEC-equal, on random
    networks with shrinkable parameters -- *)
 
 module G = Gen.Make (Aig)
-module Cec_ak = Algo.Cec.Make (Aig) (Klut)
 
 let random_aig (seed, num_gates) =
   G.generate ~seed ~num_pis:5 ~num_gates ~num_pos:3 ()
@@ -218,57 +160,6 @@ let prop_blif_roundtrip =
       with_temp_file ".blif" (fun path ->
           Lsio.Blif.write_file k path;
           Cec_kk.check k (Lsio.Blif.read_file path) = Algo.Cec.Equivalent))
-
-let prop_bench_roundtrip =
-  (* the BENCH writer is generic; the reader targets k-LUT networks, so
-     the oracle is a cross-representation CEC *)
-  QCheck.Test.make ~name:"bench roundtrip equivalent" ~count:15
-    (Gen.arb_params ())
-    (fun params ->
-      let t = random_aig params in
-      let module W = Lsio.Bench.Make (Aig) in
-      with_temp_file ".bench" (fun path ->
-          W.write_file t path;
-          Cec_ak.check t (Lsio.Bench.read_file path) = Algo.Cec.Equivalent))
-
-let prop_bench_roundtrip_klut =
-  (* LUT lines (hex tables) survive the roundtrip *)
-  QCheck.Test.make ~name:"bench roundtrip klut equivalent" ~count:15
-    (Gen.arb_params ())
-    (fun params ->
-      let t = random_aig params in
-      let module L = Algo.Lutmap.Make (Aig) in
-      let k = (L.map t ~k:4 ()).L.klut in
-      let module W = Lsio.Bench.Make (Klut) in
-      with_temp_file ".bench" (fun path ->
-          W.write_file k path;
-          Cec_kk.check k (Lsio.Bench.read_file path) = Algo.Cec.Equivalent))
-
-let test_bench_reader_mig () =
-  (* MAJ gates expand to AND/OR in the writer; the reader must still see
-     an equivalent function *)
-  let module R = Gen.Make (Mig) in
-  let module W = Lsio.Bench.Make (Mig) in
-  let module C = Algo.Cec.Make (Mig) (Klut) in
-  let t =
-    R.generate ~use_maj:true ~seed:(Seed.get 33) ~num_pis:5 ~num_gates:40
-      ~num_pos:3 ()
-  in
-  with_temp_file ".bench" (fun path ->
-      W.write_file t path;
-      match C.check t (Lsio.Bench.read_file path) with
-      | Algo.Cec.Equivalent -> ()
-      | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
-        Alcotest.fail "mig bench roundtrip not equivalent")
-
-let test_bench_reader_rejects_garbage () =
-  with_temp_file ".bench" (fun path ->
-      let oc = open_out path in
-      output_string oc "x = FROB(a, b)\n";
-      close_out oc;
-      match Lsio.Bench.read_file path with
-      | exception Lsio.Bench.Parse_error _ -> ()
-      | _ -> Alcotest.fail "expected parse error")
 
 (* -- hostile AIGER headers: a clean Parse_error, never a Failure or an
    allocation sized by the header -- *)
@@ -340,14 +231,8 @@ let extra_suite =
     Alcotest.test_case "blif complemented po" `Quick test_blif_complemented_po;
     Alcotest.test_case "blif constant po" `Quick test_blif_constant_po;
     Alcotest.test_case "aiger all benchmarks" `Slow test_aiger_all_benchmarks;
-    Alcotest.test_case "bench writer klut" `Quick test_bench_writer_klut;
     Seed.to_alcotest prop_aiger_roundtrip;
     Seed.to_alcotest prop_blif_roundtrip;
-    Seed.to_alcotest prop_bench_roundtrip;
-    Seed.to_alcotest prop_bench_roundtrip_klut;
-    Alcotest.test_case "bench reader mig" `Quick test_bench_reader_mig;
-    Alcotest.test_case "bench reader parse error" `Quick
-      test_bench_reader_rejects_garbage;
   ]
 
 let suite = suite @ extra_suite

@@ -175,9 +175,6 @@ let test_empty_trace_graceful () =
   let empty = T.of_events [] in
   Alcotest.(check string) "pp_summary empty" "trace: no spans recorded\n"
     (str T.pp_summary empty);
-  Alcotest.(check string) "pp_trace empty"
-    "trace: no spans recorded (empty or meta-only file)\n"
-    (str Obs.Report.pp_trace empty);
   (* a real file holding only the meta line parses to zero events *)
   let path = Filename.temp_file "meta" ".jsonl" in
   T.write_file empty path;
