@@ -91,15 +91,6 @@ let stats_flag =
         ~doc:"Print a per-pass summary table (gates/depth deltas, wall time, \
               per-algorithm counters) to stderr.")
 
-let sample_arg =
-  Arg.(
-    value
-    & opt int base_cfg.RC.sample
-    & info [ "sample" ] ~docv:"N"
-        ~doc:"Record 1-in-$(docv) node-level events (candidate, gain, \
-              accepted) in the trace; 0 disables node sampling. Implies \
-              nothing by itself — combine with $(b,--trace) or $(b,--stats).")
-
 let partition_arg =
   Arg.(
     value
@@ -267,7 +258,7 @@ let opt_cmd =
                 output directory, created if missing (default: \
                 $(i,FILE).opt.aag next to each input).")
   in
-  let run files rep script output trace_file stats sample partition jobs
+  let run files rep script output trace_file stats partition jobs
       cache cost timeout retries faults =
     let representation =
       match rep with
@@ -282,8 +273,8 @@ let opt_cmd =
       Printf.eprintf "opt: bad --cost spec: %s\n" msg;
       exit 2);
     let cfg =
-      RC.make ~representation ~script ?trace_path:trace_file ~stats ~sample
-        ~partition ~jobs ~cost ?cache ~timeout ~retries ?faults ()
+      RC.make ~representation ~script ?trace_path:trace_file ~stats ~partition
+        ~jobs ~cost ?cache ~timeout ~retries ?faults ()
     in
     (* stamp the objective into trace meta and BENCH headers *)
     Genlog.Runmeta.set_cost cfg.RC.cost;
@@ -300,7 +291,7 @@ let opt_cmd =
     let rep_name = RC.representation_to_string representation in
     let trace =
       if cfg.RC.trace_path <> None || cfg.RC.stats then
-        Genlog.Trace.create ~flow:rep_name ~sample:cfg.RC.sample ()
+        Genlog.Trace.create ~flow:rep_name ()
       else Genlog.Trace.null
     in
     let env = Genlog.Flow.env_of_config cfg in
@@ -512,7 +503,7 @@ let opt_cmd =
        ~doc:"Optimize with the generic resynthesis flow (batch mode: pass \
              several FILEs to amortize exact synthesis across them)")
     Term.(const run $ files $ representation $ script_arg $ output $ trace_arg
-          $ stats_flag $ sample_arg $ partition_arg $ jobs_arg $ cache_arg
+          $ stats_flag $ partition_arg $ jobs_arg $ cache_arg
           $ cost_arg $ timeout_arg $ retries_arg $ faults_arg)
 
 (* -- map -- *)

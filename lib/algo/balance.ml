@@ -84,9 +84,6 @@ module Make (N : Network.Intf.NETWORK) = struct
   let run ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area) (net : N.t) : int =
     let eng = Co.engine cost in
     let tried = ref 0 in
-    let sampling = Obs.Trace.sampling trace in
-    let metrics = Obs.Metrics.of_trace trace ~algo:"balance" in
-    let h_group = Obs.Metrics.histogram metrics "group_size" in
     let levels, _ = Dp.compute net in
     let overlay = Hashtbl.create 64 in
     let rec level_of n =
@@ -106,8 +103,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     let apply n leaves combine =
       if List.length leaves >= 3 then begin
         incr tried;
-        if Obs.Metrics.enabled metrics then
-          Obs.Metrics.observe h_group (List.length leaves);
         let mark = eng.Co.mark net in
         let s = rebuild net ~level_of combine leaves in
         let root = N.node_of_signal s in
@@ -127,24 +122,11 @@ module Make (N : Network.Intf.NETWORK) = struct
           let gain = freed - added in
           if Co.accept ~zero_gain:true eng gain then begin
             N.substitute_node net n s;
-            incr substitutions;
-            if sampling then
-              Obs.Trace.node_event trace ~algo:"balance" ~node:n ~gain
-                ~accepted:true
+            incr substitutions
           end
-          else begin
-            N.take_out_if_dead net root;
-            if sampling then
-              Obs.Trace.node_event trace ~algo:"balance" ~node:n ~gain
-                ~accepted:false
-          end
+          else N.take_out_if_dead net root
         end
-        else begin
-          N.take_out_if_dead net root;
-          if sampling then
-            Obs.Trace.node_event trace ~algo:"balance" ~node:n ~gain:0
-              ~accepted:false
-        end
+        else N.take_out_if_dead net root
       end
     in
     (* outputs-first so that maximal groups are balanced before their
@@ -180,6 +162,5 @@ module Make (N : Network.Intf.NETWORK) = struct
         ("accepted", !substitutions);
         ("rejected", !tried - !substitutions);
       ];
-    Obs.Metrics.emit metrics trace;
     !substitutions
 end

@@ -142,21 +142,15 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
      wants small cuts (cheap replacement search), LUT mapping wants wide
      cuts (fewer LUTs in the cover).
 
-     [metrics] (default [Null], free) records the enumeration's shape:
-     cuts-kept and truncation (priority-cap evictions and rejections) as
-     per-node log2 histograms plus offered/kept/truncated totals — the
-     numbers that tell whether [cut_limit] is a bottleneck on a given
-     netlist. *)
+     [metrics] (default [Null], free) counts the cuts offered, kept and
+     truncated (priority-cap evictions and rejections) — the totals that
+     tell whether [cut_limit] is a bottleneck on a given netlist. *)
   let enumerate (net : N.t) ?(k = 4) ?(cut_limit = 8) ?(prefer = `Small)
       ?(metrics = Obs.Metrics.null) () : result =
     let measuring = Obs.Metrics.enabled metrics in
     let m_offered = Obs.Metrics.counter metrics "offered" in
     let m_kept = Obs.Metrics.counter metrics "kept" in
     let m_truncated = Obs.Metrics.counter metrics "truncated" in
-    let h_cuts = Obs.Metrics.histogram metrics "cuts_per_node" in
-    let h_trunc = Obs.Metrics.histogram metrics "truncated_per_node" in
-    (* truncations at the current node (offers lost to the priority cap) *)
-    let node_trunc = ref 0 in
     let size = N.size net in
     let cuts = Array.make size [||] in
     cuts.(0) <- [| constant_cut |];
@@ -275,20 +269,14 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
         done;
         if !p >= max_cuts then begin
           (* rejected by the priority cap: a truncation of the cut set *)
-          if measuring then begin
-            Obs.Metrics.incr m_truncated;
-            incr node_trunc
-          end
+          if measuring then Obs.Metrics.incr m_truncated
         end
         else begin
           (* evict the worst cut when full, then shift and insert *)
           (if !count = max_cuts then begin
              pool.(!pool_top) <- set_slot.(max_cuts - 1);
              incr pool_top;
-             if measuring then begin
-               Obs.Metrics.incr m_truncated;
-               incr node_trunc
-             end
+             if measuring then Obs.Metrics.incr m_truncated
            end
            else incr count);
           for i = !count - 1 downto !p + 1 do
@@ -486,12 +474,7 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
             }
         done;
         cuts.(n) <- res;
-        if measuring then begin
-          Obs.Metrics.add m_kept m;
-          Obs.Metrics.observe h_cuts m;
-          Obs.Metrics.observe h_trunc !node_trunc;
-          node_trunc := 0
-        end)
+        if measuring then Obs.Metrics.add m_kept m)
       (T.order net);
     { cuts; k }
 

@@ -35,13 +35,9 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
         cost_skipped = 0;
       }
     in
-    let sampling = Obs.Trace.sampling trace in
     let metrics = Obs.Metrics.of_trace trace ~algo:"fraig" in
-    let h_class = Obs.Metrics.histogram metrics "class_size" in
-    (* per-proof SAT latency, log2-bucketed in nanoseconds: the histogram
-       that separates "many cheap UNSATs" from "a few budget-exhausting
-       calls" *)
-    let h_sat = Obs.Metrics.histogram metrics "sat_ns" in
+    (* SAT kernel time, summed over every proof, in nanoseconds *)
+    let sat_ns = Obs.Metrics.counter metrics "sat_ns" in
     (* 1. signatures from random simulation *)
     let values = Sim.simulate net (Sim.random_values ~num_vars ~seed net) in
     (* 2. candidate classes, keyed by the polarity-canonical signature *)
@@ -84,8 +80,6 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
         | [] | [ _ ] -> ()
         | (rep, rep_phase) :: rest ->
           stats.classes <- stats.classes + 1;
-          if Obs.Metrics.enabled metrics then
-            Obs.Metrics.observe h_class (1 + List.length rest);
           List.iter
             (fun (m, m_phase) ->
               (* claim: value(m) = value(rep) xor (m_phase xor rep_phase) *)
@@ -107,19 +101,13 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
                 Satkit.Solver.solve ~conflict_budget ~assumptions:[ dp ] solver
               in
               if Obs.Metrics.enabled metrics then
-                Obs.Metrics.observe_time h_sat (Unix.gettimeofday () -. t0);
+                Obs.Metrics.add sat_ns
+                  (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
               (match verdict with
               | Satkit.Solver.Unsat ->
                 stats.proved <- stats.proved + 1;
-                merges := (m, rep, flip) :: !merges;
-                if sampling then
-                  Obs.Trace.node_event trace ~algo:"fraig" ~node:m ~gain:1
-                    ~accepted:true
-              | Satkit.Solver.Sat ->
-                stats.refuted <- stats.refuted + 1;
-                if sampling then
-                  Obs.Trace.node_event trace ~algo:"fraig" ~node:m ~gain:0
-                    ~accepted:false
+                merges := (m, rep, flip) :: !merges
+              | Satkit.Solver.Sat -> stats.refuted <- stats.refuted + 1
               | Satkit.Solver.Unknown -> stats.unknown <- stats.unknown + 1);
               (* retire the pair's miter variable *)
               Satkit.Solver.add_clause solver [ dn ])

@@ -33,8 +33,6 @@ module Make (N : Network.Intf.COUNTED) = struct
       | Cost.Spec.Lut _ ->
         1.0
     in
-    let metrics = Obs.Metrics.of_trace trace ~algo:"lutmap" in
-    let h_width = Obs.Metrics.histogram metrics "lut_width" in
     let cut_metrics = Obs.Metrics.of_trace trace ~algo:"lutmap.cuts" in
     (* wide cuts make small covers: prefer large cuts under the cap *)
     let cuts =
@@ -157,8 +155,6 @@ module Make (N : Network.Intf.COUNTED) = struct
           match best_cut.(n) with Some c -> c | None -> assert false
         in
         let fanins = Array.map (fun l -> realize l) cut.C.leaves in
-        if Obs.Metrics.enabled metrics then
-          Obs.Metrics.observe h_width (Array.length cut.C.leaves);
         let s = K.create_lut klut fanins cut.C.tt in
         mapped.(n) <- s;
         s
@@ -175,6 +171,5 @@ module Make (N : Network.Intf.COUNTED) = struct
         ("luts", mapping.lut_count);
         ("lut_depth", mapping.depth);
       ];
-    Obs.Metrics.emit metrics trace;
     mapping
 end

@@ -14,14 +14,12 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* Evaluate replacing the MFFC of [n] by a resynthesized structure;
      substitutes when the gain (measured by the shared cost engine) passes
      the threshold. *)
-  let try_node eng net n ~max_inputs ~allow_zero_gain ~tried ~rejected ~trace
-      ~sampling ~metrics ~h_inputs ~h_gain =
+  let try_node eng net n ~max_inputs ~allow_zero_gain ~tried ~rejected =
     let leaves = M.leaves net n in
     let leaves = List.filter (fun l -> not (N.is_constant net l)) leaves in
     let k = List.length leaves in
     if k < 1 || k > max_inputs then false
     else begin
-      if Obs.Metrics.enabled metrics then Obs.Metrics.observe h_inputs k;
       let w = W.of_cut net n leaves in
       let values = W.simulate net w in
       let root_tt = Hashtbl.find values n in
@@ -40,18 +38,11 @@ module Make (N : Network.Intf.NETWORK) = struct
         let gain = freed - added in
         if Co.accept ~zero_gain:allow_zero_gain eng gain then begin
           N.substitute_node net n s;
-          if Obs.Metrics.enabled metrics then Obs.Metrics.observe h_gain gain;
-          if sampling then
-            Obs.Trace.node_event trace ~algo:"refactor" ~node:n ~gain
-              ~accepted:true;
           true
         end
         else begin
           incr rejected;
           N.take_out_if_dead net root;
-          if sampling then
-            Obs.Trace.node_event trace ~algo:"refactor" ~node:n ~gain
-              ~accepted:false;
           false
         end
       end
@@ -63,10 +54,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     let eng = Co.engine cost in
     let substitutions = ref 0 in
     let tried = ref 0 and rejected = ref 0 in
-    let sampling = Obs.Trace.sampling trace in
-    let metrics = Obs.Metrics.of_trace trace ~algo:"refactor" in
-    let h_inputs = Obs.Metrics.histogram metrics "cone_inputs" in
-    let h_gain = Obs.Metrics.histogram metrics "gain" in
     List.iter
       (fun n ->
         if
@@ -74,7 +61,6 @@ module Make (N : Network.Intf.NETWORK) = struct
           && (not (N.is_dead net n))
           && N.ref_count net n > 0
           && try_node eng net n ~max_inputs ~allow_zero_gain ~tried ~rejected
-               ~trace ~sampling ~metrics ~h_inputs ~h_gain
         then incr substitutions)
       (T.order net);
     Obs.Trace.report trace ~algo:"refactor"
@@ -83,6 +69,5 @@ module Make (N : Network.Intf.NETWORK) = struct
         ("accepted", !substitutions);
         ("rejected", !rejected);
       ];
-    Obs.Metrics.emit metrics trace;
     !substitutions
 end

@@ -231,10 +231,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     let eng = Co.engine cost in
     let substitutions = ref 0 in
     let tried = ref 0 and rejected = ref 0 in
-    let sampling = Obs.Trace.sampling trace in
-    let metrics = Obs.Metrics.of_trace trace ~algo:"resub" in
-    let h_gain = Obs.Metrics.histogram metrics "gain" in
-    let h_divisors = Obs.Metrics.histogram metrics "divisors" in
     List.iter
       (fun n ->
         if N.is_gate net n && (not (N.is_dead net n)) && N.ref_count net n > 0
@@ -246,8 +242,6 @@ module Make (N : Network.Intf.NETWORK) = struct
             if mffc_size > 0 then begin
               let divisors = W.divisors net w ~max:max_divisors in
               let divisors = List.filter (fun d -> d <> n) divisors in
-              if Obs.Metrics.enabled metrics then
-                Obs.Metrics.observe h_divisors (List.length divisors);
               let values = W.simulate net w in
               W.simulate_divisors net w values divisors;
               let target = Hashtbl.find values n in
@@ -283,19 +277,11 @@ module Make (N : Network.Intf.NETWORK) = struct
                       && not (T.cone_contains net ~root ~leaves:stop_nodes n)
                     then begin
                       N.substitute_node net n s;
-                      incr substitutions;
-                      if Obs.Metrics.enabled metrics then
-                        Obs.Metrics.observe h_gain gain;
-                      if sampling then
-                        Obs.Trace.node_event trace ~algo:"resub" ~node:n ~gain
-                          ~accepted:true
+                      incr substitutions
                     end
                     else begin
                       incr rejected;
                       N.take_out_if_dead net root;
-                      if sampling then
-                        Obs.Trace.node_event trace ~algo:"resub" ~node:n ~gain
-                          ~accepted:false;
                       attempt (k + 1)
                     end
                 end
@@ -311,6 +297,5 @@ module Make (N : Network.Intf.NETWORK) = struct
         ("accepted", !substitutions);
         ("rejected", !rejected);
       ];
-    Obs.Metrics.emit metrics trace;
     !substitutions
 end

@@ -90,10 +90,6 @@ module Make (N : Network.Intf.NETWORK) = struct
       ?(allow_zero_gain = false) () : int =
     let eng = Co.engine cost in
     let stats = { candidates = 0; substitutions = 0; gain = 0 } in
-    let sampling = Obs.Trace.sampling trace in
-    let metrics = Obs.Metrics.of_trace trace ~algo:"rewrite" in
-    let h_gain = Obs.Metrics.histogram metrics "gain" in
-    let h_mffc = Obs.Metrics.histogram metrics "mffc_size" in
     let cut_metrics = Obs.Metrics.of_trace trace ~algo:"rewrite.cuts" in
     let cuts = C.enumerate net ~k:cut_size ~cut_limit ~metrics:cut_metrics () in
     Obs.Metrics.emit cut_metrics trace;
@@ -105,8 +101,6 @@ module Make (N : Network.Intf.NETWORK) = struct
           (* structural MFFC size, used only to prune candidate builders;
              always counted in gates regardless of the cost objective *)
           let mffc_size = Co.area.Co.freed net n in
-          if Obs.Metrics.enabled metrics then
-            Obs.Metrics.observe h_mffc mffc_size;
           (* pick the best (cut, builder) by measured gain *)
           let best = ref None in
           List.iter
@@ -142,22 +136,11 @@ module Make (N : Network.Intf.NETWORK) = struct
               then begin
                 N.substitute_node net n s;
                 stats.substitutions <- stats.substitutions + 1;
-                stats.gain <- stats.gain + gain;
-                if Obs.Metrics.enabled metrics then
-                  Obs.Metrics.observe h_gain gain;
-                if sampling then
-                  Obs.Trace.node_event trace ~algo:"rewrite" ~node:n ~gain
-                    ~accepted:true
+                stats.gain <- stats.gain + gain
               end
-              else begin
-                N.take_out_if_dead net (N.node_of_signal s);
-                if sampling then
-                  Obs.Trace.node_event trace ~algo:"rewrite" ~node:n ~gain
-                    ~accepted:false
-              end)
+              else N.take_out_if_dead net (N.node_of_signal s))
         end)
       nodes;
-    Obs.Metrics.emit metrics trace;
     Obs.Trace.report trace ~algo:"rewrite"
       [
         ("tried", stats.candidates);

@@ -26,8 +26,7 @@
 
    Instrumentation: one span per phase (carve / opt / stitch) plus one
    span and one counter event per partition on the worker's trace child,
-   and a metrics registry with per-partition size/gain/latency
-   histograms. *)
+   and a metrics registry with the verdict totals. *)
 
 module Make (N : Network.Intf.NETWORK) = struct
   module B = Network.Build.Make (N)
@@ -210,7 +209,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     sim_mismatch : bool;
     cec_checked : bool;
     degraded : bool;  (* the piece's script run degraded (deadline/rollback) *)
-    seconds : float;
   }
 
   type worker_state = { env : Engine.env; wtrace : Obs.Trace.t }
@@ -286,7 +284,7 @@ module Make (N : Network.Intf.NETWORK) = struct
         ~elapsed:seconds ()
     end;
     { part = p; chosen; verdict; gates_before; gates_after; sim_mismatch;
-      cec_checked; degraded; seconds }
+      cec_checked; degraded }
 
   (* -- stitch: rebuild the parent from the guarded pieces -- *)
 
@@ -431,7 +429,6 @@ module Make (N : Network.Intf.NETWORK) = struct
               sim_mismatch = false;
               cec_checked = false;
               degraded = true;
-              seconds = 0.;
             })
         job_results
     in
@@ -445,15 +442,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     let cec_escalations = count (fun r -> r.cec_checked) in
     if traced then begin
       let m = Obs.Metrics.of_trace trace ~algo:"partition" in
-      let h_gates = Obs.Metrics.histogram m "partition_gates" in
-      let h_gain = Obs.Metrics.histogram m "partition_gain" in
-      let h_seconds = Obs.Metrics.histogram m "partition_seconds_ns" in
-      Array.iter
-        (fun (r : piece_result) ->
-          Obs.Metrics.observe h_gates r.gates_before;
-          Obs.Metrics.observe h_gain (r.gates_before - r.gates_after);
-          Obs.Metrics.observe_time h_seconds r.seconds)
-        results;
       Obs.Metrics.add (Obs.Metrics.counter m "accepted") accepted;
       Obs.Metrics.add (Obs.Metrics.counter m "rejected_cost") rejected_cost;
       Obs.Metrics.add (Obs.Metrics.counter m "rejected_cex") rejected_cex;

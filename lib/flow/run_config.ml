@@ -12,7 +12,6 @@ type t = {
   script : string;  (* optimization script, e.g. Script.compress2rs *)
   trace_path : string option;  (* write a JSONL trace here *)
   stats : bool;  (* print the per-pass summary table *)
-  sample : int;  (* node-event sampling rate; 0 = off *)
   partition : int;  (* partition size cap; 0 = whole-network flow *)
   jobs : int;  (* worker domains for partition/batch parallelism *)
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
@@ -41,7 +40,6 @@ let default =
     script = Script.compress2rs;
     trace_path = None;
     stats = false;
-    sample = 0;
     partition = 0;
     jobs = Domain.recommended_domain_count ();
     cost = "area";
@@ -52,14 +50,13 @@ let default =
   }
 
 let make ?(representation = default.representation) ?(script = default.script)
-    ?trace_path ?(stats = false) ?(sample = 0) ?(partition = 0)
+    ?trace_path ?(stats = false) ?(partition = 0)
     ?(jobs = default.jobs) ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
   {
     representation;
     script;
     trace_path;
     stats;
-    sample;
     partition;
     jobs;
     cost;

@@ -9,7 +9,7 @@
    - each pass span becomes a complete event (ph "X") anchored at the
      span's [pass_begin] timestamp with the measured duration, carrying
      gates/depth before/after and the GC delta as [args];
-   - counters / metrics / sampled node events become thread-scoped
+   - counters, metrics and degradation markers become thread-scoped
      instant events (ph "i") at their timestamp.
 
    Timestamps are microseconds (the format's unit).  Complete events are
@@ -36,7 +36,6 @@ let flow_tracks events =
       | Trace.Pass_end { flow; _ }
       | Trace.Counters { flow; _ }
       | Trace.Metrics { flow; _ }
-      | Trace.Node_event { flow; _ }
       | Trace.Degraded { flow; _ } -> see flow)
     events;
   (tids, List.rev !order)
@@ -107,19 +106,9 @@ let events_json (t : Trace.t) =
           :: !timed
       | Trace.Counters { t; flow; algo; counters } ->
         instant t flow ~name:algo ~cat:"counters" (ints counters)
-      | Trace.Metrics { t; flow; algo; counters; gauges; hists } ->
-        let hist_args =
-          List.concat_map
-            (fun (k, h) ->
-              [ (k ^ "_count", h.Trace.h_count); (k ^ "_max", h.Trace.h_max) ])
-            hists
-        in
+      | Trace.Metrics { t; flow; algo; counters; gauges } ->
         instant t flow ~name:(algo ^ " metrics") ~cat:"metrics"
-          (ints (counters @ gauges @ hist_args))
-      | Trace.Node_event { t; flow; algo; node; gain; accepted } ->
-        instant t flow ~name:(algo ^ " node") ~cat:"node"
-          (ints [ ("node", node); ("gain", gain) ]
-          @ [ ("accepted", Json.Bool accepted) ])
+          (ints (counters @ gauges))
       | Trace.Degraded { t; flow; pass; reason; detail } ->
         (* an instant marker so degradations are visible on the timeline *)
         instant t flow ~name:("degraded: " ^ reason) ~cat:"degraded"

@@ -2,31 +2,18 @@
    observability layer, below the span/counter level of trace.ml.
 
    A registry belongs to one algorithm invocation and holds named
-   counters, gauges, and log2-bucketed histograms.  Handles ([counter],
-   [histogram]) are looked up once outside the hot loop; recording into
-   them is a couple of stores and never allocates, so metrics can sit
-   inside per-node and per-cut loops.  A [Null] registry hands out a
+   counters and gauges.  Handles are looked up once outside the hot loop;
+   recording into them is one store and never allocates, so metrics can
+   sit inside per-node and per-cut loops.  A [Null] registry hands out a
    shared scratch handle whose updates go nowhere, so call sites need no
    branches — but hot loops should still guard with [enabled] to skip
-   building observation values at all.
-
-   Histograms bucket by log2: bucket 0 holds zero (and clamped negatives),
-   bucket i >= 1 holds values in [2^(i-1), 2^i).  63 buckets cover the
-   whole native int range including max_int, so bucketing needs no
-   overflow checks.  [emit] renders the registry as one [Trace.Metrics]
-   event; a registry built from a [Null] trace emits nothing. *)
+   computing the recorded value at all.  [emit] renders the registry as
+   one [Trace.Metrics] event; a registry built from a [Null] trace emits
+   nothing. *)
 
 type counter = { mutable c : int }
 
-type histogram = {
-  mutable n : int;
-  mutable sum : float;  (* float: observations near max_int overflow ints *)
-  mutable mn : int;
-  mutable mx : int;
-  buckets : int array;  (* 64 slots; index = bits of the observed value *)
-}
-
-type item = Counter of counter | Gauge of counter | Hist of histogram
+type item = Counter of counter | Gauge of counter
 
 type registry = {
   algo : string;
@@ -47,13 +34,9 @@ let create ~algo () =
 let of_trace trace ~algo =
   if Trace.enabled trace then create ~algo () else Null
 
-let new_histogram () =
-  { n = 0; sum = 0.0; mn = max_int; mx = min_int; buckets = Array.make 64 0 }
-
-(* Scratch sinks handed out by [Null] registries: shared, updated,
-   never read. *)
+(* Scratch sink handed out by [Null] registries: shared, updated, never
+   read. *)
 let scratch_counter = { c = 0 }
-let scratch_histogram = new_histogram ()
 
 let register reg name item =
   match Hashtbl.find_opt reg.index name with
@@ -69,7 +52,7 @@ let counter t name =
   | Reg reg -> (
     match register reg name (Counter { c = 0 }) with
     | Counter c -> c
-    | Gauge _ | Hist _ -> invalid_arg ("Metrics.counter: " ^ name))
+    | Gauge _ -> invalid_arg ("Metrics.counter: " ^ name))
 
 let gauge t name =
   match t with
@@ -77,63 +60,11 @@ let gauge t name =
   | Reg reg -> (
     match register reg name (Gauge { c = 0 }) with
     | Gauge c -> c
-    | Counter _ | Hist _ -> invalid_arg ("Metrics.gauge: " ^ name))
-
-let histogram t name =
-  match t with
-  | Null -> scratch_histogram
-  | Reg reg -> (
-    match register reg name (Hist (new_histogram ())) with
-    | Hist h -> h
-    | Counter _ | Gauge _ -> invalid_arg ("Metrics.histogram: " ^ name))
+    | Counter _ -> invalid_arg ("Metrics.gauge: " ^ name))
 
 let incr c = c.c <- c.c + 1
 let add c v = c.c <- c.c + v
 let set c v = c.c <- v
-
-(* Bucket index of [v]: its bit count.  0 (and negatives, clamped) land in
-   bucket 0; 1 in bucket 1; [2,3] in bucket 2; ... max_int (62 bits) in
-   bucket 62. *)
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and x = ref v in
-    while !x <> 0 do
-      b := !b + 1;
-      x := !x lsr 1
-    done;
-    !b
-  end
-
-(* Inclusive lower bound of bucket [i]. *)
-let bucket_lo i = if i <= 0 then 0 else 1 lsl (i - 1)
-
-let observe h v =
-  h.n <- h.n + 1;
-  h.sum <- h.sum +. float_of_int v;
-  if v < h.mn then h.mn <- v;
-  if v > h.mx then h.mx <- v;
-  let b = bucket_of v in
-  h.buckets.(b) <- h.buckets.(b) + 1
-
-(* Latency observation: seconds -> whole nanoseconds.  One log2 bucket is
-   a factor of two in time, which is the right resolution for "where did
-   rewrite's time go". *)
-let observe_time h seconds =
-  observe h (int_of_float (Float.max 0.0 (seconds *. 1e9)))
-
-let summary (h : histogram) : Trace.hist =
-  let buckets = ref [] in
-  for i = Array.length h.buckets - 1 downto 0 do
-    if h.buckets.(i) > 0 then buckets := (i, h.buckets.(i)) :: !buckets
-  done;
-  {
-    Trace.h_count = h.n;
-    h_sum = h.sum;
-    h_min = (if h.n = 0 then 0 else h.mn);
-    h_max = (if h.n = 0 then 0 else h.mx);
-    h_buckets = !buckets;
-  }
 
 (* Render the registry as one [Trace.Metrics] event, items in
    registration order.  Empty registries stay silent. *)
@@ -142,14 +73,12 @@ let emit t trace =
   | Null -> ()
   | Reg reg ->
     if reg.rev_names <> [] then begin
-      let counters = ref [] and gauges = ref [] and hists = ref [] in
+      let counters = ref [] and gauges = ref [] in
       List.iter
         (fun name ->
           match Hashtbl.find reg.index name with
           | Counter c -> counters := (name, c.c) :: !counters
-          | Gauge c -> gauges := (name, c.c) :: !gauges
-          | Hist h -> hists := (name, summary h) :: !hists)
+          | Gauge c -> gauges := (name, c.c) :: !gauges)
         reg.rev_names;
       Trace.metrics trace ~algo:reg.algo ~counters:!counters ~gauges:!gauges
-        ~hists:!hists
     end

@@ -6,11 +6,11 @@
    the pass caused), one [Counters] event per algorithm invocation
    (candidates tried / accepted / rejected-by-gain, SAT verdicts, LUT-map
    results, ...), one [Metrics] event per algorithm registry (see
-   metrics.ml: log2-bucketed histograms, gauges), and — when sampling is
-   on — [Node_event]s recording individual candidate decisions.
-   mockturtle attaches a stats object to every algorithm for the same
-   reason: without per-pass numbers a flow is a black box and regressions
-   can only be localized at whole-flow granularity.
+   metrics.ml: counters and gauges), and one [Degraded] marker per
+   graceful degradation.  mockturtle attaches a stats object to every
+   algorithm for the same reason: without per-pass numbers a flow is a
+   black box and regressions can only be localized at whole-flow
+   granularity.
 
    The sink is either [Null] — every emit is a single pattern match, so
    disabled tracing costs nothing measurable — or an in-memory buffer that
@@ -19,35 +19,16 @@
    (e.g. the portfolio's domains) each write a [child] sink and the parent
    [merge]s them in join order, so tracing never needs a lock.  Timestamps
    are seconds relative to the root sink's creation; children share the
-   parent's epoch so merged events remain comparable.
-
-   Node-level events are sampled: [create ~sample:n] keeps one candidate
-   decision out of every [n] per sink, so the per-node firehose stays
-   bounded when enabled ([sample = 0], the default, disables node events
-   entirely).  Children inherit the parent's sampling rate with their own
-   tick, so per-domain sampling stays deterministic. *)
+   parent's epoch so merged events remain comparable. *)
 
 type counters = (string * int) list
 
 (* GC work attributed to a span: deltas of [Gc.quick_stat] taken at
    [pass_begin] and [pass_end].  Words are floats because that is how the
    runtime reports them (they overflow ints on 32-bit platforms). *)
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
+type gc_delta = { minor_words : float; major_words : float }
 
-let gc_zero =
-  {
-    minor_words = 0.0;
-    major_words = 0.0;
-    promoted_words = 0.0;
-    minor_collections = 0;
-    major_collections = 0;
-  }
+let gc_zero = { minor_words = 0.0; major_words = 0.0 }
 
 (* Counters of [Gc.quick_stat] are monotone within one domain, but clamp
    anyway: a span must never report negative GC work. *)
@@ -55,22 +36,7 @@ let gc_diff (g0 : Gc.stat) (g1 : Gc.stat) =
   {
     minor_words = Float.max 0.0 (g1.Gc.minor_words -. g0.Gc.minor_words);
     major_words = Float.max 0.0 (g1.Gc.major_words -. g0.Gc.major_words);
-    promoted_words =
-      Float.max 0.0 (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-    minor_collections = max 0 (g1.Gc.minor_collections - g0.Gc.minor_collections);
-    major_collections = max 0 (g1.Gc.major_collections - g0.Gc.major_collections);
   }
-
-(* Rendered summary of one log2-bucketed histogram (built by metrics.ml).
-   [buckets] holds (bucket index, count) for non-empty buckets only;
-   bucket [i] covers [2^(i-1), 2^i) with bucket 0 reserved for zero. *)
-type hist = {
-  h_count : int;
-  h_sum : float;  (* float: sums of observations near max_int overflow *)
-  h_min : int;
-  h_max : int;
-  h_buckets : (int * int) list;
-}
 
 type event =
   | Pass_begin of {
@@ -98,15 +64,6 @@ type event =
       algo : string;
       counters : counters;
       gauges : counters;
-      hists : (string * hist) list;
-    }
-  | Node_event of {
-      t : float;
-      flow : string;
-      algo : string;
-      node : int;
-      gain : int;
-      accepted : bool;
     }
   | Degraded of {
       t : float;
@@ -119,8 +76,6 @@ type event =
 type sink = {
   flow : string;  (* label stamped on every event; "" at the root *)
   epoch : float;
-  sample_every : int;  (* keep 1 node event in [n]; 0 disables them *)
-  mutable sample_tick : int;
   mutable rev_events : event list;  (* newest first *)
 }
 
@@ -129,49 +84,23 @@ type t = Null | Sink of sink
 let null = Null
 let enabled = function Null -> false | Sink _ -> true
 
-(* Node events cost a little per candidate even when dropped by the
-   sampler; hot loops guard the call itself with [sampling]. *)
-let sampling = function Null -> false | Sink s -> s.sample_every > 0
-
-let create ?(flow = "") ?(sample = 0) () =
-  Sink
-    {
-      flow;
-      epoch = Unix.gettimeofday ();
-      sample_every = max 0 sample;
-      sample_tick = 0;
-      rev_events = [];
-    }
+let create ?(flow = "") () =
+  Sink { flow; epoch = Unix.gettimeofday (); rev_events = [] }
 
 (* A replay sink holding [events] verbatim — used by offline consumers
    (report, chrome export) to rebuild a trace from a JSONL file. *)
 let of_events events =
-  Sink
-    {
-      flow = "";
-      epoch = 0.0;
-      sample_every = 0;
-      sample_tick = 0;
-      rev_events = List.rev events;
-    }
+  Sink { flow = ""; epoch = 0.0; rev_events = List.rev events }
 
 (* A child sink for a sub-flow (one portfolio member, one benchmark):
-   same epoch and sampling rate, extended label, its own buffer.  Null
-   propagates, so a disabled parent makes every descendant free as
-   well. *)
+   same epoch, extended label, its own buffer.  Null propagates, so a
+   disabled parent makes every descendant free as well. *)
 let child t ~flow =
   match t with
   | Null -> Null
   | Sink s ->
     let label = if s.flow = "" then flow else s.flow ^ "/" ^ flow in
-    Sink
-      {
-        flow = label;
-        epoch = s.epoch;
-        sample_every = s.sample_every;
-        sample_tick = 0;
-        rev_events = [];
-      }
+    Sink { flow = label; epoch = s.epoch; rev_events = [] }
 
 (* Append the children's events (in list order) after the parent's. *)
 let merge t children =
@@ -213,12 +142,12 @@ let report t ~algo counters =
       Counters { t = now s; flow = s.flow; algo; counters } :: s.rev_events
 
 (* A rendered metrics registry (metrics.ml builds the payload). *)
-let metrics t ~algo ~counters ~gauges ~hists =
+let metrics t ~algo ~counters ~gauges =
   match t with
   | Null -> ()
   | Sink s ->
     s.rev_events <-
-      Metrics { t = now s; flow = s.flow; algo; counters; gauges; hists }
+      Metrics { t = now s; flow = s.flow; algo; counters; gauges }
       :: s.rev_events
 
 (* A graceful-degradation marker: the run kept a valid (best-so-far)
@@ -234,50 +163,20 @@ let degraded t ~pass ~reason ~detail =
       Degraded { t = now s; flow = s.flow; pass; reason; detail }
       :: s.rev_events
 
-(* One sampled candidate decision.  The sampler is a deterministic
-   counter, not a RNG: 1-in-n by arrival order, reproducible across
-   runs. *)
-let node_event t ~algo ~node ~gain ~accepted =
-  match t with
-  | Null -> ()
-  | Sink s ->
-    if s.sample_every > 0 then begin
-      let tick = s.sample_tick in
-      s.sample_tick <- tick + 1;
-      if tick mod s.sample_every = 0 then
-        s.rev_events <-
-          Node_event { t = now s; flow = s.flow; algo; node; gain; accepted }
-          :: s.rev_events
-    end
-
 (* -- JSONL codec --
 
    One event object per line, preceded by one meta line stamping the
-   producing run.  The decoder is the encoder's inverse, except that
-   histogram payloads are dropped on load (the tables only need the
-   counters and gauges); unknown events — the meta line, and the "race"
-   lines of traces written while a SAT portfolio existed — are skipped,
-   so newer producers stay readable by older reports. *)
+   producing run.  The decoder is the encoder's inverse.  Unknown events
+   and keys are skipped: the meta line, and in older traces the "race"
+   and "node" lines, the "hists" object of "metrics" lines and every
+   "gc" key but the two word counts, so older traces stay readable by
+   newer reports. *)
 
 let json_of_gc gc =
   Json.Obj
     [
       ("minor_words", Json.Num gc.minor_words);
       ("major_words", Json.Num gc.major_words);
-      ("promoted_words", Json.Num gc.promoted_words);
-      ("minor_collections", Json.int gc.minor_collections);
-      ("major_collections", Json.int gc.major_collections);
-    ]
-
-let json_of_hist h =
-  Json.Obj
-    [
-      ("count", Json.int h.h_count);
-      ("sum", Json.Num h.h_sum);
-      ("min", Json.int (if h.h_count = 0 then 0 else h.h_min));
-      ("max", Json.int h.h_max);
-      ( "buckets",
-        Json.ints (List.map (fun (b, c) -> (string_of_int b, c)) h.h_buckets) );
     ]
 
 let json_of_event e =
@@ -299,18 +198,11 @@ let json_of_event e =
       ]
   | Counters { t; flow; algo; counters } ->
     ev "counters" t flow [ str "algo" algo; ("counters", Json.ints counters) ]
-  | Metrics { t; flow; algo; counters; gauges; hists } ->
+  | Metrics { t; flow; algo; counters; gauges } ->
     ev "metrics" t flow
       [
         str "algo" algo; ("counters", Json.ints counters);
         ("gauges", Json.ints gauges);
-        ("hists", Json.Obj (List.map (fun (k, h) -> (k, json_of_hist h)) hists));
-      ]
-  | Node_event { t; flow; algo; node; gain; accepted } ->
-    ev "node" t flow
-      [
-        str "algo" algo; int "node" node; int "gain" gain;
-        ("accepted", Json.Bool accepted);
       ]
   | Degraded { t; flow; pass; reason; detail } ->
     ev "degraded" t flow
@@ -340,14 +232,7 @@ let event_of_json j =
       match Json.member "gc" j with
       | Some g ->
         let num k = Option.value ~default:0.0 (Json.num_member k g) in
-        let int k = Option.value ~default:0 (Json.int_member k g) in
-        {
-          minor_words = num "minor_words";
-          major_words = num "major_words";
-          promoted_words = num "promoted_words";
-          minor_collections = int "minor_collections";
-          major_collections = int "major_collections";
-        }
+        { minor_words = num "minor_words"; major_words = num "major_words" }
       | None -> gc_zero
     in
     Some
@@ -360,12 +245,7 @@ let event_of_json j =
     Some
       (Metrics
          { t; flow; algo = str "algo"; counters = ints "counters";
-           gauges = ints "gauges"; hists = [] })
-  | Some "node" ->
-    Some
-      (Node_event
-         { t; flow; algo = str "algo"; node = int "node"; gain = int "gain";
-           accepted = Json.member "accepted" j = Some (Json.Bool true) })
+           gauges = ints "gauges" })
   | Some "degraded" ->
     Some
       (Degraded
@@ -480,7 +360,6 @@ let summarize t : pass_row list =
           Hashtbl.replace pending key
             { row with row_degraded = row.row_degraded + 1 }
         | None -> ())
-      | Node_event _ -> ()
       | Pass_end { flow; gates; depth; elapsed; gc; _ } -> (
         match Hashtbl.find_opt pending flow with
         | Some row ->

@@ -26,8 +26,7 @@ let span_events trace =
     (function
       | T.Pass_begin { pass; index; _ } -> Some ("pass_begin", pass, index)
       | T.Pass_end { pass; index; _ } -> Some ("pass_end", pass, index)
-      | T.Counters _ | T.Metrics _ | T.Node_event _ | T.Degraded _
-        -> None)
+      | T.Counters _ | T.Metrics _ | T.Degraded _ -> None)
     (T.events trace)
 
 let test_null_sink () =
@@ -59,7 +58,6 @@ let timestamp = function
   | T.Pass_end { t; _ }
   | T.Counters { t; _ }
   | T.Metrics { t; _ }
-  | T.Node_event { t; _ }
   | T.Degraded { t; _ } -> t
 
 let flow_of = function
@@ -67,7 +65,6 @@ let flow_of = function
   | T.Pass_end { flow; _ }
   | T.Counters { flow; _ }
   | T.Metrics { flow; _ }
-  | T.Node_event { flow; _ }
   | T.Degraded { flow; _ } -> flow
 
 let test_monotonic_timestamps () =
@@ -233,40 +230,18 @@ let test_portfolio_trace () =
       Alcotest.(check bool) (flow ^ " monotonic") true (mono ts))
     flows
 
-(* -- metrics: log2 histogram bucketing edge cases -- *)
+(* -- metrics: the null registry -- *)
 
 module M = Obs.Metrics
-
-let test_histogram_buckets () =
-  Alcotest.(check int) "bucket of 0" 0 (M.bucket_of 0);
-  Alcotest.(check int) "bucket of negatives clamps" 0 (M.bucket_of (-7));
-  Alcotest.(check int) "bucket of 1" 1 (M.bucket_of 1);
-  Alcotest.(check int) "bucket of 2" 2 (M.bucket_of 2);
-  Alcotest.(check int) "bucket of 3" 2 (M.bucket_of 3);
-  Alcotest.(check int) "bucket of 4" 3 (M.bucket_of 4);
-  Alcotest.(check int) "bucket of max_int" 62 (M.bucket_of max_int);
-  Alcotest.(check int) "lo of bucket 0" 0 (M.bucket_lo 0);
-  Alcotest.(check int) "lo of bucket 1" 1 (M.bucket_lo 1);
-  Alcotest.(check int) "lo of bucket 62" (1 lsl 61) (M.bucket_lo 62);
-  (* observing the edge values round-trips through the summary *)
-  let m = M.create ~algo:"t" () in
-  let h = M.histogram m "h" in
-  List.iter (M.observe h) [ 0; 1; max_int ];
-  let s = M.summary h in
-  Alcotest.(check int) "count" 3 s.T.h_count;
-  Alcotest.(check int) "min" 0 s.T.h_min;
-  Alcotest.(check int) "max" max_int s.T.h_max;
-  Alcotest.(check (list (pair int int)))
-    "buckets" [ (0, 1); (1, 1); (62, 1) ] s.T.h_buckets
 
 let test_null_metrics () =
   let m = M.null in
   Alcotest.(check bool) "null disabled" false (M.enabled m);
   (* all handles are shared scratch cells: operations must not raise and
      emit must not add events *)
-  let c = M.counter m "c" and h = M.histogram m "h" in
+  let c = M.counter m "c" and g = M.gauge m "g" in
   M.incr c;
-  M.observe h 5;
+  M.set g 5;
   let trace = T.create () in
   M.emit m trace;
   Alcotest.(check int) "emit on null adds nothing" 0
@@ -281,50 +256,19 @@ let test_gc_delta_nonnegative () =
   let d = T.gc_diff g0 g1 in
   Alcotest.(check bool) "minor words >= 0" true (d.T.minor_words >= 0.0);
   Alcotest.(check bool) "major words >= 0" true (d.T.major_words >= 0.0);
-  Alcotest.(check bool) "minor collections >= 0" true
-    (d.T.minor_collections >= 0);
   (* reversed order must clamp, not go negative *)
   let r = T.gc_diff g1 g0 in
   Alcotest.(check bool) "reversed clamps to zero" true
-    (r.T.minor_words >= 0.0 && r.T.major_words >= 0.0
-    && r.T.minor_collections >= 0 && r.T.major_collections >= 0);
+    (r.T.minor_words >= 0.0 && r.T.major_words >= 0.0);
   (* every pass_end of a real run carries a non-negative delta *)
   let _, _, trace = traced_run () in
   List.iter
     (function
       | T.Pass_end { gc; _ } ->
         Alcotest.(check bool) "pass gc non-negative" true
-          (gc.T.minor_words >= 0.0 && gc.T.major_words >= 0.0
-          && gc.T.promoted_words >= 0.0 && gc.T.minor_collections >= 0
-          && gc.T.major_collections >= 0)
+          (gc.T.minor_words >= 0.0 && gc.T.major_words >= 0.0)
       | _ -> ())
     (T.events trace)
-
-(* -- node-event sampling: deterministic 1-in-n by arrival order -- *)
-
-let test_node_sampling () =
-  let emit_n trace n =
-    for i = 1 to n do
-      T.node_event trace ~algo:"t" ~node:i ~gain:1 ~accepted:true
-    done
-  in
-  let count trace =
-    List.length
-      (List.filter (function T.Node_event _ -> true | _ -> false)
-         (T.events trace))
-  in
-  let t0 = T.create () in
-  Alcotest.(check bool) "sample 0 disables" false (T.sampling t0);
-  emit_n t0 10;
-  Alcotest.(check int) "no node events without sampling" 0 (count t0);
-  let t3 = T.create ~sample:3 () in
-  Alcotest.(check bool) "sample 3 enables" true (T.sampling t3);
-  emit_n t3 10;
-  Alcotest.(check int) "1-in-3 of 10 arrivals" 4 (count t3);
-  (* children inherit the rate with their own tick *)
-  let child = T.child t3 ~flow:"c" in
-  emit_n child 10;
-  Alcotest.(check int) "child samples independently" 4 (count child)
 
 (* -- summary rendering: % column and totals row -- *)
 
@@ -342,10 +286,8 @@ let test_summary_totals () =
 let suite =
   [
     Alcotest.test_case "null sink" `Quick test_null_sink;
-    Alcotest.test_case "histogram bucket edges" `Quick test_histogram_buckets;
     Alcotest.test_case "null metrics registry" `Quick test_null_metrics;
     Alcotest.test_case "gc deltas non-negative" `Slow test_gc_delta_nonnegative;
-    Alcotest.test_case "node-event sampling" `Quick test_node_sampling;
     Alcotest.test_case "summary totals row" `Slow test_summary_totals;
     Alcotest.test_case "span sequence (compress_lite golden)" `Slow
       test_span_sequence;

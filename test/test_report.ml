@@ -183,29 +183,16 @@ let test_check_cost_gated_fields () =
 
 (* Every [Trace.event] constructor, in two child flows. *)
 let sample_trace () =
-  let trace = T.create ~flow:"root" ~sample:1 () in
+  let trace = T.create ~flow:"root" () in
   let a = T.child trace ~flow:"a" in
   let b = T.child trace ~flow:"b" in
-  let gc =
-    {
-      T.minor_words = 1234.0;
-      major_words = 56.0;
-      promoted_words = 7.0;
-      minor_collections = 3;
-      major_collections = 1;
-    }
-  in
-  let hist =
-    { T.h_count = 3; h_sum = 9.0; h_min = 1; h_max = 5;
-      h_buckets = [ (1, 1); (2, 1); (3, 1) ] }
-  in
+  let gc = { T.minor_words = 1234.0; major_words = 56.0 } in
   List.iter
     (fun tr ->
       T.pass_begin tr ~pass:"rw" ~index:0 ~gates:100 ~depth:10;
       T.report tr ~algo:"rewrite" [ ("tried", 5) ];
       T.metrics tr ~algo:"cec" ~counters:[ ("calls", 2) ]
-        ~gauges:[ ("solver_conflicts", 11) ] ~hists:[ ("cut_size", hist) ];
-      T.node_event tr ~algo:"rewrite" ~node:7 ~gain:2 ~accepted:true;
+        ~gauges:[ ("solver_conflicts", 11) ];
       T.pass_end tr ~gc ~pass:"rw" ~index:0 ~gates:90 ~depth:9 ~elapsed:0.25 ();
       T.pass_begin tr ~pass:"bz" ~index:1 ~gates:90 ~depth:9;
       T.degraded tr ~pass:"bz" ~reason:"deadline" ~detail:"budget \"1s\"\tleft";
@@ -214,17 +201,18 @@ let sample_trace () =
   T.merge trace [ a; b ];
   trace
 
-(* The event with its times zeroed, and the times themselves.  Histograms
-   are dropped on load, so they are cleared here too. *)
+(* The event's constructor, its value with times zeroed, and the times
+   themselves (the codec rounds them to microseconds). *)
 let split_times (e : T.event) =
   match e with
-  | T.Pass_begin r -> (T.Pass_begin { r with t = 0.0 }, [ r.t ])
+  | T.Pass_begin r -> ("pass_begin", T.Pass_begin { r with t = 0.0 }, [ r.t ])
   | T.Pass_end r ->
-    (T.Pass_end { r with t = 0.0; elapsed = 0.0 }, [ r.t; r.elapsed ])
-  | T.Counters r -> (T.Counters { r with t = 0.0 }, [ r.t ])
-  | T.Metrics r -> (T.Metrics { r with t = 0.0; hists = [] }, [ r.t ])
-  | T.Node_event r -> (T.Node_event { r with t = 0.0 }, [ r.t ])
-  | T.Degraded r -> (T.Degraded { r with t = 0.0 }, [ r.t ])
+    ( "pass_end",
+      T.Pass_end { r with t = 0.0; elapsed = 0.0 },
+      [ r.t; r.elapsed ] )
+  | T.Counters r -> ("counters", T.Counters { r with t = 0.0 }, [ r.t ])
+  | T.Metrics r -> ("metrics", T.Metrics { r with t = 0.0 }, [ r.t ])
+  | T.Degraded r -> ("degraded", T.Degraded { r with t = 0.0 }, [ r.t ])
 
 let test_trace_roundtrip () =
   let trace = sample_trace () in
@@ -238,10 +226,15 @@ let test_trace_roundtrip () =
         (List.length reloaded);
       List.iter2
         (fun a b ->
-          let a, ta = split_times a and b, tb = split_times b in
-          Alcotest.(check bool) "event equal (hists dropped)" true (a = b);
+          let _, a, ta = split_times a and _, b, tb = split_times b in
+          Alcotest.(check bool) "event equal" true (a = b);
           Alcotest.(check (list (float 1e-6))) "times" ta tb)
-        orig reloaded)
+        orig reloaded;
+      (* the sample covers every constructor *)
+      Alcotest.(check (list string)) "constructors covered"
+        [ "counters"; "degraded"; "metrics"; "pass_begin"; "pass_end" ]
+        (List.sort_uniq compare
+           (List.map (fun e -> let c, _, _ = split_times e in c) orig)))
 
 (* A digits-only commit hash is still a string in the trace meta line and
    the BENCH header (typed fields, not quoting by value shape). *)

@@ -109,7 +109,6 @@ let test_summarize_sat_attribution () =
         {
           t = 0.1; flow = "opt/part1"; algo = "cec"; counters = [];
           gauges = [ ("solver_conflicts", 5); ("solver_propagations", 100) ];
-          hists = [];
         };
       T.Pass_end
         {
@@ -132,8 +131,7 @@ let test_old_race_line_ignored () =
   let trace = T.create ~flow:"opt" () in
   T.pass_begin trace ~pass:"rw" ~index:0 ~gates:10 ~depth:3;
   T.metrics trace ~algo:"cec" ~counters:[]
-    ~gauges:[ ("solver_conflicts", 5); ("solver_propagations", 100) ]
-    ~hists:[];
+    ~gauges:[ ("solver_conflicts", 5); ("solver_propagations", 100) ];
   T.pass_end trace ~pass:"rw" ~index:0 ~gates:8 ~depth:3 ~elapsed:0.3 ();
   let plain = Filename.temp_file "plain" ".jsonl" in
   T.write_file trace plain;
@@ -167,6 +165,49 @@ let test_old_race_line_ignored () =
   match T.summarize t_old with
   | [ row ] ->
     Alcotest.(check int) "race work not attributed" 5 row.T.row_sat_conflicts
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
+(* Traces written while the schema still carried log2 histograms, sampled
+   node events and five GC fields per span hold a {"event":"node",...}
+   line, a "hists" object on metrics lines and three extra "gc" keys.
+   [Trace.read_file] ignores all of them: the summary rows and the Chrome
+   export equal those of the same file with those lines and keys
+   removed. *)
+let test_old_histogram_node_gc_ignored () =
+  let old_lines =
+    [
+      {|{"event":"meta","schema":2}|};
+      {|{"event":"pass_begin","t":0.1,"flow":"opt","pass":"rw","index":0,"gates":10,"depth":3}|};
+      {|{"event":"node","t":0.15,"flow":"opt","algo":"rewrite","node":7,"gain":2,"accepted":true}|};
+      {|{"event":"counters","t":0.2,"flow":"opt","algo":"rewrite","counters":{"tried":5,"accepted":1}}|};
+      {|{"event":"metrics","t":0.21,"flow":"opt","algo":"fraig","counters":{},"gauges":{"solver_conflicts":11},"hists":{"sat_ns":{"count":3,"sum":9,"min":1,"max":5,"buckets":{"1":1,"2":1,"3":1}}}}|};
+      {|{"event":"pass_end","t":0.3,"flow":"opt","pass":"rw","index":0,"gates":8,"depth":3,"elapsed":0.2,"gc":{"minor_words":1234,"major_words":56,"promoted_words":7,"minor_collections":3,"major_collections":1}}|};
+    ]
+  and new_lines =
+    [
+      {|{"event":"meta","schema":2}|};
+      {|{"event":"pass_begin","t":0.1,"flow":"opt","pass":"rw","index":0,"gates":10,"depth":3}|};
+      {|{"event":"counters","t":0.2,"flow":"opt","algo":"rewrite","counters":{"tried":5,"accepted":1}}|};
+      {|{"event":"metrics","t":0.21,"flow":"opt","algo":"fraig","counters":{},"gauges":{"solver_conflicts":11}}|};
+      {|{"event":"pass_end","t":0.3,"flow":"opt","pass":"rw","index":0,"gates":8,"depth":3,"elapsed":0.2,"gc":{"minor_words":1234,"major_words":56}}|};
+    ]
+  in
+  let load lines =
+    let path = Filename.temp_file "trace" ".jsonl" in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let trace = T.read_file path in
+    Sys.remove path;
+    trace
+  in
+  let t_old = load old_lines and t_new = load new_lines in
+  Alcotest.(check bool) "same rows" true (T.summarize t_old = T.summarize t_new);
+  Alcotest.(check string) "same chrome export" (Obs.Chrome.to_string t_new)
+    (Obs.Chrome.to_string t_old);
+  match T.summarize t_old with
+  | [ row ] ->
+    Alcotest.(check int) "gauges kept" 11 row.T.row_sat_conflicts;
+    Alcotest.(check (float 0.0)) "gc kept" 56.0 row.T.row_gc.T.major_words
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* Empty / meta-only traces degrade to a clean message, not a table. *)
@@ -213,6 +254,8 @@ let suite =
       test_summarize_sat_attribution;
     Alcotest.test_case "old race event line is ignored" `Quick
       test_old_race_line_ignored;
+    Alcotest.test_case "old histogram, node and gc keys are ignored" `Quick
+      test_old_histogram_node_gc_ignored;
     Alcotest.test_case "empty trace renders gracefully" `Quick
       test_empty_trace_graceful;
     Alcotest.test_case "exact synthesis telemetry counters" `Quick
