@@ -181,66 +181,47 @@ let install_signal_handlers () =
   handle Sys.sigint 130;
   handle Sys.sigterm 143
 
-(* One code path for all four representations: run the whole-network script
-   engine, or the partition-parallel engine when a partition size is set.
-   The exact-synthesis database is domain-safe, so a single [env] is shared
-   by every worker. *)
-let optimize_network (type t)
-    (module N : Genlog.Intf.NETWORK with type t = t) env ~(cfg : RC.t) ~trace
-    (net : t) : t * Genlog.Flow.degradation list =
-  if cfg.RC.partition > 0 then begin
-    let module P = Genlog.Flow.Partition.Make (N) in
-    let r, st = P.run_with ~trace ~config:cfg ~make_env:(fun () -> env) net in
-    Printf.eprintf
-      "partition: %d pieces, %d accepted, %d rejected (cost), %d rejected \
-       (cex), %d failed, %d degraded, %d sim mismatches, jobs = %d%s\n\
-       %!"
-      st.P.partitions st.P.accepted st.P.rejected_cost st.P.rejected_cex
-      st.P.failed st.P.degraded_pieces st.P.sim_mismatches st.P.jobs
-      (if st.P.stitch_fallbacks > 0 then
-         Printf.sprintf " (stitch fallback level %d)" st.P.stitch_fallbacks
-       else "");
-    let degs = ref [] in
-    if st.P.stitch_fallbacks > 0 then
-      degs :=
-        {
-          Genlog.Flow.d_pass = "partition-stitch";
-          d_reason = "exception";
-          d_detail =
-            Printf.sprintf "stitch fallback level %d" st.P.stitch_fallbacks;
-        }
-        :: !degs;
-    if st.P.failed > 0 then
-      degs :=
-        {
-          Genlog.Flow.d_pass = "partition-opt";
-          d_reason = "exception";
-          d_detail =
-            Printf.sprintf "%d piece job(s) failed; original cones kept"
-              st.P.failed;
-        }
-        :: !degs;
-    if st.P.degraded_pieces > st.P.failed then
-      degs :=
-        {
-          Genlog.Flow.d_pass = "partition-opt";
-          d_reason = "degraded";
-          d_detail =
-            Printf.sprintf "%d piece(s) returned best-so-far"
-              (st.P.degraded_pieces - st.P.failed);
-        }
-        :: !degs;
-    (r, !degs)
-  end
-  else begin
-    let module F = Genlog.Flow.Make (N) in
-    let deadline =
-      if cfg.RC.timeout > 0. then Unix.gettimeofday () +. cfg.RC.timeout
-      else 0.
-    in
-    F.run_script_safe env ~trace ~deadline ~stop:stop_requested net
-      cfg.RC.script
-  end
+(* One code path for all four representations: AIG in, optimized AIG out,
+   plus whatever degradation markers the engine recorded.  Runs the
+   whole-network script engine, or the partition-parallel engine when a
+   partition size is set.  The exact-synthesis database is domain-safe,
+   so a single [env] is shared by every worker. *)
+let optimize_network (type t) (module N : Genlog.Intf.NETWORK with type t = t)
+    ~(of_aig : Aig.t -> t) ~(to_aig : t -> Aig.t) env ~(cfg : RC.t) ~trace
+    (aig : Aig.t) : Aig.t * Genlog.Flow.degradation list =
+  let net = of_aig aig in
+  let r, degs =
+    if cfg.RC.partition > 0 then begin
+      let module P = Genlog.Flow.Partition.Make (N) in
+      let r, st = P.run_with ~trace ~config:cfg ~make_env:(fun () -> env) net in
+      Printf.eprintf
+        "partition: %d pieces, %d accepted, %d rejected (cost), %d rejected \
+         (cex), %d failed, %d degraded, %d sim mismatches, jobs = %d%s\n\
+         %!"
+        st.P.partitions st.P.accepted st.P.rejected_cost st.P.rejected_cex
+        st.P.failed st.P.degraded_pieces st.P.sim_mismatches st.P.jobs
+        (if st.P.stitch_fallbacks > 0 then
+           Printf.sprintf " (stitch fallback level %d)" st.P.stitch_fallbacks
+         else "");
+      (r, st.P.degradations)
+    end
+    else begin
+      let module F = Genlog.Flow.Make (N) in
+      let deadline =
+        if cfg.RC.timeout > 0. then Unix.gettimeofday () +. cfg.RC.timeout
+        else 0.
+      in
+      F.run_script_safe env ~trace ~deadline ~stop:stop_requested net
+        cfg.RC.script
+    end
+  in
+  let module Dn = Genlog.Depth.Make (N) in
+  let rep = cfg.RC.representation in
+  Printf.eprintf "%s: gates = %d depth = %d%s\n%!"
+    (RC.representation_to_string rep)
+    (N.num_gates r) (Dn.depth r)
+    (if rep = RC.Aig then "" else " (written back as AIG)");
+  (to_aig r, degs)
 
 let opt_cmd =
   let files =
@@ -295,55 +276,25 @@ let opt_cmd =
       else Genlog.Trace.null
     in
     let env = Genlog.Flow.env_of_config cfg in
-    (* per-representation processing function: AIG in, optimized AIG out,
-       plus whatever degradation markers the engine recorded *)
-    let process : Genlog.Trace.t -> Aig.t -> Aig.t * Genlog.Flow.degradation list
-        =
+    let process ~trace t =
+      let via (type n) (module N : Genlog.Intf.NETWORK with type t = n) =
+        let module To = Genlog.Convert.Make (Aig) (N) in
+        let module Back = Genlog.Convert.Make (N) (Aig) in
+        optimize_network (module N) ~of_aig:To.convert ~to_aig:Back.convert env
+          ~cfg ~trace t
+      in
       match representation with
       | RC.Aig ->
-        fun tr t ->
-          let r, degs = optimize_network (module Aig) env ~cfg ~trace:tr t in
-          Printf.eprintf "aig: gates = %d depth = %d\n%!" (Aig.num_gates r)
-            (D.depth r);
-          (r, degs)
-      | RC.Mig ->
-        let module C = Genlog.Convert.Make (Aig) (Genlog.Mig) in
-        let module Cb = Genlog.Convert.Make (Genlog.Mig) (Aig) in
-        let module Dm = Genlog.Depth.Make (Genlog.Mig) in
-        fun tr t ->
-          let r, degs =
-            optimize_network (module Genlog.Mig) env ~cfg ~trace:tr (C.convert t)
-          in
-          Printf.eprintf "mig: gates = %d depth = %d (written back as AIG)\n%!"
-            (Genlog.Mig.num_gates r) (Dm.depth r);
-          (Cb.convert r, degs)
-      | RC.Xag ->
-        let module C = Genlog.Convert.Make (Aig) (Genlog.Xag) in
-        let module Cb = Genlog.Convert.Make (Genlog.Xag) (Aig) in
-        let module Dx = Genlog.Depth.Make (Genlog.Xag) in
-        fun tr t ->
-          let r, degs =
-            optimize_network (module Genlog.Xag) env ~cfg ~trace:tr (C.convert t)
-          in
-          Printf.eprintf "xag: gates = %d depth = %d (written back as AIG)\n%!"
-            (Genlog.Xag.num_gates r) (Dx.depth r);
-          (Cb.convert r, degs)
-      | RC.Xmg ->
-        let module C = Genlog.Convert.Make (Aig) (Genlog.Xmg) in
-        let module Cb = Genlog.Convert.Make (Genlog.Xmg) (Aig) in
-        let module Dx = Genlog.Depth.Make (Genlog.Xmg) in
-        fun tr t ->
-          let r, degs =
-            optimize_network (module Genlog.Xmg) env ~cfg ~trace:tr (C.convert t)
-          in
-          Printf.eprintf "xmg: gates = %d depth = %d (written back as AIG)\n%!"
-            (Genlog.Xmg.num_gates r) (Dx.depth r);
-          (Cb.convert r, degs)
+        optimize_network (module Aig) ~of_aig:Fun.id ~to_aig:Fun.id env ~cfg
+          ~trace t
+      | RC.Mig -> via (module Genlog.Mig)
+      | RC.Xag -> via (module Genlog.Xag)
+      | RC.Xmg -> via (module Genlog.Xmg)
     in
     let optimize_one (file, tr) =
       let t = Genlog.Aiger.read_file file in
       Printf.eprintf "%s: %s\n%!" file (stats_of_aig t);
-      let r, degs = process tr t in
+      let r, degs = process ~trace:tr t in
       List.iter
         (fun d ->
           Printf.eprintf "%s: DEGRADED %s (%s): %s\n%!" file

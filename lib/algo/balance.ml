@@ -117,9 +117,7 @@ module Make (N : Network.Intf.NETWORK) = struct
              accept reproduces the seed's unconditional substitution while
              still rejecting objective-worsening rebuilds under other
              costs; [s] carries any output complement *)
-          let added = eng.Co.added net ~mark ~root in
-          let freed = eng.Co.freed net n in
-          let gain = freed - added in
+          let gain = Co.gain eng net ~mark ~root n in
           if Co.accept ~zero_gain:true eng gain then begin
             N.substitute_node net n s;
             incr substitutions

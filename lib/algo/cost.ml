@@ -15,13 +15,15 @@
      mark  <- size of the network          (before building a candidate)
      build the candidate (structural hashing exposes sharing)
      added <- cost of the nodes the build created ([mark, size) slice)
-     freed <- cost released by removing the target's MFFC
+     freed <- cost released by removing the target's MFFC, with the
+              candidate root held
      gain  =  freed - added; accept when gain > 0 (>= 0 in zero-gain
               passes)
 
-   [freed] is computed *after* the candidate exists, so nodes shared
-   between the dying cone and the candidate hold references and are
-   priced by neither side — exactly the seed semantics for area.
+   [gain] is that protocol in one function.  [freed] is computed *after*
+   the candidate exists, so nodes shared between the dying cone and the
+   candidate hold references and are priced by neither side — exactly
+   the seed semantics for area.
 
    Additive objectives (area, edges, switching activity, LUT count,
    per-kind weights) price a replacement by summing node costs.  Depth
@@ -447,6 +449,18 @@ module Make (N : Intf.COSTED) = struct
       }
 
   let area = engine Spec.Area
+
+  (* The one pricing of a candidate: the gain of replacing [n] by the
+     candidate rooted at [root] whose build started at [mark].  The root
+     is held while [n]'s MFFC is priced: when structural hashing resolves
+     the candidate to an existing node of [n]'s cone, that node survives
+     the substitution and is not freed. *)
+  let gain (e : engine) (net : N.t) ~mark ~root:candidate (n : N.node) : int =
+    let added = e.added net ~mark ~root:candidate in
+    ignore (N.incr_ref net candidate);
+    let freed = e.freed net n in
+    ignore (N.decr_ref net candidate);
+    freed - added
 
   (* One accept rule for every pass: strictly positive gain, or zero gain
      when the pass runs in zero-gain mode (rwz/rfz refresh structure). *)

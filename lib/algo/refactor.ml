@@ -33,9 +33,7 @@ module Make (N : Network.Intf.NETWORK) = struct
       end
       else begin
         incr tried;
-        let added = eng.Co.added net ~mark ~root in
-        let freed = eng.Co.freed net n in
-        let gain = freed - added in
+        let gain = Co.gain eng net ~mark ~root n in
         if Co.accept ~zero_gain:allow_zero_gain eng gain then begin
           N.substitute_node net n s;
           true

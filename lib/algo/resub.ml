@@ -269,9 +269,7 @@ module Make (N : Network.Intf.NETWORK) = struct
                   | Some s ->
                     incr tried;
                     let root = N.node_of_signal s in
-                    let added = eng.Co.added net ~mark ~root in
-                    let freed = eng.Co.freed net n in
-                    let gain = freed - added in
+                    let gain = Co.gain eng net ~mark ~root n in
                     if
                       Co.accept eng gain && root <> n
                       && not (T.cone_contains net ~root ~leaves:stop_nodes n)

@@ -71,14 +71,7 @@ module Make (N : Network.Intf.NETWORK) = struct
         None
       end
       else begin
-        let added = eng.Co.added net ~mark ~root in
-        (* hold the candidate root while pricing the MFFC: when structural
-           hashing resolves the candidate to an existing node of [n]'s
-           cone, that node survives the substitution and is not freed *)
-        ignore (N.incr_ref net root);
-        let freed = eng.Co.freed net n in
-        ignore (N.decr_ref net root);
-        let gain = freed - added in
+        let gain = Co.gain eng net ~mark ~root n in
         N.take_out_if_dead net root;
         Some gain
       end

@@ -20,7 +20,7 @@
      let aig = Genlog.Suite.build "adder" in
      let env = Genlog.Flow.aig_env () in
      let module F = Genlog.Flow.Make (Genlog.Aig) in
-     let optimized = F.compress2rs env aig in
+     let optimized = F.run_script env aig Genlog.Script.compress2rs in
      let module L = Genlog.Lutmap.Make (Genlog.Aig) in
      let mapping = L.map optimized ~k:6 ()
    ]} *)

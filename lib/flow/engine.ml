@@ -84,7 +84,8 @@ let emit_exact_sat_delta trace before =
           v - (match List.assoc_opt k before with Some b -> b | None -> 0) ))
       after
   in
-  if List.exists (fun (_, v) -> v <> 0) delta then begin
+  if Obs.Trace.enabled trace && List.exists (fun (_, v) -> v <> 0) delta
+  then begin
     let m = Obs.Metrics.create ~algo:"exact_sat" () in
     List.iter
       (fun (name, v) -> Obs.Metrics.set (Obs.Metrics.gauge m name) v)
@@ -92,19 +93,20 @@ let emit_exact_sat_delta trace before =
     Obs.Metrics.emit m trace
   end
 
-type stats = {
-  nodes : int;
-  levels : int;
-}
-
 (* One graceful-degradation record from a defensive script run: which
    pass gave up and why.  Reasons are a small closed vocabulary so
    consumers (exit codes, dashboards) can switch on them:
    "deadline" (wall-clock budget expired before/inside the pass),
    "exception" (the pass raised; the network was rolled back to the last
    checkpoint), "interrupt" (the caller's [stop] hook asked to wind
-   down). *)
+   down).  [Partition.run] reports its pieces and stitch in the same
+   records. *)
 type degradation = { d_pass : string; d_reason : string; d_detail : string }
+
+(* A degradation record, also emitted as a trace event. *)
+let degrade trace ~pass ~reason ~detail =
+  Obs.Trace.degraded trace ~pass ~reason ~detail;
+  { d_pass = pass; d_reason = reason; d_detail = detail }
 
 module Make (N : Network.Intf.NETWORK) = struct
   module Copy = Network.Convert.Make (N) (N)
@@ -117,8 +119,8 @@ module Make (N : Network.Intf.NETWORK) = struct
   module Fr = Algo.Fraig.Make (N)
   module Co = Algo.Cost.Make (N)
 
-  let network_stats (net : N.t) : stats =
-    { nodes = N.num_gates net; levels = Dp.depth net }
+  (* (gates, depth) *)
+  let network_stats (net : N.t) = (N.num_gates net, Dp.depth net)
 
   let dispatch (env : env) ~trace (net : N.t) (cmd : Script.command) : unit =
     if Fault.active () then Fault.fire "engine.pass";
@@ -137,123 +139,96 @@ module Make (N : Network.Intf.NETWORK) = struct
     | Script.Fraig ->
       ignore (Fr.run net ~trace ~cost:env.cost ())
 
-  (* Interpret one script command as a traced span: a [pass_begin] /
-     [pass_end] pair bracketing the command, carrying gate count and depth
-     before and after plus the GC work ([Gc.quick_stat] deltas) the pass
-     caused.  With tracing disabled ([Trace.null]) neither stats nor
-     timestamps nor GC counters are computed. *)
+  (* Interpret one script command as a traced span (see [Obs.Trace.span]):
+     gate count and depth before and after, the GC work the pass caused,
+     and the exact-synthesis SAT work as an "exact_sat" metrics event
+     inside the span. *)
   let run_command (env : env) ?(trace = Obs.Trace.null) ?(index = 0)
       (net : N.t) (cmd : Script.command) : unit =
-    if not (Obs.Trace.enabled trace) then dispatch env ~trace net cmd
-    else begin
-      let pass = Script.to_string cmd in
-      let { nodes; levels } = network_stats net in
-      let t0 = Unix.gettimeofday () in
-      let g0 = Gc.quick_stat () in
-      let x0 = Exact.Synth.telemetry () in
-      Obs.Trace.pass_begin trace ~pass ~index ~gates:nodes ~depth:levels;
-      dispatch env ~trace net cmd;
-      emit_exact_sat_delta trace x0;
-      let elapsed = Unix.gettimeofday () -. t0 in
-      let gc = Obs.Trace.gc_diff g0 (Gc.quick_stat ()) in
-      let { nodes; levels } = network_stats net in
-      Obs.Trace.pass_end trace ~gc ~pass ~index ~gates:nodes ~depth:levels
-        ~elapsed ()
-    end
+    let stats () = network_stats net in
+    Obs.Trace.span trace ~pass:(Script.to_string cmd) ~index ~before:stats
+      ~after:stats (fun () ->
+        let x0 = Exact.Synth.telemetry () in
+        dispatch env ~trace net cmd;
+        emit_exact_sat_delta trace x0)
 
   (* The final sweep, traced as its own "cleanup" span so the last
      [pass_end] reports the stats of the network actually returned. *)
   let cleanup_pass (env : env) ~trace ~index (net : N.t) : N.t =
-    if not (Obs.Trace.enabled trace) then Cl.cleanup net
-    else begin
-      let { nodes; levels } = network_stats net in
-      let t0 = Unix.gettimeofday () in
-      let g0 = Gc.quick_stat () in
-      Obs.Trace.pass_begin trace ~pass:"cleanup" ~index ~gates:nodes
-        ~depth:levels;
-      let cleaned = Cl.cleanup net in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      let gc = Obs.Trace.gc_diff g0 (Gc.quick_stat ()) in
-      let { nodes; levels } = network_stats cleaned in
-      Obs.Trace.pass_end trace ~gc ~pass:"cleanup" ~index ~gates:nodes
-        ~depth:levels ~elapsed ();
-      emit_db_metrics env trace;
-      cleaned
-    end
+    let cleaned =
+      Obs.Trace.span trace ~pass:"cleanup" ~index
+        ~before:(fun () -> network_stats net)
+        ~after:network_stats
+        (fun () -> Cl.cleanup net)
+    in
+    emit_db_metrics env trace;
+    cleaned
 
-  (* Run a script in place; returns a cleaned-up copy (dangling nodes
-     swept).  Raises if a pass raises — callers that need a result no
-     matter what use [run_script_safe]. *)
-  let run_script (env : env) ?(trace = Obs.Trace.null) (net : N.t)
-      (script : string) : N.t =
-    let commands = Script.parse script in
-    List.iteri (fun i cmd -> run_command env ~trace ~index:i net cmd) commands;
-    cleanup_pass env ~trace ~index:(List.length commands) net
+  (* The one script interpreter.  Runs the passes in place and returns a
+     cleaned-up copy (dangling nodes swept) plus the degradation records.
 
-  (* Defensive script run: same passes as [run_script], but the engine
-     checkpoints the best-cost network after every pass and *always*
-     returns a valid network.
+     The run is *armed* when a [deadline] (absolute wall clock, 0 = none)
+     or a [stop] hook is given, or fault injection is active.  Only an
+     armed run can roll back, so only an armed run keeps a checkpoint:
 
-     - Before each pass the [deadline] (absolute wall clock, 0 = none)
-       and the [stop] hook are checked; tripping either ends the run at
-       the last checkpoint with a "deadline"/"interrupt" marker.
+     - Before each pass the deadline and the stop hook are checked;
+       tripping either ends the run at the last checkpoint with a
+       "deadline"/"interrupt" marker.
      - A pass that raises is rolled back: the in-place network may be
        mid-rewrite, so work resumes from a copy of the checkpoint, and an
        "exception" marker records the pass.  Later passes still run.
-     - Cost is the env's objective as a lexicographic
-       (objective, gates, depth) triple (for the default area objective
-       this degenerates to the historical (gates, depth) order), [<=] so
-       zero-gain passes (rwz/rfz) keep their semantics of refreshing the
-       checkpoint.
+     - The checkpoint is the best network so far by the env's objective
+       as a lexicographic (objective, gates, depth) triple (for the
+       default area objective this is the historical (gates, depth)
+       order), [<=] so zero-gain passes (rwz/rfz) keep their semantics of
+       refreshing it.
 
-     The degradation list is empty iff the run behaved exactly like
-     [run_script].  Each marker is also emitted as a trace event plus an
-     "engine" metrics counter, so offline consumers see degraded runs
-     without the caller's help. *)
+     An unarmed run takes no copy, evaluates no network cost and lets a
+     pass exception propagate.  The degradation list is empty iff the
+     run behaved exactly like an unarmed one.  Each marker is also
+     emitted as a trace event plus an "engine" metrics counter, so
+     offline consumers see degraded runs without the caller's help. *)
   let run_script_safe (env : env) ?(trace = Obs.Trace.null) ?(deadline = 0.)
       ?stop (net : N.t) (script : string) : N.t * degradation list =
     let commands = Script.parse script in
+    let armed = deadline > 0. || stop <> None || Fault.active () in
     let degradations = ref [] in
     let note pass reason detail =
-      degradations :=
-        { d_pass = pass; d_reason = reason; d_detail = detail }
-        :: !degradations;
-      Obs.Trace.degraded trace ~pass ~reason ~detail
+      degradations := degrade trace ~pass ~reason ~detail :: !degradations
     in
     let eng = Co.engine env.cost in
     let cost (n : N.t) = Co.network_cost eng n in
-    let best = ref (Copy.convert net) in
-    let best_cost = ref (cost net) in
+    let best = ref (if armed then Copy.convert net else net) in
+    let best_cost = ref (if armed then cost net else (0, 0, 0)) in
     let work = ref net in
-    let stopped = ref false in
-    List.iteri
-      (fun i cmd ->
-        if not !stopped then begin
-          let pass = Script.to_string cmd in
-          if (match stop with Some p -> p () | None -> false) then begin
-            note pass "interrupt" "stop requested; returning best-so-far";
-            stopped := true
-          end
-          else if deadline > 0. && Unix.gettimeofday () >= deadline then begin
-            note pass "deadline"
-              "wall-clock budget exhausted; returning best-so-far";
-            stopped := true
-          end
-          else
-            match run_command env ~trace ~index:i !work cmd with
-            | () ->
-              let c = cost !work in
-              if c <= !best_cost then begin
-                best := Copy.convert !work;
-                best_cost := c
-              end
-            | exception e ->
-              note pass "exception" (Printexc.to_string e);
-              (* the in-place network may be mid-rewrite: resume from a
-                 fresh copy of the last good checkpoint *)
-              work := Copy.convert !best
-        end)
-      commands;
+    let rec loop i = function
+      | [] -> ()
+      | cmd :: rest ->
+        let pass = Script.to_string cmd in
+        if (match stop with Some p -> p () | None -> false) then
+          note pass "interrupt" "stop requested; returning best-so-far"
+        else if deadline > 0. && Unix.gettimeofday () >= deadline then
+          note pass "deadline"
+            "wall-clock budget exhausted; returning best-so-far"
+        else begin
+          (if not armed then run_command env ~trace ~index:i !work cmd
+           else
+             match run_command env ~trace ~index:i !work cmd with
+             | () ->
+               let c = cost !work in
+               if c <= !best_cost then begin
+                 best := Copy.convert !work;
+                 best_cost := c
+               end
+             | exception e ->
+               note pass "exception" (Printexc.to_string e);
+               (* the in-place network may be mid-rewrite: resume from a
+                  fresh copy of the last good checkpoint *)
+               work := Copy.convert !best);
+          loop (i + 1) rest
+        end
+    in
+    loop 0 commands;
     let degradations = List.rev !degradations in
     if degradations <> [] && Obs.Trace.enabled trace then begin
       let m = Obs.Metrics.create ~algo:"engine" () in
@@ -265,5 +240,8 @@ module Make (N : Network.Intf.NETWORK) = struct
     let result = if degradations = [] then !work else !best in
     (cleanup_pass env ~trace ~index:(List.length commands) result, degradations)
 
-  let compress2rs ?trace env net = run_script env ?trace net Script.compress2rs
+  (* Run a script in place with nothing armed; returns a cleaned-up copy.
+     Raises if a pass raises. *)
+  let run_script (env : env) ?trace (net : N.t) (script : string) : N.t =
+    fst (run_script_safe env ?trace net script)
 end

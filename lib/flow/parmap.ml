@@ -18,9 +18,7 @@
    Failure model: [map_results] isolates jobs — every item yields either
    [Ok result] or [Error {index; attempts; exn; backtrace}], one bad item
    never cancels the others, and transient failures get [retries] extra
-   attempts.  [map] keeps the historic fail-the-batch contract on top of
-   it, but re-raises as {!Job_failed} so the caller learns *which* item
-   failed (and the original backtrace survives). *)
+   attempts. *)
 
 type job_error = {
   err_index : int;  (* which item failed *)
@@ -29,13 +27,10 @@ type job_error = {
   err_backtrace : Printexc.raw_backtrace;
 }
 
-exception Job_failed of int * exn
 exception Cancelled
 
 let () =
   Printexc.register_printer (function
-    | Job_failed (i, e) ->
-        Some (Printf.sprintf "Parmap.Job_failed(%d, %s)" i (Printexc.to_string e))
     | Cancelled -> Some "Parmap.Cancelled"
     | _ -> None)
 
@@ -103,19 +98,3 @@ let map_results (type s a b) ?(jobs = Domain.recommended_domain_count ())
   List.iter Domain.join domains;
   let get = function Some r -> r | None -> assert false in
   (Array.map get results, Array.map get states)
-
-let map (type s a b) ?jobs ~(init : int -> s) ~(f : s -> a -> b)
-    (items : a array) : b array * s array =
-  let results, states = map_results ?jobs ~init ~f items in
-  let out =
-    Array.map
-      (function
-        | Ok r -> r
-        | Error e ->
-          (* lowest failing index wins: deterministic, and names the item *)
-          Printexc.raise_with_backtrace
-            (Job_failed (e.err_index, e.err_exn))
-            e.err_backtrace)
-      results
-  in
-  (out, states)

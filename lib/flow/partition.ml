@@ -204,68 +204,60 @@ module Make (N : Network.Intf.NETWORK) = struct
     part : partition;
     chosen : N.t;  (* what the stitch will instantiate *)
     verdict : verdict;
-    gates_before : int;
-    gates_after : int;
     sim_mismatch : bool;
     cec_checked : bool;
-    degraded : bool;  (* the piece's script run degraded (deadline/rollback) *)
+    degradation : Engine.degradation option;
+        (* why the piece's script run degraded, or its job failed *)
   }
 
   type worker_state = { env : Engine.env; wtrace : Obs.Trace.t }
 
-  let optimize_piece (st : worker_state) ~script ~sim_vars ~sim_rounds
-      ~cec_conflict_budget ~deadline (net : N.t) (p : partition) :
-      piece_result =
+  let optimize_piece (st : worker_state) ~script ~deadline (net : N.t)
+      (p : partition) : piece_result =
     let trace = st.wtrace in
-    let traced = Obs.Trace.enabled trace in
-    let t0 = Unix.gettimeofday () in
-    let g0 = Gc.quick_stat () in
     let sub = export net p in
     let gates_before = N.num_gates sub in
     let pass = Printf.sprintf "part%d" p.id in
-    if traced then
-      Obs.Trace.pass_begin trace ~pass ~index:p.id ~gates:gates_before
-        ~depth:(Dp.depth sub);
-    (* the defensive runner: a pass exception or an expired deadline
-       yields the best-so-far sub-network instead of killing the job, and
-       the guard below still decides whether that is worth keeping *)
-    let optimized, degs =
-      E.run_script_safe st.env ~deadline (Copy.convert sub) script
-    in
-    let degraded = degs <> [] in
-    (match degs with
-    | [] -> ()
-    | { Engine.d_reason; d_detail; _ } :: _ ->
-      Obs.Trace.degraded trace ~pass ~reason:d_reason ~detail:d_detail);
-    (* stitch gate: the piece is worth keeping only if it strictly
-       improves the env's objective as a lexicographic
-       (objective, gates, depth) triple — for the default area objective
-       this is exactly the historical "fewer gates, or gates-equal with
-       less depth" rule *)
-    let improved =
-      let eng = Co.engine st.env.Engine.cost in
-      Co.network_better eng ~before:sub ~after:optimized
-    in
-    let chosen, verdict, sim_mismatch, cec_checked =
-      if not improved then (sub, Rejected_cost, false, false)
-      else if
-        Sim.probably_equivalent ~num_vars:sim_vars ~rounds:sim_rounds sub
-          optimized
-      then (optimized, Accepted, false, false)
-      else begin
-        (* The fingerprint disagreed: let SAT decide.  Only a proof of
-           equivalence may override it; Unknown keeps the original. *)
-        match
-          Cec.check ~trace ~conflict_budget:cec_conflict_budget sub optimized
-        with
-        | Algo.Cec.Equivalent -> (optimized, Accepted, true, true)
-        | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
-          (sub, Rejected_cex, true, true)
-      end
-    in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let gates_after = N.num_gates chosen in
-    if traced then begin
+    Obs.Trace.span trace ~pass ~index:p.id
+      ~before:(fun () -> (gates_before, Dp.depth sub))
+      ~after:(fun r -> (N.num_gates r.chosen, Dp.depth r.chosen))
+      (fun () ->
+      (* with a deadline (or fault injection) armed, an expired deadline or
+         a pass exception yields the best-so-far sub-network instead of
+         killing the job, and the guard below still decides whether that
+         is worth keeping; unarmed, a pass exception fails the job *)
+      let optimized, degs =
+        E.run_script_safe st.env ~deadline (Copy.convert sub) script
+      in
+      let degradation =
+        match degs with
+        | [] -> None
+        | { Engine.d_reason; d_detail; _ } :: _ ->
+          Some (Engine.degrade trace ~pass ~reason:d_reason ~detail:d_detail)
+      in
+      (* stitch gate: the piece is worth keeping only if it strictly
+         improves the env's objective as a lexicographic
+         (objective, gates, depth) triple — for the default area objective
+         this is exactly the historical "fewer gates, or gates-equal with
+         less depth" rule *)
+      let improved =
+        let eng = Co.engine st.env.Engine.cost in
+        Co.network_better eng ~before:sub ~after:optimized
+      in
+      let chosen, verdict, sim_mismatch, cec_checked =
+        if not improved then (sub, Rejected_cost, false, false)
+        else if Sim.probably_equivalent ~num_vars:8 sub optimized then
+          (optimized, Accepted, false, false)
+        else begin
+          (* The fingerprint disagreed: let SAT decide.  Only a proof of
+             equivalence may override it; Unknown keeps the original. *)
+          match Cec.check ~trace sub optimized with
+          | Algo.Cec.Equivalent -> (optimized, Accepted, true, true)
+          | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
+            (sub, Rejected_cex, true, true)
+        end
+      in
+      let gates_after = N.num_gates chosen in
       Obs.Trace.report trace ~algo:"partition"
         [
           ("part", p.id);
@@ -276,15 +268,9 @@ module Make (N : Network.Intf.NETWORK) = struct
           ("accepted", if verdict = Accepted then 1 else 0);
           ("sim_mismatch", if sim_mismatch then 1 else 0);
           ("cec_checked", if cec_checked then 1 else 0);
-          ("degraded", if degraded then 1 else 0);
+          ("degraded", if degradation <> None then 1 else 0);
         ];
-      Obs.Trace.pass_end trace
-        ~gc:(Obs.Trace.gc_diff g0 (Gc.quick_stat ()))
-        ~pass ~index:p.id ~gates:gates_after ~depth:(Dp.depth chosen)
-        ~elapsed:seconds ()
-    end;
-    { part = p; chosen; verdict; gates_before; gates_after; sim_mismatch;
-      cec_checked; degraded }
+      { part = p; chosen; verdict; sim_mismatch; cec_checked; degradation })
 
   (* -- stitch: rebuild the parent from the guarded pieces -- *)
 
@@ -335,22 +321,21 @@ module Make (N : Network.Intf.NETWORK) = struct
 
   (* -- the engine -- *)
 
+  (* Phase timings and gate counts are in the trace's spans. *)
   type stats = {
     partitions : int;
     accepted : int;
     rejected_cost : int;
     rejected_cex : int;
     sim_mismatches : int;
-    cec_escalations : int;
     failed : int;  (* jobs that raised even after retries (cone kept) *)
     degraded_pieces : int;  (* pieces whose script run degraded *)
     stitch_fallbacks : int;  (* 0 = clean; 1 = all-original; 2 = identity *)
+    degradations : Engine.degradation list;
+        (* every degradation the run emitted as a trace event: one per
+           degraded piece ("partN") with the engine's reason, failed jobs
+           and stitch fallbacks as "exception" *)
     jobs : int;
-    gates_before : int;
-    gates_after : int;
-    carve_seconds : float;
-    optimize_seconds : float;
-    stitch_seconds : float;
   }
 
   (* Run [script] over every partition of [net] in parallel and return the
@@ -359,159 +344,127 @@ module Make (N : Network.Intf.NETWORK) = struct
      share one.  The parent network is only read between carve and stitch,
      which is what makes the worker phase safe. *)
   let run ?(size_cap = 2000) ?(jobs = Domain.recommended_domain_count ())
-      ?(script = Script.compress2rs) ?(trace = Obs.Trace.null) ?(sim_vars = 8)
-      ?(sim_rounds = 4) ?(cec_conflict_budget = 0) ?(deadline = 0.)
+      ?(script = Script.compress2rs) ?(trace = Obs.Trace.null) ?(deadline = 0.)
       ?(retries = 0) ~make_env (net : N.t) : N.t * stats =
-    let traced = Obs.Trace.enabled trace in
-    let gates_before = N.num_gates net in
-    let d0 = if traced then Dp.depth net else 0 in
-    (* carve *)
-    let t0 = Unix.gettimeofday () in
-    let g0 = Gc.quick_stat () in
-    if traced then
-      Obs.Trace.pass_begin trace ~pass:"partition-carve" ~index:0
-        ~gates:gates_before ~depth:d0;
-    let parts = Array.of_list (carve ~size_cap net) in
-    let carve_seconds = Unix.gettimeofday () -. t0 in
-    if traced then begin
-      Obs.Trace.report trace ~algo:"partition"
-        [ ("partitions", Array.length parts); ("size_cap", size_cap) ];
-      Obs.Trace.pass_end trace
-        ~gc:(Obs.Trace.gc_diff g0 (Gc.quick_stat ()))
-        ~pass:"partition-carve" ~index:0 ~gates:gates_before ~depth:d0
-        ~elapsed:carve_seconds ()
-    end;
-    (* optimize (the parent is untouched here, so its stats are stable) *)
-    let t1 = Unix.gettimeofday () in
-    let g1 = Gc.quick_stat () in
-    if traced then
-      Obs.Trace.pass_begin trace ~pass:"partition-opt" ~index:1
-        ~gates:gates_before ~depth:d0;
-    let job_results, states =
-      Parmap.map_results ~jobs ~retries
-        ~init:(fun k ->
-          {
-            env = make_env ();
-            wtrace = Obs.Trace.child trace ~flow:(Printf.sprintf "w%d" k);
-          })
-        ~f:(fun st p ->
-          optimize_piece st ~script ~sim_vars ~sim_rounds ~cec_conflict_budget
-            ~deadline net p)
-        parts
+    (* the parent is untouched until the stitch, so its stats are stable *)
+    let parent = lazy (N.num_gates net, Dp.depth net) in
+    let parent _ = Lazy.force parent in
+    let parts =
+      Obs.Trace.span trace ~pass:"partition-carve" ~index:0 ~before:parent
+        ~after:parent (fun () ->
+          let parts = Array.of_list (carve ~size_cap net) in
+          Obs.Trace.report trace ~algo:"partition"
+            [ ("partitions", Array.length parts); ("size_cap", size_cap) ];
+          parts)
     in
-    let optimize_seconds = Unix.gettimeofday () -. t1 in
-    Obs.Trace.merge trace
-      (Array.to_list (Array.map (fun st -> st.wtrace) states));
-    (* per-job isolation: a piece whose job raised (even after retries)
-       keeps its original cone — the stitch then reproduces the parent's
-       logic for that region, so a crash costs QoR, never correctness *)
-    let results =
-      Array.mapi
-        (fun i -> function
-          | Ok r -> r
-          | Error (e : Parmap.job_error) ->
-            let p = parts.(i) in
-            let sub = export net p in
-            let gates = N.num_gates sub in
-            Obs.Trace.degraded trace
-              ~pass:(Printf.sprintf "part%d" p.id)
-              ~reason:"exception"
-              ~detail:
-                (Printf.sprintf "%s (after %d attempt(s))"
-                   (Printexc.to_string e.Parmap.err_exn)
-                   e.Parmap.err_attempts);
+    let results, st =
+      Obs.Trace.span trace ~pass:"partition-opt" ~index:1 ~before:parent
+        ~after:parent (fun () ->
+          let job_results, states =
+            Parmap.map_results ~jobs ~retries
+              ~init:(fun k ->
+                {
+                  env = make_env ();
+                  wtrace = Obs.Trace.child trace ~flow:(Printf.sprintf "w%d" k);
+                })
+              ~f:(fun st p -> optimize_piece st ~script ~deadline net p)
+              parts
+          in
+          Obs.Trace.merge trace
+            (Array.to_list (Array.map (fun st -> st.wtrace) states));
+          (* per-job isolation: a piece whose job raised (even after
+             retries) keeps its original cone — the stitch then reproduces
+             the parent's logic for that region, so a crash costs QoR,
+             never correctness *)
+          let results =
+            Array.mapi
+              (fun i -> function
+                | Ok r -> r
+                | Error (e : Parmap.job_error) ->
+                  let p = parts.(i) in
+                  let detail =
+                    Printf.sprintf "%s (after %d attempt(s))"
+                      (Printexc.to_string e.Parmap.err_exn)
+                      e.Parmap.err_attempts
+                  in
+                  let d =
+                    Engine.degrade trace ~pass:(Printf.sprintf "part%d" p.id)
+                      ~reason:"exception" ~detail
+                  in
+                  { part = p; chosen = export net p; verdict = Failed;
+                    sim_mismatch = false; cec_checked = false;
+                    degradation = Some d })
+              job_results
+          in
+          let count f =
+            Array.fold_left (fun a r -> if f r then a + 1 else a) 0 results
+          in
+          let st =
             {
-              part = p;
-              chosen = sub;
-              verdict = Failed;
-              gates_before = gates;
-              gates_after = gates;
-              sim_mismatch = false;
-              cec_checked = false;
-              degraded = true;
-            })
-        job_results
+              partitions = Array.length parts;
+              accepted = count (fun r -> r.verdict = Accepted);
+              rejected_cost = count (fun r -> r.verdict = Rejected_cost);
+              rejected_cex = count (fun r -> r.verdict = Rejected_cex);
+              sim_mismatches = count (fun r -> r.sim_mismatch);
+              failed = count (fun r -> r.verdict = Failed);
+              degraded_pieces = count (fun r -> r.degradation <> None);
+              stitch_fallbacks = 0;
+              degradations = [];
+              jobs;
+            }
+          in
+          let m = Obs.Metrics.of_trace trace ~algo:"partition" in
+          List.iter
+            (fun (name, v) -> Obs.Metrics.add (Obs.Metrics.counter m name) v)
+            [
+              ("accepted", st.accepted);
+              ("rejected_cost", st.rejected_cost);
+              ("rejected_cex", st.rejected_cex);
+              ("sim_mismatches", st.sim_mismatches);
+              ("cec_escalations", count (fun r -> r.cec_checked));
+              ("failed", st.failed);
+              ("degraded", st.degraded_pieces);
+            ];
+          Obs.Metrics.set (Obs.Metrics.gauge m "jobs") jobs;
+          Obs.Metrics.set (Obs.Metrics.gauge m "size_cap") size_cap;
+          Obs.Metrics.emit m trace;
+          (results, st))
     in
-    let count f = Array.fold_left (fun a r -> if f r then a + 1 else a) 0 results in
-    let accepted = count (fun r -> r.verdict = Accepted) in
-    let rejected_cost = count (fun r -> r.verdict = Rejected_cost) in
-    let rejected_cex = count (fun r -> r.verdict = Rejected_cex) in
-    let failed = count (fun r -> r.verdict = Failed) in
-    let degraded_pieces = count (fun r -> r.degraded) in
-    let sim_mismatches = count (fun r -> r.sim_mismatch) in
-    let cec_escalations = count (fun r -> r.cec_checked) in
-    if traced then begin
-      let m = Obs.Metrics.of_trace trace ~algo:"partition" in
-      Obs.Metrics.add (Obs.Metrics.counter m "accepted") accepted;
-      Obs.Metrics.add (Obs.Metrics.counter m "rejected_cost") rejected_cost;
-      Obs.Metrics.add (Obs.Metrics.counter m "rejected_cex") rejected_cex;
-      Obs.Metrics.add (Obs.Metrics.counter m "sim_mismatches") sim_mismatches;
-      Obs.Metrics.add (Obs.Metrics.counter m "cec_escalations") cec_escalations;
-      Obs.Metrics.add (Obs.Metrics.counter m "failed") failed;
-      Obs.Metrics.add (Obs.Metrics.counter m "degraded") degraded_pieces;
-      Obs.Metrics.set (Obs.Metrics.gauge m "jobs") jobs;
-      Obs.Metrics.set (Obs.Metrics.gauge m "size_cap") size_cap;
-      Obs.Metrics.emit m trace;
-      Obs.Trace.pass_end trace
-        ~gc:(Obs.Trace.gc_diff g1 (Gc.quick_stat ()))
-        ~pass:"partition-opt" ~index:1 ~gates:gates_before ~depth:d0
-        ~elapsed:optimize_seconds ()
-    end;
-    (* stitch *)
-    let t2 = Unix.gettimeofday () in
-    let g2 = Gc.quick_stat () in
-    if traced then
-      Obs.Trace.pass_begin trace ~pass:"partition-stitch" ~index:2
-        ~gates:gates_before ~depth:d0;
     (* the stitch itself is guarded: if it raises (an [partition.stitch]
        injection, or a genuine bug), retry with every piece reverted to
        its original cone; if even that fails, fall back to an identity
        copy of the parent.  Either fallback degrades QoR, never
        correctness. *)
-    let out, stitch_fallbacks =
-      match stitch net results with
-      | out -> (out, 0)
-      | exception e1 -> (
-        Obs.Trace.degraded trace ~pass:"partition-stitch" ~reason:"exception"
-          ~detail:(Printexc.to_string e1);
-        let originals =
-          Array.map (fun r -> { r with chosen = export net r.part }) results
-        in
-        match stitch net originals with
-        | out -> (out, 1)
-        | exception e2 ->
-          Obs.Trace.degraded trace ~pass:"partition-stitch"
-            ~reason:"exception"
-            ~detail:
-              ("fallback stitch also failed: " ^ Printexc.to_string e2
-             ^ "; returning identity copy");
-          (Copy.convert net, 2))
+    let out, fallbacks =
+      Obs.Trace.span trace ~pass:"partition-stitch" ~index:2 ~before:parent
+        ~after:(fun (out, _) -> (N.num_gates out, Dp.depth out))
+        (fun () ->
+          let fail detail =
+            Engine.degrade trace ~pass:"partition-stitch" ~reason:"exception"
+              ~detail
+          in
+          match stitch net results with
+          | out -> (out, [])
+          | exception e1 -> (
+            let d1 = fail (Printexc.to_string e1) in
+            let originals =
+              Array.map (fun r -> { r with chosen = export net r.part }) results
+            in
+            match stitch net originals with
+            | out -> (out, [ d1 ])
+            | exception e2 ->
+              let d2 =
+                fail
+                  ("fallback stitch also failed: " ^ Printexc.to_string e2
+                 ^ "; returning identity copy")
+              in
+              (Copy.convert net, [ d1; d2 ])))
     in
-    let stitch_seconds = Unix.gettimeofday () -. t2 in
-    let gates_after = N.num_gates out in
-    if traced then
-      Obs.Trace.pass_end trace
-        ~gc:(Obs.Trace.gc_diff g2 (Gc.quick_stat ()))
-        ~pass:"partition-stitch" ~index:2 ~gates:gates_after
-        ~depth:(Dp.depth out) ~elapsed:stitch_seconds ();
-    ( out,
-      {
-        partitions = Array.length parts;
-        accepted;
-        rejected_cost;
-        rejected_cex;
-        sim_mismatches;
-        cec_escalations;
-        failed;
-        degraded_pieces;
-        stitch_fallbacks;
-        jobs;
-        gates_before;
-        gates_after;
-        carve_seconds;
-        optimize_seconds;
-        stitch_seconds;
-      } )
+    let degradations =
+      List.filter_map (fun r -> r.degradation) (Array.to_list results)
+      @ fallbacks
+    in
+    (out, { st with stitch_fallbacks = List.length fallbacks; degradations })
 
   (* Typed-config entry point: partition size, worker count and script all
      come from one [Run_config.t].  [make_env] stays explicit because the

@@ -71,11 +71,11 @@ module Make_job
     fun () ->
       let opt, t_opt = time_it (fun () -> F.run_script env ~trace net script) in
       let m, t_map = time_it (fun () -> L.map opt ~trace ~k:6 ()) in
-      let s = F.network_stats opt in
+      let nodes, levels = F.network_stats opt in
       {
         representation;
-        nodes = s.Engine.nodes;
-        levels = s.Engine.levels;
+        nodes;
+        levels;
         luts = m.L.lut_count;
         lut_levels = m.L.depth;
         time = t_opt +. t_map;

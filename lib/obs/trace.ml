@@ -131,6 +131,26 @@ let pass_end t ?(gc = gc_zero) ~pass ~index ~gates ~depth ~elapsed () =
       Pass_end { t = now s; flow = s.flow; pass; index; gates; depth; elapsed; gc }
       :: s.rev_events
 
+(* One traced span around [f]: a [pass_begin]/[pass_end] pair carrying
+   the (gates, depth) stats [before ()] and [after result], the elapsed
+   wall time and the GC work [f] caused.  Events [f] emits land inside
+   the span.  Under [null] this is just [f ()]: no stats, timestamps or
+   GC counters are computed. *)
+let span t ~pass ~index ~before ~after f =
+  match t with
+  | Null -> f ()
+  | Sink _ ->
+    let gates, depth = before () in
+    let t0 = Unix.gettimeofday () in
+    let g0 = Gc.quick_stat () in
+    pass_begin t ~pass ~index ~gates ~depth;
+    let r = f () in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let gc = gc_diff g0 (Gc.quick_stat ()) in
+    let gates, depth = after r in
+    pass_end t ~gc ~pass ~index ~gates ~depth ~elapsed ();
+    r
+
 (* Per-algorithm counters, emitted between the enclosing span's begin and
    end events.  Call sites guard with [enabled] when building the counter
    list itself has a cost. *)

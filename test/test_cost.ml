@@ -141,12 +141,14 @@ let db = lazy (Exact.Database.create Exact.Synth.aig_config)
 
 module Mf = Algo.Mffc.Make (Aig)
 
-let freed_is_mffc_mass_props =
+(* One property per additive spec: [check net eng mass n] holds for every
+   live gate [n] of random networks, [mass] summing node prices. *)
+let per_gate_props ~name check =
   List.map
     (fun spec ->
       let module I = (val Co.instance spec) in
       QCheck.Test.make
-        ~name:(Printf.sprintf "%s: freed = MFFC mass" (spec_name spec))
+        ~name:(Printf.sprintf "%s: %s" (spec_name spec) name)
         ~count:15
         QCheck.(int_bound 10_000)
         (fun seed ->
@@ -154,18 +156,44 @@ let freed_is_mffc_mass_props =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:30 ~num_pos:3 ()
           in
           let eng = Co.engine spec in
+          let mass =
+            List.fold_left (fun acc m -> I.add acc (I.of_node net m)) I.zero
+          in
           let ok = ref true in
           Aig.foreach_gate net (fun n ->
-              if (not (Aig.is_dead net n)) && Aig.ref_count net n > 0 then begin
-                let mass =
-                  List.fold_left
-                    (fun acc m -> I.add acc (I.of_node net m))
-                    I.zero (Mf.collect net n)
-                in
-                if eng.Co.freed net n <> mass then ok := false
-              end);
+              if
+                (not (Aig.is_dead net n))
+                && Aig.ref_count net n > 0
+                && not (check net eng mass n)
+              then ok := false);
           !ok))
     additive_specs
+
+let freed_is_mffc_mass_props =
+  per_gate_props ~name:"freed = MFFC mass" (fun net eng mass n ->
+      eng.Co.freed net n = mass (Mf.collect net n))
+
+(* [gain ~root:m n] for an existing node [m] of [n]'s MFFC, with nothing
+   built above the mark: holding [m] keeps alive [m] and every MFFC node
+   in its fanin cone, so the gain is the MFFC mass minus the mass of that
+   kept part.  (The kept part is [m]'s own MFFC only when no other MFFC
+   node shares [m]'s fanin cone.) *)
+let gain_holds_root_props =
+  per_gate_props ~name:"gain holding an MFFC node" (fun net eng mass n ->
+      let cone = Mf.collect net n in
+      let rec kept acc x =
+        if List.mem x acc || not (List.mem x cone) then acc
+        else
+          Array.fold_left
+            (fun acc s -> kept acc (Aig.node_of_signal s))
+            (x :: acc) (Aig.fanin net x)
+      in
+      List.for_all
+        (fun m ->
+          m = n
+          || Co.gain eng net ~mark:(eng.Co.mark net) ~root:m n
+             = mass cone - mass (kept [] m))
+        cone)
 
 let added_is_eval_delta_props =
   List.map
@@ -336,7 +364,8 @@ let test_gain_bound_regressions () =
 let suite =
   List.map Seed.to_alcotest
     (monoid_props @ eval_is_fold_props @ eval_is_fold_mig_props
-   @ freed_is_mffc_mass_props @ added_is_eval_delta_props @ telescoping_props
+   @ freed_is_mffc_mass_props @ gain_holds_root_props
+   @ added_is_eval_delta_props @ telescoping_props
    @ [ depth_never_worsens ])
   @ [
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;

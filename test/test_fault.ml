@@ -155,16 +155,6 @@ let test_parmap_retry () =
         (i mod 3 = 0) (Result.is_ok r))
     results0
 
-let test_parmap_map_raises_job_failed () =
-  match
-    Flow.Parmap.map ~jobs:2
-      ~init:(fun _ -> ())
-      ~f:(fun () i -> if i = 2 then raise Exit else i)
-      (Array.init 4 Fun.id)
-  with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Flow.Parmap.Job_failed (2, Exit) -> ()
-
 let test_parmap_injected_fault_isolated () =
   with_faults "parmap.job:1:2" (fun () ->
       let results, _ =
@@ -317,6 +307,9 @@ let test_partition_all_jobs_fail () =
       Alcotest.(check bool) "pieces exist" true (st.P.partitions > 0);
       Alcotest.(check int) "every job failed" st.P.partitions st.P.failed;
       Alcotest.(check int) "nothing accepted" 0 st.P.accepted;
+      Alcotest.(check (list string)) "one exception record per piece"
+        (List.init st.P.partitions (fun _ -> "exception"))
+        (List.map (fun d -> d.Flow.Engine.d_reason) st.P.degradations);
       check_equiv "original cones kept" baseline r)
 
 let test_partition_stitch_fallback () =
@@ -328,7 +321,29 @@ let test_partition_stitch_fallback () =
           (Copy.convert baseline)
       in
       Alcotest.(check int) "identity fallback" 2 st.P.stitch_fallbacks;
+      Alcotest.(check (list string)) "both stitch attempts recorded"
+        [ "partition-stitch exception"; "partition-stitch exception" ]
+        (List.map
+           (fun d -> d.Flow.Engine.d_pass ^ " " ^ d.Flow.Engine.d_reason)
+           st.P.degradations);
       check_equiv "fallback preserves function" baseline r)
+
+(* An expired deadline degrades every piece with the engine's own reason,
+   never a reason outside the documented vocabulary. *)
+let test_partition_deadline_records () =
+  let baseline = S.build "int2float" in
+  let r, st =
+    P.run ~size_cap:60 ~jobs:1 ~script:"rw"
+      ~deadline:(Unix.gettimeofday () -. 1.)
+      ~make_env:(fun () -> Flow.Engine.aig_env ())
+      (Copy.convert baseline)
+  in
+  Alcotest.(check (list string)) "one deadline record per piece"
+    (List.init st.P.partitions (Printf.sprintf "part%d deadline"))
+    (List.map
+       (fun d -> d.Flow.Engine.d_pass ^ " " ^ d.Flow.Engine.d_reason)
+       st.P.degradations);
+  check_equiv "deadline keeps the original cones" baseline r
 
 let test_partition_retry_rescues () =
   let baseline = S.build "int2float" in
@@ -429,8 +444,6 @@ let suite =
       test_parmap_isolation;
     Alcotest.test_case "parmap retry rescues transients" `Quick
       test_parmap_retry;
-    Alcotest.test_case "parmap map raises Job_failed" `Quick
-      test_parmap_map_raises_job_failed;
     Alcotest.test_case "injected parmap fault isolated" `Quick
       test_parmap_injected_fault_isolated;
     Alcotest.test_case "stop cancels cleanly" `Quick test_parmap_stop_cancels;
@@ -451,6 +464,8 @@ let suite =
       test_partition_all_jobs_fail;
     Alcotest.test_case "partition: stitch fallback chain" `Slow
       test_partition_stitch_fallback;
+    Alcotest.test_case "partition: deadline records per piece" `Slow
+      test_partition_deadline_records;
     Alcotest.test_case "partition: retry rescues capped faults" `Slow
       test_partition_retry_rescues;
     Alcotest.test_case "degraded trace round-trip" `Quick

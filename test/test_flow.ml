@@ -131,10 +131,10 @@ let suite =
 
 let test_stats () =
   let t = S.build "ctrl" in
-  let s = F.network_stats t in
-  Alcotest.(check int) "nodes" (Aig.num_gates t) s.Flow.Engine.nodes;
+  let nodes, levels = F.network_stats t in
+  Alcotest.(check int) "nodes" (Aig.num_gates t) nodes;
   let module D = Algo.Depth.Make (Aig) in
-  Alcotest.(check int) "levels" (D.depth t) s.Flow.Engine.levels
+  Alcotest.(check int) "levels" (D.depth t) levels
 
 let test_full_compress2rs_small () =
   (* the exact paper flow (18 commands), end to end, SAT-verified *)
@@ -186,12 +186,46 @@ let test_xmg_flow () =
   | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
     Alcotest.fail "xmg flow broke the function"
 
+(* One interpreter, two modes: the unarmed run (no checkpoint) and the
+   armed one (a stop hook that never fires, so it checkpoints after every
+   pass) must write byte-identical AIGER. *)
+let test_armed_matches_unarmed () =
+  let module To_mig = Convert.Make (Aig) (Mig) in
+  let module Of_mig = Convert.Make (Mig) (Aig) in
+  let module Fm = Flow.Engine.Make (Mig) in
+  let script = Flow.Script.compress2rs and stop () = false in
+  let text t =
+    let path = Filename.temp_file "genlog_flow" ".aag" in
+    Lsio.Aiger.write_file t path;
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  List.iter
+    (fun name ->
+      let net = S.build name in
+      let same rep a b =
+        Alcotest.(check string) (name ^ " " ^ rep) (text a) (text b)
+      in
+      let aig () = Copy.convert net and mig () = To_mig.convert net in
+      let aig_env = Flow.Engine.aig_env and mig_env = Flow.Engine.mig_env in
+      same "aig"
+        (F.run_script (aig_env ()) (aig ()) script)
+        (fst (F.run_script_safe (aig_env ()) ~stop (aig ()) script));
+      same "mig"
+        (Of_mig.convert (Fm.run_script (mig_env ()) (mig ()) script))
+        (Of_mig.convert
+           (fst (Fm.run_script_safe (mig_env ()) ~stop (mig ()) script))))
+    [ "ctrl"; "cavlc" ]
+
 let extra_suite =
   [
     Alcotest.test_case "network stats" `Quick test_stats;
     Alcotest.test_case "full compress2rs (int2float)" `Slow test_full_compress2rs_small;
     Alcotest.test_case "env reuse across benchmarks" `Slow test_env_reuse_across_benchmarks;
     Alcotest.test_case "xmg flow" `Slow test_xmg_flow;
+    Alcotest.test_case "armed run = unarmed run (aiger)" `Slow
+      test_armed_matches_unarmed;
   ]
 
 let suite = suite @ extra_suite

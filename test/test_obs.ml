@@ -53,6 +53,42 @@ let test_span_sequence () =
   Alcotest.(check (list (triple string string int)))
     "span sequence" expected (span_events trace)
 
+(* Golden partition span sequence: carve, then one span per piece on the
+   worker's child trace inside the opt span, then the stitch.  Captured
+   from int2float with one worker and a 40-gate cap. *)
+let test_partition_span_sequence () =
+  let module P = Flow.Partition.Make (Aig) in
+  let trace = T.create ~flow:"aig" () in
+  ignore
+    (P.run_with ~trace
+       ~config:(Flow.Run_config.make ~partition:40 ~jobs:1 ())
+       ~make_env:(fun () -> Flow.Engine.aig_env ())
+       (S.build "int2float"));
+  let seen =
+    List.map
+      (function
+        | T.Pass_begin { pass; index; gates; depth; _ } ->
+          Printf.sprintf "begin %s %d %d %d" pass index gates depth
+        | T.Pass_end { pass; index; gates; depth; _ } ->
+          Printf.sprintf "end %s %d %d %d" pass index gates depth
+        | T.Counters { algo; _ } -> "counters " ^ algo
+        | T.Metrics { algo; _ } -> "metrics " ^ algo
+        | T.Degraded { pass; _ } -> "degraded " ^ pass)
+      (T.events trace)
+  in
+  Alcotest.(check (list string)) "partition span sequence"
+    [
+      "begin partition-carve 0 160 21"; "counters partition";
+      "end partition-carve 0 160 21"; "begin partition-opt 1 160 21";
+      "begin part0 0 40 14"; "counters partition"; "end part0 0 23 10";
+      "begin part1 1 40 6"; "counters partition"; "end part1 1 38 5";
+      "begin part2 2 40 8"; "counters partition"; "end part2 2 40 8";
+      "begin part3 3 3 3"; "counters partition"; "end part3 3 3 3";
+      "metrics partition"; "end partition-opt 1 160 21";
+      "begin partition-stitch 2 160 21"; "end partition-stitch 2 104 17";
+    ]
+    seen
+
 let timestamp = function
   | T.Pass_begin { t; _ }
   | T.Pass_end { t; _ }
@@ -81,7 +117,7 @@ let test_monotonic_timestamps () =
    actually returned (the cleaned copy). *)
 let test_final_stats_match () =
   let _, optimized, trace = traced_run () in
-  let s = F.network_stats optimized in
+  let final_gates, final_depth = F.network_stats optimized in
   let last_end =
     List.fold_left
       (fun acc e -> match e with T.Pass_end _ -> Some e | _ -> acc)
@@ -89,8 +125,8 @@ let test_final_stats_match () =
   in
   match last_end with
   | Some (T.Pass_end { gates; depth; _ }) ->
-    Alcotest.(check int) "final gates" s.Flow.Engine.nodes gates;
-    Alcotest.(check int) "final depth" s.Flow.Engine.levels depth
+    Alcotest.(check int) "final gates" final_gates gates;
+    Alcotest.(check int) "final depth" final_depth depth
   | _ -> Alcotest.fail "no pass_end event"
 
 (* Spans are contiguous, so per-pass deltas telescope: the sum of
@@ -291,6 +327,8 @@ let suite =
     Alcotest.test_case "summary totals row" `Slow test_summary_totals;
     Alcotest.test_case "span sequence (compress_lite golden)" `Slow
       test_span_sequence;
+    Alcotest.test_case "partition span sequence (int2float golden)" `Slow
+      test_partition_span_sequence;
     Alcotest.test_case "monotonic timestamps" `Slow test_monotonic_timestamps;
     Alcotest.test_case "final stats match returned network" `Slow
       test_final_stats_match;
