@@ -67,7 +67,7 @@ let base_cfg = RC.default
 let representation =
   Arg.(
     value
-    & opt (enum [ ("aig", `Aig); ("mig", `Mig); ("xag", `Xag); ("xmg", `Xmg) ]) `Aig
+    & opt (enum RC.representations) base_cfg.RC.representation
     & info [ "r"; "representation" ] ~docv:"REP")
 
 let script_arg =
@@ -239,15 +239,8 @@ let opt_cmd =
                 output directory, created if missing (default: \
                 $(i,FILE).opt.aag next to each input).")
   in
-  let run files rep script output trace_file stats partition jobs
+  let run files representation script output trace_file stats partition jobs
       cache cost timeout retries faults =
-    let representation =
-      match rep with
-      | `Aig -> RC.Aig
-      | `Mig -> RC.Mig
-      | `Xag -> RC.Xag
-      | `Xmg -> RC.Xmg
-    in
     (match Genlog.Cost.Spec.of_string cost with
     | Ok _ -> ()
     | Error msg ->
@@ -530,10 +523,10 @@ let exact_cmd =
   let rep =
     Arg.(
       value
-      & opt (enum [ ("aig", `Aig); ("xag", `Xag); ("mig", `Mig); ("xmg", `Xmg) ]) `Xag
+      & opt (enum Genlog.Exact_tables.presets) Genlog.Exact_synth.xag_config
       & info [ "r"; "representation" ] ~docv:"REP")
   in
-  let run hex rep =
+  let run hex config =
     (* infer the variable count from the hex length: 2^n bits = 4*len *)
     let bits = 4 * String.length hex in
     let n =
@@ -546,13 +539,6 @@ let exact_cmd =
       | exception Invalid_argument msg ->
         Printf.eprintf "genlog: exact: %s\n%!" msg;
         exit 2
-    in
-    let config =
-      match rep with
-      | `Aig -> Genlog.Exact_synth.aig_config
-      | `Xag -> Genlog.Exact_synth.xag_config
-      | `Mig -> Genlog.Exact_synth.mig_config
-      | `Xmg -> Genlog.Exact_synth.xmg_config
     in
     match Genlog.Exact_synth.synthesize config f with
     | Genlog.Exact_synth.Const b -> Printf.printf "constant %d\n" (if b then 1 else 0)

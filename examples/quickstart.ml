@@ -43,7 +43,9 @@ let () =
   let m = L.map optimized ~k:6 () in
   Printf.printf "6-LUT map:  %d LUTs, depth %d\n" m.L.lut_count m.L.depth;
 
-  (* export for other tools *)
-  Aiger.write_file optimized "/tmp/quickstart_opt.aag";
-  Blif.write_file m.L.klut "/tmp/quickstart_mapped.blif";
-  print_endline "wrote /tmp/quickstart_opt.aag and /tmp/quickstart_mapped.blif"
+  (* export for other tools, into the temporary directory ($TMPDIR) *)
+  let path name = Filename.concat (Filename.get_temp_dir_name ()) name in
+  let aag = path "quickstart_opt.aag" and blif = path "quickstart_mapped.blif" in
+  Aiger.write_file optimized aag;
+  Blif.write_file m.L.klut blif;
+  Printf.printf "wrote %s and %s\n" aag blif

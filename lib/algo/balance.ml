@@ -11,7 +11,7 @@
    count and often decreases it through structural hashing. *)
 
 module Make (N : Network.Intf.NETWORK) = struct
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
   module Dp = Depth.Make (N)
   module Co = Cost.Make (N)
 
@@ -84,21 +84,7 @@ module Make (N : Network.Intf.NETWORK) = struct
   let run ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area) (net : N.t) : int =
     let eng = Co.engine cost in
     let tried = ref 0 in
-    let levels, _ = Dp.compute net in
-    let overlay = Hashtbl.create 64 in
-    let rec level_of n =
-      if n < Array.length levels then levels.(n)
-      else
-        match Hashtbl.find_opt overlay n with
-        | Some l -> l
-        | None ->
-          (* a node created during this pass by structural-hash reuse *)
-          let l = ref 0 in
-          N.foreach_fanin net n (fun s -> l := max !l (level_of (N.node_of_signal s)));
-          let l = !l + (if N.is_gate net n then 1 else 0) in
-          Hashtbl.replace overlay n l;
-          l
-    in
+    let level_of = Dp.overlay net in
     let substitutions = ref 0 in
     let apply n leaves combine =
       if List.length leaves >= 3 then begin

@@ -12,8 +12,8 @@ type result =
   | Unknown
 
 module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = struct
-  module Ta = Topo.Make (A)
-  module Tb = Topo.Make (B)
+  module Ta = Network.Topo.Make (A)
+  module Tb = Network.Topo.Make (B)
 
   (* Tseitin-encode one network into [solver]; returns the CNF variable of
      every node (index -1 where a node was not reachable).  [pi_vars.(i)] is
@@ -21,7 +21,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      sweeping. *)
   let encode_nodes (type t) (module N : Network.Intf.TRAVERSABLE with type t = t)
       (net : t) solver (pi_vars : int array) const_var : int array =
-    let module Tn = Topo.Make (N) in
+    let module Tn = Network.Topo.Make (N) in
     let node_var = Array.make (N.size net) (-1) in
     node_var.(0) <- const_var;
     Array.iteri (fun i n -> node_var.(n) <- pi_vars.(i)) (N.pis net);

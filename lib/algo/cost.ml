@@ -228,10 +228,11 @@ end
 
 (* -------------------------------------------------- the cost functor -- *)
 
-module Make (N : Intf.COSTED) = struct
-  module T = Topo.Make (N)
+module Make (N : Intf.COUNTED) = struct
+  module T = Network.Topo.Make (N)
   module Sim = Simulate.Make (N)
   module Dp = Depth.Make (N)
+  module M = Mffc.Make (N)
   module Lv = Level (N)
 
   let level = Lv.level
@@ -303,19 +304,8 @@ module Make (N : Intf.COSTED) = struct
       List.fold_left (fun a n -> a + N.fanin_size net n) 0 (T.order_all net)
     | Spec.Depth ->
       let order = T.order_all net in
-      let levels : (N.node, int) Hashtbl.t =
-        Hashtbl.create (1 + List.length order)
-      in
-      let level_of m = Option.value ~default:0 (Hashtbl.find_opt levels m) in
-      List.fold_left
-        (fun acc n ->
-          let l = ref 0 in
-          N.foreach_fanin net n (fun s ->
-              l := max !l (level_of (N.node_of_signal s)));
-          let l = !l + 1 in
-          Hashtbl.replace levels n l;
-          max acc l)
-        0 order
+      let levels = Dp.levels net order in
+      List.fold_left (fun acc n -> max acc levels.(n)) 0 order
     | Spec.Activity ->
       let order = T.order_all net in
       let patterns = pi_patterns net in
@@ -382,35 +372,8 @@ module Make (N : Intf.COSTED) = struct
     (* objective cost released by removing [n]: additive objectives sum
        the MFFC (computed with the candidate's references live, so
        shared nodes cancel out); depth prices [n]'s level *)
-    node_cost : N.t -> N.node -> int;
     eval : N.t -> int;
-    merge_ok : N.t -> keep:N.node -> drop:N.node -> bool;
-        (* may [drop] be merged into the equivalent [keep]?  Merging adds
-           no nodes, so additive objectives always improve; the
-           max-monoid requires the survivor to be no deeper *)
   }
-
-  let additive_freed of_node (net : N.t) (n : N.node) : int =
-    if not (N.is_gate net n) then 0
-    else begin
-      let total = ref (of_node net n) in
-      let rec deref m =
-        N.foreach_fanin net m (fun s ->
-            let c = N.node_of_signal s in
-            if N.decr_ref net c = 0 && N.is_gate net c then begin
-              total := !total + of_node net c;
-              deref c
-            end)
-      in
-      let rec undo m =
-        N.foreach_fanin net m (fun s ->
-            let c = N.node_of_signal s in
-            if N.incr_ref net c = 1 && N.is_gate net c then undo c)
-      in
-      deref n;
-      undo n;
-      !total
-    end
 
   let additive_added of_node (net : N.t) ~mark ~root : int =
     ignore root;
@@ -423,17 +386,14 @@ module Make (N : Intf.COSTED) = struct
 
   let engine (spec : Spec.t) : engine =
     let of_node = node_cost spec in
-    let additive = Spec.is_additive spec in
-    if additive then
+    if Spec.is_additive spec then
       {
         spec;
         additive = true;
         mark = N.size;
         added = additive_added of_node;
-        freed = additive_freed of_node;
-        node_cost = of_node;
+        freed = (fun net n -> M.fold net n (fun c m -> c + of_node net m) 0);
         eval = eval spec;
-        merge_ok = (fun _ ~keep:_ ~drop:_ -> true);
       }
     else
       {
@@ -442,13 +402,8 @@ module Make (N : Intf.COSTED) = struct
         mark = N.size;
         added = (fun net ~mark:_ ~root -> level net root);
         freed = (fun net n -> level net n);
-        node_cost = of_node;
         eval = eval spec;
-        merge_ok =
-          (fun net ~keep ~drop -> level net keep <= level net drop);
       }
-
-  let area = engine Spec.Area
 
   (* The one pricing of a candidate: the gain of replacing [n] by the
      candidate rooted at [root] whose build started at [mark].  The root

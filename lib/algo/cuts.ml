@@ -22,7 +22,7 @@
 open Kitty
 
 module Make (N : Network.Intf.TRAVERSABLE) = struct
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
 
   type cut = {
     leaves : N.node array;  (* ascending node ids; never constants *)

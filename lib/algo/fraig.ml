@@ -12,7 +12,7 @@ open Kitty
 
 module Make (N : Network.Intf.SWEEPABLE) = struct
   module Sim = Simulate.Make (N)
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
   module C = Cec.Make (N) (N)
   module CoM = Cost.Merge (N)
 

@@ -6,7 +6,7 @@
 
 module Make (N : Network.Intf.COUNTED) = struct
   module C = Cuts.Make (N)
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
 
   type mapping = {
     klut : Network.Klut.t;

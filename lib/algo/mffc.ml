@@ -3,36 +3,37 @@
    makes its reference count drop to zero. *)
 
 module Make (N : Network.Intf.COUNTED) = struct
-  (* Number of gates that die when [n] is removed (including [n]). *)
-  let size (t : N.t) (n : N.node) : int =
-    if not (N.is_gate t n) then 0
+  (* The one MFFC walk: dereference [n]'s fanins recursively, folding [f]
+     over every gate whose count drops to zero (root first, in DFS
+     pre-order), then undo the walk.  Every reference count is restored
+     on return; [init] for anything but a gate. *)
+  let fold (t : N.t) (n : N.node) (f : 'a -> N.node -> 'a) (init : 'a) : 'a =
+    if not (N.is_gate t n) then init
     else begin
-      let freed = N.recursive_deref t n in
-      let restored = N.recursive_ref t n in
-      assert (freed = restored);
-      freed + 1
-    end
-
-  (* The gates of the MFFC of [n], root first. *)
-  let collect (t : N.t) (n : N.node) : N.node list =
-    if not (N.is_gate t n) then []
-    else begin
-      let acc = ref [] in
-      let rec deref m =
-        acc := m :: !acc;
-        N.foreach_fanin t m (fun s ->
+      let rec deref acc m =
+        let acc = f acc m in
+        Array.fold_left
+          (fun acc s ->
             let c = N.node_of_signal s in
-            if N.decr_ref t c = 0 && N.is_gate t c then deref c)
+            if N.decr_ref t c = 0 && N.is_gate t c then deref acc c else acc)
+          acc (N.fanin t m)
       in
       let rec undo m =
         N.foreach_fanin t m (fun s ->
             let c = N.node_of_signal s in
             if N.incr_ref t c = 1 && N.is_gate t c then undo c)
       in
-      deref n;
+      let acc = deref init n in
       undo n;
-      List.rev !acc
+      acc
     end
+
+  (* Number of gates that die when [n] is removed (including [n]). *)
+  let size (t : N.t) (n : N.node) : int = fold t n (fun k _ -> k + 1) 0
+
+  (* The gates of the MFFC of [n], root first. *)
+  let collect (t : N.t) (n : N.node) : N.node list =
+    List.rev (fold t n (fun acc m -> m :: acc) [])
 
   (* Leaves of the MFFC of [n]: boundary signals feeding the cone from
      outside. *)

@@ -27,12 +27,10 @@ type stats = {
 }
 
 (* One sweep over the critical nodes; returns the number of rewrites. *)
-let sweep (t : Mig.t) ~levels ~level_of ~size_budget stats =
-  ignore levels;
+let sweep (t : Mig.t) ~level_of ~size_budget stats =
   let rewrites = ref 0 in
   let budget = ref size_budget in
-  let node_level n = level_of n in
-  let signal_level s = node_level (Mig.node_of_signal s) in
+  let signal_level s = level_of (Mig.node_of_signal s) in
   let try_node n =
     if Mig.is_gate t n && (not (Mig.is_dead t n)) && Mig.ref_count t n > 0 then begin
       let fanins = Mig.fanin t n in
@@ -50,7 +48,7 @@ let sweep (t : Mig.t) ~levels ~level_of ~size_budget stats =
       if !crit >= 0 then begin
         let z_sig = fanins.(!crit) in
         let z = Mig.node_of_signal z_sig in
-        let z_level = node_level z in
+        let z_level = level_of z in
         let others = Array.of_list
             (List.filteri (fun i _ -> i <> !crit) (Array.to_list fanins))
         in
@@ -168,22 +166,7 @@ let run (t : Mig.t) ?(max_iterations = 8) ?(size_budget = max_int) () : stats =
   let stats = { associativity = 0; distributivity = 0 } in
   let rec go i best_depth =
     if i < max_iterations then begin
-      let levels, _depth = Dp.compute t in
-      let overlay = Hashtbl.create 64 in
-      let rec level_of n =
-        if n < Array.length levels then levels.(n)
-        else
-          match Hashtbl.find_opt overlay n with
-          | Some l -> l
-          | None ->
-            let l = ref 0 in
-            Mig.foreach_fanin t n (fun s ->
-                l := max !l (level_of (Mig.node_of_signal s)));
-            let l = !l + if Mig.is_gate t n then 1 else 0 in
-            Hashtbl.replace overlay n l;
-            l
-      in
-      let r = sweep t ~levels ~level_of ~size_budget stats in
+      let r = sweep t ~level_of:(Dp.overlay t) ~size_budget stats in
       let d = Dp.depth t in
       if r > 0 && d < best_depth then go (i + 1) d
     end

@@ -5,7 +5,7 @@
    overcome structural bias that peephole rewriting cannot see past. *)
 
 module Make (N : Network.Intf.NETWORK) = struct
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
   module M = Mffc.Make (N)
   module W = Window.Make (N)
   module B = Network.Build.Make (N)

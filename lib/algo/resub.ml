@@ -17,7 +17,7 @@ open Kitty
 type kernel = And_or | And_or_xor | Maj3
 
 module Make (N : Network.Intf.NETWORK) = struct
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
   module R = Reconv.Make (N)
   module W = Window.Make (N)
   module M = Mffc.Make (N)

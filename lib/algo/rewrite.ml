@@ -9,18 +9,17 @@
 
 module Make (N : Network.Intf.NETWORK) = struct
   module C = Cuts.Make (N)
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
   module D = Exact.Decode.Make (N)
   module B = Network.Build.Make (N)
   module Co = Cost.Make (N)
+  module M = Mffc.Make (N)
 
   type stats = {
     mutable candidates : int;
     mutable substitutions : int;
     mutable gain : int;
   }
-
-  let cone_contains net root leaves n = T.cone_contains net ~root ~leaves n
 
   (* Measure the DAG-aware gain of replacing [n] by the database structure
      for [cut]; returns the candidate signal and its gain, leaving the
@@ -66,7 +65,7 @@ module Make (N : Network.Intf.NETWORK) = struct
     | None -> None
     | Some s ->
       let root = N.node_of_signal s in
-      if root = n || cone_contains net root cut.C.leaves n then begin
+      if root = n || T.cone_contains net ~root ~leaves:cut.C.leaves n then begin
         N.take_out_if_dead net root;
         None
       end
@@ -93,7 +92,7 @@ module Make (N : Network.Intf.NETWORK) = struct
         then begin
           (* structural MFFC size, used only to prune candidate builders;
              always counted in gates regardless of the cost objective *)
-          let mffc_size = Co.area.Co.freed net n in
+          let mffc_size = M.size net n in
           (* pick the best (cut, builder) by measured gain *)
           let best = ref None in
           List.iter
@@ -125,7 +124,9 @@ module Make (N : Network.Intf.NETWORK) = struct
             | Some s ->
               if
                 N.node_of_signal s <> n
-                && not (cone_contains net (N.node_of_signal s) cut.C.leaves n)
+                && not
+                     (T.cone_contains net ~root:(N.node_of_signal s)
+                        ~leaves:cut.C.leaves n)
               then begin
                 N.substitute_node net n s;
                 stats.substitutions <- stats.substitutions + 1;

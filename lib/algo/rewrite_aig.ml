@@ -12,6 +12,7 @@ open Network
 
 module D = Exact.Decode.Make (Aig)
 module T = Topo.Make (Aig)
+module M = Mffc.Make (Aig)
 
 type cut = {
   leaves : int array;  (* at most 4, ascending *)
@@ -137,8 +138,7 @@ let run (net : Aig.t) ~(db : Exact.Database.t) ?(cut_limit = 8)
     (fun n ->
       if Aig.is_gate net n && (not (Aig.is_dead net n)) && Aig.ref_count net n > 0
       then begin
-        let mffc_size = 1 + Aig.recursive_deref net n in
-        ignore (Aig.recursive_ref net n);
+        let mffc_size = M.size net n in
         let best = ref None in
         let build f leaf_sigs =
           let lookup = Exact.Database.lookup db f in
@@ -170,9 +170,7 @@ let run (net : Aig.t) ~(db : Exact.Database.t) ?(cut_limit = 8)
                 None
               end
               else begin
-                let freed = 1 + Aig.recursive_deref net n in
-                ignore (Aig.recursive_ref net n);
-                let gain = freed - added in
+                let gain = M.size net n - added in
                 Aig.take_out_if_dead net root;
                 Some (gain, cut, f)
               end

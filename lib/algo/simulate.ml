@@ -6,7 +6,7 @@
 open Kitty
 
 module Make (N : Network.Intf.TRAVERSABLE) = struct
-  module T = Topo.Make (N)
+  module T = Network.Topo.Make (N)
 
   (* Value of a gate from its fanin values (edge complements applied here). *)
   let gate_value (t : N.t) n (value_of : N.node -> Tt.t) : Tt.t =

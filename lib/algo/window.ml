@@ -6,6 +6,7 @@ open Kitty
 
 module Make (N : Network.Intf.COUNTED) = struct
   module S = Simulate.Make (N)
+  module T = Network.Topo.Make (N)
 
   type t = {
     root : N.node;
@@ -16,20 +17,7 @@ module Make (N : Network.Intf.COUNTED) = struct
   (* Gates between the leaves and the root (root included, leaves not). *)
   let of_cut (net : N.t) (root : N.node) (leaves : N.node list) : t =
     let leaves = Array.of_list leaves in
-    let id = N.new_traversal_id net in
-    Array.iter (fun l -> N.set_visited net l id) leaves;
-    let acc = ref [] in
-    let rec visit n =
-      if N.visited net n <> id then begin
-        N.set_visited net n id;
-        if N.is_gate net n then begin
-          Array.iter (fun s -> visit (N.node_of_signal s)) (N.fanin net n);
-          acc := n :: !acc
-        end
-      end
-    in
-    visit root;
-    { root; leaves; cone = List.rev !acc }
+    { root; leaves; cone = T.cone net ~leaves root }
 
   (* Truth tables of all window nodes over the leaf variables. *)
   let simulate (net : N.t) (w : t) : (N.node, Tt.t) Hashtbl.t =

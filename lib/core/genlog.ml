@@ -43,9 +43,9 @@ module Xmg = Network.Xmg
 module Klut = Network.Klut
 module Convert = Network.Convert
 module Build = Network.Build
+module Topo = Network.Topo
 
 (* generic algorithms (paper layer 2) *)
-module Topo = Algo.Topo
 module Depth = Algo.Depth
 module Simulate = Algo.Simulate
 module Cuts = Algo.Cuts

@@ -30,7 +30,7 @@
 
 module Make (N : Network.Intf.NETWORK) = struct
   module B = Network.Build.Make (N)
-  module T = Algo.Topo.Make (N)
+  module T = Network.Topo.Make (N)
   module E = Engine.Make (N)
   module Dp = Algo.Depth.Make (N)
   module Copy = Network.Convert.Make (N) (N)

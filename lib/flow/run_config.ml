@@ -21,18 +21,11 @@ type t = {
   faults : string option;  (* fault-injection spec (see Fault), testing only *)
 }
 
-let representation_to_string = function
-  | Aig -> "aig"
-  | Mig -> "mig"
-  | Xag -> "xag"
-  | Xmg -> "xmg"
+(* Representation names, as the CLI spells them. *)
+let representations = [ ("aig", Aig); ("mig", Mig); ("xag", Xag); ("xmg", Xmg) ]
 
-let representation_of_string = function
-  | "aig" -> Some Aig
-  | "mig" -> Some Mig
-  | "xag" -> Some Xag
-  | "xmg" -> Some Xmg
-  | _ -> None
+let representation_to_string r =
+  fst (List.find (fun (_, r') -> r' = r) representations)
 
 let default =
   {

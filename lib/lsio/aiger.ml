@@ -5,6 +5,7 @@
    combinational subset (no latches) is handled. *)
 
 open Network
+module T = Topo.Make (Aig)
 
 exception Parse_error of string
 
@@ -20,21 +21,12 @@ let write (t : Aig.t) (oc : out_channel) =
   Aig.foreach_pi t (fun n ->
       Hashtbl.replace index n !next;
       incr next);
-  let gates = ref [] in
-  let id = Aig.new_traversal_id t in
-  let rec visit n =
-    if Aig.visited t n <> id then begin
-      Aig.set_visited t n id;
-      if Aig.is_gate t n then begin
-        Array.iter (fun s -> visit (Aig.node_of_signal s)) (Aig.fanin t n);
-        Hashtbl.replace index n !next;
-        incr next;
-        gates := n :: !gates
-      end
-    end
-  in
-  Aig.foreach_po t (fun s -> visit (Aig.node_of_signal s));
-  let gates = List.rev !gates in
+  let gates = T.order t in
+  List.iter
+    (fun n ->
+      Hashtbl.replace index n !next;
+      incr next)
+    gates;
   let lit s =
     let v = Hashtbl.find index (Aig.node_of_signal s) in
     (2 * v) + if Aig.is_complemented s then 1 else 0

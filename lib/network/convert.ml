@@ -1,6 +1,7 @@
 (* Conversion between network representations.
 
-   Traverses the source network in topological (creation-compatible) order
+   Traverses the source network in topological order ([Topo.order]: a DFS
+   from the outputs, since substitutions may have broken creation order)
    and rebuilds every gate in the destination with the destination's own
    constructors; structural hashing in the destination deduplicates on the
    fly.  [Cleanup] (same-type conversion) also sweeps dangling nodes and
@@ -10,23 +11,7 @@
    needs no refcounting or substitution on either side. *)
 module Make (Src : Intf.TRAVERSABLE) (Dst : Intf.BUILDER) = struct
   module B = Build.Make (Dst)
-
-  (* Topological order over live source nodes (substitutions may have broken
-     creation order, so a DFS from the outputs is required). *)
-  let topological_order src =
-    let id = Src.new_traversal_id src in
-    let order = ref [] in
-    let rec visit n =
-      if Src.visited src n <> id then begin
-        Src.set_visited src n id;
-        if Src.is_gate src n then begin
-          Array.iter (fun s -> visit (Src.node_of_signal s)) (Src.fanin src n);
-          order := n :: !order
-        end
-      end
-    in
-    Src.foreach_po src (fun s -> visit (Src.node_of_signal s));
-    List.rev !order
+  module T = Topo.Make (Src)
 
   let convert (src : Src.t) : Dst.t =
     let dst = Dst.create ~initial_capacity:(Src.size src) () in
@@ -45,7 +30,7 @@ module Make (Src : Intf.TRAVERSABLE) (Dst : Intf.BUILDER) = struct
             (Src.fanin src n)
         in
         map.(n) <- B.of_kind dst (Src.gate_kind src n) fanins)
-      (topological_order src);
+      (T.order src);
     Src.foreach_po src (fun s ->
         let m = map.(Src.node_of_signal s) in
         Dst.create_po dst (Dst.complement_if (Src.is_complemented s) m));

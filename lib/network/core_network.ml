@@ -132,7 +132,7 @@ module Make (Spec : SPEC) = struct
     go 0
 
   (* -- iteration (creation order; callers needing a true topological order
-        after substitutions use [Algo.Topo]) -- *)
+        after substitutions use [Topo]) -- *)
 
   let foreach_node t f =
     let n0 = t.size in
@@ -196,25 +196,6 @@ module Make (Spec : SPEC) = struct
     assert (d.refs > 0);
     d.refs <- d.refs - 1;
     d.refs
-
-  (* Simulated (non-destructive) dereference of the fanins of [n]: returns
-     the number of gates in the maximum fanout-free cone below [n]
-     (excluding [n] itself).  [recursive_ref] undoes it. *)
-  let rec recursive_deref t n =
-    Array.fold_left
-      (fun acc s ->
-        let c = node_of_signal s in
-        let r = decr_ref t c in
-        if r = 0 && is_gate t c then acc + 1 + recursive_deref t c else acc)
-      0 (data t n).fanin
-
-  let rec recursive_ref t n =
-    Array.fold_left
-      (fun acc s ->
-        let c = node_of_signal s in
-        let r = incr_ref t c in
-        if r = 1 && is_gate t c then acc + 1 + recursive_ref t c else acc)
-      0 (data t n).fanin
 
   (* -- structural hashing and node creation -- *)
 

@@ -22,8 +22,7 @@
 
      BUILDER      SIGNALS + CONSTRUCT           circuit generators, decoders
      TRAVERSABLE  STRUCTURE + SCRATCH           topo, depth, cuts, simulation
-     COUNTED      TRAVERSABLE + REFCOUNT        MFFC, windows, LUT mapping
-     COSTED       TRAVERSABLE + REFCOUNT        cost engines (Algo.Cost)
+     COUNTED      TRAVERSABLE + REFCOUNT        MFFC, windows, LUT mapping, cost
      SWEEPABLE    TRAVERSABLE + RESTRUCTURE     SAT sweeping (fraig)
      NETWORK      everything                    rewrite, refactor, resub, ...
 
@@ -121,7 +120,8 @@ module type CONSTRUCT = sig
   (** Native node creation (used by cloning and database instantiation). *)
 end
 
-(** Reference counting for DAG-aware gain computation (paper §2.2.3). *)
+(** Reference counting for DAG-aware gain computation (paper §2.2.3).
+    The MFFC walk over these counters is [Algo.Mffc]. *)
 module type REFCOUNT = sig
   type t
   type node = int
@@ -129,8 +129,6 @@ module type REFCOUNT = sig
   val ref_count : t -> node -> int
   val incr_ref : t -> node -> int
   val decr_ref : t -> node -> int
-  val recursive_deref : t -> node -> int
-  val recursive_ref : t -> node -> int
 end
 
 (** In-place restructuring (paper §2.2.3). *)
@@ -179,20 +177,9 @@ module type TRAVERSABLE = sig
   include SCRATCH with type t := t and type node := int
 end
 
-(** Traversal plus reference counting (MFFCs, windows, mapping). *)
+(** Traversal plus reference counting (MFFCs, windows, mapping and the
+    cost engines of [Algo.Cost], which price gain through MFFCs). *)
 module type COUNTED = sig
-  include TRAVERSABLE
-  include REFCOUNT with type t := t and type node := int
-end
-
-(** Traversal plus reference counting, named as the seam the cost-generic
-    optimization layer ([Algo.Cost]) hangs off: a cost instance needs to
-    walk the network ({!TRAVERSABLE}) and to account DAG-aware gain
-    through MFFCs ({!REFCOUNT}), nothing more.  Structurally identical to
-    {!COUNTED}; the separate name keeps the dependency honest — an
-    algorithm demanding [COSTED] declares that it prices nodes, not that
-    it maps them. *)
-module type COSTED = sig
   include TRAVERSABLE
   include REFCOUNT with type t := t and type node := int
 end

@@ -637,6 +637,45 @@ let prop_cuts_random =
           done);
       !ok)
 
+(* The shared walks agree with independent ones: the MFFC fold counts
+   what [collect] lists and leaves every reference count as it was; the
+   level overlay prices nodes built after it was taken, over gates the
+   outputs reach, as a fresh cone walk ([Cost.level]) does. *)
+let prop_shared_walks =
+  QCheck.Test.make
+    ~name:"mffc size = |collect| with counts kept; level overlay = Cost.level"
+    ~count:30 (Gen.arb_params ())
+    (fun (seed, num_gates) ->
+      let module R = Gen.Make (Aig) in
+      let module Co = Algo.Cost.Make (Aig) in
+      let t = R.generate ~seed ~num_pis:6 ~num_gates ~num_pos:4 () in
+      let refs () = Array.init (Aig.size t) (Aig.ref_count t) in
+      let before = refs () in
+      let sizes_ok = ref true in
+      Aig.foreach_node t (fun n ->
+          if Mffc_aig.size t n <> List.length (Mffc_aig.collect t n) then
+            sizes_ok := false);
+      let counts_ok = refs () = before in
+      let level_of = Depth_aig.overlay t in
+      let mark = Aig.size t in
+      let rng = Random.State.make [| seed |] in
+      let pool = ref (Array.to_list (Array.map Aig.signal_of_node (Aig.pis t))) in
+      let module T = Network.Topo.Make (Aig) in
+      List.iter (fun n -> pool := Aig.signal_of_node n :: !pool) (T.order t);
+      let pick () =
+        let l = !pool in
+        Aig.complement_if (Random.State.bool rng)
+          (List.nth l (Random.State.int rng (List.length l)))
+      in
+      for _ = 1 to 10 do
+        pool := Aig.create_and t (pick ()) (pick ()) :: !pool
+      done;
+      let levels_ok = ref true in
+      for n = mark to Aig.size t - 1 do
+        if level_of n <> Co.level t n then levels_ok := false
+      done;
+      !sizes_ok && counts_ok && !levels_ok)
+
 let extra_suite =
   [
     Alcotest.test_case "cuts k=6 functions" `Quick test_cuts_k6;
@@ -652,6 +691,7 @@ let extra_suite =
     Alcotest.test_case "composed passes" `Quick test_fraig_then_rewrite_chain;
     Alcotest.test_case "preservation: xmg passes" `Slow test_preserve_xmg_passes;
     Alcotest.test_case "mffc respects po refs" `Quick test_mffc_respects_po_refs;
+    Seed.to_alcotest prop_shared_walks;
   ]
 
 let suite = suite @ extra_suite

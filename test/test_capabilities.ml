@@ -24,7 +24,7 @@ module _ : Intf.NETWORK = Xmg
 module _ : Intf.NETWORK = Klut
 
 (* Each functor at its minimal slice.  TRAVERSABLE: pure traversals. *)
-module Topo_min = Algo.Topo.Make (Traversable)
+module Topo_min = Topo.Make (Traversable)
 module Depth_min = Algo.Depth.Make (Traversable)
 module _ = Algo.Simulate.Make (Traversable)
 module _ = Algo.Simulate.Cross (Traversable) (Traversable)
@@ -56,7 +56,7 @@ module _ = Algo.Resub.Make (Full)
 
 module S = Lsgen.Suite.Make (Aig)
 module Depth_full = Algo.Depth.Make (Aig)
-module Topo_full = Algo.Topo.Make (Aig)
+module Topo_full = Topo.Make (Aig)
 
 (* The coerced functor instance operates on the same values and computes
    the same results as the full-signature instance. *)

@@ -22,7 +22,7 @@ module G = Gen.Make (Aig)
 module Gm = Gen.Make (Mig)
 module Rw = Algo.Rewrite.Make (Aig)
 module Rf = Algo.Refactor.Make (Aig)
-module T = Algo.Topo.Make (Aig)
+module T = Network.Topo.Make (Aig)
 
 let test_weights =
   Algo.Cost.Spec.Weights
@@ -313,12 +313,11 @@ let test_engine_area () =
   let eng = Co.engine Algo.Cost.Spec.Area in
   Alcotest.(check bool) "additive" true eng.Co.additive;
   Alcotest.(check int) "eval = num_gates" (Aig.num_gates net) (eng.Co.eval net);
-  (* freed of a live gate = MFFC size = 1 + recursive_deref *)
+  (* freed of a live gate = MFFC size *)
   let n =
     List.find (fun n -> Aig.ref_count net n > 0) (List.rev (T.order net))
   in
-  let mffc = 1 + Aig.recursive_deref net n in
-  ignore (Aig.recursive_ref net n);
+  let mffc = List.length (Mf.collect net n) in
   Alcotest.(check int) "freed = mffc" mffc (eng.Co.freed net n);
   (* accept: strict gain, or zero gain only in zero-gain mode *)
   Alcotest.(check bool) "gain 1 accepted" true (Co.accept eng 1);

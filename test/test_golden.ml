@@ -181,6 +181,74 @@ let test_kernel_pins () =
         pins)
     kernel_goldens
 
+(* Output pins: the MD5 of the AIGER text [genlog opt -r REP] writes
+   for a suite circuit after compress2rs, taken through the same path
+   (generated AIGER read back, converted to REP, optimized, converted
+   back, written).  The QoR pins above survive a change of traversal
+   order that keeps gate and level counts; these do not, because node
+   numbering in the output follows the traversal. *)
+let output_goldens =
+  [
+    ("ctrl", [ ("aig", "17fdd63abb4f90742e4c690929c26720");
+               ("xag", "c97567df3e2dbc56716be3082dd578db");
+               ("mig", "8b9b00ff369b213b16f160d0af65686b");
+               ("xmg", "0aab7cf1628ec86e330a18d7b4c4c31d") ]);
+    ("cavlc", [ ("aig", "abccf50a74e45b960a05b3fb1e8d07a1");
+                ("xag", "57e06919f16112c98b7434b925da2f0f");
+                ("mig", "c171ff60c5bef289f7853dda5612632e");
+                ("xmg", "1bec8cafa234b5b9865d0b3c4d1fe228") ]);
+    ("int2float", [ ("aig", "d542257eab91cb84e3d06c75a9858a5f");
+                    ("xag", "707b0fccd0834bed9fac2f6516b4ad6f");
+                    ("mig", "bd122e75c9d48a0746cd3fcbc96dffbf");
+                    ("xmg", "5d8d7e70726009ecad65a1553d95c93e") ]);
+    ("router", [ ("aig", "522a130f98a223add2ad57035a98a227");
+                 ("xag", "72d9720e0870045c7d36fb30924e2df2");
+                 ("mig", "289718ff2b2160b928db2369b87230d0");
+                 ("xmg", "98be55c2a4f8d0e7a4def1f294caee1a") ]);
+    ("voter", [ ("aig", "e3ec970b62d55965b0ded9337dcdf7d9");
+                ("xag", "2ace303b5cf2616880e84f6d375071bc");
+                ("mig", "ee32429b0e5b563c233b944dd9bf66cf");
+                ("xmg", "a4617338a7e9d76660b1fe2211810138") ]);
+  ]
+
+(* [k] applied to a temporary AIGER file holding [aig]. *)
+let with_aiger (aig : Aig.t) k =
+  let path = Filename.temp_file "golden" ".aag" in
+  Lsio.Aiger.write_file aig path;
+  let r = k path in
+  Sys.remove path;
+  r
+
+let optimized rep (aig : Aig.t) =
+  let module RC = Flow.Run_config in
+  let env = Flow.Engine.env_of_config (RC.make ~representation:rep ()) in
+  let via (type n) (module N : Network.Intf.NETWORK with type t = n) =
+    let module To = Convert.Make (Aig) (N) in
+    let module Back = Convert.Make (N) (Aig) in
+    let module Fn = Flow.Engine.Make (N) in
+    Back.convert (Fn.run_script env (To.convert aig) Flow.Script.compress2rs)
+  in
+  match rep with
+  | RC.Aig -> F.run_script env aig Flow.Script.compress2rs
+  | RC.Mig -> via (module Mig)
+  | RC.Xag -> via (module Xag)
+  | RC.Xmg -> via (module Xmg)
+
+let test_output_digests () =
+  List.iter
+    (fun (name, pins) ->
+      List.iter
+        (fun (rep_name, expected) ->
+          let rep = List.assoc rep_name Flow.Run_config.representations in
+          Alcotest.(check string)
+            (Printf.sprintf "%s -r %s output digest" name rep_name)
+            expected
+            (with_aiger
+               (optimized rep (with_aiger (S.build name) Lsio.Aiger.read_file))
+               (fun path -> Digest.to_hex (Digest.file path))))
+        pins)
+    output_goldens
+
 let suite =
   [
     Alcotest.test_case "area matches seed smoke goldens" `Quick
@@ -189,4 +257,5 @@ let suite =
       test_depth_regression;
     Alcotest.test_case "xor and maj resub kernel pins" `Quick
       test_kernel_pins;
+    Alcotest.test_case "opt output digests" `Slow test_output_digests;
   ]

@@ -2,6 +2,7 @@
    structural hashing, reference counting, substitution. *)
 
 open Network
+module Mffc_aig = Algo.Mffc.Make (Aig)
 
 let test_aig_basic () =
   let t = Aig.create () in
@@ -81,12 +82,10 @@ let test_refcounts () =
   let n_ab = Aig.node_of_signal ab and n_abc = Aig.node_of_signal abc in
   Alcotest.(check int) "ab referenced once" 1 (Aig.ref_count t n_ab);
   Alcotest.(check int) "abc referenced by PO" 1 (Aig.ref_count t n_abc);
-  (* recursive deref/ref preserves counts and measures the MFFC *)
-  let freed = Aig.recursive_deref t n_abc in
-  Alcotest.(check int) "MFFC below abc has one gate (ab)" 1 freed;
-  let added = Aig.recursive_ref t n_abc in
-  Alcotest.(check int) "ref restores the same count" freed added;
-  Alcotest.(check int) "ref count restored" 1 (Aig.ref_count t n_ab)
+  (* the MFFC walk measures the cone and restores every count *)
+  Alcotest.(check int) "MFFC of abc is abc and ab" 2 (Mffc_aig.size t n_abc);
+  Alcotest.(check int) "ref count restored" 1 (Aig.ref_count t n_ab);
+  Alcotest.(check int) "root ref count restored" 1 (Aig.ref_count t n_abc)
 
 let test_substitute_merges () =
   let t = Aig.create () in

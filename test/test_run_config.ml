@@ -3,15 +3,15 @@
 module RC = Flow.Run_config
 
 let test_representation_strings () =
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        "round-trips" true
-        (RC.representation_of_string (RC.representation_to_string r) = Some r))
-    [ RC.Aig; RC.Mig; RC.Xag; RC.Xmg ];
   Alcotest.(check bool)
-    "unknown rejected" true
-    (RC.representation_of_string "klut" = None)
+    "one name per representation" true
+    (RC.representations
+    = [ ("aig", RC.Aig); ("mig", RC.Mig); ("xag", RC.Xag); ("xmg", RC.Xmg) ]);
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check string) "to_string is the table's name" name
+        (RC.representation_to_string r))
+    RC.representations
 
 let suite =
   [
