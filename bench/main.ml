@@ -568,7 +568,18 @@ let micro () =
   let module Cuts_a = Cuts.Make (Aig) in
   let module Sim_a = Simulate.Make (Aig) in
   let module Reconv_a = Reconv.Make (Aig) in
+  let module Window_a = Window.Make (Aig) in
+  let module Mffc_a = Mffc.Make (Aig) in
   let rng = Random.State.make [| 17 |] in
+  (* two 64-word tables with random bits *)
+  let random_tt () =
+    let f = Tt.create 12 in
+    for m = 0 to 4095 do
+      if Random.State.bool rng then Tt.set_bit f m
+    done;
+    f
+  in
+  let tt_a = random_tt () and tt_b = random_tt () in
   let some_gates =
     let gates = ref [] in
     Aig.foreach_gate net (fun n -> gates := n :: !gates);
@@ -590,6 +601,21 @@ let micro () =
         (Staged.stage (fun () ->
              Array.iter
                (fun n -> ignore (Reconv_a.compute net ~max_leaves:8 n))
+               some_gates));
+      Test.make ~name:"tt-ops(12 vars)"
+        (Staged.stage (fun () ->
+             ignore (Tt.equal Tt.(tt_a &: tt_b) Tt.(~:(tt_a |: tt_b)))));
+      (* the per-node work of resubstitution before its kernels run *)
+      Test.make ~name:"resub-window(64 roots, 8 leaves)"
+        (Staged.stage (fun () ->
+             Array.iter
+               (fun n ->
+                 let leaves = Reconv_a.compute net ~max_leaves:8 n in
+                 let w = Window_a.of_cut net n leaves in
+                 let mffc = Mffc_a.collect net n in
+                 let divs = Window_a.divisors net w ~mffc ~max:24 in
+                 let values = Window_a.simulate net w in
+                 Window_a.simulate_divisors net w values divs)
                some_gates));
       Test.make ~name:"npn-canonize(128 fns, cached)"
         (Staged.stage (fun () ->

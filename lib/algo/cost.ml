@@ -295,17 +295,16 @@ module Make (N : Intf.COUNTED) = struct
 
   (* Whole-network objective.  Additive objectives fold (+) over every
      live gate (dangling included — they are priced until swept, exactly
-     as [num_gates] counts them); depth folds max.  Activity runs one
-     shared simulation pass instead of per-node cone walks. *)
+     as [num_gates] counts them); depth is the network depth, the max
+     level over the gates the outputs reach (a dangling gate delays no
+     output).  Activity runs one shared simulation pass instead of
+     per-node cone walks. *)
   let eval (spec : Spec.t) (net : N.t) : int =
     match spec with
     | Spec.Area -> N.num_gates net
     | Spec.Edges ->
       List.fold_left (fun a n -> a + N.fanin_size net n) 0 (T.order_all net)
-    | Spec.Depth ->
-      let order = T.order_all net in
-      let levels = Dp.levels net order in
-      List.fold_left (fun acc n -> max acc levels.(n)) 0 order
+    | Spec.Depth -> Dp.depth net
     | Spec.Activity ->
       let order = T.order_all net in
       let patterns = pi_patterns net in

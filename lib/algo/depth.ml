@@ -4,9 +4,9 @@
 module Make (N : Network.Intf.TRAVERSABLE) = struct
   module T = Network.Topo.Make (N)
 
-  (* Levels of the gates of a topological [order] (array indexed by node
-     id; 0 for every node outside it). *)
-  let levels (t : N.t) (order : N.node list) : int array =
+  (* Level of every node reachable from the outputs (array indexed by
+     node id; 0 for every other node) and the network depth. *)
+  let compute (t : N.t) : int array * int =
     let levels = Array.make (N.size t) 0 in
     List.iter
       (fun n ->
@@ -14,12 +14,7 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
         N.foreach_fanin t n (fun s ->
             l := max !l levels.(N.node_of_signal s));
         levels.(n) <- !l + 1)
-      order;
-    levels
-
-  (* Level of every node reachable from the outputs and the network depth. *)
-  let compute (t : N.t) : int array * int =
-    let levels = levels t (T.order t) in
+      (T.order t);
     let depth = ref 0 in
     N.foreach_po t (fun s -> depth := max !depth levels.(N.node_of_signal s));
     (levels, !depth)

@@ -238,9 +238,10 @@ module Make (N : Network.Intf.NETWORK) = struct
           let leaves = R.compute net ~max_leaves n in
           if leaves <> [] then begin
             let w = W.of_cut net n leaves in
-            let mffc_size = M.size net n in
+            let mffc = M.collect net n in
+            let mffc_size = List.length mffc in
             if mffc_size > 0 then begin
-              let divisors = W.divisors net w ~max:max_divisors in
+              let divisors = W.divisors net w ~mffc ~max:max_divisors in
               let divisors = List.filter (fun d -> d <> n) divisors in
               let values = W.simulate net w in
               W.simulate_divisors net w values divisors;

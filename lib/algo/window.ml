@@ -33,48 +33,54 @@ module Make (N : Network.Intf.COUNTED) = struct
     values
 
   (* Divisor candidates for resubstituting the root: every window node
-     except the root and the gates of the root's MFFC (paper §2.3.4), plus
-     one layer of side nodes whose fanins all lie inside the window.  The
-     result is capped at [max] nodes. *)
-  let divisors (net : N.t) (w : t) ~(max : int) : N.node list =
-    let module M = Mffc.Make (N) in
-    let mffc = M.collect net w.root in
+     except the root and the gates of the root's MFFC [mffc] (paper
+     §2.3.4), then side nodes whose fanins all lie inside the window,
+     in discovery order.  Collection stops at [max] nodes. *)
+  let divisors (net : N.t) (w : t) ~(mffc : N.node list) ~(max : int) :
+      N.node list =
     let in_mffc = Hashtbl.create 16 in
     List.iter (fun n -> Hashtbl.replace in_mffc n ()) mffc;
     let base =
       Array.to_list w.leaves
       @ List.filter (fun n -> not (Hashtbl.mem in_mffc n)) w.cone
     in
-    (* side divisors: fanouts of window nodes, fully supported by the window
-       and independent of the root *)
-    let in_window = Hashtbl.create 64 in
-    List.iter (fun n -> Hashtbl.replace in_window n ()) base;
-    Hashtbl.replace in_window w.root ();
-    List.iter (fun n -> Hashtbl.replace in_window n ()) w.cone;
-    let side = ref [] in
-    let consider d =
-      if
-        (not (Hashtbl.mem in_window d))
-        && N.is_gate net d
-        && (not (N.is_dead net d))
-        && Array.for_all
-             (fun s ->
-               let c = N.node_of_signal s in
-               c <> w.root && Hashtbl.mem in_window c
-               && not (Hashtbl.mem in_mffc c))
-             (N.fanin net d)
-      then begin
-        Hashtbl.replace in_window d ();
-        side := d :: !side
-      end
-    in
-    List.iter (fun n -> List.iter consider (N.fanout net n)) base;
-    let all = base @ List.rev !side in
-    let rec take k = function
-      | [] -> []
-      | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-    in
-    take max all
+    let room = max - List.length base in
+    if room <= 0 then List.filteri (fun i _ -> i < max) base
+    else begin
+      (* side divisors: fanouts of window nodes, fully supported by the
+         window and independent of the root *)
+      let in_window = Hashtbl.create 64 in
+      List.iter (fun n -> Hashtbl.replace in_window n ()) base;
+      Hashtbl.replace in_window w.root ();
+      List.iter (fun n -> Hashtbl.replace in_window n ()) w.cone;
+      let side = ref [] and found = ref 0 in
+      let consider d =
+        if
+          !found < room
+          && (not (Hashtbl.mem in_window d))
+          && N.is_gate net d
+          && (not (N.is_dead net d))
+          && Array.for_all
+               (fun s ->
+                 let c = N.node_of_signal s in
+                 c <> w.root && Hashtbl.mem in_window c
+                 && not (Hashtbl.mem in_mffc c))
+               (N.fanin net d)
+        then begin
+          Hashtbl.replace in_window d ();
+          side := d :: !side;
+          incr found
+        end
+      in
+      let rec scan = function
+        | n :: rest when !found < room ->
+          List.iter consider (N.fanout net n);
+          scan rest
+        | _ -> ()
+      in
+      scan base;
+      base @ List.rev !side
+    end
 
   (* Extend the simulation to side divisors that are not in the cone. *)
   let simulate_divisors (net : N.t) (_w : t) (values : (N.node, Tt.t) Hashtbl.t)

@@ -1,16 +1,20 @@
 (* Bit-parallel truth tables.
 
-   A truth table over [num_vars] variables stores one bit per minterm in an
-   array of 64-bit words.  Minterm [m] (an assignment where bit [i] of [m] is
-   the value of variable [i]) lives in word [m / 64] at bit [m mod 64].  For
-   [num_vars < 6] the single word keeps its unused high bits at zero; every
-   operation re-normalizes so that structural equality coincides with
-   functional equality. *)
+   A truth table over [n] variables is one flat byte string: [word_count n]
+   64-bit words in native byte order, then one byte holding [n].  Minterm
+   [m] (an assignment where bit [i] of [m] is the value of variable [i])
+   lives in word [m / 64] at bit [m mod 64].  For [n < 6] the single word
+   keeps its unused high bits at zero; every operation re-normalizes so
+   that structural equality coincides with functional equality.
 
-type t = {
-  num_vars : int;
-  bits : int64 array;
-}
+   Words are read and written with the unboxed bytes primitives, so a word
+   loop allocates nothing and an operation allocates exactly its result
+   (one block), as kitty's flat [uint64_t] words do. *)
+
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let max_vars = 20
 
@@ -18,23 +22,44 @@ let max_vars = 20
 let word_count n = if n <= 6 then 1 else 1 lsl (n - 6)
 
 (* Mask selecting the meaningful bits of the (single) word when [n <= 6]. *)
-let word_mask n =
+let[@inline] word_mask n =
   if n >= 6 then -1L
   else Int64.sub (Int64.shift_left 1L (1 lsl n)) 1L
 
-let num_vars tt = tt.num_vars
-let num_bits tt = 1 lsl tt.num_vars
+(* Word [i] lives at byte offset [8 i]; the variable count follows the
+   last word. *)
+let[@inline] word tt i = get tt (i lsl 3)
+let[@inline] set_word tt i w = set tt (i lsl 3) w
+let[@inline] words tt = Bytes.length tt lsr 3
+
+let num_vars tt = Char.code (Bytes.unsafe_get tt (Bytes.length tt - 1))
+let num_bits tt = 1 lsl num_vars tt
+
+(* An uninitialized table with the shape of [tt]. *)
+let blank tt =
+  let len = Bytes.length tt in
+  let r = Bytes.create len in
+  Bytes.unsafe_set r (len - 1) (Bytes.unsafe_get tt (len - 1));
+  r
 
 let create n =
   if n < 0 || n > max_vars then
     invalid_arg (Printf.sprintf "Tt.create: num_vars %d out of [0,%d]" n max_vars);
-  { num_vars = n; bits = Array.make (word_count n) 0L }
+  let w = word_count n in
+  let tt = Bytes.make ((w lsl 3) + 1) '\000' in
+  Bytes.unsafe_set tt (w lsl 3) (Char.unsafe_chr n);
+  tt
 
 let const0 n = create n
 
+let fill tt w =
+  for i = 0 to words tt - 1 do
+    set_word tt i w
+  done
+
 let const1 n =
   let tt = create n in
-  Array.fill tt.bits 0 (Array.length tt.bits) (word_mask n);
+  fill tt (word_mask n);
   tt
 
 (* Projection word patterns for variables 0..5. *)
@@ -45,59 +70,92 @@ let projections =
 let nth_var n i =
   if i < 0 || i >= n then invalid_arg "Tt.nth_var: variable index out of range";
   let tt = create n in
-  if i < 6 then begin
-    let p = Int64.logand projections.(i) (word_mask n) in
-    Array.fill tt.bits 0 (Array.length tt.bits) p;
-    (* Words whose index has bit [i-6] unset must stay 0 — not applicable
-       here since i < 6 affects all words uniformly. *)
-    tt
-  end else begin
-    for w = 0 to Array.length tt.bits - 1 do
-      if (w lsr (i - 6)) land 1 = 1 then tt.bits.(w) <- -1L
+  if i < 6 then fill tt (Int64.logand projections.(i) (word_mask n))
+  else
+    for w = 0 to words tt - 1 do
+      if (w lsr (i - 6)) land 1 = 1 then set_word tt w (-1L)
     done;
-    tt
-  end
+  tt
 
-let copy tt = { tt with bits = Array.copy tt.bits }
+let copy = Bytes.copy
 
 let get_bit tt m =
-  let w = m lsr 6 and b = m land 63 in
-  Int64.to_int (Int64.logand (Int64.shift_right_logical tt.bits.(w) b) 1L)
+  Int64.to_int (Int64.logand (Int64.shift_right_logical (word tt (m lsr 6)) (m land 63)) 1L)
 
 let set_bit tt m =
-  let w = m lsr 6 and b = m land 63 in
-  tt.bits.(w) <- Int64.logor tt.bits.(w) (Int64.shift_left 1L b)
+  let w = m lsr 6 in
+  set_word tt w (Int64.logor (word tt w) (Int64.shift_left 1L (m land 63)))
 
 let clear_bit tt m =
-  let w = m lsr 6 and b = m land 63 in
-  tt.bits.(w) <- Int64.logand tt.bits.(w) (Int64.lognot (Int64.shift_left 1L b))
+  let w = m lsr 6 in
+  set_word tt w (Int64.logand (word tt w) (Int64.lognot (Int64.shift_left 1L (m land 63))))
 
-let equal a b =
-  a.num_vars = b.num_vars && a.bits = b.bits
+(* Same variable count, same words (the count is the trailing byte). *)
+let equal = Bytes.equal
 
+(* Variable count first, then words from word 0 as signed 64-bit
+   integers: NPN canonization picks the least table in this order. *)
 let compare a b =
-  let c = Stdlib.compare a.num_vars b.num_vars in
-  if c <> 0 then c else Stdlib.compare a.bits b.bits
+  let c = Int.compare (num_vars a) (num_vars b) in
+  if c <> 0 then c
+  else begin
+    let n = words a and i = ref 0 and c = ref 0 in
+    while !c = 0 && !i < n do
+      let x = word a !i and y = word b !i in
+      if x < y then c := -1 else if x > y then c := 1;
+      incr i
+    done;
+    !c
+  end
 
-let hash tt = Hashtbl.hash (tt.num_vars, tt.bits)
-
-let is_const0 tt = Array.for_all (fun w -> w = 0L) tt.bits
+let is_const0 tt =
+  let n = words tt and i = ref 0 in
+  while !i < n && word tt !i = 0L do incr i done;
+  !i = n
 
 let is_const1 tt =
-  let m = word_mask tt.num_vars in
-  Array.for_all (fun w -> w = m) tt.bits
+  let m = word_mask (num_vars tt) in
+  let n = words tt and i = ref 0 in
+  while !i < n && word tt !i = m do incr i done;
+  !i = n
 
-let map2 f a b =
-  if a.num_vars <> b.num_vars then invalid_arg "Tt: num_vars mismatch";
-  { num_vars = a.num_vars; bits = Array.map2 f a.bits b.bits }
+let check a b =
+  if num_vars a <> num_vars b then invalid_arg "Tt: num_vars mismatch"
 
-let ( &: ) a b = map2 Int64.logand a b
-let ( |: ) a b = map2 Int64.logor a b
-let ( ^: ) a b = map2 Int64.logxor a b
+(* One loop per operator: a word function passed as a closure would box
+   every word it returns. *)
+let ( &: ) a b =
+  check a b;
+  let r = blank a in
+  for i = 0 to words a - 1 do
+    set_word r i (Int64.logand (word a i) (word b i))
+  done;
+  r
+
+let ( |: ) a b =
+  check a b;
+  let r = blank a in
+  for i = 0 to words a - 1 do
+    set_word r i (Int64.logor (word a i) (word b i))
+  done;
+  r
+
+let ( ^: ) a b =
+  check a b;
+  let r = blank a in
+  for i = 0 to words a - 1 do
+    set_word r i (Int64.logxor (word a i) (word b i))
+  done;
+  r
 
 let ( ~: ) a =
-  let m = word_mask a.num_vars in
-  { a with bits = Array.map (fun w -> Int64.logand (Int64.lognot w) m) a.bits }
+  let r = blank a in
+  for i = 0 to words a - 1 do
+    set_word r i (Int64.lognot (word a i))
+  done;
+  let n = num_vars a in
+  if n < 6 then set_word r 0 (Int64.logand (word r 0) (word_mask n));
+  r
 
 let xnor a b = ~:(a ^: b)
 let nand a b = ~:(a &: b)
@@ -108,15 +166,19 @@ let ite i t e = (i &: t) |: (~:i &: e)
 
 let maj a b c = (a &: b) |: (a &: c) |: (b &: c)
 
+let[@inline] popcount64 x =
+  let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
+  let x = Int64.add (Int64.logand x 0x3333333333333333L)
+            (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L) in
+  let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
+
 let count_ones tt =
-  let popcount64 x =
-    let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
-    let x = Int64.add (Int64.logand x 0x3333333333333333L)
-              (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L) in
-    let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
-    Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
-  in
-  Array.fold_left (fun acc w -> acc + popcount64 w) 0 tt.bits
+  let acc = ref 0 in
+  for i = 0 to words tt - 1 do
+    acc := !acc + popcount64 (word tt i)
+  done;
+  !acc
 
 (* Positive cofactor w.r.t. variable [i]: the result no longer depends on
    [i] but keeps the same number of variables. *)
@@ -124,14 +186,14 @@ let cofactor1 tt i =
   let r = copy tt in
   if i < 6 then begin
     let p = projections.(i) and s = 1 lsl i in
-    for w = 0 to Array.length r.bits - 1 do
-      let hi = Int64.logand r.bits.(w) p in
-      r.bits.(w) <- Int64.logor hi (Int64.shift_right_logical hi s)
+    for w = 0 to words r - 1 do
+      let hi = Int64.logand (word r w) p in
+      set_word r w (Int64.logor hi (Int64.shift_right_logical hi s))
     done
   end else begin
     let d = 1 lsl (i - 6) in
-    for w = 0 to Array.length r.bits - 1 do
-      if (w lsr (i - 6)) land 1 = 0 then r.bits.(w) <- r.bits.(w lor d)
+    for w = 0 to words r - 1 do
+      if (w lsr (i - 6)) land 1 = 0 then set_word r w (word r (w lor d))
     done
   end;
   r
@@ -140,14 +202,14 @@ let cofactor0 tt i =
   let r = copy tt in
   if i < 6 then begin
     let p = projections.(i) and s = 1 lsl i in
-    for w = 0 to Array.length r.bits - 1 do
-      let lo = Int64.logand r.bits.(w) (Int64.lognot p) in
-      r.bits.(w) <- Int64.logor lo (Int64.shift_left lo s)
+    for w = 0 to words r - 1 do
+      let lo = Int64.logand (word r w) (Int64.lognot p) in
+      set_word r w (Int64.logor lo (Int64.shift_left lo s))
     done
   end else begin
     let d = 1 lsl (i - 6) in
-    for w = 0 to Array.length r.bits - 1 do
-      if (w lsr (i - 6)) land 1 = 1 then r.bits.(w) <- r.bits.(w lxor d)
+    for w = 0 to words r - 1 do
+      if (w lsr (i - 6)) land 1 = 1 then set_word r w (word r (w lxor d))
     done
   end;
   r
@@ -160,7 +222,7 @@ let support tt =
     if i < 0 then acc
     else go (i - 1) (if has_var tt i then i :: acc else acc)
   in
-  go (tt.num_vars - 1) []
+  go (num_vars tt - 1) []
 
 let exists tt i = cofactor0 tt i |: cofactor1 tt i
 let forall tt i = cofactor0 tt i &: cofactor1 tt i
@@ -170,20 +232,20 @@ let flip tt i =
   let r = copy tt in
   if i < 6 then begin
     let p = projections.(i) and s = 1 lsl i in
-    for w = 0 to Array.length r.bits - 1 do
-      let x = r.bits.(w) in
-      r.bits.(w) <-
-        Int64.logor
-          (Int64.shift_right_logical (Int64.logand x p) s)
-          (Int64.logand (Int64.shift_left x s) p)
+    for w = 0 to words r - 1 do
+      let x = word r w in
+      set_word r w
+        (Int64.logor
+           (Int64.shift_right_logical (Int64.logand x p) s)
+           (Int64.logand (Int64.shift_left x s) p))
     done
   end else begin
     let d = 1 lsl (i - 6) in
-    for w = 0 to Array.length r.bits - 1 do
+    for w = 0 to words r - 1 do
       if (w lsr (i - 6)) land 1 = 0 then begin
-        let tmp = r.bits.(w) in
-        r.bits.(w) <- r.bits.(w lor d);
-        r.bits.(w lor d) <- tmp
+        let tmp = word r w in
+        set_word r w (word r (w lor d));
+        set_word r (w lor d) tmp
       end
     done
   end;
@@ -194,7 +256,7 @@ let swap_vars tt i j =
   if i = j then copy tt
   else begin
     let i, j = if i < j then (i, j) else (j, i) in
-    let n = tt.num_vars in
+    let n = num_vars tt in
     let r = create n in
     for m = 0 to (1 lsl n) - 1 do
       if get_bit tt m = 1 then begin
@@ -212,7 +274,7 @@ let swap_vars tt i j =
    Equivalently minterm m of f maps to the minterm of g where the bit that
    was at position perm.(i) moves to position i. *)
 let permute tt perm =
-  let n = tt.num_vars in
+  let n = num_vars tt in
   if Array.length perm <> n then invalid_arg "Tt.permute: bad permutation size";
   let r = create n in
   for m = 0 to (1 lsl n) - 1 do
@@ -228,11 +290,12 @@ let permute tt perm =
 
 (* Extend to [n] variables (new variables are don't-care / unused). *)
 let extend tt n =
-  if n < tt.num_vars then invalid_arg "Tt.extend: shrinking"
-  else if n = tt.num_vars then copy tt
+  let k = num_vars tt in
+  if n < k then invalid_arg "Tt.extend: shrinking"
+  else if n = k then copy tt
   else begin
     let r = create n in
-    let src_bits = 1 lsl tt.num_vars in
+    let src_bits = 1 lsl k in
     for m = 0 to (1 lsl n) - 1 do
       if get_bit tt (m land (src_bits - 1)) = 1 then set_bit r m
     done;
@@ -241,7 +304,7 @@ let extend tt n =
 
 (* Shrink to [n] variables; variables >= n must not be in the support. *)
 let shrink tt n =
-  if n > tt.num_vars then invalid_arg "Tt.shrink: growing"
+  if n > num_vars tt then invalid_arg "Tt.shrink: growing"
   else begin
     let r = create n in
     for m = 0 to (1 lsl n) - 1 do
@@ -254,16 +317,17 @@ let shrink tt n =
    [apply f args] where [args.(i)] is the truth table (all over the same
    variable count [m]) standing for variable [i] of [f]. *)
 let apply f args =
-  if Array.length args <> f.num_vars then invalid_arg "Tt.apply: arity mismatch";
-  if f.num_vars = 0 then
+  let k = num_vars f in
+  if Array.length args <> k then invalid_arg "Tt.apply: arity mismatch";
+  if k = 0 then
     (if is_const1 f then const1 0 else const0 0)
   else begin
-    let m = args.(0).num_vars in
+    let m = num_vars args.(0) in
     let acc = ref (const0 m) in
-    for minterm = 0 to (1 lsl f.num_vars) - 1 do
+    for minterm = 0 to (1 lsl k) - 1 do
       if get_bit f minterm = 1 then begin
         let cube = ref (const1 m) in
-        for i = 0 to f.num_vars - 1 do
+        for i = 0 to k - 1 do
           let lit = if (minterm lsr i) land 1 = 1 then args.(i) else ~:(args.(i)) in
           cube := !cube &: lit
         done;
@@ -275,20 +339,18 @@ let apply f args =
 
 (* Hex string, most significant nibble first (kitty convention). *)
 let to_hex tt =
-  let nibbles = max 1 ((1 lsl tt.num_vars) / 4) in
-  let buf = Buffer.create nibbles in
-  for i = nibbles - 1 downto 0 do
-    if tt.num_vars < 2 then begin
-      (* fewer than 4 bits: print one nibble padded *)
-      let v = Int64.to_int (Int64.logand tt.bits.(0) (word_mask tt.num_vars)) in
-      Buffer.add_string buf (Printf.sprintf "%x" v)
-    end else begin
-      let w = (i * 4) lsr 6 and off = (i * 4) land 63 in
-      let v = Int64.to_int (Int64.logand (Int64.shift_right_logical tt.bits.(w) off) 0xFL) in
-      Buffer.add_char buf "0123456789abcdef".[v]
-    end
-  done;
-  Buffer.contents buf
+  let n = num_vars tt in
+  if n < 2 then
+    (* fewer than 4 bits: one nibble *)
+    Printf.sprintf "%x" (Int64.to_int (word tt 0))
+  else
+    String.init (1 lsl (n - 2)) (fun k ->
+        let i = (1 lsl (n - 2)) - 1 - k in
+        let v =
+          Int64.to_int
+            (Int64.logand (Int64.shift_right_logical (word tt (i lsr 4)) ((i land 15) lsl 2)) 0xFL)
+        in
+        "0123456789abcdef".[v])
 
 let of_hex n s =
   let tt = create n in
@@ -315,16 +377,16 @@ let pp fmt tt = Format.fprintf fmt "0x%s" (to_hex tt)
 
 (* Binary string, minterm 2^n-1 first. *)
 let to_binary tt =
-  let n = 1 lsl tt.num_vars in
+  let n = num_bits tt in
   String.init n (fun i -> if get_bit tt (n - 1 - i) = 1 then '1' else '0')
 
 (* For tables of up to 6 variables: raw word access (low bits meaningful). *)
 let to_int64 tt =
-  if tt.num_vars > 6 then invalid_arg "Tt.to_int64: more than 6 variables";
-  tt.bits.(0)
+  if num_vars tt > 6 then invalid_arg "Tt.to_int64: more than 6 variables";
+  word tt 0
 
 let of_int64 n w =
   if n > 6 then invalid_arg "Tt.of_int64: more than 6 variables";
   let tt = create n in
-  tt.bits.(0) <- Int64.logand w (word_mask n);
+  set_word tt 0 (Int64.logand w (word_mask n));
   tt

@@ -1,10 +1,11 @@
 (** Bit-parallel truth tables.
 
-    A truth table over [n] variables stores one bit per minterm in an array
-    of 64-bit words.  Minterm [m] — the assignment where bit [i] of [m] is
-    the value of variable [i] — lives in word [m / 64] at bit [m mod 64].
-    All operations re-normalize unused high bits, so structural equality
-    coincides with functional equality. *)
+    A truth table over [n] variables stores one bit per minterm in flat,
+    unboxed 64-bit words.  Minterm [m] — the assignment where bit [i] of
+    [m] is the value of variable [i] — lives in word [m / 64] at bit
+    [m mod 64].  All operations re-normalize unused high bits, so
+    structural equality coincides with functional equality.  An operation
+    allocates one block, its result. *)
 
 type t
 
@@ -56,8 +57,11 @@ val clear_bit : t -> int -> unit
 (** {1 Comparison} *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
-val hash : t -> int
+(** Variable count first, then the words from word 0, each compared as a
+    signed 64-bit integer. *)
+
 val is_const0 : t -> bool
 val is_const1 : t -> bool
 

@@ -193,7 +193,9 @@ end
     - [add (add a b) c = add a (add b c)]               (associativity)
     - [add a b = add b a]                               (commutativity)
     - [compare] is a total order consistent with [equal = 0]
-    - [eval net] equals the [add]-fold of [of_node net] over live gates
+    - [eval net] equals the [add]-fold of [of_node net] over live gates;
+      for depth, over the gates an output reaches (a dangling gate is
+      deeper than no output)
 
     Additive objectives (area, edges, activity, LUT count, weights) use
     integer [add = (+)]; depth is the max-monoid ([add = max]), which is

@@ -435,7 +435,9 @@ let test_window_divisors () =
         let leaves = Reconv_aig.compute t ~max_leaves:8 n in
         if leaves <> [] then begin
           let w = W.of_cut t n leaves in
-          let divisors = W.divisors t w ~max:20 in
+          let divisors =
+            W.divisors t w ~mffc:(Mffc_aig.collect t n) ~max:20
+          in
           Alcotest.(check bool) "root not a divisor" true
             (not (List.mem n divisors));
           let values = W.simulate t w in
@@ -676,6 +678,31 @@ let prop_shared_walks =
       done;
       !sizes_ok && counts_ok && !levels_ok)
 
+(* Divisor collection stops at its cap without changing what it keeps:
+   the capped list is the prefix of the uncapped one, for every cap. *)
+let prop_divisor_cap =
+  QCheck.Test.make ~name:"window divisors ~max:k = prefix of uncapped"
+    ~count:30 (Gen.arb_params ())
+    (fun (seed, num_gates) ->
+      let module R = Gen.Make (Aig) in
+      let module W = Algo.Window.Make (Aig) in
+      let t = R.generate ~seed ~num_pis:6 ~num_gates ~num_pos:4 () in
+      let ok = ref true in
+      Aig.foreach_gate t (fun n ->
+          let leaves = Reconv_aig.compute t ~max_leaves:6 n in
+          if leaves <> [] then begin
+            let w = W.of_cut t n leaves in
+            let mffc = Mffc_aig.collect t n in
+            let all = W.divisors t w ~mffc ~max:max_int in
+            for k = 0 to List.length all + 1 do
+              if
+                W.divisors t w ~mffc ~max:k
+                <> List.filteri (fun i _ -> i < k) all
+              then ok := false
+            done
+          end);
+      !ok)
+
 let extra_suite =
   [
     Alcotest.test_case "cuts k=6 functions" `Quick test_cuts_k6;
@@ -692,6 +719,7 @@ let extra_suite =
     Alcotest.test_case "preservation: xmg passes" `Slow test_preserve_xmg_passes;
     Alcotest.test_case "mffc respects po refs" `Quick test_mffc_respects_po_refs;
     Seed.to_alcotest prop_shared_walks;
+    Seed.to_alcotest prop_divisor_cap;
   ]
 
 let suite = suite @ extra_suite

@@ -83,12 +83,17 @@ let monoid_props =
       ])
     specs
 
-(* -- eval = fold of of_node over live gates, on random networks -- *)
+(* -- eval = fold of of_node over live gates (for depth, over the gates
+   the outputs reach), on random networks -- *)
 
-let fold_eval (type a) (module N : Intf.NETWORK with type t = a) ~add ~zero
-    ~of_node (net : a) =
+let fold_eval (type a) (module N : Intf.NETWORK with type t = a) ~spec ~add
+    ~zero ~of_node (net : a) =
+  let module T = Network.Topo.Make (N) in
   let acc = ref zero in
-  N.foreach_gate net (fun n -> if not (N.is_dead net n) then acc := add !acc (of_node net n));
+  let price n = acc := add !acc (of_node net n) in
+  if Algo.Cost.Spec.is_additive spec then
+    N.foreach_gate net (fun n -> if not (N.is_dead net n) then price n)
+  else List.iter price (T.order net);
   !acc
 
 let eval_is_fold_props =
@@ -104,7 +109,7 @@ let eval_is_fold_props =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:30 ~num_pos:3 ()
           in
           I.eval net
-          = fold_eval (module Aig) ~add:I.add ~zero:I.zero ~of_node:I.of_node
+          = fold_eval (module Aig) ~spec ~add:I.add ~zero:I.zero ~of_node:I.of_node
               net))
     specs
 
@@ -122,7 +127,7 @@ let eval_is_fold_mig_props =
               ~num_pos:3 ()
           in
           I.eval net
-          = fold_eval (module Mig) ~add:I.add ~zero:I.zero ~of_node:I.of_node
+          = fold_eval (module Mig) ~spec ~add:I.add ~zero:I.zero ~of_node:I.of_node
               net))
     specs
 
@@ -360,6 +365,24 @@ let test_gain_bound_regressions () =
       (Algo.Cost.Spec.Activity, 101);
     ]
 
+(* The depth objective is the network depth: a dangling gate deeper than
+   every output delays none of them. *)
+let test_depth_ignores_dangling () =
+  let net = Aig.create () in
+  let a = Aig.create_pi net and b = Aig.create_pi net and c = Aig.create_pi net in
+  let ab = Aig.create_and net a b in
+  Aig.create_po net ab;
+  let abc = Aig.create_and net ab c in
+  ignore (Aig.create_and net abc (Aig.complement a));
+  let module Dp = Algo.Depth.Make (Aig) in
+  let module I = (val Co.instance Algo.Cost.Spec.Depth) in
+  Alcotest.(check int) "network depth" 1 (Dp.depth net);
+  Alcotest.(check int) "eval depth = network depth" (Dp.depth net)
+    (Co.eval Algo.Cost.Spec.Depth net);
+  Alcotest.(check int) "instance eval" 1 (I.eval net);
+  let _, _, d = Co.network_cost (Co.engine Algo.Cost.Spec.Depth) net in
+  Alcotest.(check int) "network_cost depth" 1 d
+
 let suite =
   List.map Seed.to_alcotest
     (monoid_props @ eval_is_fold_props @ eval_is_fold_mig_props
@@ -374,4 +397,6 @@ let suite =
         test_network_cost_area_is_seed_order;
       Alcotest.test_case "rewrite gain bound regressions" `Quick
         test_gain_bound_regressions;
+      Alcotest.test_case "depth eval ignores dangling gates" `Quick
+        test_depth_ignores_dangling;
     ]

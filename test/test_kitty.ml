@@ -327,6 +327,117 @@ let test_factor_not_worse_than_sop () =
     end
   done
 
+(* -- storage contract: every word-level operation agrees with a
+   reference built from [get_bit] alone -- *)
+
+(* A constant, or random bits over [n] variables. *)
+let random_table rng n =
+  match Random.State.int rng 4 with
+  | 0 -> Tt.const0 n
+  | 1 -> Tt.const1 n
+  | _ ->
+    let f = Tt.create n in
+    for m = 0 to (1 lsl n) - 1 do
+      if Random.State.bool rng then Tt.set_bit f m
+    done;
+    f
+
+(* [f] with a few random minterms flipped: mostly equal words, so a
+   comparison has to look past the first words that agree. *)
+let near_table rng f =
+  let g = Tt.copy f in
+  for _ = 0 to Random.State.int rng 2 do
+    let m = Random.State.int rng (Tt.num_bits g) in
+    if Tt.get_bit g m = 1 then Tt.clear_bit g m else Tt.set_bit g m
+  done;
+  g
+
+(* Word [w] of [f] assembled bit by bit. *)
+let reference_word f w =
+  let v = ref 0L in
+  for b = 63 downto 0 do
+    let m = (64 * w) + b in
+    let bit = if m < Tt.num_bits f then Tt.get_bit f m else 0 in
+    v := Int64.logor (Int64.shift_left !v 1) (Int64.of_int bit)
+  done;
+  !v
+
+(* Variable count, then words from word 0 as signed 64-bit integers. *)
+let reference_compare a b =
+  let c = Int.compare (Tt.num_vars a) (Tt.num_vars b) in
+  if c <> 0 then c
+  else
+    let words = max 1 (Tt.num_bits a / 64) in
+    let rec go w =
+      if w = words then 0
+      else
+        let c = Int64.compare (reference_word a w) (reference_word b w) in
+        if c <> 0 then c else go (w + 1)
+    in
+    go 0
+
+let for_all_minterms f p =
+  let ok = ref true in
+  for m = 0 to Tt.num_bits f - 1 do
+    if not (p m) then ok := false
+  done;
+  !ok
+
+let prop_storage_contract =
+  QCheck.Test.make ~name:"storage contract: ops, order and codecs vs get_bit"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = Random.State.int rng 13 in
+      let a = random_table rng n in
+      let b =
+        match Random.State.int rng 4 with
+        | 0 -> Tt.copy a
+        | 1 -> random_table rng n
+        | 2 -> random_table rng (Random.State.int rng 13)
+        | _ -> near_table rng a
+      in
+      let bit = Tt.get_bit in
+      let sign x = Int.compare x 0 in
+      let same_vars = Tt.num_vars a = Tt.num_vars b in
+      let ops_ok =
+        (not same_vars)
+        ||
+        let conj = Tt.(a &: b) and disj = Tt.(a |: b) and diff = Tt.(a ^: b) in
+        for_all_minterms a (fun m ->
+            bit conj m = bit a m land bit b m
+            && bit disj m = bit a m lor bit b m
+            && bit diff m = bit a m lxor bit b m)
+      in
+      let not_a = Tt.(~:a) in
+      let not_ok =
+        for_all_minterms a (fun m -> bit not_a m = 1 - bit a m)
+        && (n >= 6
+           || Int64.shift_right_logical (Tt.to_int64 not_a) (1 lsl n) = 0L)
+      in
+      let equal_ok =
+        Tt.equal a b
+        = (same_vars && for_all_minterms a (fun m -> bit a m = bit b m))
+      in
+      let const_ok =
+        Tt.is_const0 a = for_all_minterms a (fun m -> bit a m = 0)
+        && Tt.is_const1 a = for_all_minterms a (fun m -> bit a m = 1)
+      in
+      let order_ok =
+        sign (Tt.compare a b) = sign (reference_compare a b)
+        && sign (Tt.compare b a) = sign (reference_compare b a)
+      in
+      let codecs_ok =
+        Tt.equal (Tt.of_hex n (Tt.to_hex a)) a
+        && (n > 6
+           ||
+           let w = Random.State.bits64 rng in
+           Tt.equal (Tt.of_int64 n (Tt.to_int64 a)) a
+           && Tt.equal (Tt.of_int64 n w) (Tt.of_int64 n (Tt.to_int64 (Tt.of_int64 n w)))
+           && Tt.to_int64 (Tt.of_int64 n w) = reference_word (Tt.of_int64 n w) 0)
+      in
+      ops_ok && not_ok && equal_ok && const_ok && order_ok && codecs_ok)
+
 let extra_suite =
   [
     Alcotest.test_case "multiword ops" `Quick test_multiword_ops;
@@ -338,6 +449,7 @@ let extra_suite =
     Alcotest.test_case "cube operations" `Quick test_cube_ops;
     Alcotest.test_case "isop irredundant" `Quick test_isop_irredundant;
     Alcotest.test_case "factoring no worse than sop" `Quick test_factor_not_worse_than_sop;
+    Seed.to_alcotest prop_storage_contract;
   ]
 
 let suite = suite @ extra_suite
