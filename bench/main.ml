@@ -61,8 +61,8 @@ let table1 () =
   let tot_spec_time = ref 0.0 and tot_gen_time = ref 0.0 in
   let module Copy = Convert.Make (Aig) (Aig) in
   (* shared environments: the database persists across benchmarks *)
-  let env_spec = Flow.aig_env () in
-  let env_gen = Flow.aig_env () in
+  let env_spec = Flow.make_env Run_config.Aig in
+  let env_gen = Flow.make_env Run_config.Aig in
   let module F = Flow.Make (Aig) in
   let trace = Trace.create ~flow:"table1" () in
   let rows = ref [] in
@@ -126,104 +126,85 @@ let table1 () =
 
 let table2 () =
   print_endline "=== Table 2: EPFL-suite stand-ins, four representations ===";
-  Printf.printf
-    "%-12s %8s | %6s %4s %5s | %6s %4s %5s %6s | %6s %4s %5s %6s | %6s %4s %5s %6s | %6s %4s %5s %6s\n"
-    "benchmark" "i/o" "B.Nd" "Lvl" "LUTs" "A.Nd" "Lvl" "LUTs" "time" "M.Nd"
-    "Lvl" "LUTs" "time" "X.Nd" "Lvl" "LUTs" "time" "XM.Nd" "Lvl" "LUTs" "time";
-  let tot = Hashtbl.create 8 in
-  let add key v =
-    Hashtbl.replace tot key (v + Option.value ~default:0 (Hashtbl.find_opt tot key))
-  in
-  let addf key v =
-    Hashtbl.replace tot key
-      (int_of_float (v *. 100.0)
-      + Option.value ~default:0 (Hashtbl.find_opt tot key))
-  in
-  let envs =
-    [
-      ("aig", Flow.aig_env ());
-      ("mig", Flow.mig_env ());
-      ("xag", Flow.xag_env ());
-      ("xmg", Flow.xmg_env ());
-    ]
-  in
+  let reps = List.map fst Run_config.representations in
+  Printf.printf "%-12s %8s | %6s %4s %5s" "benchmark" "i/o" "B.Nd" "Lvl" "LUTs";
+  List.iter
+    (fun rep ->
+      Printf.printf " | %6s %4s %5s %6s" (String.uppercase_ascii rep ^ ".Nd")
+        "Lvl" "LUTs" "time")
+    reps;
+  print_newline ();
   let trace = Trace.create ~flow:"table2" () in
   let rows = ref [] in
-  List.iter
-    (fun name ->
-      let baseline = Suite.build name in
-      let mb = L.map baseline ~k:6 () in
-      let tr = Trace.child trace ~flow:name in
-      let r, wall =
-        time_it (fun () -> Flow.Portfolio.run ~envs ~trace:tr baseline)
-      in
-      Trace.merge trace [ tr ];
-      let find rep =
-        List.find
-          (fun (e : Flow.Portfolio.entry) -> e.representation = rep)
-          r.entries
-      in
-      let a = find "aig" and m = find "mig" and x = find "xag" in
-      let xm = find "xmg" in
-      let sum = a.time +. m.time +. x.time +. xm.time in
-      Printf.printf
-        "%-12s %3d/%-4d | %6d %4d %5d | %6d %4d %5d %5.1fs | %6d %4d %5d %5.1fs | %6d %4d %5d %5.1fs | %6d %4d %5d %5.1fs | wall %5.1fs (sum %5.1fs)\n%!"
-        name (Aig.num_pis baseline) (Aig.num_pos baseline)
-        (Aig.num_gates baseline) (D.depth baseline) mb.L.lut_count a.nodes
-        a.levels a.luts a.time m.nodes m.levels m.luts m.time x.nodes x.levels
-        x.luts x.time xm.nodes xm.levels xm.luts xm.time wall sum;
-      let entry_row (e : Flow.Portfolio.entry) =
-        row name e.representation
-          [ ("nodes", Bench_json.Int e.nodes);
-            ("levels", Bench_json.Int e.levels);
-            ("luts", Bench_json.Int e.luts);
-            ("lut_levels", Bench_json.Int e.lut_levels);
-            ("seconds", Bench_json.Float e.time) ]
-      in
-      rows :=
-        row name "portfolio"
-          [ ("luts", Bench_json.Int r.best.luts);
-            ("seconds", Bench_json.Float wall);
-            ("seconds_sum", Bench_json.Float sum) ]
-        :: entry_row xm :: entry_row x :: entry_row m :: entry_row a
-        :: row name "baseline"
-             [ ("nodes", Bench_json.Int (Aig.num_gates baseline));
-               ("levels", Bench_json.Int (D.depth baseline));
-               ("luts", Bench_json.Int mb.L.lut_count) ]
-        :: !rows;
-      add "base_luts" mb.L.lut_count;
-      add "aig_luts" a.luts;
-      add "mig_luts" m.luts;
-      add "xag_luts" x.luts;
-      add "xmg_luts" xm.luts;
-      add "best_luts" r.best.luts;
-      addf "aig_time" a.time;
-      addf "mig_time" m.time;
-      addf "xag_time" x.time;
-      addf "xmg_time" xm.time;
-      addf "wall_time" wall)
-    suite;
-  let get k = Option.value ~default:0 (Hashtbl.find_opt tot k) in
-  let imp v = -.pct (get "base_luts") v in
-  Printf.printf
-    "\nTotal 6-LUTs: baseline %d  aig %d  mig %d  xag %d  xmg %d  portfolio %d\n"
-    (get "base_luts") (get "aig_luts") (get "mig_luts") (get "xag_luts")
-    (get "xmg_luts") (get "best_luts");
-  Printf.printf
-    "Total time:   aig %.1fs  mig %.1fs  xag %.1fs  xmg %.1fs  | portfolio wall %.1fs (sum %.1fs)\n"
-    (float_of_int (get "aig_time") /. 100.0)
-    (float_of_int (get "mig_time") /. 100.0)
-    (float_of_int (get "xag_time") /. 100.0)
-    (float_of_int (get "xmg_time") /. 100.0)
-    (float_of_int (get "wall_time") /. 100.0)
-    (float_of_int
-       (get "aig_time" + get "mig_time" + get "xag_time" + get "xmg_time")
-    /. 100.0);
-  Printf.printf
-    "LUT improvement: aig %.2f%%  mig %.2f%%  xag %.2f%%  xmg %.2f%%  portfolio %.2f%%\n"
-    (imp (get "aig_luts")) (imp (get "mig_luts")) (imp (get "xag_luts"))
-    (imp (get "xmg_luts"))
-    (imp (get "best_luts"));
+  let results =
+    List.map
+      (fun name ->
+        let baseline = Suite.build name in
+        let mb = L.map baseline ~k:6 () in
+        let tr = Trace.child trace ~flow:name in
+        let r, wall =
+          time_it (fun () -> Flow.Portfolio.run ~trace:tr baseline)
+        in
+        Trace.merge trace [ tr ];
+        let sum =
+          List.fold_left
+            (fun acc (e : Flow.Portfolio.entry) -> acc +. e.time)
+            0. r.entries
+        in
+        Printf.printf "%-12s %3d/%-4d | %6d %4d %5d" name
+          (Aig.num_pis baseline) (Aig.num_pos baseline) (Aig.num_gates baseline)
+          (D.depth baseline) mb.L.lut_count;
+        List.iter
+          (fun (e : Flow.Portfolio.entry) ->
+            Printf.printf " | %6d %4d %5d %5.1fs" e.nodes e.levels e.luts
+              e.time)
+          r.entries;
+        Printf.printf " | wall %5.1fs (sum %5.1fs)\n%!" wall sum;
+        let entry_row (e : Flow.Portfolio.entry) =
+          row name e.representation
+            [ ("nodes", Bench_json.Int e.nodes);
+              ("levels", Bench_json.Int e.levels);
+              ("luts", Bench_json.Int e.luts);
+              ("lut_levels", Bench_json.Int e.lut_levels);
+              ("seconds", Bench_json.Float e.time) ]
+        in
+        rows :=
+          row name "portfolio"
+            [ ("luts", Bench_json.Int r.best.luts);
+              ("seconds", Bench_json.Float wall);
+              ("seconds_sum", Bench_json.Float sum) ]
+          :: List.rev_append (List.map entry_row r.entries)
+               (row name "baseline"
+                  [ ("nodes", Bench_json.Int (Aig.num_gates baseline));
+                    ("levels", Bench_json.Int (D.depth baseline));
+                    ("luts", Bench_json.Int mb.L.lut_count) ]
+               :: !rows);
+        (mb.L.lut_count, r, wall, sum))
+      suite
+  in
+  let total f = List.fold_left (fun acc x -> acc + f x) 0 results in
+  let totalf f = List.fold_left (fun acc x -> acc +. f x) 0. results in
+  let entry rep (_, (r : Flow.Portfolio.result), _, _) =
+    List.find
+      (fun (e : Flow.Portfolio.entry) -> e.representation = rep)
+      r.entries
+  in
+  let per_rep f = String.concat "  " (List.map f reps) in
+  let base = total (fun (b, _, _, _) -> b) in
+  let best = total (fun (_, r, _, _) -> r.Flow.Portfolio.best.luts) in
+  let rep_luts rep = total (fun x -> (entry rep x).luts) in
+  let imp v = -.pct base v in
+  Printf.printf "\nTotal 6-LUTs: baseline %d  %s  portfolio %d\n" base
+    (per_rep (fun rep -> Printf.sprintf "%s %d" rep (rep_luts rep)))
+    best;
+  Printf.printf "Total time:   %s  | portfolio wall %.1fs (sum %.1fs)\n"
+    (per_rep (fun rep ->
+         Printf.sprintf "%s %.1fs" rep (totalf (fun x -> (entry rep x).time))))
+    (totalf (fun (_, _, wall, _) -> wall))
+    (totalf (fun (_, _, _, sum) -> sum));
+  Printf.printf "LUT improvement: %s  portfolio %.2f%%\n"
+    (per_rep (fun rep -> Printf.sprintf "%s %.2f%%" rep (imp (rep_luts rep))))
+    (imp best);
   print_endline
     "(paper Table 2: aig +30.04%, mig +27.78%, xag +31.39% portfolio; \
      abstract: 29.53/27.01/29.82)\n";
@@ -242,7 +223,7 @@ let table2 () =
 let smoke () =
   print_endline "=== Smoke: CI QoR fingerprint (compress2rs + 6-LUT map) ===";
   let module F = Flow.Make (Aig) in
-  let env = Flow.aig_env () in
+  let env = Flow.make_env Run_config.Aig in
   let trace = Trace.create ~flow:"smoke" () in
   let rows = ref [] in
   Printf.printf "%-12s | %8s %5s %6s %6s %8s\n" "benchmark" "nodes" "lvl"
@@ -296,7 +277,7 @@ let cost_bench () =
       List.iter
         (fun spec ->
           let cost_name = Cost.Spec.to_string spec in
-          let env = Flow.aig_env ~cost:spec () in
+          let env = Flow.make_env ~cost:spec Run_config.Aig in
           let before = Co.eval spec (Cl.cleanup (Copy.convert baseline)) in
           let input = Copy.convert baseline in
           let opt, seconds =
@@ -427,7 +408,8 @@ let partition_bench () =
       (* a fresh env per run: no warm database favours either side *)
       let seq, t_seq =
         time_it (fun () ->
-            F.run_script (Flow.aig_env ()) (Copy.convert baseline) script)
+            F.run_script (Flow.make_env Run_config.Aig) (Copy.convert baseline)
+              script)
       in
       Printf.printf "%-12s %-14s | %8d %5d %7.2fs |\n%!" name "sequential"
         (Aig.num_gates seq) (D.depth seq) t_seq;
@@ -439,7 +421,7 @@ let partition_bench () =
         :: !rows;
       List.iter
         (fun jobs ->
-          let env = Flow.aig_env () in
+          let env = Flow.make_env Run_config.Aig in
           let (out, st), t_par =
             time_it (fun () ->
                 P.run ~size_cap ~jobs ~script
@@ -503,8 +485,8 @@ let sat_bench () =
           ("result", Bench_json.Str (result_str r)) ]
       :: !rows
   in
-  let env = Flow.aig_env () in
-  let mig_env = Flow.mig_env () in
+  let env = Flow.make_env Run_config.Aig in
+  let env_mig = Flow.make_env Run_config.Mig in
   let module Fm = Flow.Make (Mig) in
   let module To_mig = Convert.Make (Aig) (Mig) in
   let module From_mig = Convert.Make (Mig) (Aig) in
@@ -522,7 +504,7 @@ let sat_bench () =
         in
         let roundtrip =
           From_mig.convert
-            (Fm.run_script mig_env (To_mig.convert baseline) Script.compress2rs)
+            (Fm.run_script env_mig (To_mig.convert baseline) Script.compress2rs)
         in
         [ (name, baseline, optimized); (name ^ "-mig", baseline, roundtrip) ])
       [ "ctrl"; "cavlc"; "int2float"; "dec"; "router" ]
@@ -713,7 +695,7 @@ let ablation () =
     rows := row benchmark stage fields :: !rows
   in
   (* 1: rewriting database vs factored-form fallback only *)
-  let env = Flow.aig_env () in
+  let env = Flow.make_env Run_config.Aig in
   let with_db = total (fun t -> Aig.num_gates (F.run_script env t "rw; rw")) in
   let no_db_env =
     {
@@ -753,7 +735,7 @@ let ablation () =
   ab "lutmap-area0" [ ("luts", Bench_json.Int lm0) ];
   ab "lutmap-area2" [ ("luts", Bench_json.Int lm2) ];
   (* 4: balancing inside the flow *)
-  let env2 = Flow.aig_env () in
+  let env2 = Flow.make_env Run_config.Aig in
   let with_bal =
     total (fun t -> Aig.num_gates (F.run_script env2 t "bz; rw; rs -c 8; bz"))
   in
@@ -775,10 +757,13 @@ let ablation () =
         acc + Mig.num_gates (Fm.run_script env t "rw; rw"))
       0 bench_subset
   in
-  let native = mig_total (Flow.mig_env ()) in
+  let native = mig_total (Flow.make_env Run_config.Mig) in
   let via_aig =
     mig_total
-      { (Flow.mig_env ()) with Flow.db = Database.create Exact_synth.aig_config }
+      {
+        (Flow.make_env Run_config.Mig) with
+        Flow.db = Database.create Exact_synth.aig_config;
+      }
   in
   Printf.printf
     "mig rewrite: native MAJ3 db %d gates vs AIG-db conversion %d gates\n"

@@ -182,14 +182,18 @@ let install_signal_handlers () =
   handle Sys.sigterm 143
 
 (* One code path for all four representations: AIG in, optimized AIG out,
-   plus whatever degradation markers the engine recorded.  Runs the
-   whole-network script engine, or the partition-parallel engine when a
-   partition size is set.  The exact-synthesis database is domain-safe,
-   so a single [env] is shared by every worker. *)
-let optimize_network (type t) (module N : Genlog.Intf.NETWORK with type t = t)
-    ~(of_aig : Aig.t -> t) ~(to_aig : t -> Aig.t) env ~(cfg : RC.t) ~trace
-    (aig : Aig.t) : Aig.t * Genlog.Flow.degradation list =
-  let net = of_aig aig in
+   plus whatever degradation markers the engine recorded.  The network
+   module and its conversions come from the representation's row of the
+   layer-4 table.  Runs the whole-network script engine, or the
+   partition-parallel engine when a partition size is set.  The
+   exact-synthesis database is domain-safe, so a single [env] is shared by
+   every worker. *)
+let optimize_network env ~(cfg : RC.t) ~trace (aig : Aig.t) :
+    Aig.t * Genlog.Flow.degradation list =
+  let rep = cfg.RC.representation in
+  let module R = (val Genlog.Flow.representation rep) in
+  let module N = R.N in
+  let net = R.of_aig aig in
   let r, degs =
     if cfg.RC.partition > 0 then begin
       let module P = Genlog.Flow.Partition.Make (N) in
@@ -216,12 +220,11 @@ let optimize_network (type t) (module N : Genlog.Intf.NETWORK with type t = t)
     end
   in
   let module Dn = Genlog.Depth.Make (N) in
-  let rep = cfg.RC.representation in
   Printf.eprintf "%s: gates = %d depth = %d%s\n%!"
     (RC.representation_to_string rep)
     (N.num_gates r) (Dn.depth r)
     (if rep = RC.Aig then "" else " (written back as AIG)");
-  (to_aig r, degs)
+  (R.to_aig r, degs)
 
 let opt_cmd =
   let files =
@@ -269,25 +272,10 @@ let opt_cmd =
       else Genlog.Trace.null
     in
     let env = Genlog.Flow.env_of_config cfg in
-    let process ~trace t =
-      let via (type n) (module N : Genlog.Intf.NETWORK with type t = n) =
-        let module To = Genlog.Convert.Make (Aig) (N) in
-        let module Back = Genlog.Convert.Make (N) (Aig) in
-        optimize_network (module N) ~of_aig:To.convert ~to_aig:Back.convert env
-          ~cfg ~trace t
-      in
-      match representation with
-      | RC.Aig ->
-        optimize_network (module Aig) ~of_aig:Fun.id ~to_aig:Fun.id env ~cfg
-          ~trace t
-      | RC.Mig -> via (module Genlog.Mig)
-      | RC.Xag -> via (module Genlog.Xag)
-      | RC.Xmg -> via (module Genlog.Xmg)
-    in
     let optimize_one (file, tr) =
       let t = Genlog.Aiger.read_file file in
       Printf.eprintf "%s: %s\n%!" file (stats_of_aig t);
-      let r, degs = process ~trace:tr t in
+      let r, degs = optimize_network env ~cfg ~trace:tr t in
       List.iter
         (fun d ->
           Printf.eprintf "%s: DEGRADED %s (%s): %s\n%!" file

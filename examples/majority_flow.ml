@@ -45,7 +45,7 @@ let () =
     (Mig.num_gates t) pure with_const;
   Printf.printf "depth: %d majority levels\n\n" (Dm.depth t);
 
-  let env = Flow.mig_env () in
+  let env = Flow.make_env Run_config.Mig in
   let optimized = Fm.run_script env t Script.compress_lite in
   let pure, with_const = count_pure_majority optimized in
   Printf.printf "after the generic flow (MIG instantiation):\n";

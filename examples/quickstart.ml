@@ -28,7 +28,7 @@ let () =
   let reference = Cl.cleanup t in
 
   (* run the paper's generic compress2rs flow (§3.1) *)
-  let env = Flow.aig_env () in
+  let env = Flow.make_env Run_config.Aig in
   let optimized = F.run_script env t Script.compress2rs in
   Printf.printf "compress2rs: %d AND gates, depth %d\n"
     (Aig.num_gates optimized) (D.depth optimized);

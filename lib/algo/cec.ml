@@ -152,9 +152,9 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
 
      [trace] publishes the kernel's counters into the sink.
 
-     [wall_timeout] > 0 caps the whole check in wall-clock seconds on top
-     of the conflict ladder; on expiry the answer is [Unknown] (never a
-     wrong answer), so deadline-bound flows keep their guards.
+     A check has no wall-clock bound of its own: the conflict ladder is
+     what keeps it finite.  Deadline-bound flows check their deadline
+     between passes, never inside a check.
 
      A check never raises: if the kernel itself throws (a solver bug, or
      an injected [sat.solve] fault), the miter is re-encoded once on a
@@ -162,7 +162,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      [Unknown] with winner ["anomaly"].  Correctness guards built on CEC
      treat both the same way they treat a budget exhaustion. *)
   let check_full ?(trace = Obs.Trace.null) ?(conflict_budget = 0) ?ladder
-      ?(wall_timeout = 0.) (a : A.t) (b : B.t) : result * report =
+      (a : A.t) (b : B.t) : result * report =
     let mismatch = A.num_pis a <> B.num_pis b || A.num_pos a <> B.num_pos b in
     if mismatch then
       (Counterexample [||], { winner = "shape"; conflicts = 0; rungs_used = 0 })
@@ -171,10 +171,6 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         if conflict_budget > 0 then [ conflict_budget ]
         else match ladder with Some l -> l | None -> default_ladder
       in
-      let deadline =
-        if wall_timeout > 0. then Unix.gettimeofday () +. wall_timeout else 0.
-      in
-      let expired () = deadline > 0. && Unix.gettimeofday () >= deadline in
       let decode solver pi_vars = function
         | Satkit.Solver.Unsat -> Equivalent
         | Satkit.Solver.Unknown -> Unknown
@@ -189,15 +185,12 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
           | [] ->
             (* an empty ladder means one unbounded attempt *)
             if used = 0 then
-              ( decode solver pi_vars (Satkit.Solver.solve ~deadline solver),
+              (decode solver pi_vars (Satkit.Solver.solve solver),
                 used + 1 )
             else (Unknown, used)
           | budget :: rest -> (
-            match
-              Satkit.Solver.solve ~conflict_budget:budget ~deadline solver
-            with
-            | Satkit.Solver.Unknown ->
-              if expired () then (Unknown, used + 1) else climb (used + 1) rest
+            match Satkit.Solver.solve ~conflict_budget:budget solver with
+            | Satkit.Solver.Unknown -> climb (used + 1) rest
             | r -> (decode solver pi_vars r, used + 1))
         in
         let r, used = climb 0 rungs in
@@ -225,7 +218,6 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         match single "retry" with r -> r | exception e2 -> anomaly e2)
     end
 
-  let check ?trace ?conflict_budget ?ladder ?wall_timeout (a : A.t) (b : B.t) :
-      result =
-    fst (check_full ?trace ?conflict_budget ?ladder ?wall_timeout a b)
+  let check ?trace ?conflict_budget ?ladder (a : A.t) (b : B.t) : result =
+    fst (check_full ?trace ?conflict_budget ?ladder a b)
 end

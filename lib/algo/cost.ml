@@ -3,9 +3,10 @@
 
    The paper's "write once, instantiate many" discipline is extended from
    representations to cost functions (AnySyn, arXiv 2311.14721): a cost
-   objective is a [Network.Intf.COST] instance — a commutative monoid
-   with a total order, a per-node price and a whole-network objective —
-   and every optimization functor computes its accept/reject decision
+   objective is a [Spec.t] — an integer per-node price ([node_cost])
+   folded with [+] (additive objectives) or [max] (depth) into a
+   whole-network objective ([eval]) — and every optimization functor
+   computes its accept/reject decision
    through the [engine] built here instead of inlining gates/depth
    arithmetic.
 
@@ -331,31 +332,9 @@ module Make (N : Intf.COUNTED) = struct
         (fun a n -> a + node_cost spec net n)
         0 (T.order_all net)
 
-  (* First-class COST instances over [N], one per spec, for conformance
-     testing and generic consumers.  All built-ins use [t = int]. *)
-  let instance (spec : Spec.t) :
-      (module Intf.COST with type net = N.t and type t = int) =
-    let additive = Spec.is_additive spec in
-    (module struct
-      type net = N.t
-      type t = int
-
-      let name = Spec.to_string spec
-      let zero = 0
-      let add = if additive then ( + ) else max
-      let compare = Int.compare
-      let of_node = node_cost spec
-      let eval = eval spec
-      let to_int x = x
-      let to_string = string_of_int
-    end)
-
   (* ------------------------------------------------------ the engine -- *)
 
-  (* The engine every pass gains through: int-valued because all
-     built-in instances embed into int ([COST.to_int] is an
-     order-embedding), which keeps the passes free of existential
-     plumbing. *)
+  (* The engine every pass gains through; every objective is int-valued. *)
   type engine = {
     spec : Spec.t;
     additive : bool;

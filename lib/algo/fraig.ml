@@ -25,7 +25,7 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
   }
 
   let run (net : N.t) ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area)
-      ?(num_vars = 8) ?(seed = 1) ?(conflict_budget = 2_000) () : stats =
+      () : stats =
     let stats =
       {
         classes = 0;
@@ -39,7 +39,9 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
     (* SAT kernel time, summed over every proof, in nanoseconds *)
     let sat_ns = Obs.Metrics.counter metrics "sat_ns" in
     (* 1. signatures from random simulation *)
-    let values = Sim.simulate net (Sim.random_values ~num_vars ~seed net) in
+    let values =
+      Sim.simulate net (Sim.random_values ~num_vars:8 ~seed:1 net)
+    in
     (* 2. candidate classes, keyed by the polarity-canonical signature *)
     let classes : (string, (N.node * bool) list ref) Hashtbl.t =
       Hashtbl.create 256
@@ -98,7 +100,8 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
                 else 0.0
               in
               let verdict =
-                Satkit.Solver.solve ~conflict_budget ~assumptions:[ dp ] solver
+                Satkit.Solver.solve ~conflict_budget:2_000 ~assumptions:[ dp ]
+                  solver
               in
               if Obs.Metrics.enabled metrics then
                 Obs.Metrics.add sat_ns

@@ -21,7 +21,7 @@ module Make (N : Network.Intf.COUNTED) = struct
      - depth mode: minimize (arrival, area flow),
      - area mode: minimize (area flow, arrival) subject to required time. *)
   let map (net : N.t) ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area)
-      ?(k = 6) ?(cut_limit = 12) ?(area_iterations = 2) () : mapping =
+      ?(k = 6) ?(area_iterations = 2) () : mapping =
     (* per-cut instantiation price under the chosen objective: edge count
        charges a cut its leaf count, user weights charge the LUT weight,
        everything else prices each LUT at 1 (the seed behavior) *)
@@ -34,9 +34,9 @@ module Make (N : Network.Intf.COUNTED) = struct
         1.0
     in
     let cut_metrics = Obs.Metrics.of_trace trace ~algo:"lutmap.cuts" in
-    (* wide cuts make small covers: prefer large cuts under the cap *)
+    (* wide cuts make small covers: prefer large cuts, 12 per node *)
     let cuts =
-      C.enumerate net ~k ~cut_limit ~prefer:`Large ~metrics:cut_metrics ()
+      C.enumerate net ~k ~cut_limit:12 ~prefer:`Large ~metrics:cut_metrics ()
     in
     Obs.Metrics.emit cut_metrics trace;
     let order = T.order net in

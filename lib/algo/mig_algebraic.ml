@@ -159,13 +159,13 @@ let sweep (t : Mig.t) ~level_of ~size_budget stats =
   List.iter try_node (List.rev (T.order t));
   !rewrites
 
-(* Depth-oriented rewriting: repeats critical-path sweeps until the depth
-   stops improving.  [size_budget] bounds the total gate-count increase
-   distributivity may cause (associativity is free). *)
-let run (t : Mig.t) ?(max_iterations = 8) ?(size_budget = max_int) () : stats =
+(* Depth-oriented rewriting: repeats critical-path sweeps, at most 8,
+   until the depth stops improving.  [size_budget] bounds the total
+   gate-count increase distributivity may cause (associativity is free). *)
+let run (t : Mig.t) ?(size_budget = max_int) () : stats =
   let stats = { associativity = 0; distributivity = 0 } in
   let rec go i best_depth =
-    if i < max_iterations then begin
+    if i < 8 then begin
       let r = sweep t ~level_of:(Dp.overlay t) ~size_budget stats in
       let d = Dp.depth t in
       if r > 0 && d < best_depth then go (i + 1) d

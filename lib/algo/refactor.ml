@@ -14,11 +14,13 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* Evaluate replacing the MFFC of [n] by a resynthesized structure;
      substitutes when the gain (measured by the shared cost engine) passes
      the threshold. *)
-  let try_node eng net n ~max_inputs ~allow_zero_gain ~tried ~rejected =
+  let try_node eng net n ~allow_zero_gain ~tried ~rejected =
     let leaves = M.leaves net n in
     let leaves = List.filter (fun l -> not (N.is_constant net l)) leaves in
     let k = List.length leaves in
-    if k < 1 || k > max_inputs then false
+    (* at most 10 leaves: the MFFC's function is resynthesized from its
+       truth table *)
+    if k < 1 || k > 10 then false
     else begin
       let w = W.of_cut net n leaves in
       let values = W.simulate net w in
@@ -48,7 +50,7 @@ module Make (N : Network.Intf.NETWORK) = struct
 
   (* One refactoring pass; returns the number of substitutions. *)
   let run (net : N.t) ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area)
-      ?(max_inputs = 10) ?(allow_zero_gain = false) () : int =
+      ?(allow_zero_gain = false) () : int =
     let eng = Co.engine cost in
     let substitutions = ref 0 in
     let tried = ref 0 and rejected = ref 0 in
@@ -58,7 +60,7 @@ module Make (N : Network.Intf.NETWORK) = struct
           N.is_gate net n
           && (not (N.is_dead net n))
           && N.ref_count net n > 0
-          && try_node eng net n ~max_inputs ~allow_zero_gain ~tried ~rejected
+          && try_node eng net n ~allow_zero_gain ~tried ~rejected
         then incr substitutions)
       (T.order net);
     Obs.Trace.report trace ~algo:"refactor"

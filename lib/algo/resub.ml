@@ -226,8 +226,7 @@ module Make (N : Network.Intf.NETWORK) = struct
 
   (* One resubstitution pass (paper Algorithm 5). *)
   let run (net : N.t) ~(kernel : kernel) ?(trace = Obs.Trace.null)
-      ?(cost = Cost.Spec.Area) ?(max_leaves = 8) ?(max_divisors = 24)
-      ?(max_inserted = 1) () : int =
+      ?(cost = Cost.Spec.Area) ?(max_leaves = 8) ?(max_inserted = 1) () : int =
     let eng = Co.engine cost in
     let substitutions = ref 0 in
     let tried = ref 0 and rejected = ref 0 in
@@ -241,7 +240,7 @@ module Make (N : Network.Intf.NETWORK) = struct
             let mffc = M.collect net n in
             let mffc_size = List.length mffc in
             if mffc_size > 0 then begin
-              let divisors = W.divisors net w ~mffc ~max:max_divisors in
+              let divisors = W.divisors net w ~mffc ~max:24 in
               let divisors = List.filter (fun d -> d <> n) divisors in
               let values = W.simulate net w in
               W.simulate_divisors net w values divisors;

@@ -78,12 +78,12 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* One rewriting pass; returns the accumulated gain (in units of the
      chosen cost objective). *)
   let run (net : N.t) ~(db : Exact.Database.t) ?(trace = Obs.Trace.null)
-      ?(cost = Cost.Spec.Area) ?(cut_size = 4) ?(cut_limit = 8)
-      ?(allow_zero_gain = false) () : int =
+      ?(cost = Cost.Spec.Area) ?(allow_zero_gain = false) () : int =
     let eng = Co.engine cost in
     let stats = { candidates = 0; substitutions = 0; gain = 0 } in
     let cut_metrics = Obs.Metrics.of_trace trace ~algo:"rewrite.cuts" in
-    let cuts = C.enumerate net ~k:cut_size ~cut_limit ~metrics:cut_metrics () in
+    (* 4-leaf cuts, the width of the shipped NPN tables; 8 per node *)
+    let cuts = C.enumerate net ~k:4 ~cut_limit:8 ~metrics:cut_metrics () in
     Obs.Metrics.emit cut_metrics trace;
     let nodes = T.order net in
     List.iter

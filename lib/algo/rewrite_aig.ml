@@ -129,9 +129,9 @@ let tt_of_int k v =
 
 (* The same DAG-aware rewriting loop as the generic functor, driven by the
    specialized cut data. *)
-let run (net : Aig.t) ~(db : Exact.Database.t) ?(cut_limit = 8)
-    ?(allow_zero_gain = false) () : int =
-  let cuts = enumerate net ~cut_limit in
+let run (net : Aig.t) ~(db : Exact.Database.t) ?(allow_zero_gain = false) ()
+    : int =
+  let cuts = enumerate net ~cut_limit:8 in
   let nodes = T.order net in
   let total_gain = ref 0 in
   List.iter

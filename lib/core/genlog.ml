@@ -18,7 +18,7 @@
    Typical use:
    {[
      let aig = Genlog.Suite.build "adder" in
-     let env = Genlog.Flow.aig_env () in
+     let env = Genlog.Flow.make_env Genlog.Run_config.Aig in
      let module F = Genlog.Flow.Make (Genlog.Aig) in
      let optimized = F.run_script env aig Genlog.Script.compress2rs in
      let module L = Genlog.Lutmap.Make (Genlog.Aig) in

@@ -52,13 +52,6 @@ type t = {
    single nibble). *)
 let key_of num_vars hex = string_of_int num_vars ^ ":" ^ hex
 
-let split_key k =
-  match String.index_opt k ':' with
-  | Some i ->
-    ( int_of_string (String.sub k 0 i),
-      String.sub k (i + 1) (String.length k - i - 1) )
-  | None -> invalid_arg "Database.split_key"
-
 let attach db path =
   let l = Store.load ~config:db.config path in
   Mutex.lock db.lock;
@@ -145,22 +138,6 @@ let flush db =
     end
   | _ -> ()
 
-let compact db =
-  match db.store_path with
-  | None -> ()
-  | Some p ->
-    Mutex.lock db.lock;
-    let entries =
-      Hashtbl.fold
-        (fun k result acc ->
-          let num_vars, key = split_key k in
-          { Store.num_vars; key; result } :: acc)
-        db.cache []
-    in
-    db.pending <- [] (* the cache is a superset of pending *);
-    Mutex.unlock db.lock;
-    Store.compact ~config:db.config p entries
-
 let with_lock db f =
   Mutex.lock db.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock db.lock) f
@@ -203,7 +180,3 @@ let obs_gauges db =
     ("store_flushed", si.flushed);
     ("store_pending", si.pending);
   ]
-
-let pp_stats fmt db =
-  Format.fprintf fmt "db: %d classes cached, %d hits, %d failures"
-    (Hashtbl.length db.cache) db.hits db.failures

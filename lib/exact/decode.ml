@@ -95,14 +95,4 @@ module Make (N : Intf.BUILDER) = struct
           assignment
       in
       Option.map (N.complement_if out_c) (result t entry mapped)
-
-  (* Build [f] over [inputs] through the NPN database [db].  When synthesis
-     gave up on the class and [fallback] is set, an ISOP-factored structure
-     is built instead (the DAG-aware gain check of the caller decides
-     whether it pays off); otherwise [None]. *)
-  let of_database ?(fallback = false) t db f (inputs : N.signal array) :
-      N.signal option =
-    match of_lookup t (Database.lookup db f) inputs with
-    | Some s -> Some s
-    | None -> if fallback then Some (B.of_tt t inputs f) else None
 end

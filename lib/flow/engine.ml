@@ -2,7 +2,8 @@
    representation.  An [env] bundles the two representation-specific
    choices — the exact-synthesis database feeding rewriting and the
    resubstitution kernel — which is precisely the paper's layer-4
-   specialization surface; everything else is shared. *)
+   specialization surface, built from the representation's row of the
+   table below; everything else is shared. *)
 
 type env = {
   db : Exact.Database.t;
@@ -10,53 +11,81 @@ type env = {
   cost : Algo.Cost.Spec.t;  (* optimization objective for every pass *)
 }
 
-(* Per-representation presets.  [cache] attaches the database to a
+(* The layer-4 table: one row per representation holding everything the
+   flows choose per representation — the network module, its conversion
+   from and back to the AIG that the CLI reads and writes, the
+   exact-synthesis operator set feeding rewriting, and the resubstitution
+   kernel.  [make_env], the portfolio, the CLI and the benchmark tables
+   all read it. *)
+module type REPRESENTATION = sig
+  module N : Network.Intf.NETWORK
+
+  val of_aig : Network.Aig.t -> N.t
+  val to_aig : N.t -> Network.Aig.t
+  val synth : Exact.Synth.config
+  val kernel : Algo.Resub.kernel
+end
+
+(* The network half of a row that converts from and back to AIG. *)
+module Via_aig (N : Network.Intf.NETWORK) = struct
+  module N = N
+  module To = Network.Convert.Make (Network.Aig) (N)
+  module Back = Network.Convert.Make (N) (Network.Aig)
+
+  let of_aig = To.convert
+  let to_aig = Back.convert
+end
+
+let representation : Run_config.representation -> (module REPRESENTATION) =
+  function
+  | Run_config.Aig ->
+    (module struct
+      module N = Network.Aig
+
+      (* the AIG the CLI read passes straight through *)
+      let of_aig = Fun.id
+      let to_aig = Fun.id
+      let synth = Exact.Synth.aig_config
+      let kernel = Algo.Resub.And_or
+    end)
+  | Run_config.Mig ->
+    (module struct
+      include Via_aig (Network.Mig)
+
+      let synth = Exact.Synth.mig_config
+      let kernel = Algo.Resub.Maj3
+    end)
+  | Run_config.Xag ->
+    (module struct
+      include Via_aig (Network.Xag)
+
+      let synth = Exact.Synth.xag_config
+      let kernel = Algo.Resub.And_or_xor
+    end)
+  | Run_config.Xmg ->
+    (module struct
+      include Via_aig (Network.Xmg)
+
+      let synth = Exact.Synth.xmg_config
+      let kernel = Algo.Resub.Maj3
+    end)
+
+(* The env of a representation's row.  [cache] attaches the database to a
    persistent on-disk store (see Exact.Store): known NPN classes are
    loaded up front and new ones appended when the driver calls
    [Exact.Database.flush]. *)
-let aig_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
-  {
-    db = Exact.Database.create ?store:cache Exact.Synth.aig_config;
-    kernel = Algo.Resub.And_or;
-    cost;
-  }
-
-let xag_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
-  {
-    db = Exact.Database.create ?store:cache Exact.Synth.xag_config;
-    kernel = Algo.Resub.And_or_xor;
-    cost;
-  }
-
-let mig_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
-  {
-    db = Exact.Database.create ?store:cache Exact.Synth.mig_config;
-    kernel = Algo.Resub.Maj3;
-    cost;
-  }
-
-let xmg_env ?(cost = Algo.Cost.Spec.Area) ?cache () =
-  {
-    db = Exact.Database.create ?store:cache Exact.Synth.xmg_config;
-    kernel = Algo.Resub.Maj3;
-    cost;
-  }
+let make_env ?(cost = Algo.Cost.Spec.Area) ?cache rep =
+  let module R = (val representation rep) in
+  { db = Exact.Database.create ?store:cache R.synth; kernel = R.kernel; cost }
 
 (* The typed run configuration selects the whole env in one step. *)
 let env_of_config (cfg : Run_config.t) =
-  let mk =
-    match cfg.Run_config.representation with
-    | Run_config.Aig -> aig_env
-    | Run_config.Mig -> mig_env
-    | Run_config.Xag -> xag_env
-    | Run_config.Xmg -> xmg_env
-  in
   let cost =
     match Algo.Cost.Spec.of_string cfg.Run_config.cost with
     | Ok c -> c
     | Error e -> invalid_arg ("run config: " ^ e)
   in
-  mk ~cost ?cache:cfg.Run_config.cache ()
+  make_env ~cost ?cache:cfg.Run_config.cache cfg.Run_config.representation
 
 (* Snapshot the exact-synthesis database counters into the trace as
    metrics gauges (algo "exact_db"), so report/QoR tooling can see cache

@@ -246,7 +246,7 @@ module Make (N : Network.Intf.NETWORK) = struct
       in
       let chosen, verdict, sim_mismatch, cec_checked =
         if not improved then (sub, Rejected_cost, false, false)
-        else if Sim.probably_equivalent ~num_vars:8 sub optimized then
+        else if Sim.probably_equivalent sub optimized then
           (optimized, Accepted, false, false)
         else begin
           (* The fingerprint disagreed: let SAT decide.  Only a proof of

@@ -3,9 +3,8 @@
    the best.  Also the driver behind Table 2's per-representation
    columns.
 
-   Portfolio members are first-class [JOB] modules, each packaging one
-   representation's functor instantiations (engine, mapper, converter) plus
-   its default environment.  The roster is AIG/MIG/XAG/XMG.
+   The roster is [Run_config.representations] (AIG/MIG/XAG/XMG), each
+   member built from its row of the layer-4 table ([Engine.representation]).
 
    The per-representation flows are independent — each owns its network
    copy, its exact-synthesis environment, and its trace sink — so they
@@ -38,104 +37,46 @@ let time_it f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* One portfolio member.  [stage] converts the baseline on the *calling*
-   domain (conversion marks traversal state on the source) and returns a
-   thunk that is safe to run on a spawned domain. *)
-module type JOB = sig
-  val representation : string
-  val default_env : unit -> Engine.env
-
-  val stage :
-    env:Engine.env ->
-    script:string ->
-    trace:Obs.Trace.t ->
-    Aig.t ->
-    unit ->
-    entry
-end
-
-module Make_job
-    (N : Intf.NETWORK) (R : sig
-      val representation : string
-      val default_env : unit -> Engine.env
-    end) : JOB = struct
-  module F = Engine.Make (N)
-  module L = Algo.Lutmap.Make (N)
-  module Conv = Convert.Make (Aig) (N)
-
-  let representation = R.representation
-  let default_env = R.default_env
-
-  let stage ~env ~script ~trace baseline =
-    let net = Conv.convert baseline in
-    fun () ->
-      let opt, t_opt = time_it (fun () -> F.run_script env ~trace net script) in
-      let m, t_map = time_it (fun () -> L.map opt ~trace ~k:6 ()) in
-      let nodes, levels = F.network_stats opt in
-      {
-        representation;
-        nodes;
-        levels;
-        luts = m.L.lut_count;
-        lut_levels = m.L.depth;
-        time = t_opt +. t_map;
-      }
-end
-
-module Job_aig =
-  Make_job
-    (Aig)
-    (struct
-      let representation = "aig"
-      let default_env () = Engine.aig_env ()
-    end)
-
-module Job_mig =
-  Make_job
-    (Mig)
-    (struct
-      let representation = "mig"
-      let default_env () = Engine.mig_env ()
-    end)
-
-module Job_xag =
-  Make_job
-    (Xag)
-    (struct
-      let representation = "xag"
-      let default_env () = Engine.xag_env ()
-    end)
-
-module Job_xmg =
-  Make_job
-    (Xmg)
-    (struct
-      let representation = "xmg"
-      let default_env () = Engine.xmg_env ()
-    end)
-
-let jobs : (module JOB) list =
-  [ (module Job_aig); (module Job_mig); (module Job_xag); (module Job_xmg) ]
+(* One portfolio member.  The baseline is converted, and the env built, on
+   the *calling* domain (conversion marks traversal state on the source);
+   the returned thunk is safe to run on a spawned domain.  Every member,
+   AIG included, optimizes its own copy: [run_script] works in place and
+   the caller still owns [baseline]. *)
+let stage name rep ~script ~trace (baseline : Aig.t) =
+  let module R = (val Engine.representation rep) in
+  let module F = Engine.Make (R.N) in
+  let module L = Algo.Lutmap.Make (R.N) in
+  let module Conv = Convert.Make (Aig) (R.N) in
+  let env = Engine.make_env rep in
+  let child = Obs.Trace.child trace ~flow:name in
+  let net = Conv.convert baseline in
+  let job () =
+    let opt, t_opt =
+      time_it (fun () -> F.run_script env ~trace:child net script)
+    in
+    let m, t_map = time_it (fun () -> L.map opt ~trace:child ~k:6 ()) in
+    let nodes, levels = F.network_stats opt in
+    {
+      representation = name;
+      nodes;
+      levels;
+      luts = m.L.lut_count;
+      lut_levels = m.L.depth;
+      time = t_opt +. t_map;
+    }
+  in
+  (child, job)
 
 (* Run the given script (default [Script.compress2rs]) on every
-   representation and map each result into 6-LUTs.  Pass [envs] (keyed by
-   representation name) to reuse exact-synthesis databases across
-   benchmarks — they are keyed by NPN class, so they warm up once per
-   process; each environment is only ever touched by its own
-   representation's domain. *)
-let run ?(script = Script.compress2rs) ?(envs = []) ?(trace = Obs.Trace.null)
+   representation and map each result into 6-LUTs.  Each member starts
+   from a fresh exact-synthesis database, which the shipped 4-input table
+   already fills for every cut rewriting asks about. *)
+let run ?(script = Script.compress2rs) ?(trace = Obs.Trace.null)
     (baseline : Aig.t) : result =
   let staged =
     List.map
-      (fun (module J : JOB) ->
-        let env =
-          match List.assoc_opt J.representation envs with
-          | Some e -> e
-          | None -> J.default_env ()
-        in
-        let child = Obs.Trace.child trace ~flow:J.representation in
-        (child, J.stage ~env ~script ~trace:child baseline))
-      jobs
+      (fun (name, rep) -> stage name rep ~script ~trace baseline)
+      Run_config.representations
   in
   let entries =
     match staged with

@@ -1,9 +1,9 @@
 (* Irredundant sum-of-products via the Minato–Morreale algorithm.
 
-   [compute ~lower ~upper] returns a cube cover [F] with
-   lower <= F <= upper (as Boolean functions); passing the same table for
-   both yields an ISOP of that function.  The recursion splits on the
-   top-most variable present in either bound. *)
+   [isop lower upper] returns a cube cover [F] with lower <= F <= upper
+   (as Boolean functions) and its table; passing the same table for both
+   yields an ISOP of that function.  The recursion splits on the top-most
+   variable present in either bound. *)
 
 let rec top_var lower upper i =
   if i < 0 then -1
@@ -38,12 +38,8 @@ let rec isop lower upper =
     (cubes, tt)
   end
 
-let compute ?lower upper =
-  let lower = match lower with Some l -> l | None -> upper in
-  let cubes, tt = isop lower upper in
-  assert (Tt.is_const0 Tt.(lower &: ~:tt));
-  assert (Tt.is_const0 Tt.(tt &: ~:upper));
-  cubes
-
 (* ISOP of a completely specified function. *)
-let of_tt tt = compute tt
+let of_tt f =
+  let cubes, tt = isop f f in
+  assert (Tt.equal tt f);
+  cubes

@@ -1,10 +1,5 @@
 (** Irredundant sum-of-products covers via the Minato–Morreale algorithm. *)
 
-val compute : ?lower:Tt.t -> Tt.t -> Cube.t list
-(** [compute ~lower upper] returns a cube cover [F] with
-    [lower <= F <= upper] as Boolean functions (an interval ISOP); omitting
-    [lower] computes an ISOP of [upper] itself.  Every cube in the result
-    is necessary. *)
-
 val of_tt : Tt.t -> Cube.t list
-(** ISOP of a completely specified function. *)
+(** ISOP of a completely specified function: every cube in the result is
+    necessary. *)

@@ -8,8 +8,8 @@ open Network
 
 exception Parse_error of string
 
-let write ?(model = "top") (t : Klut.t) (oc : out_channel) =
-  Printf.fprintf oc ".model %s\n" model;
+let write (t : Klut.t) (oc : out_channel) =
+  Printf.fprintf oc ".model top\n";
   let name_of = Hashtbl.create (Klut.size t) in
   Hashtbl.replace name_of 0 "const0";
   Klut.foreach_pi t (fun n ->
@@ -60,9 +60,9 @@ let write ?(model = "top") (t : Klut.t) (oc : out_channel) =
       else Printf.fprintf oc ".names %s po%d\n1 1\n" src !po_index);
   Printf.fprintf oc ".end\n"
 
-let write_file ?model (t : Klut.t) (path : string) =
+let write_file (t : Klut.t) (path : string) =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write ?model t oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write t oc)
 
 (* Minimal BLIF reader: .model/.inputs/.outputs/.names with 1-polarity
    output cover lines (the subset the writer produces, which is also what

@@ -184,40 +184,6 @@ module type COUNTED = sig
   include REFCOUNT with type t := t and type node := int
 end
 
-(** A cost objective over one network representation [net]: a commutative
-    monoid [(t, zero, add)] with a total order [compare], a per-node price
-    [of_node] and a whole-network objective [eval].  The conformance laws
-    (checked for every built-in instance by [test_cost]):
-
-    - [add zero x = x] and [add x zero = x]             (identity)
-    - [add (add a b) c = add a (add b c)]               (associativity)
-    - [add a b = add b a]                               (commutativity)
-    - [compare] is a total order consistent with [equal = 0]
-    - [eval net] equals the [add]-fold of [of_node net] over live gates;
-      for depth, over the gates an output reaches (a dangling gate is
-      deeper than no output)
-
-    Additive objectives (area, edges, activity, LUT count, weights) use
-    integer [add = (+)]; depth is the max-monoid ([add = max]), which is
-    why [eval] is part of the signature rather than derived. *)
-module type COST = sig
-  type net
-  type t
-
-  val name : string
-  val zero : t
-  val add : t -> t -> t
-  val compare : t -> t -> int
-  val of_node : net -> int -> t
-  val eval : net -> t
-  val to_int : t -> int
-  (** Order-embedding into [int] ([compare a b] agrees with
-      [Int.compare (to_int a) (to_int b)]); lets engines and telemetry
-      treat every objective uniformly. *)
-
-  val to_string : t -> string
-end
-
 (** Traversal plus substitution, without construction: enough to merge
     proven-equivalent nodes (SAT sweeping). *)
 module type SWEEPABLE = sig

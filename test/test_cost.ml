@@ -1,18 +1,15 @@
-(* Cost-axiom conformance suite for the cost-generic optimization layer
-   (Algo.Cost): every built-in COST instance must satisfy the laws the
-   [Network.Intf.COST] signature documents —
+(* Conformance suite for the cost-generic optimization layer
+   (Algo.Cost): every built-in objective must price networks the way its
+   engine assumes —
 
-   - [add zero x = x] and [add x zero = x]            (identity)
-   - [add (add a b) c = add a (add b c)]              (associativity)
-   - [add a b = add b a]                              (commutativity)
-   - [compare] is a total order consistent with [to_int]
-   - [eval net] = [add]-fold of [of_node net] over live gates
+   - [eval net] = the fold of [node_cost net] over live gates, with [+]
+     for additive objectives and [max] for depth (over the gates an
+     output reaches)
    - gain telescoping (additive objectives): [freed] is exactly the MFFC
      objective mass, [added] is exactly the eval delta of a build, and a
      pass's accumulated gain lower-bounds the realized network delta
 
-   The monoid laws run under QCheck on random values; the network-level
-   laws run on random networks over random seeds. *)
+   The laws run on random networks over random seeds. *)
 
 open Network
 
@@ -50,56 +47,22 @@ let specs =
 let additive_specs = List.filter Algo.Cost.Spec.is_additive specs
 let spec_name = Algo.Cost.Spec.to_string
 
-(* -- monoid + order laws, one QCheck property per instance -- *)
-
-let monoid_props =
-  List.concat_map
-    (fun spec ->
-      let module I = (val Co.instance spec) in
-      let name = spec_name spec in
-      [
-        QCheck.Test.make
-          ~name:(Printf.sprintf "%s: zero identity" name)
-          ~count:200 QCheck.small_nat
-          (fun x -> I.add I.zero x = x && I.add x I.zero = x);
-        QCheck.Test.make
-          ~name:(Printf.sprintf "%s: add assoc + comm" name)
-          ~count:200
-          QCheck.(triple small_nat small_nat small_nat)
-          (fun (a, b, c) ->
-            I.add (I.add a b) c = I.add a (I.add b c) && I.add a b = I.add b a);
-        QCheck.Test.make
-          ~name:(Printf.sprintf "%s: compare total order" name)
-          ~count:200
-          QCheck.(triple small_int small_int small_int)
-          (fun (a, b, c) ->
-            (* antisymmetry, totality, transitivity on a sample, and
-               agreement with the to_int embedding *)
-            let sgn x = compare x 0 in
-            sgn (I.compare a b) = -sgn (I.compare b a)
-            && ((not (I.compare a b <= 0 && I.compare b c <= 0))
-               || I.compare a c <= 0)
-            && sgn (I.compare a b) = sgn (Int.compare (I.to_int a) (I.to_int b)));
-      ])
-    specs
-
 (* -- eval = fold of of_node over live gates (for depth, over the gates
    the outputs reach), on random networks -- *)
 
-let fold_eval (type a) (module N : Intf.NETWORK with type t = a) ~spec ~add
-    ~zero ~of_node (net : a) =
+let fold_eval (type a) (module N : Intf.NETWORK with type t = a) ~spec
+    ~of_node (net : a) =
   let module T = Network.Topo.Make (N) in
-  let acc = ref zero in
-  let price n = acc := add !acc (of_node net n) in
+  let acc = ref 0 in
   if Algo.Cost.Spec.is_additive spec then
-    N.foreach_gate net (fun n -> if not (N.is_dead net n) then price n)
-  else List.iter price (T.order net);
+    N.foreach_gate net (fun n ->
+        if not (N.is_dead net n) then acc := !acc + of_node net n)
+  else List.iter (fun n -> acc := max !acc (of_node net n)) (T.order net);
   !acc
 
 let eval_is_fold_props =
   List.map
     (fun spec ->
-      let module I = (val Co.instance spec) in
       QCheck.Test.make
         ~name:(Printf.sprintf "%s: eval = fold of_node (aig)" (spec_name spec))
         ~count:20
@@ -108,15 +71,13 @@ let eval_is_fold_props =
           let net =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:30 ~num_pos:3 ()
           in
-          I.eval net
-          = fold_eval (module Aig) ~spec ~add:I.add ~zero:I.zero ~of_node:I.of_node
-              net))
+          Co.eval spec net
+          = fold_eval (module Aig) ~spec ~of_node:(Co.node_cost spec) net))
     specs
 
 let eval_is_fold_mig_props =
   List.map
     (fun spec ->
-      let module I = (val CoM.instance spec) in
       QCheck.Test.make
         ~name:(Printf.sprintf "%s: eval = fold of_node (mig)" (spec_name spec))
         ~count:10
@@ -126,9 +87,8 @@ let eval_is_fold_mig_props =
             Gm.generate ~use_maj:true ~seed:(seed + 1) ~num_pis:5 ~num_gates:30
               ~num_pos:3 ()
           in
-          I.eval net
-          = fold_eval (module Mig) ~spec ~add:I.add ~zero:I.zero ~of_node:I.of_node
-              net))
+          CoM.eval spec net
+          = fold_eval (module Mig) ~spec ~of_node:(CoM.node_cost spec) net))
     specs
 
 (* -- gain telescoping --
@@ -151,7 +111,6 @@ module Mf = Algo.Mffc.Make (Aig)
 let per_gate_props ~name check =
   List.map
     (fun spec ->
-      let module I = (val Co.instance spec) in
       QCheck.Test.make
         ~name:(Printf.sprintf "%s: %s" (spec_name spec) name)
         ~count:15
@@ -162,7 +121,7 @@ let per_gate_props ~name check =
           in
           let eng = Co.engine spec in
           let mass =
-            List.fold_left (fun acc m -> I.add acc (I.of_node net m)) I.zero
+            List.fold_left (fun acc m -> acc + Co.node_cost spec net m) 0
           in
           let ok = ref true in
           Aig.foreach_gate net (fun n ->
@@ -375,17 +334,15 @@ let test_depth_ignores_dangling () =
   let abc = Aig.create_and net ab c in
   ignore (Aig.create_and net abc (Aig.complement a));
   let module Dp = Algo.Depth.Make (Aig) in
-  let module I = (val Co.instance Algo.Cost.Spec.Depth) in
   Alcotest.(check int) "network depth" 1 (Dp.depth net);
   Alcotest.(check int) "eval depth = network depth" (Dp.depth net)
     (Co.eval Algo.Cost.Spec.Depth net);
-  Alcotest.(check int) "instance eval" 1 (I.eval net);
   let _, _, d = Co.network_cost (Co.engine Algo.Cost.Spec.Depth) net in
   Alcotest.(check int) "network_cost depth" 1 d
 
 let suite =
   List.map Seed.to_alcotest
-    (monoid_props @ eval_is_fold_props @ eval_is_fold_mig_props
+    (eval_is_fold_props @ eval_is_fold_mig_props
    @ freed_is_mffc_mass_props @ gain_holds_root_props
    @ added_is_eval_delta_props @ telescoping_props
    @ [ depth_never_worsens ])

@@ -69,21 +69,18 @@ let xag_db = lazy (Exact.Database.create Exact.Synth.xag_config)
 let mig_db = lazy (Exact.Database.create Exact.Synth.mig_config)
 let xmg_db = lazy (Exact.Database.create Exact.Synth.xmg_config)
 
-(* one engine env per representation for the partition pass, sharing the
-   database above so cold NPN classes are synthesized once per run (MIG
-   exact synthesis dominates the budget otherwise) *)
-let env_with db kernel =
+(* one engine env per representation for the partition pass: the row's
+   resub kernel over the database above, shared so cold NPN classes are
+   synthesized once per run (MIG exact synthesis dominates the budget
+   otherwise) *)
+let partition_env rep db =
+  let module R = (val Flow.Engine.representation rep) in
   lazy
     {
       Flow.Engine.db = Lazy.force db;
-      kernel;
+      kernel = R.kernel;
       cost = Algo.Cost.Spec.Area;
     }
-
-let aig_env = env_with aig_db Algo.Resub.And_or
-let xag_env = env_with xag_db Algo.Resub.And_or_xor
-let mig_env = env_with mig_db Algo.Resub.Maj3
-let xmg_env = env_with xmg_db Algo.Resub.Maj3
 
 let partition_pass (type t) (module N : Intf.NETWORK with type t = t) env ~jobs
     (t : t) : t =
@@ -301,13 +298,17 @@ let suite =
     Alcotest.test_case "fraig xmg" `Quick (test_fraig "xmg" (module Xmg));
     Alcotest.test_case "mig algebraic" `Quick test_mig_algebraic;
     Alcotest.test_case "partition aig" `Quick
-      (test_partition ~jobs:2 "aig" (module Aig) aig_env);
+      (test_partition ~jobs:2 "aig" (module Aig)
+         (partition_env Flow.Run_config.Aig aig_db));
     Alcotest.test_case "partition xag" `Quick
-      (test_partition "xag" (module Xag) xag_env);
+      (test_partition "xag" (module Xag)
+         (partition_env Flow.Run_config.Xag xag_db));
     Alcotest.test_case "partition mig" `Quick
-      (test_partition "mig" (module Mig) mig_env);
+      (test_partition "mig" (module Mig)
+         (partition_env Flow.Run_config.Mig mig_db));
     Alcotest.test_case "partition xmg" `Quick
-      (test_partition "xmg" (module Xmg) xmg_env);
+      (test_partition "xmg" (module Xmg)
+         (partition_env Flow.Run_config.Xmg xmg_db));
   ]
   @ cost_pass_instances "aig" (module Aig) aig_db Algo.Resub.And_or
   @ cost_pass_instances "mig" (module Mig) mig_db Algo.Resub.Maj3

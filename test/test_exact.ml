@@ -210,7 +210,7 @@ let prop_database_decode_sound =
       let module S = Algo.Simulate.Make (Network.Xag) in
       let t = N.create () in
       let inputs = Array.init 4 (fun _ -> N.create_pi t) in
-      match D.of_database t db f inputs with
+      match D.of_lookup t (Exact.Database.lookup db f) inputs with
       | None -> true (* budget exhausted is allowed *)
       | Some s ->
         N.create_po t s;

@@ -209,7 +209,7 @@ let test_fraig_in_script () =
   let t = S.build "ctrl" in
   let module Cl = Convert.Cleanup (Aig) in
   let reference = Cl.cleanup t in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let optimized = F.run_script env t "fraig; rw; fraig" in
   match C.check reference optimized with
   | Algo.Cec.Equivalent -> ()

@@ -212,7 +212,7 @@ let test_parmap_stop_cancels () =
 let test_engine_pass_exception_degrades () =
   let baseline = S.build "ctrl" in
   with_faults "engine.pass:1" (fun () ->
-      let env = Flow.Engine.aig_env () in
+      let env = Flow.Engine.make_env Flow.Run_config.Aig in
       let r, degs =
         F.run_script_safe env (Copy.convert baseline) "bz; rw; rf"
       in
@@ -225,7 +225,7 @@ let test_engine_pass_exception_degrades () =
 
 let test_engine_deadline_degrades () =
   let baseline = S.build "ctrl" in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let r, degs =
     F.run_script_safe env
       ~deadline:(Unix.gettimeofday () -. 1.)
@@ -239,7 +239,7 @@ let test_engine_deadline_degrades () =
 
 let test_engine_stop_degrades () =
   let baseline = S.build "ctrl" in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let r, degs =
     F.run_script_safe env
       ~stop:(fun () -> true)
@@ -253,7 +253,7 @@ let test_engine_stop_degrades () =
 
 let test_engine_clean_run_no_markers () =
   let baseline = S.build "ctrl" in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let r, degs = F.run_script_safe env (Copy.convert baseline) "bz; rw" in
   Alcotest.(check int) "no degradations" 0 (List.length degs);
   check_equiv "clean run equivalent" baseline r;
@@ -301,7 +301,7 @@ let test_partition_all_jobs_fail () =
       let r, st =
         P.run ~size_cap:60 ~jobs:2
           ~script:"rw"
-          ~make_env:(fun () -> Flow.Engine.aig_env ())
+          ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
           (Copy.convert baseline)
       in
       Alcotest.(check bool) "pieces exist" true (st.P.partitions > 0);
@@ -317,7 +317,7 @@ let test_partition_stitch_fallback () =
   with_faults "partition.stitch:1" (fun () ->
       let r, st =
         P.run ~size_cap:60 ~jobs:2 ~script:"rw"
-          ~make_env:(fun () -> Flow.Engine.aig_env ())
+          ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
           (Copy.convert baseline)
       in
       Alcotest.(check int) "identity fallback" 2 st.P.stitch_fallbacks;
@@ -335,7 +335,7 @@ let test_partition_deadline_records () =
   let r, st =
     P.run ~size_cap:60 ~jobs:1 ~script:"rw"
       ~deadline:(Unix.gettimeofday () -. 1.)
-      ~make_env:(fun () -> Flow.Engine.aig_env ())
+      ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
       (Copy.convert baseline)
   in
   Alcotest.(check (list string)) "one deadline record per piece"
@@ -352,7 +352,7 @@ let test_partition_retry_rescues () =
   with_faults "parmap.job:1:2" (fun () ->
       let r, st =
         P.run ~size_cap:60 ~jobs:1 ~retries:2 ~script:"rw"
-          ~make_env:(fun () -> Flow.Engine.aig_env ())
+          ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
           (Copy.convert baseline)
       in
       Alcotest.(check int) "retries absorbed the capped faults" 0 st.P.failed;
@@ -397,7 +397,7 @@ let test_degraded_trace_round_trip () =
    has already changed the network. *)
 let untabled_env () =
   {
-    (Flow.Engine.aig_env ()) with
+    (Flow.Engine.make_env Flow.Run_config.Aig) with
     Flow.Engine.db =
       Exact.Database.create
         { Exact.Synth.aig_config with conflict_budget = 20_000 };

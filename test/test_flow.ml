@@ -35,7 +35,7 @@ let test_script_roundtrip () =
 let flow_check name =
   let baseline = S.build name in
   let work = Copy.convert baseline in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let optimized = F.run_script env work Flow.Script.compress_lite in
   Alcotest.(check bool)
     (name ^ " did not grow")
@@ -59,7 +59,8 @@ let test_specialized_matches_generic () =
      one (they may differ structurally) *)
   let baseline = S.build "int2float" in
   let g = Copy.convert baseline and s = Copy.convert baseline in
-  let env1 = Flow.Engine.aig_env () and env2 = Flow.Engine.aig_env () in
+  let env1 = Flow.Engine.make_env Flow.Run_config.Aig in
+  let env2 = Flow.Engine.make_env Flow.Run_config.Aig in
   let g = F.run_script env1 g "rw; rwz" in
   let s = Flow.Specialized_aig.run_script env2 s "rw; rwz" in
   (match Cec_aa.check g s with
@@ -73,23 +74,27 @@ let test_specialized_matches_generic () =
     true
     (abs (ng - ns) * 100 <= 15 * max ng ns)
 
+(* Per-representation QoR of the portfolio on ctrl under compress_lite,
+   as (nodes, levels, luts, lut_levels) in roster order.  A member that
+   reads another representation's row moves these. *)
 let test_portfolio () =
-  let baseline = S.build "ctrl" in
-  let r = Flow.Portfolio.run ~script:Flow.Script.compress_lite baseline in
-  Alcotest.(check int) "four entries" 4 (List.length r.Flow.Portfolio.entries);
-  Alcotest.(check (list string))
-    "default roster" [ "aig"; "mig"; "xag"; "xmg" ]
+  let r =
+    Flow.Portfolio.run ~script:Flow.Script.compress_lite (S.build "ctrl")
+  in
+  Alcotest.(check (list (pair string (pair (pair int int) (pair int int)))))
+    "ctrl compress_lite"
+    [
+      ("aig", ((183, 24), (81, 5)));
+      ("mig", ((155, 18), (72, 6)));
+      ("xag", ((156, 20), (81, 6)));
+      ("xmg", ((143, 17), (66, 6)));
+    ]
     (List.map
-       (fun (e : Flow.Portfolio.entry) -> e.representation)
+       (fun (e : Flow.Portfolio.entry) ->
+         (e.representation, ((e.nodes, e.levels), (e.luts, e.lut_levels))))
        r.Flow.Portfolio.entries);
-  List.iter
-    (fun (e : Flow.Portfolio.entry) ->
-      Alcotest.(check bool) (e.representation ^ " has luts") true (e.luts > 0))
-    r.Flow.Portfolio.entries;
-  Alcotest.(check bool) "best is minimal" true
-    (List.for_all
-       (fun (e : Flow.Portfolio.entry) -> r.Flow.Portfolio.best.luts <= e.luts)
-       r.Flow.Portfolio.entries)
+  Alcotest.(check string) "best: fewest luts" "xmg"
+    r.Flow.Portfolio.best.representation
 
 let test_flow_mig_xag () =
   (* cross-representation flow equivalence on a small arithmetic block *)
@@ -100,14 +105,18 @@ let test_flow_mig_xag () =
   let module Fx = Flow.Engine.Make (Xag) in
   let module Cec_am = Algo.Cec.Make (Aig) (Mig) in
   let module Cec_ax = Algo.Cec.Make (Aig) (Xag) in
-  let m = Fm.run_script (Flow.Engine.mig_env ()) (To_mig.convert baseline)
+  let m =
+    Fm.run_script (Flow.Engine.make_env Flow.Run_config.Mig)
+      (To_mig.convert baseline)
       Flow.Script.compress_lite
   in
   (match Cec_am.check baseline m with
   | Algo.Cec.Equivalent -> ()
   | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
     Alcotest.fail "mig flow broke the function");
-  let x = Fx.run_script (Flow.Engine.xag_env ()) (To_xag.convert baseline)
+  let x =
+    Fx.run_script (Flow.Engine.make_env Flow.Run_config.Xag)
+      (To_xag.convert baseline)
       Flow.Script.compress_lite
   in
   match Cec_ax.check baseline x with
@@ -140,7 +149,7 @@ let test_full_compress2rs_small () =
   (* the exact paper flow (18 commands), end to end, SAT-verified *)
   let baseline = S.build "int2float" in
   let work = Copy.convert baseline in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let optimized = F.run_script env work Flow.Script.compress2rs in
   Alcotest.(check bool) "shrank" true
     (Aig.num_gates optimized < Aig.num_gates baseline);
@@ -154,7 +163,7 @@ let test_env_reuse_across_benchmarks () =
      with no shipped table, so the database fills as it goes *)
   let env =
     {
-      (Flow.Engine.aig_env ()) with
+      (Flow.Engine.make_env Flow.Run_config.Aig) with
       Flow.Engine.db =
         Exact.Database.create
           { Exact.Synth.aig_config with conflict_budget = 20_000 };
@@ -178,7 +187,8 @@ let test_xmg_flow () =
   let module Fg = Flow.Engine.Make (Xmg) in
   let module Cg = Algo.Cec.Make (Aig) (Xmg) in
   let x =
-    Fg.run_script (Flow.Engine.xmg_env ()) (To_xmg.convert baseline)
+    Fg.run_script (Flow.Engine.make_env Flow.Run_config.Xmg)
+      (To_xmg.convert baseline)
       Flow.Script.compress_lite
   in
   match Cg.check baseline x with
@@ -208,14 +218,18 @@ let test_armed_matches_unarmed () =
         Alcotest.(check string) (name ^ " " ^ rep) (text a) (text b)
       in
       let aig () = Copy.convert net and mig () = To_mig.convert net in
-      let aig_env = Flow.Engine.aig_env and mig_env = Flow.Engine.mig_env in
+      let env = Flow.Engine.make_env in
       same "aig"
-        (F.run_script (aig_env ()) (aig ()) script)
-        (fst (F.run_script_safe (aig_env ()) ~stop (aig ()) script));
+        (F.run_script (env Flow.Run_config.Aig) (aig ()) script)
+        (fst
+           (F.run_script_safe (env Flow.Run_config.Aig) ~stop (aig ()) script));
       same "mig"
-        (Of_mig.convert (Fm.run_script (mig_env ()) (mig ()) script))
         (Of_mig.convert
-           (fst (Fm.run_script_safe (mig_env ()) ~stop (mig ()) script))))
+           (Fm.run_script (env Flow.Run_config.Mig) (mig ()) script))
+        (Of_mig.convert
+           (fst
+              (Fm.run_script_safe (env Flow.Run_config.Mig) ~stop (mig ())
+                 script))))
     [ "ctrl"; "cavlc" ]
 
 let extra_suite =

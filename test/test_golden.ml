@@ -75,7 +75,8 @@ let depth_goldens =
 let run_smoke ~cost name =
   let baseline = S.build name in
   let trace = Obs.Trace.create ~flow:name () in
-  let opt = F.run_script (Flow.Engine.aig_env ~cost ()) ~trace baseline
+  let opt =
+    F.run_script (Flow.Engine.make_env ~cost Flow.Run_config.Aig) ~trace baseline
       Flow.Script.compress2rs
   in
   let m = L.map opt ~k:6 () in
@@ -220,19 +221,11 @@ let with_aiger (aig : Aig.t) k =
   r
 
 let optimized rep (aig : Aig.t) =
-  let module RC = Flow.Run_config in
-  let env = Flow.Engine.env_of_config (RC.make ~representation:rep ()) in
-  let via (type n) (module N : Network.Intf.NETWORK with type t = n) =
-    let module To = Convert.Make (Aig) (N) in
-    let module Back = Convert.Make (N) (Aig) in
-    let module Fn = Flow.Engine.Make (N) in
-    Back.convert (Fn.run_script env (To.convert aig) Flow.Script.compress2rs)
-  in
-  match rep with
-  | RC.Aig -> F.run_script env aig Flow.Script.compress2rs
-  | RC.Mig -> via (module Mig)
-  | RC.Xag -> via (module Xag)
-  | RC.Xmg -> via (module Xmg)
+  let module R = (val Flow.Engine.representation rep) in
+  let module Fn = Flow.Engine.Make (R.N) in
+  R.to_aig
+    (Fn.run_script (Flow.Engine.make_env rep) (R.of_aig aig)
+       Flow.Script.compress2rs)
 
 let test_output_digests () =
   List.iter

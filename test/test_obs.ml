@@ -16,7 +16,7 @@ let traced_run () =
   let baseline = S.build "ctrl" in
   let work = Copy.convert baseline in
   let initial_gates = Aig.num_gates work in
-  let env = Flow.Engine.aig_env () in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let trace = T.create ~flow:"aig" () in
   let optimized = F.run_script env ~trace work Flow.Script.compress_lite in
   (initial_gates, optimized, trace)
@@ -62,7 +62,7 @@ let test_partition_span_sequence () =
   ignore
     (P.run_with ~trace
        ~config:(Flow.Run_config.make ~partition:40 ~jobs:1 ())
-       ~make_env:(fun () -> Flow.Engine.aig_env ())
+       ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
        (S.build "int2float"));
   let seen =
     List.map

@@ -32,6 +32,23 @@ let populate path =
   Exact.Database.flush db;
   Exact.Database.size db
 
+(* The classes [lookup_all] touches, one store entry each, as [db]
+   answers them: what compacting [db]'s store keeps. *)
+let entries_of db =
+  List.sort_uniq
+    (fun (a : Exact.Store.entry) b ->
+      compare (a.num_vars, a.key) (b.num_vars, b.key))
+    (List.map
+       (fun v ->
+         let f = Tt.of_int64 3 (Int64.of_int v) in
+         let canonical, _ = Npn.canonize f in
+         {
+           Exact.Store.num_vars = Tt.num_vars canonical;
+           key = Tt.to_hex canonical;
+           result = fst (Exact.Database.lookup db f);
+         })
+       vals)
+
 let read_bytes path =
   let ic = open_in_bin path in
   Fun.protect
@@ -127,7 +144,7 @@ let test_compaction_preserves () =
   Alcotest.(check int) "duplicated on disk" (2 * n) l2.Exact.Store.loaded;
   let db = Exact.Database.create ~store:path config in
   Alcotest.(check int) "merge dedups" n (Exact.Database.size db);
-  Exact.Database.compact db;
+  Exact.Store.compact ~config path (entries_of db);
   let l3 = Exact.Store.load ~config path in
   Alcotest.(check int) "compacted to unique" n l3.Exact.Store.loaded;
   Alcotest.(check int) "nothing skipped" 0 l3.Exact.Store.skipped;
@@ -196,7 +213,7 @@ let test_injected_torn_append () =
   lookup_all db2;
   Alcotest.(check int) "lost classes re-synthesized" n
     (Exact.Database.misses db2);
-  Exact.Database.compact db2;
+  Exact.Store.compact ~config path (entries_of db2);
   let l2 = Exact.Store.load ~config path in
   Alcotest.(check int) "healed: all loaded" n l2.Exact.Store.loaded;
   Alcotest.(check int) "healed: nothing skipped" 0 l2.Exact.Store.skipped;
@@ -210,8 +227,9 @@ let test_injected_torn_append () =
 let test_injected_compact_crash () =
   let path = fresh_path () in
   let n = populate path in
-  let db = Exact.Database.create ~store:path config in
-  with_faults "store.compact:1:1" (fun () -> Exact.Database.compact db);
+  let entries = entries_of (Exact.Database.create ~store:path config) in
+  with_faults "store.compact:1:1" (fun () ->
+      Exact.Store.compact ~config path entries);
   let l = Exact.Store.load ~config path in
   Alcotest.(check int) "original intact" n l.Exact.Store.loaded;
   Alcotest.(check int) "nothing skipped" 0 l.Exact.Store.skipped;
@@ -226,7 +244,7 @@ let test_injected_compact_crash () =
         && String.sub f 0 (String.length base) = base))
     (Sys.readdir dir);
   (* the next, un-faulted compaction succeeds *)
-  Exact.Database.compact db;
+  Exact.Store.compact ~config path entries;
   let l2 = Exact.Store.load ~config path in
   Alcotest.(check int) "clean compaction" n l2.Exact.Store.loaded;
   Sys.remove path
