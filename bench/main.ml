@@ -424,9 +424,7 @@ let partition_bench () =
           let env = Flow.make_env Run_config.Aig in
           let (out, st), t_par =
             time_it (fun () ->
-                P.run ~size_cap ~jobs ~script
-                  ~make_env:(fun () -> env)
-                  (Copy.convert baseline))
+                P.run ~size_cap ~jobs ~script ~env (Copy.convert baseline))
           in
           let stage = Printf.sprintf "partition-j%d" jobs in
           Printf.printf
@@ -812,7 +810,9 @@ let tables_bench dir =
   Printf.printf "%d NPN classes of 0..%d variables (canonized in %.1fs)\n%!"
     (List.length classes) Exact_tables.max_vars t_canon;
   List.iter
-    (fun (name, config) ->
+    (fun (name, rep) ->
+      let module R = (val Flow.representation rep) in
+      let config = R.synth in
       let entries, seconds =
         time_it (fun () ->
             List.map
@@ -829,7 +829,7 @@ let tables_bench dir =
       in
       Printf.printf "%s: %d classes, %d failed, %.1fs -> %s (%d bytes)\n%!" name
         (List.length entries) failed seconds path (Unix.stat path).Unix.st_size)
-    Exact_tables.presets
+    Run_config.representations
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

@@ -197,7 +197,7 @@ let optimize_network env ~(cfg : RC.t) ~trace (aig : Aig.t) :
   let r, degs =
     if cfg.RC.partition > 0 then begin
       let module P = Genlog.Flow.Partition.Make (N) in
-      let r, st = P.run_with ~trace ~config:cfg ~make_env:(fun () -> env) net in
+      let r, st = P.run_with ~trace ~config:cfg ~env net in
       Printf.eprintf
         "partition: %d pieces, %d accepted, %d rejected (cost), %d rejected \
          (cex), %d failed, %d degraded, %d sim mismatches, jobs = %d%s\n\
@@ -324,7 +324,9 @@ let opt_cmd =
           (Genlog.Database.misses db);
         Genlog.Runmeta.set_cache (Genlog.Database.obs_gauges db)
       | None -> ());
-      Genlog.Flow.emit_db_metrics env trace;
+      (* one snapshot of the database the whole batch shared *)
+      Genlog.Trace.report trace ~algo:"exact_db"
+        (Genlog.Database.obs_gauges env.Genlog.Flow.db);
       (if Genlog.Fault.active () then
          let counters =
            List.concat_map
@@ -511,10 +513,11 @@ let exact_cmd =
   let rep =
     Arg.(
       value
-      & opt (enum Genlog.Exact_tables.presets) Genlog.Exact_synth.xag_config
+      & opt (enum RC.representations) RC.Xag
       & info [ "r"; "representation" ] ~docv:"REP")
   in
-  let run hex config =
+  let run hex rep =
+    let module R = (val Genlog.Flow.representation rep) in
     (* infer the variable count from the hex length: 2^n bits = 4*len *)
     let bits = 4 * String.length hex in
     let n =
@@ -528,7 +531,7 @@ let exact_cmd =
         Printf.eprintf "genlog: exact: %s\n%!" msg;
         exit 2
     in
-    match Genlog.Exact_synth.synthesize config f with
+    match Genlog.Exact_synth.synthesize R.synth f with
     | Genlog.Exact_synth.Const b -> Printf.printf "constant %d\n" (if b then 1 else 0)
     | Genlog.Exact_synth.Projection (v, c) ->
       Printf.printf "%sx%d (wire)\n" (if c then "!" else "") v

@@ -130,19 +130,16 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
     rungs_used : int;     (* ladder rungs consumed (1 = first try) *)
   }
 
-  (* Kernel counters of the answering solver, published as [solver_*]
-     gauges under the "cec" registry so Trace.summarize attributes the
-     miter's work to the enclosing pass span. *)
+  (* One "cec" counters event per check: the report's conflicts and rungs
+     plus the answering solver's kernel counters as [solver_*] keys, which
+     Trace.summarize attributes to the enclosing pass span. *)
   let publish_solver trace solver (rep : report) =
-    if Obs.Trace.enabled trace then begin
-      let m = Obs.Metrics.of_trace trace ~algo:"cec" in
-      List.iter
-        (fun (k, v) -> Obs.Metrics.set (Obs.Metrics.gauge m ("solver_" ^ k)) v)
-        (Satkit.Solver.stats solver);
-      Obs.Metrics.emit m trace;
+    if Obs.Trace.enabled trace then
       Obs.Trace.report trace ~algo:"cec"
-        [ ("conflicts", rep.conflicts); ("rungs", rep.rungs_used) ]
-    end
+        (("conflicts", rep.conflicts) :: ("rungs", rep.rungs_used)
+        :: List.map
+             (fun (k, v) -> ("solver_" ^ k, v))
+             (Satkit.Solver.stats solver))
 
   (* SAT equivalence check.
 

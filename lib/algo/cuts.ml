@@ -142,15 +142,14 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
      wants small cuts (cheap replacement search), LUT mapping wants wide
      cuts (fewer LUTs in the cover).
 
-     [metrics] (default [Null], free) counts the cuts offered, kept and
-     truncated (priority-cap evictions and rejections) — the totals that
-     tell whether [cut_limit] is a bottleneck on a given netlist. *)
+     Under a live [trace] (default [Null], free) it reports one "cuts"
+     counters event: the cuts offered, kept and truncated (priority-cap
+     evictions and rejections) — the totals that tell whether [cut_limit]
+     is a bottleneck on a given netlist. *)
   let enumerate (net : N.t) ?(k = 4) ?(cut_limit = 8) ?(prefer = `Small)
-      ?(metrics = Obs.Metrics.null) () : result =
-    let measuring = Obs.Metrics.enabled metrics in
-    let m_offered = Obs.Metrics.counter metrics "offered" in
-    let m_kept = Obs.Metrics.counter metrics "kept" in
-    let m_truncated = Obs.Metrics.counter metrics "truncated" in
+      ?(trace = Obs.Trace.null) () : result =
+    let measuring = Obs.Trace.enabled trace in
+    let offered = ref 0 and kept = ref 0 and truncated = ref 0 in
     let size = N.size net in
     let cuts = Array.make size [||] in
     cuts.(0) <- [| constant_cut |];
@@ -220,7 +219,7 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
     (* Offer a merged candidate (leaf set in [merged[0..mlen)], chosen child
        cuts in [chosen[0..nf)]) to the bounded priority set. *)
     let offer merged mlen msig nf =
-      if measuring then Obs.Metrics.incr m_offered;
+      if measuring then incr offered;
       (* dominated by an existing cut (equal sets included)? *)
       let dominated = ref false in
       let i = ref 0 in
@@ -269,14 +268,14 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
         done;
         if !p >= max_cuts then begin
           (* rejected by the priority cap: a truncation of the cut set *)
-          if measuring then Obs.Metrics.incr m_truncated
+          if measuring then incr truncated
         end
         else begin
           (* evict the worst cut when full, then shift and insert *)
           (if !count = max_cuts then begin
              pool.(!pool_top) <- set_slot.(max_cuts - 1);
              incr pool_top;
-             if measuring then Obs.Metrics.incr m_truncated
+             if measuring then incr truncated
            end
            else incr count);
           for i = !count - 1 downto !p + 1 do
@@ -474,8 +473,11 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
             }
         done;
         cuts.(n) <- res;
-        if measuring then Obs.Metrics.add m_kept m)
+        if measuring then kept := !kept + m)
       (T.order net);
+    if measuring then
+      Obs.Trace.report trace ~algo:"cuts"
+        [ ("offered", !offered); ("kept", !kept); ("truncated", !truncated) ];
     { cuts; k }
 
   let cuts_of r n = Array.to_list r.cuts.(n)

@@ -35,9 +35,9 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
         cost_skipped = 0;
       }
     in
-    let metrics = Obs.Metrics.of_trace trace ~algo:"fraig" in
+    let measuring = Obs.Trace.enabled trace in
     (* SAT kernel time, summed over every proof, in nanoseconds *)
-    let sat_ns = Obs.Metrics.counter metrics "sat_ns" in
+    let sat_ns = ref 0 in
     (* 1. signatures from random simulation *)
     let values =
       Sim.simulate net (Sim.random_values ~num_vars:8 ~seed:1 net)
@@ -95,17 +95,14 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
               Satkit.Solver.add_clause solver [ dn; lr; lm' ];
               Satkit.Solver.add_clause solver
                 [ dn; Satkit.Lit.neg lr; Satkit.Lit.neg lm' ];
-              let t0 =
-                if Obs.Metrics.enabled metrics then Unix.gettimeofday ()
-                else 0.0
-              in
+              let t0 = if measuring then Unix.gettimeofday () else 0.0 in
               let verdict =
                 Satkit.Solver.solve ~conflict_budget:2_000 ~assumptions:[ dp ]
                   solver
               in
-              if Obs.Metrics.enabled metrics then
-                Obs.Metrics.add sat_ns
-                  (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
+              if measuring then
+                sat_ns :=
+                  !sat_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
               (match verdict with
               | Satkit.Solver.Unsat ->
                 stats.proved <- stats.proved + 1;
@@ -132,21 +129,21 @@ module Make (N : Network.Intf.SWEEPABLE) = struct
               (N.complement_if flip (N.signal_of_node rep))
           else stats.cost_skipped <- stats.cost_skipped + 1)
       (List.rev !merges);
-    (* export the shared solver's kernel counters (conflicts, clause tiers,
-       minimization/inprocessing work) through the metrics registry *)
-    if Obs.Metrics.enabled metrics then
-      List.iter
-        (fun (k, v) ->
-          Obs.Metrics.set (Obs.Metrics.gauge metrics ("solver_" ^ k)) v)
-        (Satkit.Solver.stats solver);
-    Obs.Trace.report trace ~algo:"fraig"
-      [
-        ("classes", stats.classes);
-        ("proved", stats.proved);
-        ("refuted", stats.refuted);
-        ("unknown", stats.unknown);
-        ("cost_skipped", stats.cost_skipped);
-      ];
-    Obs.Metrics.emit metrics trace;
+    (* one event: the verdicts, the summed SAT time and the shared
+       solver's kernel counters (conflicts, clause tiers,
+       minimization/inprocessing work) *)
+    if measuring then
+      Obs.Trace.report trace ~algo:"fraig"
+        ([
+           ("classes", stats.classes);
+           ("proved", stats.proved);
+           ("refuted", stats.refuted);
+           ("unknown", stats.unknown);
+           ("cost_skipped", stats.cost_skipped);
+           ("sat_ns", !sat_ns);
+         ]
+        @ List.map
+            (fun (k, v) -> ("solver_" ^ k, v))
+            (Satkit.Solver.stats solver));
     stats
 end

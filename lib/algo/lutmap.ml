@@ -33,12 +33,8 @@ module Make (N : Network.Intf.COUNTED) = struct
       | Cost.Spec.Lut _ ->
         1.0
     in
-    let cut_metrics = Obs.Metrics.of_trace trace ~algo:"lutmap.cuts" in
     (* wide cuts make small covers: prefer large cuts, 12 per node *)
-    let cuts =
-      C.enumerate net ~k ~cut_limit:12 ~prefer:`Large ~metrics:cut_metrics ()
-    in
-    Obs.Metrics.emit cut_metrics trace;
+    let cuts = C.enumerate net ~k ~cut_limit:12 ~prefer:`Large ~trace () in
     let order = T.order net in
     let size = N.size net in
     let arrival = Array.make size 0.0 in

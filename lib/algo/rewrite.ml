@@ -81,10 +81,8 @@ module Make (N : Network.Intf.NETWORK) = struct
       ?(cost = Cost.Spec.Area) ?(allow_zero_gain = false) () : int =
     let eng = Co.engine cost in
     let stats = { candidates = 0; substitutions = 0; gain = 0 } in
-    let cut_metrics = Obs.Metrics.of_trace trace ~algo:"rewrite.cuts" in
     (* 4-leaf cuts, the width of the shipped NPN tables; 8 per node *)
-    let cuts = C.enumerate net ~k:4 ~cut_limit:8 ~metrics:cut_metrics () in
-    Obs.Metrics.emit cut_metrics trace;
+    let cuts = C.enumerate net ~k:4 ~cut_limit:8 ~trace () in
     let nodes = T.order net in
     List.iter
       (fun n ->

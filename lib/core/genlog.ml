@@ -87,7 +87,6 @@ module Suite = Lsgen.Suite.Make (Network.Aig)
 
 (* observability *)
 module Trace = Obs.Trace
-module Metrics = Obs.Metrics
 module Chrome = Obs.Chrome
 module Report = Obs.Report
 module Json = Obs.Json

@@ -166,8 +166,8 @@ let store_info db =
         pending = List.length db.pending;
       })
 
-(* Counter snapshot in the shape the obs layer wants (metrics gauges, the
-   run-metadata cache block). *)
+(* Counter snapshot in the shape the obs layer wants (the "exact_db"
+   counters event, the run-metadata cache block). *)
 let obs_gauges db =
   let si = store_info db in
   [

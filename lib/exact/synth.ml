@@ -70,8 +70,8 @@ type result =
    Process-wide atomic counters of the SAT work exact synthesis burns.
    exact sits below the observability layer (and is called concurrently
    from the partition engine's domains), so the counters are lock-free
-   atomics here and the flow layer publishes [telemetry ()] into its
-   metrics sink; per-pass deltas come from reads around each pass. *)
+   atomics here and the flow layer reports [telemetry ()] as a counters
+   event; per-pass deltas come from reads around each pass. *)
 
 let t_calls = Atomic.make 0        (* SAT solver invocations *)
 let t_sat = Atomic.make 0

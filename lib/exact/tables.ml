@@ -5,15 +5,6 @@ open Kitty
 
 let max_vars = 4
 
-let presets =
-  Synth.
-    [
-      ("aig", aig_config);
-      ("xag", xag_config);
-      ("mig", mig_config);
-      ("xmg", xmg_config);
-    ]
-
 let classes () =
   List.concat_map
     (fun n ->

@@ -11,9 +11,6 @@
 
 val max_vars : int
 
-val presets : (string * Synth.config) list
-(** The operator-set presets a table is shipped for, by table name. *)
-
 val classes : unit -> Kitty.Tt.t list
 (** Canonical representatives ({!Kitty.Npn.canonize}) of every NPN class
     of [0 .. max_vars] variables, by variable count, then by truth table.

@@ -87,24 +87,12 @@ let env_of_config (cfg : Run_config.t) =
   in
   make_env ~cost ?cache:cfg.Run_config.cache cfg.Run_config.representation
 
-(* Snapshot the exact-synthesis database counters into the trace as
-   metrics gauges (algo "exact_db"), so report/QoR tooling can see cache
-   behaviour per run. *)
-let emit_db_metrics (env : env) trace =
-  if Obs.Trace.enabled trace then begin
-    let m = Obs.Metrics.create ~algo:"exact_db" () in
-    List.iter
-      (fun (name, v) -> Obs.Metrics.set (Obs.Metrics.gauge m name) v)
-      (Exact.Database.obs_gauges env.db);
-    Obs.Metrics.emit m trace
-  end
-
 (* Exact synthesis sits below the obs layer and is shared across domains,
    so it keeps process-wide atomic counters (Exact.Synth.telemetry); the
-   engine samples them around each pass and publishes the delta inside
-   the span as "exact_sat" gauges.  The [solver_*] keys feed the per-pass
-   SAT totals in Trace.summarize. *)
-let emit_exact_sat_delta trace before =
+   engine samples them around each pass and reports the delta inside the
+   span as one "exact_sat" counters event.  The [solver_*] keys feed the
+   per-pass SAT totals in Trace.summarize. *)
+let report_exact_sat_delta trace before =
   let after = Exact.Synth.telemetry () in
   let delta =
     List.map
@@ -113,14 +101,8 @@ let emit_exact_sat_delta trace before =
           v - (match List.assoc_opt k before with Some b -> b | None -> 0) ))
       after
   in
-  if Obs.Trace.enabled trace && List.exists (fun (_, v) -> v <> 0) delta
-  then begin
-    let m = Obs.Metrics.create ~algo:"exact_sat" () in
-    List.iter
-      (fun (name, v) -> Obs.Metrics.set (Obs.Metrics.gauge m name) v)
-      delta;
-    Obs.Metrics.emit m trace
-  end
+  if List.exists (fun (_, v) -> v <> 0) delta then
+    Obs.Trace.report trace ~algo:"exact_sat" delta
 
 (* One graceful-degradation record from a defensive script run: which
    pass gave up and why.  Reasons are a small closed vocabulary so
@@ -170,7 +152,7 @@ module Make (N : Network.Intf.NETWORK) = struct
 
   (* Interpret one script command as a traced span (see [Obs.Trace.span]):
      gate count and depth before and after, the GC work the pass caused,
-     and the exact-synthesis SAT work as an "exact_sat" metrics event
+     and the exact-synthesis SAT work as an "exact_sat" counters event
      inside the span. *)
   let run_command (env : env) ?(trace = Obs.Trace.null) ?(index = 0)
       (net : N.t) (cmd : Script.command) : unit =
@@ -179,19 +161,15 @@ module Make (N : Network.Intf.NETWORK) = struct
       ~after:stats (fun () ->
         let x0 = Exact.Synth.telemetry () in
         dispatch env ~trace net cmd;
-        emit_exact_sat_delta trace x0)
+        report_exact_sat_delta trace x0)
 
   (* The final sweep, traced as its own "cleanup" span so the last
      [pass_end] reports the stats of the network actually returned. *)
-  let cleanup_pass (env : env) ~trace ~index (net : N.t) : N.t =
-    let cleaned =
-      Obs.Trace.span trace ~pass:"cleanup" ~index
-        ~before:(fun () -> network_stats net)
-        ~after:network_stats
-        (fun () -> Cl.cleanup net)
-    in
-    emit_db_metrics env trace;
-    cleaned
+  let cleanup_pass ~trace ~index (net : N.t) : N.t =
+    Obs.Trace.span trace ~pass:"cleanup" ~index
+      ~before:(fun () -> network_stats net)
+      ~after:network_stats
+      (fun () -> Cl.cleanup net)
 
   (* The one script interpreter.  Runs the passes in place and returns a
      cleaned-up copy (dangling nodes swept) plus the degradation records.
@@ -215,8 +193,8 @@ module Make (N : Network.Intf.NETWORK) = struct
      An unarmed run takes no copy, evaluates no network cost and lets a
      pass exception propagate.  The degradation list is empty iff the
      run behaved exactly like an unarmed one.  Each marker is also
-     emitted as a trace event plus an "engine" metrics counter, so
-     offline consumers see degraded runs without the caller's help. *)
+     emitted as a trace event, so offline consumers see degraded runs
+     without the caller's help. *)
   let run_script_safe (env : env) ?(trace = Obs.Trace.null) ?(deadline = 0.)
       ?stop (net : N.t) (script : string) : N.t * degradation list =
     let commands = Script.parse script in
@@ -259,15 +237,8 @@ module Make (N : Network.Intf.NETWORK) = struct
     in
     loop 0 commands;
     let degradations = List.rev !degradations in
-    if degradations <> [] && Obs.Trace.enabled trace then begin
-      let m = Obs.Metrics.create ~algo:"engine" () in
-      Obs.Metrics.add
-        (Obs.Metrics.counter m "degraded")
-        (List.length degradations);
-      Obs.Metrics.emit m trace
-    end;
     let result = if degradations = [] then !work else !best in
-    (cleanup_pass env ~trace ~index:(List.length commands) result, degradations)
+    (cleanup_pass ~trace ~index:(List.length commands) result, degradations)
 
   (* Run a script in place with nothing armed; returns a cleaned-up copy.
      Raises if a pass raises. *)

@@ -8,12 +8,10 @@
    gives perfect dynamic load balancing without per-worker deques.
 
    Each worker owns private state built by [init] (index 0 is the calling
-   domain).  This matters because flow state is not shareable across
-   domains: an [Engine.env] carries a mutable exact-synthesis database and
-   a trace child sink is single-writer, so every worker must build its
-   own.  The per-worker states are returned in worker order so the caller
-   can merge trace children deterministically (join order, like the
-   portfolio does).
+   domain).  This matters because a trace child sink is single-writer, so
+   every worker must build its own.  The per-worker states are returned in
+   worker order so the caller can merge trace children deterministically
+   (join order, like the portfolio does).
 
    Failure model: [map_results] isolates jobs — every item yields either
    [Ok result] or [Error {index; attempts; exn; backtrace}], one bad item

@@ -26,7 +26,7 @@
 
    Instrumentation: one span per phase (carve / opt / stitch) plus one
    span and one counter event per partition on the worker's trace child,
-   and a metrics registry with the verdict totals. *)
+   and one counter event with the verdict totals. *)
 
 module Make (N : Network.Intf.NETWORK) = struct
   module B = Network.Build.Make (N)
@@ -210,11 +210,9 @@ module Make (N : Network.Intf.NETWORK) = struct
         (* why the piece's script run degraded, or its job failed *)
   }
 
-  type worker_state = { env : Engine.env; wtrace : Obs.Trace.t }
-
-  let optimize_piece (st : worker_state) ~script ~deadline (net : N.t)
+  (* [trace] is the worker's own child sink. *)
+  let optimize_piece (env : Engine.env) ~trace ~script ~deadline (net : N.t)
       (p : partition) : piece_result =
-    let trace = st.wtrace in
     let sub = export net p in
     let gates_before = N.num_gates sub in
     let pass = Printf.sprintf "part%d" p.id in
@@ -227,7 +225,7 @@ module Make (N : Network.Intf.NETWORK) = struct
          killing the job, and the guard below still decides whether that
          is worth keeping; unarmed, a pass exception fails the job *)
       let optimized, degs =
-        E.run_script_safe st.env ~deadline (Copy.convert sub) script
+        E.run_script_safe env ~deadline (Copy.convert sub) script
       in
       let degradation =
         match degs with
@@ -241,7 +239,7 @@ module Make (N : Network.Intf.NETWORK) = struct
          this is exactly the historical "fewer gates, or gates-equal with
          less depth" rule *)
       let improved =
-        let eng = Co.engine st.env.Engine.cost in
+        let eng = Co.engine env.Engine.cost in
         Co.network_better eng ~before:sub ~after:optimized
       in
       let chosen, verdict, sim_mismatch, cec_checked =
@@ -339,13 +337,14 @@ module Make (N : Network.Intf.NETWORK) = struct
   }
 
   (* Run [script] over every partition of [net] in parallel and return the
-     stitched result.  [make_env] builds one engine environment per worker
-     domain: the exact-synthesis database is mutable, so workers must not
-     share one.  The parent network is only read between carve and stitch,
-     which is what makes the worker phase safe. *)
+     stitched result.  Every worker domain shares [env]: its
+     exact-synthesis database is mutex-guarded, and the rest of an env is
+     immutable.  Each worker writes its own trace child.  The parent
+     network is only read between carve and stitch, which is what makes the
+     worker phase safe. *)
   let run ?(size_cap = 2000) ?(jobs = Domain.recommended_domain_count ())
       ?(script = Script.compress2rs) ?(trace = Obs.Trace.null) ?(deadline = 0.)
-      ?(retries = 0) ~make_env (net : N.t) : N.t * stats =
+      ?(retries = 0) ~env (net : N.t) : N.t * stats =
     (* the parent is untouched until the stitch, so its stats are stable *)
     let parent = lazy (N.num_gates net, Dp.depth net) in
     let parent _ = Lazy.force parent in
@@ -363,15 +362,12 @@ module Make (N : Network.Intf.NETWORK) = struct
           let job_results, states =
             Parmap.map_results ~jobs ~retries
               ~init:(fun k ->
-                {
-                  env = make_env ();
-                  wtrace = Obs.Trace.child trace ~flow:(Printf.sprintf "w%d" k);
-                })
-              ~f:(fun st p -> optimize_piece st ~script ~deadline net p)
+                Obs.Trace.child trace ~flow:(Printf.sprintf "w%d" k))
+              ~f:(fun wtrace p ->
+                optimize_piece env ~trace:wtrace ~script ~deadline net p)
               parts
           in
-          Obs.Trace.merge trace
-            (Array.to_list (Array.map (fun st -> st.wtrace) states));
+          Obs.Trace.merge trace (Array.to_list states);
           (* per-job isolation: a piece whose job raised (even after
              retries) keeps its original cone — the stitch then reproduces
              the parent's logic for that region, so a crash costs QoR,
@@ -413,9 +409,7 @@ module Make (N : Network.Intf.NETWORK) = struct
               jobs;
             }
           in
-          let m = Obs.Metrics.of_trace trace ~algo:"partition" in
-          List.iter
-            (fun (name, v) -> Obs.Metrics.add (Obs.Metrics.counter m name) v)
+          Obs.Trace.report trace ~algo:"partition"
             [
               ("accepted", st.accepted);
               ("rejected_cost", st.rejected_cost);
@@ -424,10 +418,9 @@ module Make (N : Network.Intf.NETWORK) = struct
               ("cec_escalations", count (fun r -> r.cec_checked));
               ("failed", st.failed);
               ("degraded", st.degraded_pieces);
+              ("jobs", jobs);
+              ("size_cap", size_cap);
             ];
-          Obs.Metrics.set (Obs.Metrics.gauge m "jobs") jobs;
-          Obs.Metrics.set (Obs.Metrics.gauge m "size_cap") size_cap;
-          Obs.Metrics.emit m trace;
           (results, st))
     in
     (* the stitch itself is guarded: if it raises (an [partition.stitch]
@@ -467,9 +460,9 @@ module Make (N : Network.Intf.NETWORK) = struct
     (out, { st with stitch_fallbacks = List.length fallbacks; degradations })
 
   (* Typed-config entry point: partition size, worker count and script all
-     come from one [Run_config.t].  [make_env] stays explicit because the
-     caller knows which representation [N] is. *)
-  let run_with ?(trace = Obs.Trace.null) ~(config : Run_config.t) ~make_env
+     come from one [Run_config.t].  [env] stays explicit because the caller
+     knows which representation [N] is. *)
+  let run_with ?(trace = Obs.Trace.null) ~(config : Run_config.t) ~env
       (net : N.t) : N.t * stats =
     let deadline =
       if config.Run_config.timeout > 0. then
@@ -479,5 +472,5 @@ module Make (N : Network.Intf.NETWORK) = struct
     run
       ~size_cap:(max 1 config.Run_config.partition)
       ~jobs:config.Run_config.jobs ~script:config.Run_config.script ~trace
-      ~deadline ~retries:config.Run_config.retries ~make_env net
+      ~deadline ~retries:config.Run_config.retries ~env net
 end

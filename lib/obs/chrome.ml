@@ -9,7 +9,7 @@
    - each pass span becomes a complete event (ph "X") anchored at the
      span's [pass_begin] timestamp with the measured duration, carrying
      gates/depth before/after and the GC delta as [args];
-   - counters, metrics and degradation markers become thread-scoped
+   - counters events and degradation markers become thread-scoped
      instant events (ph "i") at their timestamp.
 
    Timestamps are microseconds (the format's unit).  Complete events are
@@ -35,7 +35,6 @@ let flow_tracks events =
       | Trace.Pass_begin { flow; _ }
       | Trace.Pass_end { flow; _ }
       | Trace.Counters { flow; _ }
-      | Trace.Metrics { flow; _ }
       | Trace.Degraded { flow; _ } -> see flow)
     events;
   (tids, List.rev !order)
@@ -106,9 +105,6 @@ let events_json (t : Trace.t) =
           :: !timed
       | Trace.Counters { t; flow; algo; counters } ->
         instant t flow ~name:algo ~cat:"counters" (ints counters)
-      | Trace.Metrics { t; flow; algo; counters; gauges } ->
-        instant t flow ~name:(algo ^ " metrics") ~cat:"metrics"
-          (ints (counters @ gauges))
       | Trace.Degraded { t; flow; pass; reason; detail } ->
         (* an instant marker so degradations are visible on the timeline *)
         instant t flow ~name:("degraded: " ^ reason) ~cat:"degraded"

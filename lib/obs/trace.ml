@@ -4,13 +4,12 @@
    optimization flow did: one [Pass_begin]/[Pass_end] span per script
    command (wall time plus gate/depth before and after, plus the GC work
    the pass caused), one [Counters] event per algorithm invocation
-   (candidates tried / accepted / rejected-by-gain, SAT verdicts, LUT-map
-   results, ...), one [Metrics] event per algorithm registry (see
-   metrics.ml: counters and gauges), and one [Degraded] marker per
-   graceful degradation.  mockturtle attaches a stats object to every
-   algorithm for the same reason: without per-pass numbers a flow is a
-   black box and regressions can only be localized at whole-flow
-   granularity.
+   (candidates tried / accepted / rejected-by-gain, cuts kept, SAT
+   verdicts and [solver_*] kernel stats, LUT-map results, ...), and one
+   [Degraded] marker per graceful degradation.  mockturtle attaches a
+   stats object to every algorithm for the same reason: without per-pass
+   numbers a flow is a black box and regressions can only be localized
+   at whole-flow granularity.
 
    The sink is either [Null] — every emit is a single pattern match, so
    disabled tracing costs nothing measurable — or an in-memory buffer that
@@ -58,13 +57,6 @@ type event =
       gc : gc_delta;
     }
   | Counters of { t : float; flow : string; algo : string; counters : counters }
-  | Metrics of {
-      t : float;
-      flow : string;
-      algo : string;
-      counters : counters;
-      gauges : counters;
-    }
   | Degraded of {
       t : float;
       flow : string;
@@ -152,23 +144,15 @@ let span t ~pass ~index ~before ~after f =
     r
 
 (* Per-algorithm counters, emitted between the enclosing span's begin and
-   end events.  Call sites guard with [enabled] when building the counter
-   list itself has a cost. *)
+   end events.  Keys prefixed [solver_] are SAT kernel stats, which
+   [summarize] folds into the span's SAT totals.  Call sites guard with
+   [enabled] when building the counter list itself has a cost. *)
 let report t ~algo counters =
   match t with
   | Null -> ()
   | Sink s ->
     s.rev_events <-
       Counters { t = now s; flow = s.flow; algo; counters } :: s.rev_events
-
-(* A rendered metrics registry (metrics.ml builds the payload). *)
-let metrics t ~algo ~counters ~gauges =
-  match t with
-  | Null -> ()
-  | Sink s ->
-    s.rev_events <-
-      Metrics { t = now s; flow = s.flow; algo; counters; gauges }
-      :: s.rev_events
 
 (* A graceful-degradation marker: the run kept a valid (best-so-far)
    result but gave up on part of the work — a pass deadline expired, a
@@ -190,7 +174,8 @@ let degraded t ~pass ~reason ~detail =
    and keys are skipped: the meta line, and in older traces the "race"
    and "node" lines, the "hists" object of "metrics" lines and every
    "gc" key but the two word counts, so older traces stay readable by
-   newer reports. *)
+   newer reports.  An older "metrics" line reads as a counters event
+   holding its counters and then its gauges. *)
 
 let json_of_gc gc =
   Json.Obj
@@ -218,12 +203,6 @@ let json_of_event e =
       ]
   | Counters { t; flow; algo; counters } ->
     ev "counters" t flow [ str "algo" algo; ("counters", Json.ints counters) ]
-  | Metrics { t; flow; algo; counters; gauges } ->
-    ev "metrics" t flow
-      [
-        str "algo" algo; ("counters", Json.ints counters);
-        ("gauges", Json.ints gauges);
-      ]
   | Degraded { t; flow; pass; reason; detail } ->
     ev "degraded" t flow
       [ str "pass" pass; str "reason" reason; str "detail" detail ]
@@ -263,9 +242,9 @@ let event_of_json j =
     Some (Counters { t; flow; algo = str "algo"; counters = ints "counters" })
   | Some "metrics" ->
     Some
-      (Metrics
-         { t; flow; algo = str "algo"; counters = ints "counters";
-           gauges = ints "gauges" })
+      (Counters
+         { t; flow; algo = str "algo";
+           counters = ints "counters" @ ints "gauges" })
   | Some "degraded" ->
     Some
       (Degraded
@@ -314,15 +293,10 @@ type pass_row = {
   row_degraded : int;  (* degradation markers attributed to the span *)
 }
 
-(* SAT work inside a span: solver call sites publish [solver_*] gauges
-   through a metrics registry. *)
-let sat_of_gauges gauges =
-  let g k = Option.value ~default:0 (List.assoc_opt k gauges) in
-  (g "solver_conflicts", g "solver_propagations")
-
-(* SAT events from child sinks (partition workers, portfolio domains) carry
-   extended flow labels like ["opt/part3"] while the enclosing span lives
-   under the parent label: resolve to the nearest open ancestor span. *)
+(* Events from child sinks (partition workers, portfolio domains) carry
+   extended flow labels like ["opt/w0"] while the enclosing span may live
+   under the parent label: resolve to the nearest open span of the event's
+   flow or of an ancestor flow. *)
 let rec find_ancestor_span pending flow =
   match Hashtbl.find_opt pending flow with
   | Some _ as hit -> Option.map (fun row -> (flow, row)) hit
@@ -332,8 +306,10 @@ let rec find_ancestor_span pending flow =
     | None -> if flow = "" then None else find_ancestor_span pending "")
 
 (* Pair begin/end events into rows.  Spans never nest within one flow, so a
-   single pending slot per flow label suffices; counter, metrics and
-   degradation events attach to the open span of their flow. *)
+   single pending slot per flow label suffices; counter and degradation
+   events attach to the nearest open span ([find_ancestor_span]).  A
+   counters event's [solver_*] keys add to the row's SAT totals instead of
+   its counters column. *)
 let summarize t : pass_row list =
   let pending : (string, pass_row) Hashtbl.t = Hashtbl.create 4 in
   let rows = ref [] in
@@ -357,22 +333,25 @@ let summarize t : pass_row list =
             row_degraded = 0;
           }
       | Counters { flow; algo; counters; _ } -> (
-        match Hashtbl.find_opt pending flow with
-        | Some row ->
-          Hashtbl.replace pending flow
-            { row with row_counters = row.row_counters @ [ (algo, counters) ] }
-        | None -> ())
-      | Metrics { flow; gauges; _ } -> (
         match find_ancestor_span pending flow with
         | Some (key, row) ->
-          let c, p = sat_of_gauges gauges in
-          if c <> 0 || p <> 0 then
-            Hashtbl.replace pending key
-              {
-                row with
-                row_sat_conflicts = row.row_sat_conflicts + c;
-                row_sat_propagations = row.row_sat_propagations + p;
-              }
+          let solver, rest =
+            List.partition
+              (fun (k, _) -> String.starts_with ~prefix:"solver_" k)
+              counters
+          in
+          let sat k = Option.value ~default:0 (List.assoc_opt k solver) in
+          Hashtbl.replace pending key
+            {
+              row with
+              row_counters =
+                (if rest = [] then row.row_counters
+                 else row.row_counters @ [ (algo, rest) ]);
+              row_sat_conflicts =
+                row.row_sat_conflicts + sat "solver_conflicts";
+              row_sat_propagations =
+                row.row_sat_propagations + sat "solver_propagations";
+            }
         | None -> ())
       | Degraded { flow; _ } -> (
         match find_ancestor_span pending flow with

@@ -1172,7 +1172,7 @@ let model_value t v = t.assign.(v) = 1
    before and after each solve.  This is the telemetry surface the
    observability layer consumes (satkit itself has no obs dependency):
    callers diff two snapshots to attribute solver work to a pass, and
-   publish the result as metrics gauges.  [lbd] is a histogram of
+   publish the result as [solver_*] trace counters.  [lbd] is a histogram of
    learn-time LBDs (bucket i = clauses learnt with LBD i, last bucket
    open-ended): the distribution that tells a glue-rich easy instance
    apart from a thrashing one. *)

@@ -116,7 +116,7 @@ val snapshot : t -> snapshot
 
 val stats_of_snapshot : snapshot -> (string * int) list
 (** The snapshot as label/value pairs (histogram summarized into
-    glue/mid/high ranges), for metrics export. *)
+    glue/mid/high ranges), for trace counters. *)
 
 val diff_snapshot : snapshot -> snapshot -> snapshot
 (** [diff_snapshot before after]: per-field [after - before] for the

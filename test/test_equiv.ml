@@ -63,73 +63,61 @@ let check_pass (type t) ~name (module N : Intf.NETWORK with type t = t)
         Alcotest.failf "%s: GENLOG_TEST_SEED=%d cec unknown" name seed)
     seeds
 
-(* shared per-representation exact-synthesis databases (warm across seeds) *)
-let aig_db = lazy (Exact.Database.create Exact.Synth.aig_config)
-let xag_db = lazy (Exact.Database.create Exact.Synth.xag_config)
-let mig_db = lazy (Exact.Database.create Exact.Synth.mig_config)
-let xmg_db = lazy (Exact.Database.create Exact.Synth.xmg_config)
+(* Every representation's layer-4 row with its engine env: the row's
+   resub kernel and a database over the row's exact-synthesis preset,
+   shared by the rewrite, partition and cost suites (warm across seeds). *)
+let rows =
+  List.map
+    (fun (name, rep) ->
+      (name, Flow.Engine.representation rep, lazy (Flow.Engine.make_env rep)))
+    Flow.Run_config.representations
 
-(* one engine env per representation for the partition pass: the row's
-   resub kernel over the database above, shared so cold NPN classes are
-   synthesized once per run (MIG exact synthesis dominates the budget
-   otherwise) *)
-let partition_env rep db =
-  let module R = (val Flow.Engine.representation rep) in
-  lazy
-    {
-      Flow.Engine.db = Lazy.force db;
-      kernel = R.kernel;
-      cost = Algo.Cost.Spec.Area;
-    }
+let row name = List.find (fun (n, _, _) -> n = name) rows
 
-let partition_pass (type t) (module N : Intf.NETWORK with type t = t) env ~jobs
-    (t : t) : t =
-  let module P = Flow.Partition.Make (N) in
-  (* tiny cap so 40-gate networks split into several pieces *)
-  let r, _ =
-    P.run ~size_cap:12 ~jobs ~script:"rw; bz"
-      ~make_env:(fun () -> Lazy.force env)
-      t
-  in
-  r
+(* One test case per representation, named "<kind> <rep>". *)
+let per_rep kind test =
+  List.map
+    (fun (name, r, env) ->
+      Alcotest.test_case (kind ^ " " ^ name) `Quick (test name r env))
+    rows
 
 (* -- per-representation pass suites -- *)
 
-let test_rewrite (type t) name (module N : Intf.NETWORK with type t = t) db () =
-  let module Rw = Algo.Rewrite.Make (N) in
-  check_pass ~name:("rewrite/" ^ name) (module N)
+let test_rewrite name (module R : Flow.Engine.REPRESENTATION) env () =
+  let module Rw = Algo.Rewrite.Make (R.N) in
+  check_pass ~name:("rewrite/" ^ name) (module R.N)
     ~pass:(fun t ->
-      ignore (Rw.run t ~db:(Lazy.force db) ());
+      ignore (Rw.run t ~db:(Lazy.force env).Flow.Engine.db ());
       t)
     ()
 
-let test_resub (type t) name (module N : Intf.NETWORK with type t = t) kernel () =
-  let module Rs = Algo.Resub.Make (N) in
-  check_pass ~name:("resub/" ^ name) (module N)
+let test_resub name (module R : Flow.Engine.REPRESENTATION) _env () =
+  let module Rs = Algo.Resub.Make (R.N) in
+  check_pass ~name:("resub/" ^ name) (module R.N)
     ~pass:(fun t ->
-      ignore (Rs.run t ~kernel ~max_inserted:2 ());
+      ignore (Rs.run t ~kernel:R.kernel ~max_inserted:2 ());
       t)
     ()
 
-let test_refactor (type t) name (module N : Intf.NETWORK with type t = t) () =
-  let module Rf = Algo.Refactor.Make (N) in
-  check_pass ~name:("refactor/" ^ name) (module N)
+let test_refactor name (module R : Flow.Engine.REPRESENTATION) _env () =
+  let module Rf = Algo.Refactor.Make (R.N) in
+  check_pass ~name:("refactor/" ^ name) (module R.N)
     ~pass:(fun t ->
       ignore (Rf.run t ());
       t)
     ()
 
-let test_balance (type t) name (module N : Intf.NETWORK with type t = t) () =
-  let module B = Algo.Balance.Make (N) in
-  check_pass ~name:("balance/" ^ name) (module N)
+let test_balance name (module R : Flow.Engine.REPRESENTATION) _env () =
+  let module B = Algo.Balance.Make (R.N) in
+  check_pass ~name:("balance/" ^ name) (module R.N)
     ~pass:(fun t ->
       ignore (B.run t);
       t)
     ()
 
-let test_fraig (type t) name (module N : Intf.NETWORK with type t = t) () =
-  let module Fr = Algo.Fraig.Make (N) in
-  check_pass ~name:("fraig/" ^ name) (module N)
+let test_fraig name (module R : Flow.Engine.REPRESENTATION) _env () =
+  let module Fr = Algo.Fraig.Make (R.N) in
+  check_pass ~name:("fraig/" ^ name) (module R.N)
     ~pass:(fun t ->
       ignore (Fr.run t ());
       t)
@@ -193,8 +181,8 @@ let check_pass_cost (type t) ~name ~(spec : Algo.Cost.Spec.t)
           cost_name)
     cost_seeds
 
-let cost_pass_instances (type t) rep (module N : Intf.NETWORK with type t = t)
-    db kernel =
+let cost_pass_instances (rep, (module R : Flow.Engine.REPRESENTATION), env) =
+  let module N = R.N in
   let mk pname pass spec =
     Alcotest.test_case
       (Printf.sprintf "%s %s cost=%s" pname rep
@@ -212,7 +200,7 @@ let cost_pass_instances (type t) rep (module N : Intf.NETWORK with type t = t)
         mk "rewrite"
           (fun cost t ->
             let module Rw = Algo.Rewrite.Make (N) in
-            ignore (Rw.run t ~db:(Lazy.force db) ~cost ());
+            ignore (Rw.run t ~db:(Lazy.force env).Flow.Engine.db ~cost ());
             t)
           spec;
         mk "refactor"
@@ -224,7 +212,7 @@ let cost_pass_instances (type t) rep (module N : Intf.NETWORK with type t = t)
         mk "resub"
           (fun cost t ->
             let module Rs = Algo.Resub.Make (N) in
-            ignore (Rs.run t ~kernel ~cost ~max_inserted:2 ());
+            ignore (Rs.run t ~kernel:R.kernel ~cost ~max_inserted:2 ());
             t)
           spec;
         mk "balance"
@@ -255,10 +243,14 @@ let cost_combo_instances = (4 * 2 * 3) + 3
 (* two workers on the aig suite exercise the cross-domain path; the other
    representations run single-worker (spawning a domain pair per combo is
    pure overhead on small boxes) *)
-let test_partition (type t) ?(jobs = 1) name
-    (module N : Intf.NETWORK with type t = t) env () =
-  check_pass ~name:("partition/" ^ name) (module N)
-    ~pass:(partition_pass (module N) env ~jobs)
+let test_partition name (module R : Flow.Engine.REPRESENTATION) env () =
+  let module P = Flow.Partition.Make (R.N) in
+  let jobs = if name = "aig" then 2 else 1 in
+  check_pass ~name:("partition/" ^ name) (module R.N)
+    ~pass:(fun t ->
+      (* tiny cap so 40-gate networks split into several pieces *)
+      fst
+        (P.run ~size_cap:12 ~jobs ~script:"rw; bz" ~env:(Lazy.force env) t))
     ()
 
 let test_combo_count () =
@@ -271,46 +263,14 @@ let test_combo_count () =
   Alcotest.(check int) "all pass/rep/seed combos executed" expected !combos
 
 let suite =
-  [
-    Alcotest.test_case "rewrite aig" `Quick (test_rewrite "aig" (module Aig) aig_db);
-    Alcotest.test_case "rewrite xag" `Quick (test_rewrite "xag" (module Xag) xag_db);
-    Alcotest.test_case "rewrite mig" `Quick (test_rewrite "mig" (module Mig) mig_db);
-    Alcotest.test_case "rewrite xmg" `Quick (test_rewrite "xmg" (module Xmg) xmg_db);
-    Alcotest.test_case "resub aig" `Quick
-      (test_resub "aig" (module Aig) Algo.Resub.And_or);
-    Alcotest.test_case "resub xag" `Quick
-      (test_resub "xag" (module Xag) Algo.Resub.And_or_xor);
-    Alcotest.test_case "resub mig" `Quick
-      (test_resub "mig" (module Mig) Algo.Resub.Maj3);
-    Alcotest.test_case "resub xmg" `Quick
-      (test_resub "xmg" (module Xmg) Algo.Resub.Maj3);
-    Alcotest.test_case "refactor aig" `Quick (test_refactor "aig" (module Aig));
-    Alcotest.test_case "refactor xag" `Quick (test_refactor "xag" (module Xag));
-    Alcotest.test_case "refactor mig" `Quick (test_refactor "mig" (module Mig));
-    Alcotest.test_case "refactor xmg" `Quick (test_refactor "xmg" (module Xmg));
-    Alcotest.test_case "balance aig" `Quick (test_balance "aig" (module Aig));
-    Alcotest.test_case "balance xag" `Quick (test_balance "xag" (module Xag));
-    Alcotest.test_case "balance mig" `Quick (test_balance "mig" (module Mig));
-    Alcotest.test_case "balance xmg" `Quick (test_balance "xmg" (module Xmg));
-    Alcotest.test_case "fraig aig" `Quick (test_fraig "aig" (module Aig));
-    Alcotest.test_case "fraig xag" `Quick (test_fraig "xag" (module Xag));
-    Alcotest.test_case "fraig mig" `Quick (test_fraig "mig" (module Mig));
-    Alcotest.test_case "fraig xmg" `Quick (test_fraig "xmg" (module Xmg));
-    Alcotest.test_case "mig algebraic" `Quick test_mig_algebraic;
-    Alcotest.test_case "partition aig" `Quick
-      (test_partition ~jobs:2 "aig" (module Aig)
-         (partition_env Flow.Run_config.Aig aig_db));
-    Alcotest.test_case "partition xag" `Quick
-      (test_partition "xag" (module Xag)
-         (partition_env Flow.Run_config.Xag xag_db));
-    Alcotest.test_case "partition mig" `Quick
-      (test_partition "mig" (module Mig)
-         (partition_env Flow.Run_config.Mig mig_db));
-    Alcotest.test_case "partition xmg" `Quick
-      (test_partition "xmg" (module Xmg)
-         (partition_env Flow.Run_config.Xmg xmg_db));
-  ]
-  @ cost_pass_instances "aig" (module Aig) aig_db Algo.Resub.And_or
-  @ cost_pass_instances "mig" (module Mig) mig_db Algo.Resub.Maj3
+  per_rep "rewrite" test_rewrite
+  @ per_rep "resub" test_resub
+  @ per_rep "refactor" test_refactor
+  @ per_rep "balance" test_balance
+  @ per_rep "fraig" test_fraig
+  @ [ Alcotest.test_case "mig algebraic" `Quick test_mig_algebraic ]
+  @ per_rep "partition" test_partition
+  @ cost_pass_instances (row "aig")
+  @ cost_pass_instances (row "mig")
   @ cost_fraig_instances
   @ [ Alcotest.test_case "combo count" `Quick test_combo_count ]

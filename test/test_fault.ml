@@ -301,7 +301,7 @@ let test_partition_all_jobs_fail () =
       let r, st =
         P.run ~size_cap:60 ~jobs:2
           ~script:"rw"
-          ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
+          ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
           (Copy.convert baseline)
       in
       Alcotest.(check bool) "pieces exist" true (st.P.partitions > 0);
@@ -317,7 +317,7 @@ let test_partition_stitch_fallback () =
   with_faults "partition.stitch:1" (fun () ->
       let r, st =
         P.run ~size_cap:60 ~jobs:2 ~script:"rw"
-          ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
+          ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
           (Copy.convert baseline)
       in
       Alcotest.(check int) "identity fallback" 2 st.P.stitch_fallbacks;
@@ -335,7 +335,7 @@ let test_partition_deadline_records () =
   let r, st =
     P.run ~size_cap:60 ~jobs:1 ~script:"rw"
       ~deadline:(Unix.gettimeofday () -. 1.)
-      ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
+      ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
       (Copy.convert baseline)
   in
   Alcotest.(check (list string)) "one deadline record per piece"
@@ -352,7 +352,7 @@ let test_partition_retry_rescues () =
   with_faults "parmap.job:1:2" (fun () ->
       let r, st =
         P.run ~size_cap:60 ~jobs:1 ~retries:2 ~script:"rw"
-          ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
+          ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
           (Copy.convert baseline)
       in
       Alcotest.(check int) "retries absorbed the capped faults" 0 st.P.failed;
@@ -419,7 +419,7 @@ let test_fault_fuzz () =
         let r, degs = F.run_script_safe env (Copy.convert net) "bz; rw; rf" in
         let p, _ =
           P.run ~size_cap:30 ~jobs:2 ~retries:1 ~script:"rw"
-            ~make_env:untabled_env
+            ~env:(untabled_env ())
             (Copy.convert net)
         in
         (* disarm before the oracle so the verification itself is clean *)

@@ -26,7 +26,7 @@ let span_events trace =
     (function
       | T.Pass_begin { pass; index; _ } -> Some ("pass_begin", pass, index)
       | T.Pass_end { pass; index; _ } -> Some ("pass_end", pass, index)
-      | T.Counters _ | T.Metrics _ | T.Degraded _ -> None)
+      | T.Counters _ | T.Degraded _ -> None)
     (T.events trace)
 
 let test_null_sink () =
@@ -62,7 +62,7 @@ let test_partition_span_sequence () =
   ignore
     (P.run_with ~trace
        ~config:(Flow.Run_config.make ~partition:40 ~jobs:1 ())
-       ~make_env:(fun () -> Flow.Engine.make_env Flow.Run_config.Aig)
+       ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
        (S.build "int2float"));
   let seen =
     List.map
@@ -72,7 +72,6 @@ let test_partition_span_sequence () =
         | T.Pass_end { pass; index; gates; depth; _ } ->
           Printf.sprintf "end %s %d %d %d" pass index gates depth
         | T.Counters { algo; _ } -> "counters " ^ algo
-        | T.Metrics { algo; _ } -> "metrics " ^ algo
         | T.Degraded { pass; _ } -> "degraded " ^ pass)
       (T.events trace)
   in
@@ -84,7 +83,7 @@ let test_partition_span_sequence () =
       "begin part1 1 40 6"; "counters partition"; "end part1 1 38 5";
       "begin part2 2 40 8"; "counters partition"; "end part2 2 40 8";
       "begin part3 3 3 3"; "counters partition"; "end part3 3 3 3";
-      "metrics partition"; "end partition-opt 1 160 21";
+      "counters partition"; "end partition-opt 1 160 21";
       "begin partition-stitch 2 160 21"; "end partition-stitch 2 104 17";
     ]
     seen
@@ -93,14 +92,12 @@ let timestamp = function
   | T.Pass_begin { t; _ }
   | T.Pass_end { t; _ }
   | T.Counters { t; _ }
-  | T.Metrics { t; _ }
   | T.Degraded { t; _ } -> t
 
 let flow_of = function
   | T.Pass_begin { flow; _ }
   | T.Pass_end { flow; _ }
   | T.Counters { flow; _ }
-  | T.Metrics { flow; _ }
   | T.Degraded { flow; _ } -> flow
 
 let test_monotonic_timestamps () =
@@ -266,23 +263,6 @@ let test_portfolio_trace () =
       Alcotest.(check bool) (flow ^ " monotonic") true (mono ts))
     flows
 
-(* -- metrics: the null registry -- *)
-
-module M = Obs.Metrics
-
-let test_null_metrics () =
-  let m = M.null in
-  Alcotest.(check bool) "null disabled" false (M.enabled m);
-  (* all handles are shared scratch cells: operations must not raise and
-     emit must not add events *)
-  let c = M.counter m "c" and g = M.gauge m "g" in
-  M.incr c;
-  M.set g 5;
-  let trace = T.create () in
-  M.emit m trace;
-  Alcotest.(check int) "emit on null adds nothing" 0
-    (List.length (T.events trace))
-
 (* -- Gc deltas: clamped non-negative, attached to pass_end -- *)
 
 let test_gc_delta_nonnegative () =
@@ -322,7 +302,6 @@ let test_summary_totals () =
 let suite =
   [
     Alcotest.test_case "null sink" `Quick test_null_sink;
-    Alcotest.test_case "null metrics registry" `Quick test_null_metrics;
     Alcotest.test_case "gc deltas non-negative" `Slow test_gc_delta_nonnegative;
     Alcotest.test_case "summary totals row" `Slow test_summary_totals;
     Alcotest.test_case "span sequence (compress_lite golden)" `Slow

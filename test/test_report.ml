@@ -191,8 +191,7 @@ let sample_trace () =
     (fun tr ->
       T.pass_begin tr ~pass:"rw" ~index:0 ~gates:100 ~depth:10;
       T.report tr ~algo:"rewrite" [ ("tried", 5) ];
-      T.metrics tr ~algo:"cec" ~counters:[ ("calls", 2) ]
-        ~gauges:[ ("solver_conflicts", 11) ];
+      T.report tr ~algo:"cec" [ ("calls", 2); ("solver_conflicts", 11) ];
       T.pass_end tr ~gc ~pass:"rw" ~index:0 ~gates:90 ~depth:9 ~elapsed:0.25 ();
       T.pass_begin tr ~pass:"bz" ~index:1 ~gates:90 ~depth:9;
       T.degraded tr ~pass:"bz" ~reason:"deadline" ~detail:"budget \"1s\"\tleft";
@@ -211,7 +210,6 @@ let split_times (e : T.event) =
       T.Pass_end { r with t = 0.0; elapsed = 0.0 },
       [ r.t; r.elapsed ] )
   | T.Counters r -> ("counters", T.Counters { r with t = 0.0 }, [ r.t ])
-  | T.Metrics r -> ("metrics", T.Metrics { r with t = 0.0 }, [ r.t ])
   | T.Degraded r -> ("degraded", T.Degraded { r with t = 0.0 }, [ r.t ])
 
 let test_trace_roundtrip () =
@@ -232,7 +230,7 @@ let test_trace_roundtrip () =
         orig reloaded;
       (* the sample covers every constructor *)
       Alcotest.(check (list string)) "constructors covered"
-        [ "counters"; "degraded"; "metrics"; "pass_begin"; "pass_end" ]
+        [ "counters"; "degraded"; "pass_begin"; "pass_end" ]
         (List.sort_uniq compare
            (List.map (fun e -> let c, _, _ = split_times e in c) orig)))
 

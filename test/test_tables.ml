@@ -79,14 +79,15 @@ let test_concurrent_create () =
   Alcotest.(check int) "copies are independent" 243
     (Exact.Database.size (List.nth dbs 1))
 
-(* One rewrite pass on ctrl under each preset: every cut function is in
-   the table, so no lookup misses and exact synthesis runs no SAT call. *)
-let rewrite_needs_no_synthesis (type n) (module N : Intf.NETWORK with type t = n)
-    (to_n : Aig.t -> n) config () =
-  let module Rw = Algo.Rewrite.Make (N) in
+(* One rewrite pass on ctrl under each representation's preset: every cut
+   function is in the table, so no lookup misses and exact synthesis runs
+   no SAT call. *)
+let rewrite_needs_no_synthesis rep () =
+  let module R = (val Flow.Engine.representation rep) in
+  let module Rw = Algo.Rewrite.Make (R.N) in
   let module S = Lsgen.Suite.Make (Aig) in
-  let net = to_n (S.build "ctrl") in
-  let db = Exact.Database.create config in
+  let net = R.of_aig (S.build "ctrl") in
+  let db = Exact.Database.create R.synth in
   let calls () = List.assoc "calls" (Exact.Synth.telemetry ()) in
   let before = calls () in
   ignore (Rw.run net ~db ());
@@ -94,28 +95,23 @@ let rewrite_needs_no_synthesis (type n) (module N : Intf.NETWORK with type t = n
   Alcotest.(check bool) "lookups hit" true (Exact.Database.hits db > 0);
   Alcotest.(check int) "no synthesis calls" 0 (calls () - before)
 
+(* One row per shipped table: the representation names are the table
+   names. *)
 let suite =
-  let module To_xag = Convert.Make (Aig) (Xag) in
-  let module To_mig = Convert.Make (Aig) (Mig) in
-  let module To_xmg = Convert.Make (Aig) (Xmg) in
+  let rows = Flow.Run_config.representations in
   List.map
-    (fun (name, config) ->
+    (fun (name, rep) ->
+      let module R = (val Flow.Engine.representation rep) in
       Alcotest.test_case (name ^ " table integrity") `Quick
-        (test_table name config))
-    Exact.Tables.presets
+        (test_table name R.synth))
+    rows
   @ [
       Alcotest.test_case "no table for other configs" `Quick
         test_no_table_for_other_configs;
       Alcotest.test_case "concurrent create" `Quick test_concurrent_create;
-      Alcotest.test_case "aig rewrite needs no synthesis" `Quick
-        (rewrite_needs_no_synthesis (module Aig) Fun.id Exact.Synth.aig_config);
-      Alcotest.test_case "xag rewrite needs no synthesis" `Quick
-        (rewrite_needs_no_synthesis (module Xag) To_xag.convert
-           Exact.Synth.xag_config);
-      Alcotest.test_case "mig rewrite needs no synthesis" `Quick
-        (rewrite_needs_no_synthesis (module Mig) To_mig.convert
-           Exact.Synth.mig_config);
-      Alcotest.test_case "xmg rewrite needs no synthesis" `Quick
-        (rewrite_needs_no_synthesis (module Xmg) To_xmg.convert
-           Exact.Synth.xmg_config);
     ]
+  @ List.map
+      (fun (name, rep) ->
+        Alcotest.test_case (name ^ " rewrite needs no synthesis") `Quick
+          (rewrite_needs_no_synthesis rep))
+      rows

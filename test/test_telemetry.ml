@@ -97,18 +97,18 @@ let test_snapshot_small_intervals () =
 
 (* -- per-pass SAT aggregation by summarize -- *)
 
-(* Hand-built event stream: gauges from child flows must fold into the
-   nearest open ancestor span. *)
+(* Hand-built event stream: solver_* keys from child flows must fold into
+   the nearest open ancestor span. *)
 let test_summarize_sat_attribution () =
   let events =
     [
       T.Pass_begin { t = 0.0; flow = "opt"; pass = "rw"; index = 0; gates = 10; depth = 3 };
-      (* single-solver telemetry: solver_* gauges through a metrics event,
+      (* single-solver telemetry: solver_* keys of a counters event,
          emitted from a child flow of the open span *)
-      T.Metrics
+      T.Counters
         {
-          t = 0.1; flow = "opt/part1"; algo = "cec"; counters = [];
-          gauges = [ ("solver_conflicts", 5); ("solver_propagations", 100) ];
+          t = 0.1; flow = "opt/part1"; algo = "cec";
+          counters = [ ("solver_conflicts", 5); ("solver_propagations", 100) ];
         };
       T.Pass_end
         {
@@ -124,14 +124,86 @@ let test_summarize_sat_attribution () =
       row.T.row_sat_propagations
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+(* A counters event from a worker flow ("opt/w0") with no open span of its
+   own lands in the parent's open span: its plain keys join the row's
+   counters column, its solver_* keys the row's SAT totals. *)
+let test_child_counters_attribution () =
+  let events =
+    [
+      T.Pass_begin { t = 0.0; flow = "opt"; pass = "fraig"; index = 0; gates = 10; depth = 3 };
+      T.Counters
+        {
+          t = 0.1; flow = "opt/w0"; algo = "cec";
+          counters =
+            [ ("conflicts", 4); ("solver_conflicts", 7);
+              ("solver_propagations", 40) ];
+        };
+      T.Pass_end
+        {
+          t = 0.3; flow = "opt"; pass = "fraig"; index = 0; gates = 9;
+          depth = 3; elapsed = 0.3; gc = T.gc_zero;
+        };
+    ]
+  in
+  match T.summarize (T.of_events events) with
+  | [ row ] ->
+    Alcotest.(check string) "parent row" "opt" row.T.row_flow;
+    Alcotest.(check (list (pair string (list (pair string int)))))
+      "solver keys left out of the counters column"
+      [ ("cec", [ ("conflicts", 4) ]) ]
+      row.T.row_counters;
+    Alcotest.(check int) "conflicts attributed" 7 row.T.row_sat_conflicts;
+    Alcotest.(check int) "propagations attributed" 40
+      row.T.row_sat_propagations
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
+(* Traces written before counters became the only event for an
+   algorithm's numbers hold {"event":"metrics",...} lines with separate
+   counters and gauges.  Such a line reads as the counters event holding
+   both, so it summarizes exactly like its rewrite. *)
+let test_old_metrics_line () =
+  let span body =
+    [
+      {|{"event":"pass_begin","t":0.1,"flow":"opt","pass":"fraig","index":0,"gates":10,"depth":3}|};
+      body;
+      {|{"event":"pass_end","t":0.3,"flow":"opt","pass":"fraig","index":0,"gates":8,"depth":3,"elapsed":0.2}|};
+    ]
+  in
+  let load lines =
+    let path = Filename.temp_file "trace" ".jsonl" in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let trace = T.read_file path in
+    Sys.remove path;
+    trace
+  in
+  let t_old =
+    load
+      (span
+         {|{"event":"metrics","t":0.2,"flow":"opt","algo":"fraig","counters":{"sat_ns":9},"gauges":{"solver_conflicts":11,"solver_propagations":30}}|})
+  and t_new =
+    load
+      (span
+         {|{"event":"counters","t":0.2,"flow":"opt","algo":"fraig","counters":{"sat_ns":9,"solver_conflicts":11,"solver_propagations":30}}|})
+  in
+  Alcotest.(check bool) "same rows" true (T.summarize t_old = T.summarize t_new);
+  match T.summarize t_old with
+  | [ row ] ->
+    Alcotest.(check (list (pair string (list (pair string int)))))
+      "counters column" [ ("fraig", [ ("sat_ns", 9) ]) ] row.T.row_counters;
+    Alcotest.(check int) "conflicts attributed" 11 row.T.row_sat_conflicts;
+    Alcotest.(check int) "propagations attributed" 30
+      row.T.row_sat_propagations
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
 (* Traces written before the SAT portfolio was removed may hold
    {"event":"race",...} lines.  [Trace.read_file] skips them, and the
    summary equals the one of the same file without that line. *)
 let test_old_race_line_ignored () =
   let trace = T.create ~flow:"opt" () in
   T.pass_begin trace ~pass:"rw" ~index:0 ~gates:10 ~depth:3;
-  T.metrics trace ~algo:"cec" ~counters:[]
-    ~gauges:[ ("solver_conflicts", 5); ("solver_propagations", 100) ];
+  T.report trace ~algo:"cec"
+    [ ("solver_conflicts", 5); ("solver_propagations", 100) ];
   T.pass_end trace ~pass:"rw" ~index:0 ~gates:8 ~depth:3 ~elapsed:0.3 ();
   let plain = Filename.temp_file "plain" ".jsonl" in
   T.write_file trace plain;
@@ -252,6 +324,10 @@ let suite =
       test_snapshot_small_intervals;
     Alcotest.test_case "summarize attributes SAT work to spans" `Quick
       test_summarize_sat_attribution;
+    Alcotest.test_case "child-flow counters land in the parent span" `Quick
+      test_child_counters_attribution;
+    Alcotest.test_case "old metrics line reads as counters" `Quick
+      test_old_metrics_line;
     Alcotest.test_case "old race event line is ignored" `Quick
       test_old_race_line_ignored;
     Alcotest.test_case "old histogram, node and gc keys are ignored" `Quick
