@@ -146,15 +146,9 @@ let timeout_arg =
         ~doc:"Wall-clock budget per input network (0 disables). On expiry \
               the engine stops at the next pass boundary and returns the \
               best checkpointed network so far, marked degraded; the \
-              process exits 4 instead of 0.")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt int base_cfg.RC.retries
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Extra attempts for a failed batch file or partition job \
-              before it is reported as failed (default 0).")
+              process exits 4 instead of 0. Under $(b,--partition) the \
+              budget stops the claiming of pieces: running pieces finish, \
+              and unstarted ones keep their original logic.")
 
 let faults_arg =
   Arg.(
@@ -166,12 +160,24 @@ let faults_arg =
               $(b,parmap.job:0.5,sat.solve:1:2). Equivalent to \
               GENLOG_FAULTS; seeded by GENLOG_FAULT_SEED.")
 
-(* SIGINT/SIGTERM wind-down: the handler only sets a flag; the engine's
-   stop hooks and the batch pool notice it at the next pass / item
-   boundary, the epilogue still flushes the store and finalizes the
-   trace, and the process exits 128+signum. *)
+(* SIGINT/SIGTERM wind-down: the handler only sets a flag; the stop
+   hooks notice it at the next pass, piece or batch item boundary, the
+   epilogue still flushes the store and finalizes the trace, and the
+   process exits 128+signum. *)
 let interrupted = Atomic.make 0
-let stop_requested () = Atomic.get interrupted <> 0
+let interrupt () =
+  if Atomic.get interrupted <> 0 then Some "interrupt" else None
+
+(* The one stop hook of an input network: a signal, or the [--timeout]
+   budget, counted from now. *)
+let stop_hook (cfg : RC.t) =
+  if cfg.RC.timeout <= 0. then interrupt
+  else
+    let deadline = Unix.gettimeofday () +. cfg.RC.timeout in
+    fun () ->
+      match interrupt () with
+      | None when Unix.gettimeofday () >= deadline -> Some "deadline"
+      | r -> r
 
 let install_signal_handlers () =
   let handle signum code =
@@ -190,6 +196,7 @@ let install_signal_handlers () =
    every worker. *)
 let optimize_network env ~(cfg : RC.t) ~trace (aig : Aig.t) :
     Aig.t * Genlog.Flow.degradation list =
+  let stop = stop_hook cfg in
   let rep = cfg.RC.representation in
   let module R = (val Genlog.Flow.representation rep) in
   let module N = R.N in
@@ -197,7 +204,10 @@ let optimize_network env ~(cfg : RC.t) ~trace (aig : Aig.t) :
   let r, degs =
     if cfg.RC.partition > 0 then begin
       let module P = Genlog.Flow.Partition.Make (N) in
-      let r, st = P.run_with ~trace ~config:cfg ~env net in
+      let r, st =
+        P.run ~size_cap:cfg.RC.partition ~jobs:cfg.RC.jobs
+          ~script:cfg.RC.script ~trace ~stop ~env net
+      in
       Printf.eprintf
         "partition: %d pieces, %d accepted, %d rejected (cost), %d rejected \
          (cex), %d failed, %d degraded, %d sim mismatches, jobs = %d%s\n\
@@ -211,12 +221,7 @@ let optimize_network env ~(cfg : RC.t) ~trace (aig : Aig.t) :
     end
     else begin
       let module F = Genlog.Flow.Make (N) in
-      let deadline =
-        if cfg.RC.timeout > 0. then Unix.gettimeofday () +. cfg.RC.timeout
-        else 0.
-      in
-      F.run_script_safe env ~trace ~deadline ~stop:stop_requested net
-        cfg.RC.script
+      F.run_script_safe env ~trace ~stop net cfg.RC.script
     end
   in
   let module Dn = Genlog.Depth.Make (N) in
@@ -243,7 +248,7 @@ let opt_cmd =
                 $(i,FILE).opt.aag next to each input).")
   in
   let run files representation script output trace_file stats partition jobs
-      cache cost timeout retries faults =
+      cache cost timeout faults =
     (match Genlog.Cost.Spec.of_string cost with
     | Ok _ -> ()
     | Error msg ->
@@ -251,7 +256,7 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~partition
-        ~jobs ~cost ?cache ~timeout ~retries ?faults ()
+        ~jobs ~cost ?cache ~timeout ?faults ()
     in
     (* stamp the objective into trace meta and BENCH headers *)
     Genlog.Runmeta.set_cost cfg.RC.cost;
@@ -344,14 +349,13 @@ let opt_cmd =
     Fun.protect ~finally:epilogue (fun () ->
         (* outer batch parallelism only when partition keeps the inner
            pool idle; a single file still goes through the pool so the
-           isolation / retry / cancellation semantics are uniform *)
+           isolation and cancellation semantics are uniform *)
         let outer_jobs =
           if many && cfg.RC.partition = 0 && cfg.RC.jobs > 1 then cfg.RC.jobs
           else 1
         in
         let res, _ =
-          Genlog.Flow.Parmap.map_results ~jobs:outer_jobs
-            ~retries:cfg.RC.retries ~stop:stop_requested
+          Genlog.Flow.Parmap.map_results ~jobs:outer_jobs ~stop:interrupt
             ~init:(fun _ -> ())
             ~f:(fun () item -> optimize_one item)
             (Array.of_list items)
@@ -401,18 +405,20 @@ let opt_cmd =
           if degs <> [] then incr n_degraded
         | Error (e : Genlog.Flow.Parmap.job_error) ->
           let file = List.nth files i in
-          if e.err_exn = Genlog.Flow.Parmap.Cancelled then begin
+          match e.err_exn with
+          | Genlog.Flow.Parmap.Cancelled _ ->
             incr n_cancelled;
             Printf.eprintf "opt: %s: skipped (interrupted)\n%!" file
-          end
-          else begin
+          | Genlog.Aiger.Parse_error msg ->
+            (* bad input, not a crash: one line, no backtrace *)
             incr n_failed;
-            Printf.eprintf "opt: %s: FAILED after %d attempt(s): %s\n%!" file
-              e.err_attempts
-              (Printexc.to_string e.err_exn);
+            Printf.eprintf "opt: %s: FAILED: %s\n%!" file msg
+          | exn ->
+            incr n_failed;
+            Printf.eprintf "opt: %s: FAILED: %s\n%!" file
+              (Printexc.to_string exn);
             let bt = Printexc.raw_backtrace_to_string e.err_backtrace in
-            if String.trim bt <> "" then Printf.eprintf "%s%!" bt
-          end)
+            if String.trim bt <> "" then Printf.eprintf "%s%!" bt)
       res;
     if many then
       Printf.eprintf "opt: %d/%d optimized, %d failed, %d degraded%s\n%!"
@@ -438,7 +444,7 @@ let opt_cmd =
              several FILEs to amortize exact synthesis across them)")
     Term.(const run $ files $ representation $ script_arg $ output $ trace_arg
           $ stats_flag $ partition_arg $ jobs_arg $ cache_arg
-          $ cost_arg $ timeout_arg $ retries_arg $ faults_arg)
+          $ cost_arg $ timeout_arg $ faults_arg)
 
 (* -- map -- *)
 

@@ -124,8 +124,8 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
 
   type report = {
     winner : string;
-        (* "solver" (first attempt), "retry" (the re-encode after an
-           anomaly), "shape" (I/O mismatch) or "anomaly" (both failed) *)
+        (* "solver" (the SAT answer), "shape" (I/O mismatch) or "anomaly"
+           (the kernel raised) *)
     conflicts : int;      (* conflicts spent by the answering solver *)
     rungs_used : int;     (* ladder rungs consumed (1 = first try) *)
   }
@@ -150,14 +150,14 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      [trace] publishes the kernel's counters into the sink.
 
      A check has no wall-clock bound of its own: the conflict ladder is
-     what keeps it finite.  Deadline-bound flows check their deadline
-     between passes, never inside a check.
+     what keeps it finite.  Flows poll their stop hook between passes
+     (or pieces), never inside a check.
 
      A check never raises: if the kernel itself throws (a solver bug, or
-     an injected [sat.solve] fault), the miter is re-encoded once on a
-     fresh solver (winner ["retry"]); if that also fails, the answer is
-     [Unknown] with winner ["anomaly"].  Correctness guards built on CEC
-     treat both the same way they treat a budget exhaustion. *)
+     an injected [sat.solve] fault), the answer is [Unknown] with winner
+     ["anomaly"].  The check is deterministic, so running it again could
+     only rescue an injected fault.  Correctness guards built on CEC
+     treat [Unknown] the way they treat a budget exhaustion. *)
   let check_full ?(trace = Obs.Trace.null) ?(conflict_budget = 0) ?ladder
       (a : A.t) (b : B.t) : result * report =
     let mismatch = A.num_pis a <> B.num_pis b || A.num_pos a <> B.num_pos b in
@@ -175,7 +175,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
           Counterexample
             (Array.map (fun v -> Satkit.Solver.model_value solver v) pi_vars)
       in
-      let single winner =
+      let single () =
         let solver = Satkit.Solver.create () in
         let pi_vars = encode_miter a b solver in
         let rec climb used = function
@@ -193,7 +193,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         let r, used = climb 0 rungs in
         let rep =
           {
-            winner;
+            winner = "solver";
             conflicts = Satkit.Solver.num_conflicts solver;
             rungs_used = used;
           }
@@ -201,18 +201,12 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
         publish_solver trace solver rep;
         (r, rep)
       in
-      let anomaly e =
+      match single () with
+      | r -> r
+      | exception e ->
         Printf.eprintf "cec: solver anomaly (%s); answering UNKNOWN\n%!"
           (Printexc.to_string e);
         (Unknown, { winner = "anomaly"; conflicts = 0; rungs_used = 0 })
-      in
-      match single "solver" with
-      | r -> r
-      | exception e -> (
-        Printf.eprintf
-          "cec: solver anomaly (%s); retrying once on a fresh solver\n%!"
-          (Printexc.to_string e);
-        match single "retry" with r -> r | exception e2 -> anomaly e2)
     end
 
   let check ?trace ?conflict_budget ?ladder (a : A.t) (b : B.t) : result =

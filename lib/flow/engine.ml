@@ -107,11 +107,11 @@ let report_exact_sat_delta trace before =
 (* One graceful-degradation record from a defensive script run: which
    pass gave up and why.  Reasons are a small closed vocabulary so
    consumers (exit codes, dashboards) can switch on them:
-   "deadline" (wall-clock budget expired before/inside the pass),
+   "deadline" (wall-clock budget expired before the pass),
    "exception" (the pass raised; the network was rolled back to the last
-   checkpoint), "interrupt" (the caller's [stop] hook asked to wind
-   down).  [Partition.run] reports its pieces and stitch in the same
-   records. *)
+   checkpoint), "interrupt" (a signal asked to wind down); the first and
+   the last are the caller's stop hook's answers.  [Partition.run]
+   reports its pieces and stitch in the same records. *)
 type degradation = { d_pass : string; d_reason : string; d_detail : string }
 
 (* A degradation record, also emitted as a trace event. *)
@@ -174,13 +174,14 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* The one script interpreter.  Runs the passes in place and returns a
      cleaned-up copy (dangling nodes swept) plus the degradation records.
 
-     The run is *armed* when a [deadline] (absolute wall clock, 0 = none)
-     or a [stop] hook is given, or fault injection is active.  Only an
-     armed run can roll back, so only an armed run keeps a checkpoint:
+     [stop] is the caller's one stop hook: it returns the reason to wind
+     down ("deadline" for an expired wall-clock budget, "interrupt" for a
+     signal), or [None] to go on.  The run is *armed* when a [stop] hook
+     is given or fault injection is active.  Only an armed run can roll
+     back, so only an armed run keeps a checkpoint:
 
-     - Before each pass the deadline and the stop hook are checked;
-       tripping either ends the run at the last checkpoint with a
-       "deadline"/"interrupt" marker.
+     - Before each pass the hook is polled; a reason ends the run at the
+       last checkpoint with a marker carrying that reason.
      - A pass that raises is rolled back: the in-place network may be
        mid-rewrite, so work resumes from a copy of the checkpoint, and an
        "exception" marker records the pass.  Later passes still run.
@@ -195,10 +196,10 @@ module Make (N : Network.Intf.NETWORK) = struct
      run behaved exactly like an unarmed one.  Each marker is also
      emitted as a trace event, so offline consumers see degraded runs
      without the caller's help. *)
-  let run_script_safe (env : env) ?(trace = Obs.Trace.null) ?(deadline = 0.)
-      ?stop (net : N.t) (script : string) : N.t * degradation list =
+  let run_script_safe (env : env) ?(trace = Obs.Trace.null) ?stop
+      (net : N.t) (script : string) : N.t * degradation list =
     let commands = Script.parse script in
-    let armed = deadline > 0. || stop <> None || Fault.active () in
+    let armed = stop <> None || Fault.active () in
     let degradations = ref [] in
     let note pass reason detail =
       degradations := degrade trace ~pass ~reason ~detail :: !degradations
@@ -212,12 +213,13 @@ module Make (N : Network.Intf.NETWORK) = struct
       | [] -> ()
       | cmd :: rest ->
         let pass = Script.to_string cmd in
-        if (match stop with Some p -> p () | None -> false) then
-          note pass "interrupt" "stop requested; returning best-so-far"
-        else if deadline > 0. && Unix.gettimeofday () >= deadline then
+        match Option.bind stop (fun p -> p ()) with
+        | Some "deadline" ->
           note pass "deadline"
             "wall-clock budget exhausted; returning best-so-far"
-        else begin
+        | Some reason ->
+          note pass reason "stop requested; returning best-so-far"
+        | None ->
           (if not armed then run_command env ~trace ~index:i !work cmd
            else
              match run_command env ~trace ~index:i !work cmd with
@@ -233,7 +235,6 @@ module Make (N : Network.Intf.NETWORK) = struct
                   fresh copy of the last good checkpoint *)
                work := Copy.convert !best);
           loop (i + 1) rest
-        end
     in
     loop 0 commands;
     let degradations = List.rev !degradations in

@@ -14,78 +14,59 @@
    (join order, like the portfolio does).
 
    Failure model: [map_results] isolates jobs — every item yields either
-   [Ok result] or [Error {index; attempts; exn; backtrace}], one bad item
-   never cancels the others, and transient failures get [retries] extra
-   attempts. *)
+   [Ok result] or [Error {index; exn; backtrace}], and one bad item never
+   cancels the others.  A job runs once: the work is deterministic, so
+   running it again could only rescue an injected fault. *)
 
 type job_error = {
   err_index : int;  (* which item failed *)
-  err_attempts : int;  (* attempts made (retries + 1), 0 when cancelled *)
-  err_exn : exn;  (* the last attempt's exception *)
+  err_exn : exn;  (* what it raised, or [Cancelled] *)
   err_backtrace : Printexc.raw_backtrace;
 }
 
-exception Cancelled
+(* An item never started because the stop hook returned this reason. *)
+exception Cancelled of string
 
 let () =
   Printexc.register_printer (function
-    | Cancelled -> Some "Parmap.Cancelled"
+    | Cancelled reason -> Some ("Parmap.Cancelled " ^ reason)
     | _ -> None)
 
 (* Per-item isolation: [stop] is polled before each steal — once it
-   returns [true] (a SIGINT flag, typically) the remaining unclaimed
-   items are marked [Cancelled] instead of run, so the caller can report
-   exactly which work was skipped.  The [parmap.job] fault point fires
-   inside the per-item protection and is therefore subject to retry like
+   returns [Some reason] ("deadline", "interrupt") the remaining unclaimed
+   items are marked [Cancelled reason] instead of run, so the caller can
+   report exactly which work was skipped; items already running finish.
+   The [parmap.job] fault point fires inside the per-item protection, like
    any real failure. *)
 let map_results (type s a b) ?(jobs = Domain.recommended_domain_count ())
-    ?(retries = 0) ?stop ~(init : int -> s) ~(f : s -> a -> b)
+    ?(stop = fun () -> None) ~(init : int -> s) ~(f : s -> a -> b)
     (items : a array) : (b, job_error) result array * s array =
   let n = Array.length items in
   let jobs = max 1 (min jobs (max 1 n)) in
   let results : (b, job_error) result option array = Array.make n None in
   let states : s option array = Array.make jobs None in
   let cursor = Atomic.make 0 in
+  let error i exn bt =
+    Error { err_index = i; err_exn = exn; err_backtrace = bt }
+  in
   let worker k () =
     let state = init k in
     states.(k) <- Some state;
     let rec steal () =
       let i = Atomic.fetch_and_add cursor 1 in
       if i < n then begin
-        let cancelled = match stop with Some p -> p () | None -> false in
-        if cancelled then
-          results.(i) <-
-            Some
-              (Error
-                 {
-                   err_index = i;
-                   err_attempts = 0;
-                   err_exn = Cancelled;
-                   err_backtrace = Printexc.get_callstack 0;
-                 })
-        else begin
-          let rec attempt a =
-            match
-              if Fault.active () then Fault.fire "parmap.job";
-              f state items.(i)
-            with
-            | r -> results.(i) <- Some (Ok r)
-            | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              if a <= retries then attempt (a + 1)
-              else
-                results.(i) <-
-                  Some
-                    (Error
-                       {
-                         err_index = i;
-                         err_attempts = a;
-                         err_exn = e;
-                         err_backtrace = bt;
-                       })
-          in
-          attempt 1
-        end;
+        results.(i) <-
+          Some
+            (match stop () with
+            | Some reason ->
+              error i (Cancelled reason) (Printexc.get_callstack 0)
+            | None -> (
+              match
+                if Fault.active () then Fault.fire "parmap.job";
+                f state items.(i)
+              with
+              | r -> Ok r
+              | exception e -> error i e (Printexc.get_raw_backtrace ())));
         steal ()
       end
     in

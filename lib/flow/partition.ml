@@ -198,7 +198,8 @@ module Make (N : Network.Intf.NETWORK) = struct
     | Accepted
     | Rejected_cost
     | Rejected_cex
-    | Failed  (* the job raised even after retries: original cone kept *)
+    | Failed  (* the job raised: original cone kept *)
+    | Cancelled  (* the stop hook tripped before the job started: ditto *)
 
   type piece_result = {
     part : partition;
@@ -207,11 +208,12 @@ module Make (N : Network.Intf.NETWORK) = struct
     sim_mismatch : bool;
     cec_checked : bool;
     degradation : Engine.degradation option;
-        (* why the piece's script run degraded, or its job failed *)
+        (* why the piece's script run degraded, or its job failed or was
+           cancelled *)
   }
 
   (* [trace] is the worker's own child sink. *)
-  let optimize_piece (env : Engine.env) ~trace ~script ~deadline (net : N.t)
+  let optimize_piece (env : Engine.env) ~trace ~script (net : N.t)
       (p : partition) : piece_result =
     let sub = export net p in
     let gates_before = N.num_gates sub in
@@ -220,13 +222,11 @@ module Make (N : Network.Intf.NETWORK) = struct
       ~before:(fun () -> (gates_before, Dp.depth sub))
       ~after:(fun r -> (N.num_gates r.chosen, Dp.depth r.chosen))
       (fun () ->
-      (* with a deadline (or fault injection) armed, an expired deadline or
-         a pass exception yields the best-so-far sub-network instead of
-         killing the job, and the guard below still decides whether that
-         is worth keeping; unarmed, a pass exception fails the job *)
-      let optimized, degs =
-        E.run_script_safe env ~deadline (Copy.convert sub) script
-      in
+      (* the run is unarmed (the stop hook acts between pieces, and
+         arming would checkpoint every pass): a pass exception fails the
+         job, unless fault injection arms the run, which then yields the
+         best-so-far sub-network for the guard below to judge *)
+      let optimized, degs = E.run_script_safe env (Copy.convert sub) script in
       let degradation =
         match degs with
         | [] -> None
@@ -286,31 +286,16 @@ module Make (N : Network.Intf.NETWORK) = struct
     N.foreach_pi net (fun pi -> map.(pi) <- N.create_pi dst);
     Array.iter
       (fun r ->
-        let chosen = r.chosen in
-        let imap = Array.make (N.size chosen) (-1) in
-        imap.(0) <- N.constant false;
+        let leaves =
+          Array.map
+            (fun leaf ->
+              assert (map.(leaf) >= 0);
+              map.(leaf))
+            r.part.leaves
+        in
         Array.iteri
-          (fun i pi ->
-            let leaf = r.part.leaves.(i) in
-            assert (map.(leaf) >= 0);
-            imap.(pi) <- map.(leaf))
-          (N.pis chosen);
-        List.iter
-          (fun g ->
-            let fanins =
-              Array.map
-                (fun s ->
-                  N.complement_if (N.is_complemented s)
-                    imap.(N.node_of_signal s))
-                (N.fanin chosen g)
-            in
-            imap.(g) <- B.of_kind dst (N.gate_kind chosen g) fanins)
-          (T.order chosen);
-        Array.iteri
-          (fun j s ->
-            map.(r.part.outputs.(j)) <-
-              N.complement_if (N.is_complemented s) imap.(N.node_of_signal s))
-          (N.pos chosen))
+          (fun j s -> map.(r.part.outputs.(j)) <- s)
+          (Copy.instantiate dst r.chosen leaves))
       pieces;
     N.foreach_po net (fun s ->
         N.create_po dst
@@ -326,13 +311,14 @@ module Make (N : Network.Intf.NETWORK) = struct
     rejected_cost : int;
     rejected_cex : int;
     sim_mismatches : int;
-    failed : int;  (* jobs that raised even after retries (cone kept) *)
-    degraded_pieces : int;  (* pieces whose script run degraded *)
+    failed : int;  (* jobs that raised (cone kept) *)
+    degraded_pieces : int;  (* pieces with a degradation record *)
     stitch_fallbacks : int;  (* 0 = clean; 1 = all-original; 2 = identity *)
     degradations : Engine.degradation list;
         (* every degradation the run emitted as a trace event: one per
-           degraded piece ("partN") with the engine's reason, failed jobs
-           and stitch fallbacks as "exception" *)
+           degraded piece ("partN") with the engine's reason, cancelled
+           pieces with the stop hook's, failed jobs and stitch fallbacks as
+           "exception" *)
     jobs : int;
   }
 
@@ -341,10 +327,15 @@ module Make (N : Network.Intf.NETWORK) = struct
      exact-synthesis database is mutex-guarded, and the rest of an env is
      immutable.  Each worker writes its own trace child.  The parent
      network is only read between carve and stitch, which is what makes the
-     worker phase safe. *)
+     worker phase safe.
+
+     [stop] is the caller's stop hook (see [Engine.run_script_safe]),
+     polled before each piece is claimed: once it returns a reason, the
+     unclaimed pieces keep their original cones, each with one "partN"
+     degradation carrying that reason, while running pieces finish. *)
   let run ?(size_cap = 2000) ?(jobs = Domain.recommended_domain_count ())
-      ?(script = Script.compress2rs) ?(trace = Obs.Trace.null) ?(deadline = 0.)
-      ?(retries = 0) ~env (net : N.t) : N.t * stats =
+      ?(script = Script.compress2rs) ?(trace = Obs.Trace.null) ?stop ~env
+      (net : N.t) : N.t * stats =
     (* the parent is untouched until the stitch, so its stats are stable *)
     let parent = lazy (N.num_gates net, Dp.depth net) in
     let parent _ = Lazy.force parent in
@@ -360,34 +351,34 @@ module Make (N : Network.Intf.NETWORK) = struct
       Obs.Trace.span trace ~pass:"partition-opt" ~index:1 ~before:parent
         ~after:parent (fun () ->
           let job_results, states =
-            Parmap.map_results ~jobs ~retries
+            Parmap.map_results ~jobs ?stop
               ~init:(fun k ->
                 Obs.Trace.child trace ~flow:(Printf.sprintf "w%d" k))
-              ~f:(fun wtrace p ->
-                optimize_piece env ~trace:wtrace ~script ~deadline net p)
+              ~f:(fun wtrace -> optimize_piece env ~trace:wtrace ~script net)
               parts
           in
           Obs.Trace.merge trace (Array.to_list states);
-          (* per-job isolation: a piece whose job raised (even after
-             retries) keeps its original cone — the stitch then reproduces
-             the parent's logic for that region, so a crash costs QoR,
-             never correctness *)
+          (* per-job isolation: a piece whose job raised or was cancelled
+             keeps its original cone — the stitch then reproduces the
+             parent's logic for that region, so a crash or a stop costs
+             QoR, never correctness *)
           let results =
             Array.mapi
               (fun i -> function
                 | Ok r -> r
                 | Error (e : Parmap.job_error) ->
                   let p = parts.(i) in
-                  let detail =
-                    Printf.sprintf "%s (after %d attempt(s))"
-                      (Printexc.to_string e.Parmap.err_exn)
-                      e.Parmap.err_attempts
+                  let verdict, reason, detail =
+                    match e.Parmap.err_exn with
+                    | Parmap.Cancelled reason ->
+                      (Cancelled, reason, "piece not started; cone kept")
+                    | exn -> (Failed, "exception", Printexc.to_string exn)
                   in
                   let d =
                     Engine.degrade trace ~pass:(Printf.sprintf "part%d" p.id)
-                      ~reason:"exception" ~detail
+                      ~reason ~detail
                   in
-                  { part = p; chosen = export net p; verdict = Failed;
+                  { part = p; chosen = export net p; verdict;
                     sim_mismatch = false; cec_checked = false;
                     degradation = Some d })
               job_results
@@ -458,19 +449,4 @@ module Make (N : Network.Intf.NETWORK) = struct
       @ fallbacks
     in
     (out, { st with stitch_fallbacks = List.length fallbacks; degradations })
-
-  (* Typed-config entry point: partition size, worker count and script all
-     come from one [Run_config.t].  [env] stays explicit because the caller
-     knows which representation [N] is. *)
-  let run_with ?(trace = Obs.Trace.null) ~(config : Run_config.t) ~env
-      (net : N.t) : N.t * stats =
-    let deadline =
-      if config.Run_config.timeout > 0. then
-        Unix.gettimeofday () +. config.Run_config.timeout
-      else 0.
-    in
-    run
-      ~size_cap:(max 1 config.Run_config.partition)
-      ~jobs:config.Run_config.jobs ~script:config.Run_config.script ~trace
-      ~deadline ~retries:config.Run_config.retries ~env net
 end

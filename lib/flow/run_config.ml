@@ -17,7 +17,6 @@ type t = {
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
   cache : string option;  (* persistent exact-synthesis store path *)
   timeout : float;  (* wall-clock budget per network, seconds; 0 = none *)
-  retries : int;  (* extra attempts for a failed batch/partition job *)
   faults : string option;  (* fault-injection spec (see Fault), testing only *)
 }
 
@@ -38,13 +37,12 @@ let default =
     cost = "area";
     cache = None;
     timeout = 0.;
-    retries = 0;
     faults = None;
   }
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(partition = 0)
-    ?(jobs = default.jobs) ?(cost = default.cost) ?cache ?(timeout = 0.) ?(retries = 0) ?faults () =
+    ?(jobs = default.jobs) ?(cost = default.cost) ?cache ?(timeout = 0.) ?faults () =
   {
     representation;
     script;
@@ -55,7 +53,6 @@ let make ?(representation = default.representation) ?(script = default.script)
     cost;
     cache;
     timeout;
-    retries;
     faults;
   }
 

@@ -13,27 +13,33 @@ module Make (Src : Intf.TRAVERSABLE) (Dst : Intf.BUILDER) = struct
   module B = Build.Make (Dst)
   module T = Topo.Make (Src)
 
-  let convert (src : Src.t) : Dst.t =
-    let dst = Dst.create ~initial_capacity:(Src.size src) () in
+  (* Build [src]'s gates inside the existing [dst], given the destination
+     signal of each source PI ([pis.(i)] for PI i); returns the destination
+     signals of the source's POs.  [Partition.stitch] instantiates each
+     piece this way. *)
+  let instantiate (dst : Dst.t) (src : Src.t) (pis : Dst.signal array) :
+      Dst.signal array =
     (* map source node -> destination signal *)
     let map = Array.make (Src.size src) (-1) in
     map.(0) <- Dst.constant false;
-    Src.foreach_pi src (fun n -> map.(n) <- Dst.create_pi dst);
+    Array.iteri (fun i n -> map.(n) <- pis.(i)) (Src.pis src);
+    let resolve s =
+      let m = map.(Src.node_of_signal s) in
+      assert (m >= 0);
+      Dst.complement_if (Src.is_complemented s) m
+    in
     List.iter
       (fun n ->
-        let fanins =
-          Array.map
-            (fun s ->
-              let m = map.(Src.node_of_signal s) in
-              assert (m >= 0);
-              Dst.complement_if (Src.is_complemented s) m)
-            (Src.fanin src n)
-        in
-        map.(n) <- B.of_kind dst (Src.gate_kind src n) fanins)
+        map.(n) <-
+          B.of_kind dst (Src.gate_kind src n)
+            (Array.map resolve (Src.fanin src n)))
       (T.order src);
-    Src.foreach_po src (fun s ->
-        let m = map.(Src.node_of_signal s) in
-        Dst.create_po dst (Dst.complement_if (Src.is_complemented s) m));
+    Array.map resolve (Src.pos src)
+
+  let convert (src : Src.t) : Dst.t =
+    let dst = Dst.create ~initial_capacity:(Src.size src) () in
+    let pis = Array.init (Src.num_pis src) (fun _ -> Dst.create_pi dst) in
+    Array.iter (Dst.create_po dst) (instantiate dst src pis);
     dst
 end
 

@@ -1075,19 +1075,8 @@ let search t ~root_level ~restart_limit ~budget ~stop =
   done;
   match !result with Some r -> r | None -> assert false
 
-let solve ?(conflict_budget = 0) ?(assumptions = []) ?(deadline = 0.) ?stop t =
+let solve ?(conflict_budget = 0) ?(assumptions = []) ?stop t =
   if Fault_core.active () then Fault_core.fire "sat.solve";
-  (* a wall-clock deadline composes into the [stop] hook the search loop
-     already polls every 256 steps; the syscall cost stays off the hot
-     path when no deadline is set *)
-  let stop =
-    if deadline > 0. then
-      Some
-        (fun () ->
-          (match stop with Some f -> f () | None -> false)
-          || Unix.gettimeofday () >= deadline)
-    else stop
-  in
   if not t.ok then Unsat
   else begin
     cancel_until t 0;

@@ -53,7 +53,6 @@ val add_clause : t -> Lit.t list -> unit
 val solve :
   ?conflict_budget:int ->
   ?assumptions:Lit.t list ->
-  ?deadline:float ->
   ?stop:(unit -> bool) ->
   t ->
   result
@@ -63,11 +62,10 @@ val solve :
       "unsatisfiable under the assumptions".
     - [conflict_budget] > 0 bounds the search; exceeding it yields
       [Unknown] (never a wrong answer).
-    - [deadline] > 0 is an absolute wall-clock time ([Unix.gettimeofday]
-      scale); once it passes, the solve gives up with [Unknown].
-    - [stop] is polled periodically during search; once it returns [true]
-      the solve gives up with [Unknown] (a cooperative cancellation
-      hook).
+    - [stop] is polled every 256 search steps; once it returns [true]
+      the solve gives up with [Unknown].  It is the kernel half of the
+      flows' stop hook, which callers adapt to a boolean (a wall-clock
+      budget is one such hook).
 
     Under fault injection ([GENLOG_FAULTS]) this is the [sat.solve]
     point: an armed draw raises {!Fault_core.Injected} on entry.

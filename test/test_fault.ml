@@ -1,9 +1,10 @@
 (* Tests for the fault-tolerant execution layer: the deterministic
-   injection registry itself, per-job isolation and retry in Parmap, the
-   engine's checkpoint/degrade path, CEC's anomaly fallback, partition
-   failure containment, and a seeded end-to-end fuzz asserting the
-   invariant the whole layer exists for — every run ends in either a
-   CEC-equivalent output or a clean, marked degradation. *)
+   injection registry itself, per-job isolation and the stop hook in
+   Parmap, the engine's checkpoint/degrade path, CEC's anomaly fallback,
+   partition failure containment and cancellation, and a seeded
+   end-to-end fuzz asserting the invariant the whole layer exists for —
+   every run ends in either a CEC-equivalent output or a clean, marked
+   degradation. *)
 
 open Network
 module Fault = Flow.Fault
@@ -114,7 +115,6 @@ let test_parmap_isolation () =
       | Ok v -> Alcotest.(check int) "good item" (i * i) v
       | Error (e : Flow.Parmap.job_error) ->
         Alcotest.(check int) "failing index preserved" 5 e.err_index;
-        Alcotest.(check int) "one attempt" 1 e.err_attempts;
         Alcotest.(check bool)
           "exception preserved" true
           (match e.err_exn with
@@ -123,37 +123,6 @@ let test_parmap_isolation () =
     results;
   let bad = Array.to_list results |> List.filter Result.is_error in
   Alcotest.(check int) "exactly one failure" 1 (List.length bad)
-
-let test_parmap_retry () =
-  (* per-item failure counters: each item fails (attempts-needed - 1)
-     times before succeeding, so retry budget 2 rescues them all *)
-  let tries = Array.init 6 (fun _ -> Atomic.make 0) in
-  let f () i =
-    let a = Atomic.fetch_and_add tries.(i) 1 in
-    if a < i mod 3 then failwith "transient" else i
-  in
-  let results, _ =
-    Flow.Parmap.map_results ~jobs:2 ~retries:2 ~init:(fun _ -> ()) ~f
-      (Array.init 6 Fun.id)
-  in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) "value" i v
-      | Error _ -> Alcotest.failf "item %d not rescued by retry" i)
-    results;
-  (* with retries:0 the same workload loses items needing >1 attempt *)
-  Array.iter (fun c -> Atomic.set c 0) tries;
-  let results0, _ =
-    Flow.Parmap.map_results ~jobs:2 ~init:(fun _ -> ()) ~f
-      (Array.init 6 Fun.id)
-  in
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "item %d" i)
-        (i mod 3 = 0) (Result.is_ok r))
-    results0
 
 let test_parmap_injected_fault_isolated () =
   with_faults "parmap.job:1:2" (fun () ->
@@ -172,28 +141,12 @@ let test_parmap_injected_fault_isolated () =
                  true
                | _ -> false)
       in
-      Alcotest.(check int) "cap bounds the damage" 2 (List.length failed);
-      (* the same spec with a retry budget fires the capped faults into
-         retries and every item still succeeds *)
-      Fault.disable ();
-      (match Fault.configure "parmap.job:1:2" with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      let results, _ =
-        Flow.Parmap.map_results ~jobs:1 ~retries:2
-          ~init:(fun _ -> ())
-          ~f:(fun () i -> i)
-          (Array.init 5 Fun.id)
-      in
-      Array.iter
-        (fun r ->
-          Alcotest.(check bool) "retry absorbs the fault" true (Result.is_ok r))
-        results)
+      Alcotest.(check int) "cap bounds the damage" 2 (List.length failed))
 
 let test_parmap_stop_cancels () =
   let results, _ =
     Flow.Parmap.map_results ~jobs:1
-      ~stop:(fun () -> true)
+      ~stop:(fun () -> Some "interrupt")
       ~init:(fun _ -> ())
       ~f:(fun () i -> i)
       (Array.init 3 Fun.id)
@@ -201,10 +154,10 @@ let test_parmap_stop_cancels () =
   Array.iter
     (fun r ->
       match r with
-      | Error { Flow.Parmap.err_exn = Flow.Parmap.Cancelled; err_attempts = 0; _ }
+      | Error { Flow.Parmap.err_exn = Flow.Parmap.Cancelled "interrupt"; _ }
         ->
         ()
-      | _ -> Alcotest.fail "expected Cancelled with 0 attempts")
+      | _ -> Alcotest.fail "expected Cancelled \"interrupt\"")
     results
 
 (* -- engine checkpoint / degrade -- *)
@@ -228,7 +181,7 @@ let test_engine_deadline_degrades () =
   let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let r, degs =
     F.run_script_safe env
-      ~deadline:(Unix.gettimeofday () -. 1.)
+      ~stop:(fun () -> Some "deadline")
       (Copy.convert baseline) "bz; rw; rf"
   in
   (match degs with
@@ -242,7 +195,7 @@ let test_engine_stop_degrades () =
   let env = Flow.Engine.make_env Flow.Run_config.Aig in
   let r, degs =
     F.run_script_safe env
-      ~stop:(fun () -> true)
+      ~stop:(fun () -> Some "interrupt")
       (Copy.convert baseline) "bz; rw"
   in
   (match degs with
@@ -262,16 +215,6 @@ let test_engine_clean_run_no_markers () =
 
 (* -- sat / cec fault containment -- *)
 
-let test_cec_retry () =
-  let a = S.build "ctrl" in
-  let b = Copy.convert a in
-  (* one injected solver fault: the first attempt dies, the re-encode on a
-     fresh solver answers *)
-  with_faults "sat.solve:1:1" (fun () ->
-      let r, rep = Cec_aa.check_full a b in
-      Alcotest.(check bool) "still equivalent" true (r = Algo.Cec.Equivalent);
-      Alcotest.(check string) "retry answered" "retry" rep.Cec_aa.winner)
-
 let test_cec_anomaly_unknown () =
   let a = S.build "ctrl" in
   let b = Copy.convert a in
@@ -281,17 +224,6 @@ let test_cec_anomaly_unknown () =
       let r, rep = Cec_aa.check_full a b in
       Alcotest.(check bool) "unknown, not raised" true (r = Algo.Cec.Unknown);
       Alcotest.(check string) "marked anomaly" "anomaly" rep.Cec_aa.winner)
-
-let test_solver_deadline_unknown () =
-  (* a hard pigeonhole instance with an already-expired deadline must
-     give up cleanly *)
-  let cnf_dir = if Sys.file_exists "cnf" then "cnf" else "test/cnf" in
-  let s =
-    Satkit.Dimacs.load_file (Filename.concat cnf_dir "php87_unsat.cnf")
-  in
-  match Satkit.Solver.solve ~deadline:(Unix.gettimeofday () -. 1.) s with
-  | Satkit.Solver.Unknown -> ()
-  | _ -> Alcotest.fail "expired deadline must answer Unknown"
 
 (* -- partition containment -- *)
 
@@ -328,13 +260,13 @@ let test_partition_stitch_fallback () =
            st.P.degradations);
       check_equiv "fallback preserves function" baseline r)
 
-(* An expired deadline degrades every piece with the engine's own reason,
+(* An expired deadline degrades every piece with the hook's own reason,
    never a reason outside the documented vocabulary. *)
 let test_partition_deadline_records () =
   let baseline = S.build "int2float" in
   let r, st =
     P.run ~size_cap:60 ~jobs:1 ~script:"rw"
-      ~deadline:(Unix.gettimeofday () -. 1.)
+      ~stop:(fun () -> Some "deadline")
       ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
       (Copy.convert baseline)
   in
@@ -345,18 +277,43 @@ let test_partition_deadline_records () =
        st.P.degradations);
   check_equiv "deadline keeps the original cones" baseline r
 
-let test_partition_retry_rescues () =
+(* A stop hook that trips after k polls: with one worker the first k
+   pieces run to completion, the rest keep their original cones, each
+   with one "interrupt" record, and none counts as failed. *)
+let test_partition_stop_cancels () =
   let baseline = S.build "int2float" in
-  (* rate 1, cap 2: both fires land on the first piece's first two
-     attempts, so a budget of two retries (three attempts) absorbs them *)
-  with_faults "parmap.job:1:2" (fun () ->
-      let r, st =
-        P.run ~size_cap:60 ~jobs:1 ~retries:2 ~script:"rw"
-          ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
-          (Copy.convert baseline)
-      in
-      Alcotest.(check int) "retries absorbed the capped faults" 0 st.P.failed;
-      check_equiv "equivalent" baseline r)
+  let k = 2 and polls = ref 0 in
+  let stop () =
+    incr polls;
+    if !polls > k then Some "interrupt" else None
+  in
+  let trace = Obs.Trace.create ~flow:"aig" () in
+  let r, st =
+    P.run ~size_cap:40 ~jobs:1 ~script:"rw" ~trace ~stop
+      ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
+      (Copy.convert baseline)
+  in
+  Alcotest.(check bool) "some pieces cancelled" true (st.P.partitions > k);
+  let ran =
+    List.filter_map
+      (function
+        | Obs.Trace.Pass_begin { pass; _ }
+          when String.starts_with ~prefix:"part" pass
+               && not (String.starts_with ~prefix:"partition" pass) ->
+          Some pass
+        | _ -> None)
+      (Obs.Trace.events trace)
+  in
+  Alcotest.(check (list string)) "the first k pieces ran"
+    (List.init k (Printf.sprintf "part%d")) ran;
+  Alcotest.(check (list string)) "one interrupt record per unclaimed piece"
+    (List.init (st.P.partitions - k) (fun i ->
+         Printf.sprintf "part%d interrupt" (i + k)))
+    (List.map
+       (fun d -> d.Flow.Engine.d_pass ^ " " ^ d.Flow.Engine.d_reason)
+       st.P.degradations);
+  Alcotest.(check int) "cancelled is not failed" 0 st.P.failed;
+  check_equiv "cancelled pieces keep their cones" baseline r
 
 (* -- store crash points -- *)
 
@@ -418,7 +375,7 @@ let test_fault_fuzz () =
         let env = untabled_env () in
         let r, degs = F.run_script_safe env (Copy.convert net) "bz; rw; rf" in
         let p, _ =
-          P.run ~size_cap:30 ~jobs:2 ~retries:1 ~script:"rw"
+          P.run ~size_cap:30 ~jobs:2 ~script:"rw"
             ~env:(untabled_env ())
             (Copy.convert net)
         in
@@ -442,8 +399,6 @@ let suite =
     Alcotest.test_case "fire raises Injected" `Quick test_fire_raises;
     Alcotest.test_case "parmap isolates one bad item" `Quick
       test_parmap_isolation;
-    Alcotest.test_case "parmap retry rescues transients" `Quick
-      test_parmap_retry;
     Alcotest.test_case "injected parmap fault isolated" `Quick
       test_parmap_injected_fault_isolated;
     Alcotest.test_case "stop cancels cleanly" `Quick test_parmap_stop_cancels;
@@ -454,20 +409,16 @@ let suite =
     Alcotest.test_case "engine: stop degrades" `Quick test_engine_stop_degrades;
     Alcotest.test_case "engine: clean run has no markers" `Slow
       test_engine_clean_run_no_markers;
-    Alcotest.test_case "cec: injected fault is retried once" `Slow
-      test_cec_retry;
     Alcotest.test_case "cec: total anomaly answers Unknown" `Slow
       test_cec_anomaly_unknown;
-    Alcotest.test_case "solver: expired deadline answers Unknown" `Quick
-      test_solver_deadline_unknown;
     Alcotest.test_case "partition: all jobs fail, cones kept" `Slow
       test_partition_all_jobs_fail;
     Alcotest.test_case "partition: stitch fallback chain" `Slow
       test_partition_stitch_fallback;
     Alcotest.test_case "partition: deadline records per piece" `Slow
       test_partition_deadline_records;
-    Alcotest.test_case "partition: retry rescues capped faults" `Slow
-      test_partition_retry_rescues;
+    Alcotest.test_case "partition: stop cancels unclaimed pieces" `Slow
+      test_partition_stop_cancels;
     Alcotest.test_case "degraded trace round-trip" `Quick
       test_degraded_trace_round_trip;
     Alcotest.test_case "fault fuzz: equivalent or cleanly degraded" `Slow

@@ -203,7 +203,7 @@ let test_armed_matches_unarmed () =
   let module To_mig = Convert.Make (Aig) (Mig) in
   let module Of_mig = Convert.Make (Mig) (Aig) in
   let module Fm = Flow.Engine.Make (Mig) in
-  let script = Flow.Script.compress2rs and stop () = false in
+  let script = Flow.Script.compress2rs and stop () = None in
   let text t =
     let path = Filename.temp_file "genlog_flow" ".aag" in
     Lsio.Aiger.write_file t path;

@@ -167,6 +167,7 @@ let prop_blif_roundtrip =
 let bad_field = "aag x 1 0 1 0\n"
 let huge_m = "aag 99999999999999 1 0 1 0\n2\n2\n"
 let bad_and = "aag 3 2 0 1 1\n2\n4\n6\n6 2\n"
+let bad_literal = "aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n"
 
 let with_text ext text f =
   with_temp_file ext (fun path ->
@@ -192,7 +193,8 @@ let test_aiger_hostile_headers () =
 
 (* The CLI reports a malformed input as `genlog: FILE: msg` with the
    bad-input exit code 2, for each reader; `exact` does the same for a
-   malformed truth table. *)
+   malformed truth table.  `opt` reports it as a one-line job failure
+   (exit 1), without a backtrace. *)
 let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/genlog_cli.exe"
 
 let test_cli_parse_errors () =
@@ -216,6 +218,10 @@ let test_cli_parse_errors () =
       (".aag", bad_and, "bad and line") ];
   with_text ".aag" huge_m (fun path ->
       Alcotest.(check int) "huge M accepted" 0 (fst (run "stats" path)));
+  with_text ".aag" bad_literal (fun path ->
+      Alcotest.(check (pair int string)) "opt"
+        (1, Printf.sprintf "opt: %s: FAILED: bad literal: x" path)
+        (run "opt" path));
   List.iter
     (fun (hex, msg) ->
       Alcotest.(check (pair int string)) (Printf.sprintf "exact %S" hex)

@@ -60,8 +60,7 @@ let test_partition_span_sequence () =
   let module P = Flow.Partition.Make (Aig) in
   let trace = T.create ~flow:"aig" () in
   ignore
-    (P.run_with ~trace
-       ~config:(Flow.Run_config.make ~partition:40 ~jobs:1 ())
+    (P.run ~trace ~size_cap:40 ~jobs:1
        ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
        (S.build "int2float"));
   let seen =
