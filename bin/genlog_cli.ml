@@ -11,15 +11,33 @@ open Cmdliner
 module Aig = Genlog.Aig
 module D = Genlog.Depth.Make (Aig)
 
-(* A malformed input is bad input (exit 2), not an internal error.  [opt]
-   reads with [Aiger.read_file] instead: in a batch, one bad file fails
-   only its own job. *)
+(* A path that cannot be read or written is bad input (exit 2), reported
+   as `genlog: PATH: reason`, not an internal error.  [Sys_error] names
+   the path in some messages and not in others; [path_reason] drops it. *)
+let path_reason path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix)
+      (String.length msg - String.length prefix)
+  else msg
+
+let report_path path msg =
+  Printf.eprintf "genlog: %s: %s\n%!" path (path_reason path msg)
+
+let path_error path msg =
+  report_path path msg;
+  exit 2
+
+let on_path path f = try f () with Sys_error msg -> path_error path msg
+
+(* A malformed input is bad input too.  [opt] reads with
+   [Aiger.read_file] instead: in a batch, one bad file fails only its own
+   job. *)
 let read_aig path =
   match Genlog.Aiger.read_file path with
   | t -> t
-  | exception Genlog.Aiger.Parse_error msg ->
-    Printf.eprintf "genlog: %s: %s\n%!" path msg;
-    exit 2
+  | exception (Genlog.Aiger.Parse_error msg | Sys_error msg) ->
+    path_error path msg
 
 let stats_of_aig t =
   Printf.sprintf "i/o = %d/%d  gates = %d  depth = %d" (Aig.num_pis t)
@@ -42,7 +60,7 @@ let gen_cmd =
     end;
     let t = Genlog.Suite.build name in
     (match output with
-    | Some path -> Genlog.Aiger.write_file t path
+    | Some path -> on_path path (fun () -> Genlog.Aiger.write_file t path)
     | None -> Genlog.Aiger.write t stdout);
     Printf.eprintf "%s: %s\n" name (stats_of_aig t)
   in
@@ -117,10 +135,11 @@ let cache_arg =
     & opt (some string) base_cfg.RC.cache
     & info [ "cache" ] ~docv:"PATH"
         ~doc:"Persistent store for NPN classes synthesized on the fly: \
-              results are loaded from $(docv) on start and new ones are \
-              appended once at exit. Every representation starts from a \
-              shipped table of all classes of up to four inputs, so the \
-              built-in flows synthesize, and store, nothing. The file is \
+              results are loaded from $(docv) on start, and new ones are \
+              added by rewriting the file once at exit. Every \
+              representation starts from a shipped table of all classes \
+              of up to four inputs, so the built-in flows synthesize, and \
+              store, nothing. The file is \
               keyed to the synthesis domain by a fingerprinted header; a \
               mismatched or corrupt store is skipped with a warning, never \
               an error.")
@@ -149,16 +168,6 @@ let timeout_arg =
               process exits 4 instead of 0. Under $(b,--partition) the \
               budget stops the claiming of pieces: running pieces finish, \
               and unstarted ones keep their original logic.")
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) base_cfg.RC.faults
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:"Deterministic fault injection for robustness testing: \
-              $(i,point:rate[:max]) entries separated by commas, e.g. \
-              $(b,parmap.job:0.5,sat.solve:1:2). Equivalent to \
-              GENLOG_FAULTS; seeded by GENLOG_FAULT_SEED.")
 
 (* SIGINT/SIGTERM wind-down: the handler only sets a flag; the stop
    hooks notice it at the next pass, piece or batch item boundary, the
@@ -248,7 +257,7 @@ let opt_cmd =
                 $(i,FILE).opt.aag next to each input).")
   in
   let run files representation script output trace_file stats partition jobs
-      cache cost timeout faults =
+      cache cost timeout =
     (match Genlog.Cost.Spec.of_string cost with
     | Ok _ -> ()
     | Error msg ->
@@ -256,18 +265,10 @@ let opt_cmd =
       exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~partition
-        ~jobs ~cost ?cache ~timeout ?faults ()
+        ~jobs ~cost ?cache ~timeout ()
     in
     (* stamp the objective into trace meta and BENCH headers *)
     Genlog.Runmeta.set_cost cfg.RC.cost;
-    (match cfg.RC.faults with
-    | None -> ()
-    | Some spec -> (
-      match Genlog.Fault.configure spec with
-      | Ok () -> ()
-      | Error msg ->
-        Printf.eprintf "opt: bad --faults spec: %s\n" msg;
-        exit 2));
     Printexc.record_backtrace true;
     install_signal_handlers ();
     let rep_name = RC.representation_to_string representation in
@@ -307,6 +308,15 @@ let opt_cmd =
         ref =
       ref [||]
     in
+    (* An output path that cannot be written gets one line and exit
+       code 2, once the epilogue has run. *)
+    let bad_path = ref false in
+    let on_out path f =
+      try f ()
+      with Sys_error msg ->
+        report_path path msg;
+        bad_path := true
+    in
     (* Everything that must survive a job failure or an interrupt lives in
        the [finally]: the store flush (so paid-for exact synthesis results
        persist), the trace write-out, and the stats.  The body only
@@ -332,17 +342,8 @@ let opt_cmd =
       (* one snapshot of the database the whole batch shared *)
       Genlog.Trace.report trace ~algo:"exact_db"
         (Genlog.Database.obs_gauges env.Genlog.Flow.db);
-      (if Genlog.Fault.active () then
-         let counters =
-           List.concat_map
-             (fun (point, draws, fires) ->
-               [ (point ^ ".draws", draws); (point ^ ".fired", fires) ])
-             (Genlog.Fault.counts ())
-         in
-         if counters <> [] then
-           Genlog.Trace.report trace ~algo:"faults" counters);
       (match cfg.RC.trace_path with
-      | Some path -> Genlog.Trace.write_file trace path
+      | Some path -> on_out path (fun () -> Genlog.Trace.write_file trace path)
       | None -> ());
       if cfg.RC.stats then Format.eprintf "%a%!" Genlog.Trace.pp_summary trace
     in
@@ -369,31 +370,32 @@ let opt_cmd =
           | Error _ -> ())
         | [ _ ], Some path -> (
           match res.(0) with
-          | Ok (r, _) -> Genlog.Aiger.write_file r path
+          | Ok (r, _) -> on_out path (fun () -> Genlog.Aiger.write_file r path)
           | Error _ -> ())
         | _ ->
+          (match output with
+          | Some dir when Sys.file_exists dir && not (Sys.is_directory dir) ->
+            Printf.eprintf "opt: %s exists and is not a directory\n%!" dir;
+            bad_path := true
+          | Some dir when not (Sys.file_exists dir) ->
+            on_out dir (fun () -> Sys.mkdir dir 0o755)
+          | _ -> ());
           let dest file =
             match output with
             | None -> file ^ ".opt.aag"
-            | Some dir ->
-              if Sys.file_exists dir then begin
-                if not (Sys.is_directory dir) then begin
-                  Printf.eprintf "opt: %s exists and is not a directory\n" dir;
-                  exit 2
-                end
-              end
-              else Unix.mkdir dir 0o755;
-              Filename.concat dir (Filename.basename file)
+            | Some dir -> Filename.concat dir (Filename.basename file)
           in
-          List.iteri
-            (fun i file ->
-              match res.(i) with
-              | Ok (r, _) ->
-                let path = dest file in
-                Genlog.Aiger.write_file r path;
-                Printf.eprintf "%s -> %s\n%!" file path
-              | Error _ -> ())
-            files);
+          if not !bad_path then
+            List.iteri
+              (fun i file ->
+                match res.(i) with
+                | Ok (r, _) ->
+                  let path = dest file in
+                  on_out path (fun () ->
+                      Genlog.Aiger.write_file r path;
+                      Printf.eprintf "%s -> %s\n%!" file path)
+                | Error _ -> ())
+              files);
     let res = !results in
     let n_ok = ref 0 and n_failed = ref 0 and n_cancelled = ref 0 in
     let n_degraded = ref 0 in
@@ -409,10 +411,10 @@ let opt_cmd =
           | Genlog.Flow.Parmap.Cancelled _ ->
             incr n_cancelled;
             Printf.eprintf "opt: %s: skipped (interrupted)\n%!" file
-          | Genlog.Aiger.Parse_error msg ->
+          | Genlog.Aiger.Parse_error msg | Sys_error msg ->
             (* bad input, not a crash: one line, no backtrace *)
             incr n_failed;
-            Printf.eprintf "opt: %s: FAILED: %s\n%!" file msg
+            Printf.eprintf "opt: %s: FAILED: %s\n%!" file (path_reason file msg)
           | exn ->
             incr n_failed;
             Printf.eprintf "opt: %s: FAILED: %s\n%!" file
@@ -426,11 +428,13 @@ let opt_cmd =
         (if !n_cancelled > 0 then
            Printf.sprintf ", %d cancelled" !n_cancelled
          else "");
-    (* exit codes: 0 ok, 1 everything failed, 3 partial batch failure,
-       4 clean but degraded output, 128+signum on interrupt (after the
-       epilogue flushed the store and finalized the trace) *)
+    (* exit codes: 0 ok, 1 everything failed, 2 an output path could not
+       be written, 3 partial batch failure, 4 clean but degraded output,
+       128+signum on interrupt (after the epilogue flushed the store and
+       finalized the trace) *)
     let code =
       if Atomic.get interrupted <> 0 then Atomic.get interrupted
+      else if !bad_path then 2
       else if !n_ok = 0 && !n_failed > 0 then 1
       else if !n_failed > 0 then 3
       else if !n_degraded > 0 then 4
@@ -444,7 +448,7 @@ let opt_cmd =
              several FILEs to amortize exact synthesis across them)")
     Term.(const run $ files $ representation $ script_arg $ output $ trace_arg
           $ stats_flag $ partition_arg $ jobs_arg $ cache_arg
-          $ cost_arg $ timeout_arg $ faults_arg)
+          $ cost_arg $ timeout_arg)
 
 (* -- map -- *)
 
@@ -467,7 +471,7 @@ let map_cmd =
     let m = L.map t ~cost:spec ~k () in
     Printf.eprintf "%d-LUTs: %d  depth: %d\n%!" k m.L.lut_count m.L.depth;
     match output with
-    | Some path -> Genlog.Blif.write_file m.L.klut path
+    | Some path -> on_path path (fun () -> Genlog.Blif.write_file m.L.klut path)
     | None -> Genlog.Blif.write m.L.klut stdout
   in
   Cmd.v (Cmd.info "map" ~doc:"Map into k-input LUTs, writing BLIF")
@@ -589,11 +593,12 @@ let report_cmd =
                 fields of the run's cost objective) regresses by more \
                 than 2%. Requires $(b,--bench).")
   in
-  (* a malformed artifact is bad input, not an internal error *)
+  (* a malformed or unreadable artifact is bad input, not an internal
+     error *)
   let load f path =
     try f path
-    with Genlog.Json.Parse_error msg ->
-      Printf.eprintf "report: %s: %s\n" path msg;
+    with Genlog.Json.Parse_error msg | Sys_error msg ->
+      Printf.eprintf "report: %s: %s\n" path (path_reason path msg);
       exit 2
   in
   let run trace_in bench_in chrome_out check_against =
@@ -617,7 +622,7 @@ let report_cmd =
         Format.printf "%a" Genlog.Trace.pp_summary trace;
         Option.iter
           (fun out ->
-            Genlog.Chrome.write_file trace out;
+            on_path out (fun () -> Genlog.Chrome.write_file trace out);
             Printf.printf "[report] wrote chrome trace %s\n" out)
           chrome_out)
       trace_in;
@@ -668,7 +673,7 @@ let fraig_cmd =
     Printf.eprintf "after:  %s (%d proved, %d refuted, %d unknown)\n%!"
       (stats_of_aig t) stats.Fr.proved stats.Fr.refuted stats.Fr.unknown;
     match output with
-    | Some path -> Genlog.Aiger.write_file t path
+    | Some path -> on_path path (fun () -> Genlog.Aiger.write_file t path)
     | None -> Genlog.Aiger.write t stdout
   in
   Cmd.v (Cmd.info "fraig" ~doc:"SAT sweeping (functional reduction)")

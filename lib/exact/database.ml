@@ -23,12 +23,12 @@
    (the first inserted result wins), never a wrong answer.
 
    A database can additionally be attached to an on-disk {!Store}: known
-   classes are merged in at attach time (existing in-memory entries win,
-   preserving first-insert-wins across the process/disk boundary) and
-   classes synthesized since the last flush are appended by [flush] — one
-   append per batch, not per class, so a batch run pays the write cost
-   once at exit.  [flush] never appends classes that came from the
-   shipped table. *)
+   classes are merged in by [create] (table entries win, preserving
+   first-insert-wins across the process/disk boundary), and [flush]
+   writes the classes synthesized since the last flush.  It reloads the
+   file, adds them, and writes the whole store anew, once per batch, not
+   per class; a run that synthesized nothing writes nothing.  [flush]
+   never writes classes that came from the shipped table. *)
 
 open Kitty
 
@@ -42,31 +42,15 @@ type t = {
   (* persistence; [store_path = None] means detached (no disk traffic) *)
   mutable store_path : string option;
   mutable pending : Store.entry list; (* newest first; flushed in order *)
-  mutable loaded : int; (* entries merged from the store at attach *)
+  mutable loaded : int; (* entries read from the store by [create] *)
   mutable skipped : int; (* corrupt/truncated entries the load passed over *)
-  mutable flushed : int; (* entries appended to the store so far *)
+  mutable flushed : int; (* entries [flush] added to the store so far *)
 }
 
 (* Cache keys carry the variable count: a bare hex string is ambiguous
    below three variables (0-, 1- and 2-variable tables all print as a
    single nibble). *)
 let key_of num_vars hex = string_of_int num_vars ^ ":" ^ hex
-
-let attach db path =
-  let l = Store.load ~config:db.config path in
-  Mutex.lock db.lock;
-  if l.Store.domain_ok then begin
-    db.store_path <- Some path;
-    List.iter
-      (fun (e : Store.entry) ->
-        let k = key_of e.Store.num_vars e.Store.key in
-        if not (Hashtbl.mem db.cache k) then
-          Hashtbl.replace db.cache k e.Store.result)
-      l.Store.entries;
-    db.loaded <- db.loaded + l.Store.loaded
-  end;
-  db.skipped <- db.skipped + l.Store.skipped;
-  Mutex.unlock db.lock
 
 let create ?store config =
   let db =
@@ -89,7 +73,21 @@ let create ?store config =
          Hashtbl.replace db.cache (key_of e.Store.num_vars e.Store.key)
            e.Store.result))
     (Tables.find config);
-  (match store with Some path -> attach db path | None -> ());
+  Option.iter
+    (fun path ->
+      let l = Store.load ~config path in
+      db.skipped <- l.Store.skipped;
+      if l.Store.domain_ok then begin
+        db.store_path <- Some path;
+        List.iter
+          (fun (e : Store.entry) ->
+            let k = key_of e.Store.num_vars e.Store.key in
+            if not (Hashtbl.mem db.cache k) then
+              Hashtbl.replace db.cache k e.Store.result)
+          l.Store.entries;
+        db.loaded <- l.Store.loaded
+      end)
+    store;
   db
 
 (* Result for the *canonical* representative of [f]'s NPN class, plus the
@@ -123,6 +121,10 @@ let lookup db f =
     Mutex.unlock db.lock;
     (e, tr)
 
+(* Merge [batch] into the file as it is now, first occurrence winning,
+   and write the result whole.  Another process's flush between our load
+   and our rename is lost; its classes are re-synthesized by the next
+   run that needs them. *)
 let flush db =
   Mutex.lock db.lock;
   let path = db.store_path in
@@ -131,10 +133,23 @@ let flush db =
   Mutex.unlock db.lock;
   match path with
   | Some p when batch <> [] ->
-    if Store.append ~config:db.config p batch then begin
-      Mutex.lock db.lock;
-      db.flushed <- db.flushed + List.length batch;
-      Mutex.unlock db.lock
+    let l = Store.load ~config:db.config p in
+    if l.Store.domain_ok then begin
+      let seen = Hashtbl.create 256 in
+      let fresh (e : Store.entry) =
+        let k = key_of e.Store.num_vars e.Store.key in
+        (not (Hashtbl.mem seen k)) && (Hashtbl.replace seen k (); true)
+      in
+      let kept = List.filter fresh l.Store.entries in
+      let added = List.filter fresh batch in
+      match Store.write ~config:db.config p (kept @ added) with
+      | () ->
+        Mutex.lock db.lock;
+        db.flushed <- db.flushed + List.length added;
+        Mutex.unlock db.lock
+      | exception Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "[exact-store] %s: cannot write store: %s\n%!" p
+          (Unix.error_message e)
     end
   | _ -> ()
 

@@ -3,10 +3,8 @@
    Format and crash-safety argument are documented in store.mli and
    DESIGN.md.  Invariants the code below maintains:
 
-   - the header (magic + domain fingerprint) is written once, by whichever
-     process creates the file (O_CREAT|O_EXCL decides the race);
-   - entries are appended as self-delimiting checksummed frames, one
-     frame per write(2) on an O_APPEND descriptor;
+   - a file is only ever written whole: header and frames go to a temp
+     file, which is fsync'd and renamed over the target;
    - reading validates every frame (checksum, decode, semantic check of
      the decoded network against its key) and skips what fails — a store
      file can make a load slower or smaller, never wrong, and never
@@ -213,12 +211,6 @@ let valid (e : entry) =
 
 (* ------------------------------------------------------------------- load *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let empty_load = { entries = []; loaded = 0; skipped = 0; domain_ok = true }
 
 let header_fingerprint data =
@@ -288,9 +280,14 @@ let decode ~config ~source data =
 
 let load ~config path =
   if not (Sys.file_exists path) then empty_load
-  else decode ~config ~source:path (read_file path)
+  else
+    match In_channel.with_open_bin path In_channel.input_all with
+    | data -> decode ~config ~source:path data
+    | exception Sys_error msg ->
+      warn path "cannot read store (%s); ignoring store" msg;
+      { empty_load with domain_ok = false }
 
-(* ----------------------------------------------------------------- append *)
+(* ------------------------------------------------------------------ write *)
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -300,98 +297,26 @@ let write_all fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let header fp =
-  let b = Buffer.create header_size in
-  Buffer.add_string b magic;
-  Buffer.add_int32_le b fp;
-  Buffer.contents b
-
-(* Create the file with its header iff it does not exist; O_EXCL makes the
-   filesystem arbitrate when several processes race to create it. *)
-let ensure_header path fp =
-  match
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-  with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () -> write_all fd (header fp))
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let read_header path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      if in_channel_length ic < header_size then Error "short header"
-      else
-        match header_fingerprint (really_input_string ic header_size) with
-        | None -> Error "unrecognized header"
-        | Some fp -> Ok fp)
-
-let append ~config path entries =
-  if entries = [] then true
-  else begin
-    let fp = fingerprint config in
-    match ensure_header path fp with
-    | exception Unix.Unix_error (e, _, _) ->
-      warn path "cannot create store: %s" (Unix.error_message e);
-      false
-    | () -> (
-      match read_header path with
-      | Error msg ->
-        warn path "%s; not appending" msg;
-        false
-      | Ok fp' when fp' <> fp ->
-        warn path "synthesis-domain fingerprint mismatch; not appending";
-        false
-      | Ok _ -> (
-        match Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-          warn path "cannot append: %s" (Unix.error_message e);
-          false
-        | fd ->
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              (* [store.append] fault point: simulate a crash mid-write by
-                 emitting half of one frame and stopping — exactly the torn
-                 tail that [load] is built to skip *)
-              let torn = ref false in
-              List.iter
-                (fun e ->
-                  if not !torn then begin
-                    let fr = frame (encode e) in
-                    if Fault_core.active () && Fault_core.hit "store.append"
-                    then begin
-                      write_all fd (String.sub fr 0 (String.length fr / 2));
-                      torn := true
-                    end
-                    else write_all fd fr
-                  end)
-                entries);
-          true))
-  end
-
-(* ---------------------------------------------------------------- compact *)
-
-let compact ~config path entries =
-  let tmp = Printf.sprintf "%s.compact.%d.tmp" path (Unix.getpid ()) in
+let write ~config path entries =
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   (try
-     write_all fd (header (fingerprint config));
-     List.iter (fun e -> write_all fd (frame (encode e))) entries;
+     let b = Buffer.create 4096 in
+     Buffer.add_string b magic;
+     Buffer.add_int32_le b (fingerprint config);
+     List.iter (fun e -> Buffer.add_string b (frame (encode e))) entries;
+     write_all fd (Buffer.contents b);
      Unix.fsync fd;
      Unix.close fd
    with exn ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      (try Sys.remove tmp with Sys_error _ -> ());
      raise exn);
-  (* [store.compact] fault point: simulate a crash after the temp file is
+  (* [store.write] fault point: simulate a crash after the temp file is
      durable but before the rename commits — the original store must
      survive untouched (which is the whole point of tmp+fsync+rename) *)
-  if Fault_core.active () && Fault_core.hit "store.compact" then
+  if Fault_core.active () && Fault_core.hit "store.write" then
     try Sys.remove tmp with Sys_error _ -> ()
   else Unix.rename tmp path

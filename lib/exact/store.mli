@@ -1,12 +1,13 @@
-(** Append-only on-disk persistence for the exact-synthesis database.
+(** On-disk persistence for the exact-synthesis database.
 
-    The store is a binary log of NPN-class -> synthesis-result records.
+    The store is a binary file of NPN-class -> synthesis-result records,
+    in the same format as the shipped tables ({!Tables}).
     The file layout is
 
     {v
       "GLXS0001"            8-byte magic (format version in the name)
       fingerprint           u32 LE, CRC-32 of the synthesis domain
-      entry*                frames appended over time
+      entry*                frames
     v}
 
     where each entry frame is
@@ -17,13 +18,10 @@
       payload               one encoded entry
     v}
 
-    Crash safety comes from the append-only discipline: every state of the
-    file is a valid store plus at most one torn tail frame, which [load]
-    skips with a warning.  Frames whose checksum does not match are skipped
-    individually (the length field still delimits them).  Concurrent
-    appenders open the file in [O_APPEND] mode and write whole frames in
-    one [write], so interleaved appends from several processes never
-    corrupt each other's records.
+    A file is only ever written whole, by {!write}: a crash leaves the
+    old file or the new one.  [load] still checks every frame: a torn
+    tail is skipped with a warning, and so is each frame whose checksum
+    does not match (the length field still delimits it).
 
     The fingerprint pins the store to a synthesis domain (arity, operator
     set, gate and conflict budgets): results are only valid answers for the
@@ -53,9 +51,10 @@ val fingerprint : Synth.config -> int32
 
 val load : config:Synth.config -> string -> load_result
 (** Read a store file.  A missing or empty file is an empty store.  A file
-    with a foreign magic or a mismatched fingerprint is ignored
-    ([domain_ok = false], warning on stderr).  Corrupt frames and a torn
-    tail are skipped with a warning; [load] never raises on bad content. *)
+    with a foreign magic or a mismatched fingerprint, or a path that
+    cannot be read, is ignored ([domain_ok = false], warning on stderr).
+    Corrupt frames and a torn tail are skipped with a warning; [load]
+    never raises. *)
 
 val decode : config:Synth.config -> source:string -> string -> load_result
 (** [load] on the bytes of a store already in memory; [source] names them
@@ -66,17 +65,11 @@ val header_fingerprint : string -> int32 option
 (** The fingerprint in the header of store bytes, or [None] when they do
     not start with a store header. *)
 
-val append : config:Synth.config -> string -> entry list -> bool
-(** Append entries, creating the file (with its header) if needed.
-    Returns [false] — with a warning, without writing — when the existing
-    file belongs to a different domain.  Each entry is written as one
-    [write] on an [O_APPEND] descriptor, so concurrent appenders
-    interleave at frame granularity. *)
-
-val compact : config:Synth.config -> string -> entry list -> unit
-(** Rewrite the store to exactly [entries]: fresh header and frames are
-    written to a temporary file, fsync'd, then atomically renamed over
-    [path] — a crash leaves either the old or the new store, never a mix. *)
+val write : config:Synth.config -> string -> entry list -> unit
+(** Write the store to exactly [entries]: header and frames go to a
+    temporary file, which is fsync'd and then renamed over [path], so a
+    crash leaves either the old or the new store, never a mix.  Raises
+    [Unix.Unix_error] when the file cannot be written. *)
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3) of a string; exposed for tests. *)

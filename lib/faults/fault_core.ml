@@ -2,9 +2,9 @@
 
    Production code declares named injection points ([hit]/[fire] calls
    guarded by [active ()]); tests and the nightly fuzz harness arm them
-   with a spec string:
+   with [configure] and a spec string:
 
-     GENLOG_FAULTS="parmap.job:0.25,store.append:1,sat.solve:1:2"
+     "parmap.job:0.25,store.write:1,sat.solve:1:2"
 
    Each entry is [point:rate[:max_fires]] where [rate] is a firing
    probability in [0,1] and the optional [max_fires] caps how many times
@@ -39,7 +39,6 @@ type config = { seed : int; points : point list }
    counters mutate, so readers never need the lock. *)
 let state : config option Atomic.t = Atomic.make None
 let armed = Atomic.make false
-let env_consulted = Atomic.make false
 let lock = Mutex.create ()
 let default_seed = 0x6c6f67 (* "log" *)
 
@@ -107,18 +106,9 @@ let install cfg =
   Mutex.lock lock;
   Atomic.set state cfg;
   Atomic.set armed (match cfg with Some c -> c.points <> [] | None -> false);
-  Atomic.set env_consulted true;
   Mutex.unlock lock
 
-let configure ?seed spec =
-  let seed =
-    match seed with
-    | Some s -> s
-    | None -> (
-        match Sys.getenv_opt "GENLOG_FAULT_SEED" with
-        | Some s -> ( match int_of_string_opt s with Some i -> i | None -> default_seed)
-        | None -> default_seed)
-  in
+let configure ?(seed = default_seed) spec =
   match parse_spec spec with
   | Ok [] ->
       install None;
@@ -130,39 +120,7 @@ let configure ?seed spec =
 
 let disable () = install None
 
-(* First armed-state query consults GENLOG_FAULTS once, so library code
-   picks the spec up without any CLI wiring.  An explicit [configure] or
-   [disable] beforehand wins over the environment. *)
-let ensure_env () =
-  if not (Atomic.get env_consulted) then begin
-    Mutex.lock lock;
-    if not (Atomic.get env_consulted) then begin
-      (match Sys.getenv_opt "GENLOG_FAULTS" with
-      | Some spec when String.trim spec <> "" -> (
-          match parse_spec spec with
-          | Ok points when points <> [] ->
-              let seed =
-                match Sys.getenv_opt "GENLOG_FAULT_SEED" with
-                | Some s -> (
-                    match int_of_string_opt s with
-                    | Some i -> i
-                    | None -> default_seed)
-                | None -> default_seed
-              in
-              Atomic.set state (Some { seed; points });
-              Atomic.set armed true
-          | Ok _ | Error _ ->
-              prerr_endline
-                ("fault: ignoring malformed GENLOG_FAULTS spec: " ^ spec))
-      | _ -> ());
-      Atomic.set env_consulted true
-    end;
-    Mutex.unlock lock
-  end
-
-let active () =
-  if not (Atomic.get env_consulted) then ensure_env ();
-  Atomic.get armed
+let active () = Atomic.get armed
 
 (* Decide whether this draw of [name] fires.  Deterministic in the draw
    index; [max_fires] is enforced with a fetch-and-add so concurrent
@@ -202,6 +160,3 @@ let counts () =
         cfg.points
 
 let fired () = List.exists (fun (_, _, f) -> f > 0) (counts ())
-
-let seed () =
-  match Atomic.get state with Some cfg -> Some cfg.seed | None -> None

@@ -2,8 +2,7 @@
 
    Each setting has exactly one source: the CLI flag, whose default is
    taken from [default], or this record for library callers.  No
-   environment variable overrides a field (fault injection alone is also
-   armed from GENLOG_FAULTS, which [Fault_core] reads itself). *)
+   environment variable overrides a field. *)
 
 type representation = Aig | Mig | Xag | Xmg
 
@@ -17,7 +16,6 @@ type t = {
   cost : string;  (* optimization objective spec, e.g. "area", "depth" *)
   cache : string option;  (* persistent exact-synthesis store path *)
   timeout : float;  (* wall-clock budget per network, seconds; 0 = none *)
-  faults : string option;  (* fault-injection spec (see Fault), testing only *)
 }
 
 (* Representation names, as the CLI spells them. *)
@@ -37,12 +35,11 @@ let default =
     cost = "area";
     cache = None;
     timeout = 0.;
-    faults = None;
   }
 
 let make ?(representation = default.representation) ?(script = default.script)
     ?trace_path ?(stats = false) ?(partition = 0)
-    ?(jobs = default.jobs) ?(cost = default.cost) ?cache ?(timeout = 0.) ?faults () =
+    ?(jobs = default.jobs) ?(cost = default.cost) ?cache ?(timeout = 0.) () =
   {
     representation;
     script;
@@ -53,7 +50,6 @@ let make ?(representation = default.representation) ?(script = default.script)
     cost;
     cache;
     timeout;
-    faults;
   }
 
 (* A no-op, kept because perfbench still calls it: there is one SAT kernel. *)

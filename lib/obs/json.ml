@@ -162,11 +162,7 @@ let parse (s : string) : t =
   if !pos <> n then fail (Printf.sprintf "trailing input at %d" !pos);
   v
 
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
+let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 (* -- accessors -- *)
 

@@ -458,14 +458,4 @@ let pp_summary fmt t =
       (fun (pass, reason, detail) ->
         Format.fprintf fmt "  %-16s %-10s %s@." pass reason detail)
       degs
-  end;
-  (* fault-injection telemetry (CLI runs under GENLOG_FAULTS emit one
-     "faults" counters event at exit) *)
-  List.iter
-    (function
-      | Counters { algo = "faults"; counters; _ } ->
-        Format.fprintf fmt "faults: %s@."
-          (String.concat " "
-             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
-      | _ -> ())
-    (events t)
+  end

@@ -67,7 +67,7 @@ val solve :
       flows' stop hook, which callers adapt to a boolean (a wall-clock
       budget is one such hook).
 
-    Under fault injection ([GENLOG_FAULTS]) this is the [sat.solve]
+    Under fault injection ({!Fault_core.configure}) this is the [sat.solve]
     point: an armed draw raises {!Fault_core.Injected} on entry.
 
     After [Sat], the model is available through {!model_value} until the

@@ -16,7 +16,7 @@ module S = Lsgen.Suite.Make (Aig)
 module G = Gen.Make (Aig)
 
 (* Every test arms its own spec and disarms on the way out, so no fault
-   configuration leaks into other suites (or in from GENLOG_FAULTS). *)
+   configuration leaks into other suites. *)
 let with_faults ?seed spec f =
   (match Fault.configure ?seed spec with
   | Ok () -> ()

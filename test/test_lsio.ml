@@ -229,11 +229,62 @@ let test_cli_parse_errors () =
         (run "exact" hex))
     [ ("zz", "bad character"); ("abc", "bad length"); ("", "bad length") ]
 
+(* A path the CLI cannot read or write is bad input too: exit 2 and one
+   line, never an uncaught exception; `opt` reports an unreadable input
+   as that job's failure (exit 1). *)
+let test_cli_path_errors () =
+  if not (Sys.file_exists cli) then Alcotest.fail ("not built: " ^ cli);
+  let run args =
+    with_temp_file ".err" (fun err ->
+        let code =
+          Sys.command
+            (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote cli)
+               (String.concat " " (List.map Filename.quote args))
+               (Filename.quote err))
+        in
+        (code, In_channel.with_open_bin err In_channel.input_all))
+  in
+  let dir = Filename.get_temp_dir_name () in
+  let bad = "/nonexistent/out" in
+  (* the exit code, and [line] among the lines of stderr *)
+  let expect what (code, line) (code', err) =
+    Alcotest.(check (pair int string)) what (code, line)
+      (code', if List.mem line (String.split_on_char '\n' err) then line else err)
+  in
+  List.iter
+    (fun args ->
+      expect (String.concat " " args)
+        (2, Printf.sprintf "genlog: %s: Is a directory" dir)
+        (run args))
+    [ [ "stats"; dir ]; [ "map"; dir ]; [ "fraig"; dir ]; [ "cec"; dir; dir ] ];
+  List.iter
+    (fun flag ->
+      expect ("report " ^ flag)
+        (2, Printf.sprintf "report: %s: Is a directory" dir)
+        (run [ "report"; flag; dir ]))
+    [ "--trace"; "--bench" ];
+  expect "opt DIR" (1, Printf.sprintf "opt: %s: FAILED: Is a directory" dir)
+    (run [ "opt"; dir ]);
+  with_text ".aag" "aag 1 1 0 1 0\n2\n2\n" (fun path ->
+      List.iter
+        (fun (args, out) ->
+          expect (String.concat " " args)
+            (2, Printf.sprintf "genlog: %s: No such file or directory" out)
+            (run args))
+        [ ([ "opt"; path; "-o"; bad ], bad);
+          ([ "opt"; path; "--trace"; bad; "-o"; "/dev/null" ], bad);
+          ([ "opt"; path; path; "-o"; bad ^ "/" ], bad ^ "/");
+          ([ "map"; path; "-o"; bad ], bad);
+          ([ "fraig"; path; "-o"; bad ], bad);
+          ([ "gen"; "ctrl"; "-o"; bad ], bad) ])
+
 let extra_suite =
   [
     Alcotest.test_case "aiger hostile headers" `Quick test_aiger_hostile_headers;
     Alcotest.test_case "cli maps parse errors to exit 2" `Quick
       test_cli_parse_errors;
+    Alcotest.test_case "cli maps path errors to exit 2" `Quick
+      test_cli_path_errors;
     Alcotest.test_case "blif complemented po" `Quick test_blif_complemented_po;
     Alcotest.test_case "blif constant po" `Quick test_blif_constant_po;
     Alcotest.test_case "aiger all benchmarks" `Slow test_aiger_all_benchmarks;

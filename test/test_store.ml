@@ -1,6 +1,7 @@
 (* Robustness tests for the persistent exact-synthesis store: round-trip,
-   torn-tail recovery, corrupt-entry skipping, multi-writer appends,
-   compaction, and the domain-fingerprint guard. *)
+   torn-tail recovery and healing, corrupt-entry skipping, two writers,
+   deduplication, unwritable and unreadable paths, the domain-fingerprint
+   guard, and the write format against the shipped tables. *)
 
 open Kitty
 
@@ -33,7 +34,7 @@ let populate path =
   Exact.Database.size db
 
 (* The classes [lookup_all] touches, one store entry each, as [db]
-   answers them: what compacting [db]'s store keeps. *)
+   answers them. *)
 let entries_of db =
   List.sort_uniq
     (fun (a : Exact.Store.entry) b ->
@@ -114,7 +115,8 @@ let test_corrupt_entry_skipped () =
   Sys.remove path
 
 (* Two databases attached to the same path (the in-process equivalent of
-   two processes): both flush, nobody's records are lost. *)
+   two processes) flush one after the other: the second flush reloads the
+   file and keeps the first one's record. *)
 let test_two_writers () =
   let path = fresh_path () in
   let db_a = Exact.Database.create ~store:path config in
@@ -124,7 +126,7 @@ let test_two_writers () =
   ignore (Exact.Database.lookup db_a fa);
   ignore (Exact.Database.lookup db_b fb);
   Exact.Database.flush db_a (* creates the file, writes a's record *);
-  Exact.Database.flush db_b (* appends to the existing file *);
+  Exact.Database.flush db_b (* rewrites it with both records *);
   let db_c = Exact.Database.create ~store:path config in
   ignore (Exact.Database.lookup db_c fa);
   ignore (Exact.Database.lookup db_c fb);
@@ -132,26 +134,89 @@ let test_two_writers () =
   Alcotest.(check int) "both records present" 2 (Exact.Database.hits db_c);
   Sys.remove path
 
+(* A class outside [vals]' classes: XOR of two variables. *)
+let extra = Tt.of_int64 2 0x6L
+
+(* A store holding every class twice (as an append log written by an
+   earlier build could): the merge dedups, and one flush rewrites the
+   file with each class once. *)
 let test_compaction_preserves () =
   let path = fresh_path () in
   let n = populate path in
-  (* duplicate every entry on disk; the in-memory merge dedups, and
-     compaction rewrites the file without the duplicates *)
   let l = Exact.Store.load ~config path in
-  Alcotest.(check bool) "append dups" true
-    (Exact.Store.append ~config path l.Exact.Store.entries);
+  Exact.Store.write ~config path (l.Exact.Store.entries @ l.Exact.Store.entries);
   let l2 = Exact.Store.load ~config path in
   Alcotest.(check int) "duplicated on disk" (2 * n) l2.Exact.Store.loaded;
   let db = Exact.Database.create ~store:path config in
   Alcotest.(check int) "merge dedups" n (Exact.Database.size db);
-  Exact.Store.compact ~config path (entries_of db);
+  ignore (Exact.Database.lookup db extra);
+  Exact.Database.flush db;
   let l3 = Exact.Store.load ~config path in
-  Alcotest.(check int) "compacted to unique" n l3.Exact.Store.loaded;
+  Alcotest.(check int) "each class once" (n + 1) l3.Exact.Store.loaded;
   Alcotest.(check int) "nothing skipped" 0 l3.Exact.Store.skipped;
+  Alcotest.(check int) "flushed counts the new class" 1
+    (Exact.Database.store_info db).Exact.Database.flushed;
   let db2 = Exact.Database.create ~store:path config in
   lookup_all db2;
+  ignore (Exact.Database.lookup db2 extra);
   Alcotest.(check int) "contents preserved" 0 (Exact.Database.misses db2);
   Sys.remove path
+
+(* A flush over a store with a torn tail rewrites it whole: the reload
+   skips nothing and misses nothing. *)
+let test_flush_heals () =
+  let path = fresh_path () in
+  let n = populate path in
+  let size = (Unix.stat path).Unix.st_size in
+  Unix.truncate path (size - 3);
+  let db = Exact.Database.create ~store:path config in
+  lookup_all db;
+  Alcotest.(check int) "torn class re-synthesized" 1 (Exact.Database.misses db);
+  Exact.Database.flush db;
+  let l = Exact.Store.load ~config path in
+  Alcotest.(check int) "healed: all loaded" n l.Exact.Store.loaded;
+  Alcotest.(check int) "healed: nothing skipped" 0 l.Exact.Store.skipped;
+  let db2 = Exact.Database.create ~store:path config in
+  lookup_all db2;
+  Alcotest.(check int) "healed store is warm" 0 (Exact.Database.misses db2);
+  Sys.remove path
+
+(* A path that cannot be read as a store detaches the database, with a
+   warning, instead of raising. *)
+let test_unreadable_path_detaches () =
+  let dir = Filename.get_temp_dir_name () in
+  let db = Exact.Database.create ~store:dir config in
+  Alcotest.(check bool) "detached" true
+    ((Exact.Database.store_info db).Exact.Database.path = None);
+  ignore (Exact.Database.lookup db extra);
+  Exact.Database.flush db (* no-op: detached *)
+
+(* A flush into a directory that does not exist warns and returns. *)
+let test_flush_missing_dir () =
+  let path = Filename.concat (fresh_path ()) "store.glxs" in
+  let db = Exact.Database.create ~store:path config in
+  ignore (Exact.Database.lookup db extra);
+  Exact.Database.flush db;
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists path);
+  Alcotest.(check int) "nothing flushed" 0
+    (Exact.Database.store_info db).Exact.Database.flushed
+
+(* [Store.write] of each decoded shipped table gives back its bytes: the
+   writer and the committed format agree, without re-synthesizing. *)
+let test_write_reproduces_tables () =
+  List.iter
+    (fun (name, rep) ->
+      let module R = (val Flow.Engine.representation rep) in
+      let path = fresh_path () in
+      Exact.Store.write ~config:R.synth path
+        (Option.get (Exact.Tables.find R.synth));
+      Alcotest.(check bool)
+        (name ^ ".glxs byte for byte")
+        true
+        (Bytes.to_string (read_bytes path)
+        = List.assoc name Exact.Tables.files);
+      Sys.remove path)
+    Flow.Run_config.representations
 
 (* A store written under one synthesis config must not feed a database
    with a different one (here the MIG operator set, again with no shipped
@@ -186,7 +251,7 @@ let test_domain_mismatch_detaches () =
   Alcotest.(check int) "original store untouched" n l.Exact.Store.loaded;
   Sys.remove path
 
-(* -- injected crash points (the GENLOG_FAULTS registry) -- *)
+(* -- injected crash points (the fault registry) -- *)
 
 let with_faults spec f =
   (match Flow.Fault.configure spec with
@@ -194,42 +259,15 @@ let with_faults spec f =
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Flow.Fault.disable f
 
-(* A flush that crashes mid-append leaves exactly the torn tail [load]
-   skips; compaction then heals the file. *)
-let test_injected_torn_append () =
-  let path = fresh_path () in
-  let db = Exact.Database.create ~store:path config in
-  lookup_all db;
-  let n = Exact.Database.size db in
-  with_faults "store.append:1:1" (fun () ->
-      Exact.Database.flush db;
-      Alcotest.(check bool) "fault fired" true (Flow.Fault.fired ()));
-  let l = Exact.Store.load ~config path in
-  Alcotest.(check bool) "domain ok" true l.Exact.Store.domain_ok;
-  Alcotest.(check int) "torn tail skipped" 1 l.Exact.Store.skipped;
-  Alcotest.(check int) "nothing loaded past the tear" 0 l.Exact.Store.loaded;
-  (* heal: re-synthesize and compact; the rewrite replaces the torn file *)
-  let db2 = Exact.Database.create ~store:path config in
-  lookup_all db2;
-  Alcotest.(check int) "lost classes re-synthesized" n
-    (Exact.Database.misses db2);
-  Exact.Store.compact ~config path (entries_of db2);
-  let l2 = Exact.Store.load ~config path in
-  Alcotest.(check int) "healed: all loaded" n l2.Exact.Store.loaded;
-  Alcotest.(check int) "healed: nothing skipped" 0 l2.Exact.Store.skipped;
-  let db3 = Exact.Database.create ~store:path config in
-  lookup_all db3;
-  Alcotest.(check int) "healed store is warm" 0 (Exact.Database.misses db3);
-  Sys.remove path
-
-(* A compaction that crashes after writing the temp file but before the
+(* A write that crashes after writing the temp file but before the
    rename must leave the original store untouched. *)
-let test_injected_compact_crash () =
+let test_injected_write_crash () =
   let path = fresh_path () in
   let n = populate path in
   let entries = entries_of (Exact.Database.create ~store:path config) in
-  with_faults "store.compact:1:1" (fun () ->
-      Exact.Store.compact ~config path entries);
+  with_faults "store.write:1:1" (fun () ->
+      Exact.Store.write ~config path entries;
+      Alcotest.(check bool) "fault fired" true (Flow.Fault.fired ()));
   let l = Exact.Store.load ~config path in
   Alcotest.(check int) "original intact" n l.Exact.Store.loaded;
   Alcotest.(check int) "nothing skipped" 0 l.Exact.Store.skipped;
@@ -243,10 +281,10 @@ let test_injected_compact_crash () =
         (String.length f > String.length base
         && String.sub f 0 (String.length base) = base))
     (Sys.readdir dir);
-  (* the next, un-faulted compaction succeeds *)
-  Exact.Store.compact ~config path entries;
+  (* the next, un-faulted write succeeds *)
+  Exact.Store.write ~config path entries;
   let l2 = Exact.Store.load ~config path in
-  Alcotest.(check int) "clean compaction" n l2.Exact.Store.loaded;
+  Alcotest.(check int) "clean write" n l2.Exact.Store.loaded;
   Sys.remove path
 
 let suite =
@@ -259,8 +297,13 @@ let suite =
       test_compaction_preserves;
     Alcotest.test_case "domain mismatch detaches" `Quick
       test_domain_mismatch_detaches;
-    Alcotest.test_case "injected torn append heals" `Quick
-      test_injected_torn_append;
-    Alcotest.test_case "injected compact crash keeps original" `Quick
-      test_injected_compact_crash;
+    Alcotest.test_case "flush heals a torn tail" `Quick test_flush_heals;
+    Alcotest.test_case "injected write crash keeps original" `Quick
+      test_injected_write_crash;
+    Alcotest.test_case "unreadable path detaches" `Quick
+      test_unreadable_path_detaches;
+    Alcotest.test_case "flush into a missing dir warns" `Quick
+      test_flush_missing_dir;
+    Alcotest.test_case "write reproduces the shipped tables" `Quick
+      test_write_reproduces_tables;
   ]
