@@ -263,6 +263,11 @@ let opt_cmd =
     | Error msg ->
       Printf.eprintf "opt: bad --cost spec: %s\n" msg;
       exit 2);
+    (match Genlog.Script.parse script with
+    | _ -> ()
+    | exception Genlog.Script.Parse_error msg ->
+      Printf.eprintf "opt: bad --script: %s\n" msg;
+      exit 2);
     let cfg =
       RC.make ~representation ~script ?trace_path:trace_file ~stats ~partition
         ~jobs ~cost ?cache ~timeout ()

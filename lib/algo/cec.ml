@@ -125,7 +125,7 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
   type report = {
     winner : string;
         (* "solver" (the SAT answer), "shape" (I/O mismatch) or "anomaly"
-           (the kernel raised) *)
+           (the encoding or the kernel raised) *)
     conflicts : int;      (* conflicts spent by the answering solver *)
     rungs_used : int;     (* ladder rungs consumed (1 = first try) *)
   }
@@ -153,10 +153,10 @@ module Make (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = stru
      what keeps it finite.  Flows poll their stop hook between passes
      (or pieces), never inside a check.
 
-     A check never raises: if the kernel itself throws (a solver bug, or
-     an injected [sat.solve] fault), the answer is [Unknown] with winner
-     ["anomaly"].  The check is deterministic, so running it again could
-     only rescue an injected fault.  Correctness guards built on CEC
+     A check never raises: if the encoding or the kernel throws (a bug,
+     or a network operation that fails), the answer is [Unknown] with
+     winner ["anomaly"].  The check is deterministic, so running it again
+     would fail the same way.  Correctness guards built on CEC
      treat [Unknown] the way they treat a budget exhaustion. *)
   let check_full ?(trace = Obs.Trace.null) ?(conflict_budget = 0) ?ladder
       (a : A.t) (b : B.t) : result * report =

@@ -96,7 +96,6 @@ module Bench_json = Obs.Bench_json
 (* flows *)
 module Script = Flow.Script
 module Run_config = Flow.Run_config
-module Fault = Flow.Fault
 module Flow = struct
   include Flow.Engine
 
@@ -105,5 +104,4 @@ module Flow = struct
   module Specialized_aig = Flow.Specialized_aig
   module Partition = Flow.Partition
   module Parmap = Flow.Parmap
-  module Fault = Flow.Fault
 end

@@ -76,6 +76,7 @@ let create ?store config =
   Option.iter
     (fun path ->
       let l = Store.load ~config path in
+      Store.print_warnings l;
       db.skipped <- l.Store.skipped;
       if l.Store.domain_ok then begin
         db.store_path <- Some path;
@@ -133,6 +134,7 @@ let flush db =
   Mutex.unlock db.lock;
   match path with
   | Some p when batch <> [] ->
+    (* [create] already printed what this file's load warns about *)
     let l = Store.load ~config:db.config p in
     if l.Store.domain_ok then begin
       let seen = Hashtbl.create 256 in

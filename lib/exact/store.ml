@@ -8,7 +8,9 @@
    - reading validates every frame (checksum, decode, semantic check of
      the decoded network against its key) and skips what fails — a store
      file can make a load slower or smaller, never wrong, and never
-     crashes the process. *)
+     crashes the process;
+   - reading prints nothing: what it passed over comes back as warnings
+     in the load result, and the caller decides whether to print them. *)
 
 open Kitty
 
@@ -19,6 +21,7 @@ type load_result = {
   loaded : int;
   skipped : int;
   domain_ok : bool;
+  warnings : string list;
 }
 
 let magic = "GLXS0001"
@@ -66,8 +69,6 @@ let fingerprint (config : Synth.config) =
   Buffer.add_char b '|';
   Buffer.add_string b (string_of_int config.Synth.conflict_budget);
   crc32 (Buffer.contents b)
-
-let warn path fmt = Printf.eprintf ("[exact-store] %s: " ^^ fmt ^^ "\n%!") path
 
 (* --------------------------------------------------------------- encoding *)
 
@@ -211,7 +212,18 @@ let valid (e : entry) =
 
 (* ------------------------------------------------------------------- load *)
 
-let empty_load = { entries = []; loaded = 0; skipped = 0; domain_ok = true }
+let empty_load =
+  { entries = []; loaded = 0; skipped = 0; domain_ok = true; warnings = [] }
+
+(* A load result that ignores the whole store, with the reason. *)
+let refuse source fmt =
+  Printf.ksprintf
+    (fun msg ->
+      { empty_load with domain_ok = false; warnings = [ source ^ ": " ^ msg ] })
+    fmt
+
+let print_warnings l =
+  List.iter (Printf.eprintf "[exact-store] %s\n%!") l.warnings
 
 let header_fingerprint data =
   if
@@ -225,15 +237,12 @@ let decode ~config ~source data =
   if n = 0 then empty_load
   else
     match header_fingerprint data with
-    | None ->
-      warn source "unrecognized header; ignoring store";
-      { empty_load with domain_ok = false }
+    | None -> refuse source "unrecognized header; ignoring store"
     | Some fp when fp <> fingerprint config ->
-      warn source
+      refuse source
         "synthesis-domain fingerprint mismatch (store %08lx, config %08lx); \
          ignoring store"
-        fp (fingerprint config);
-      { empty_load with domain_ok = false }
+        fp (fingerprint config)
     | Some _ ->
       let entries = ref [] in
       let loaded = ref 0 in
@@ -266,16 +275,19 @@ let decode ~config ~source data =
         end
       done;
       if (not !stop) && !pos < n then incr skipped (* trailing runt *);
-      if !skipped > 0 then
-        warn source "skipped %d corrupt or truncated entr%s (%d loaded)"
-          !skipped
-          (if !skipped = 1 then "y" else "ies")
-          !loaded;
       {
         entries = List.rev !entries;
         loaded = !loaded;
         skipped = !skipped;
         domain_ok = true;
+        warnings =
+          (if !skipped = 0 then []
+           else
+             [ Printf.sprintf
+                 "%s: skipped %d corrupt or truncated entr%s (%d loaded)"
+                 source !skipped
+                 (if !skipped = 1 then "y" else "ies")
+                 !loaded ]);
       }
 
 let load ~config path =
@@ -284,8 +296,7 @@ let load ~config path =
     match In_channel.with_open_bin path In_channel.input_all with
     | data -> decode ~config ~source:path data
     | exception Sys_error msg ->
-      warn path "cannot read store (%s); ignoring store" msg;
-      { empty_load with domain_ok = false }
+      refuse path "cannot read store (%s); ignoring store" msg
 
 (* ------------------------------------------------------------------ write *)
 
@@ -314,9 +325,6 @@ let write ~config path entries =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      (try Sys.remove tmp with Sys_error _ -> ());
      raise exn);
-  (* [store.write] fault point: simulate a crash after the temp file is
-     durable but before the rename commits — the original store must
-     survive untouched (which is the whole point of tmp+fsync+rename) *)
-  if Fault_core.active () && Fault_core.hit "store.write" then
-    try Sys.remove tmp with Sys_error _ -> ()
-  else Unix.rename tmp path
+  (* the temp file is durable: the rename commits it atomically, so a
+     crash before this line leaves the original store untouched *)
+  Unix.rename tmp path

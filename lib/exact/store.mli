@@ -39,6 +39,9 @@ type load_result = {
   loaded : int;  (** [List.length entries] *)
   skipped : int;  (** corrupt or truncated frames that were passed over *)
   domain_ok : bool;  (** header matched [fingerprint config] *)
+  warnings : string list;
+      (** what the load refused or skipped, one line each, prefixed with
+          the path or source; nothing is printed while loading *)
 }
 
 val fingerprint : Synth.config -> int32
@@ -52,7 +55,7 @@ val fingerprint : Synth.config -> int32
 val load : config:Synth.config -> string -> load_result
 (** Read a store file.  A missing or empty file is an empty store.  A file
     with a foreign magic or a mismatched fingerprint, or a path that
-    cannot be read, is ignored ([domain_ok = false], warning on stderr).
+    cannot be read, is ignored ([domain_ok = false], with a warning).
     Corrupt frames and a torn tail are skipped with a warning; [load]
     never raises. *)
 
@@ -60,6 +63,9 @@ val decode : config:Synth.config -> source:string -> string -> load_result
 (** [load] on the bytes of a store already in memory; [source] names them
     in warnings.  The same checks apply: header, fingerprint, frame
     checksums, and each record must simulate to its key. *)
+
+val print_warnings : load_result -> unit
+(** Print each warning of a load on stderr, prefixed [[exact-store]]. *)
 
 val header_fingerprint : string -> int32 option
 (** The fingerprint in the header of store bytes, or [None] when they do

@@ -34,5 +34,6 @@ let find config =
              | Some entries -> entries
              | None ->
                let l = Store.decode ~config ~source:("table " ^ name) data in
+               Store.print_warnings l;
                Hashtbl.replace decoded name l.Store.entries;
                l.Store.entries))

@@ -134,7 +134,6 @@ module Make (N : Network.Intf.NETWORK) = struct
   let network_stats (net : N.t) = (N.num_gates net, Dp.depth net)
 
   let dispatch (env : env) ~trace (net : N.t) (cmd : Script.command) : unit =
-    if Fault.active () then Fault.fire "engine.pass";
     match cmd with
     | Script.Balance -> ignore (Bal.run ~trace ~cost:env.cost net)
     | Script.Rewrite { zero_gain } ->
@@ -176,9 +175,9 @@ module Make (N : Network.Intf.NETWORK) = struct
 
      [stop] is the caller's one stop hook: it returns the reason to wind
      down ("deadline" for an expired wall-clock budget, "interrupt" for a
-     signal), or [None] to go on.  The run is *armed* when a [stop] hook
-     is given or fault injection is active.  Only an armed run can roll
-     back, so only an armed run keeps a checkpoint:
+     signal), or [None] to go on.  The run is *armed* exactly when a
+     [stop] hook is given.  Only an armed run can roll back, so only an
+     armed run keeps a checkpoint:
 
      - Before each pass the hook is polled; a reason ends the run at the
        last checkpoint with a marker carrying that reason.
@@ -199,7 +198,7 @@ module Make (N : Network.Intf.NETWORK) = struct
   let run_script_safe (env : env) ?(trace = Obs.Trace.null) ?stop
       (net : N.t) (script : string) : N.t * degradation list =
     let commands = Script.parse script in
-    let armed = stop <> None || Fault.active () in
+    let armed = stop <> None in
     let degradations = ref [] in
     let note pass reason detail =
       degradations := degrade trace ~pass ~reason ~detail :: !degradations

@@ -16,7 +16,7 @@
    Failure model: [map_results] isolates jobs — every item yields either
    [Ok result] or [Error {index; exn; backtrace}], and one bad item never
    cancels the others.  A job runs once: the work is deterministic, so
-   running it again could only rescue an injected fault. *)
+   running it again would fail the same way. *)
 
 type job_error = {
   err_index : int;  (* which item failed *)
@@ -35,9 +35,7 @@ let () =
 (* Per-item isolation: [stop] is polled before each steal — once it
    returns [Some reason] ("deadline", "interrupt") the remaining unclaimed
    items are marked [Cancelled reason] instead of run, so the caller can
-   report exactly which work was skipped; items already running finish.
-   The [parmap.job] fault point fires inside the per-item protection, like
-   any real failure. *)
+   report exactly which work was skipped; items already running finish. *)
 let map_results (type s a b) ?(jobs = Domain.recommended_domain_count ())
     ?(stop = fun () -> None) ~(init : int -> s) ~(f : s -> a -> b)
     (items : a array) : (b, job_error) result array * s array =
@@ -61,10 +59,7 @@ let map_results (type s a b) ?(jobs = Domain.recommended_domain_count ())
             | Some reason ->
               error i (Cancelled reason) (Printexc.get_callstack 0)
             | None -> (
-              match
-                if Fault.active () then Fault.fire "parmap.job";
-                f state items.(i)
-              with
+              match f state items.(i) with
               | r -> Ok r
               | exception e -> error i e (Printexc.get_raw_backtrace ())));
         steal ()

@@ -208,8 +208,7 @@ module Make (N : Network.Intf.NETWORK) = struct
     sim_mismatch : bool;
     cec_checked : bool;
     degradation : Engine.degradation option;
-        (* why the piece's script run degraded, or its job failed or was
-           cancelled *)
+        (* why the piece's job failed or was cancelled *)
   }
 
   (* [trace] is the worker's own child sink. *)
@@ -224,15 +223,8 @@ module Make (N : Network.Intf.NETWORK) = struct
       (fun () ->
       (* the run is unarmed (the stop hook acts between pieces, and
          arming would checkpoint every pass): a pass exception fails the
-         job, unless fault injection arms the run, which then yields the
-         best-so-far sub-network for the guard below to judge *)
-      let optimized, degs = E.run_script_safe env (Copy.convert sub) script in
-      let degradation =
-        match degs with
-        | [] -> None
-        | { Engine.d_reason; d_detail; _ } :: _ ->
-          Some (Engine.degrade trace ~pass ~reason:d_reason ~detail:d_detail)
-      in
+         job, and [run] keeps the piece's original cone *)
+      let optimized = E.run_script env (Copy.convert sub) script in
       (* stitch gate: the piece is worth keeping only if it strictly
          improves the env's objective as a lexicographic
          (objective, gates, depth) triple — for the default area objective
@@ -266,9 +258,9 @@ module Make (N : Network.Intf.NETWORK) = struct
           ("accepted", if verdict = Accepted then 1 else 0);
           ("sim_mismatch", if sim_mismatch then 1 else 0);
           ("cec_checked", if cec_checked then 1 else 0);
-          ("degraded", if degradation <> None then 1 else 0);
         ];
-      { part = p; chosen; verdict; sim_mismatch; cec_checked; degradation })
+      { part = p; chosen; verdict; sim_mismatch; cec_checked;
+        degradation = None })
 
   (* -- stitch: rebuild the parent from the guarded pieces -- *)
 
@@ -279,7 +271,6 @@ module Make (N : Network.Intf.NETWORK) = struct
      partition boundaries, and logic not reachable from the POs is never
      instantiated. *)
   let stitch (net : N.t) (pieces : piece_result array) : N.t =
-    if Fault.active () then Fault.fire "partition.stitch";
     let dst = N.create ~initial_capacity:(N.size net) () in
     let map = Array.make (N.size net) (-1) in
     map.(0) <- N.constant false;
@@ -312,13 +303,12 @@ module Make (N : Network.Intf.NETWORK) = struct
     rejected_cex : int;
     sim_mismatches : int;
     failed : int;  (* jobs that raised (cone kept) *)
-    degraded_pieces : int;  (* pieces with a degradation record *)
+    degraded_pieces : int;  (* failed or cancelled pieces *)
     stitch_fallbacks : int;  (* 0 = clean; 1 = all-original; 2 = identity *)
     degradations : Engine.degradation list;
         (* every degradation the run emitted as a trace event: one per
-           degraded piece ("partN") with the engine's reason, cancelled
-           pieces with the stop hook's, failed jobs and stitch fallbacks as
-           "exception" *)
+           cancelled piece ("partN") with the stop hook's reason, and one
+           per failed job and stitch fallback as "exception" *)
     jobs : int;
   }
 
@@ -414,11 +404,10 @@ module Make (N : Network.Intf.NETWORK) = struct
             ];
           (results, st))
     in
-    (* the stitch itself is guarded: if it raises (an [partition.stitch]
-       injection, or a genuine bug), retry with every piece reverted to
-       its original cone; if even that fails, fall back to an identity
-       copy of the parent.  Either fallback degrades QoR, never
-       correctness. *)
+    (* the stitch itself is guarded: if it raises (a bug, or a network
+       operation that fails), retry with every piece reverted to its
+       original cone; if even that fails, fall back to an identity copy
+       of the parent.  Either fallback degrades QoR, never correctness. *)
     let out, fallbacks =
       Obs.Trace.span trace ~pass:"partition-stitch" ~index:2 ~before:parent
         ~after:(fun (out, _) -> (N.num_gates out, Dp.depth out))

@@ -24,10 +24,16 @@ let parse_command (s : string) : command =
   | "rf" :: [] -> Refactor { zero_gain = false }
   | "rfz" :: [] -> Refactor { zero_gain = true }
   | "rs" :: opts ->
+    let int flag v =
+      match int_of_string_opt v with
+      | Some n -> n
+      | None ->
+        raise (Parse_error (Printf.sprintf "bad rs %s value: %s" flag v))
+    in
     let rec go cut_size max_inserted = function
       | [] -> Resub { cut_size; max_inserted }
-      | "-c" :: v :: rest -> go (int_of_string v) max_inserted rest
-      | "-d" :: v :: rest -> go cut_size (int_of_string v) rest
+      | "-c" :: v :: rest -> go (int "-c" v) max_inserted rest
+      | "-d" :: v :: rest -> go cut_size (int "-d" v) rest
       | tok :: _ -> raise (Parse_error ("bad rs option: " ^ tok))
     in
     go 8 1 opts

@@ -12,6 +12,8 @@ type command =
 exception Parse_error of string
 
 val parse_command : string -> command
+(** Raises [Parse_error] on an unknown command, option or number. *)
+
 val parse : string -> command list
 val to_string : command -> string
 

@@ -6,7 +6,7 @@
    artifacts written by incompatible producers. *)
 
 (* v1: PR 1 BENCH rows / PR 2 trace events.
-   v2: gc deltas on pass_end, metrics/node events, meta stamping. *)
+   v2: gc deltas on pass_end, degraded events, meta stamping. *)
 let schema_version = 2
 
 (* Lazy: one subprocess per process, not one per artifact. *)

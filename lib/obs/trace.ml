@@ -411,8 +411,8 @@ let degraded_count t = List.length (degraded_events t)
    wall time, so the table answers "where did the time go" without a
    calculator; minor/major words are the GC work the pass caused, and the
    counters column carries the pass's decision counters, the SAT work
-   attributed to it and its degradation count.  Degradation markers and
-   fault-injection telemetry are spelled out under the table. *)
+   attributed to it and its degradation count.  Degradation markers are
+   spelled out under the table. *)
 let pp_summary fmt t =
   let rows = summarize t in
   if rows = [] then Format.fprintf fmt "trace: no spans recorded@."

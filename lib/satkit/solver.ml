@@ -998,18 +998,16 @@ let ema_restart_due t =
   end
   else false
 
-type outcome = O_sat | O_unsat | O_restart | O_budget | O_stopped
+type outcome = O_sat | O_unsat | O_restart | O_budget
 
 (* Search below the assumption (root) level: backtracking never unassigns
    the assumptions, and a conflict at or below the root level means UNSAT
    under the current assumptions.  [restart_limit] > 0 gives a fixed-size
    restart (a stable phase); 0 means EMA-driven. *)
-let search t ~root_level ~restart_limit ~budget ~stop =
+let search t ~root_level ~restart_limit ~budget =
   let conflicts_here = ref 0 in
   let result = ref None in
-  let iter = ref 0 in
   while !result = None do
-    incr iter;
     match propagate t with
     | Some confl ->
       t.conflicts <- t.conflicts + 1;
@@ -1048,14 +1046,6 @@ let search t ~root_level ~restart_limit ~budget ~stop =
         result := Some O_budget
       end
       else if
-        (match stop with
-        | Some f -> !iter land 255 = 0 && f ()
-        | None -> false)
-      then begin
-        cancel_until t root_level;
-        result := Some O_stopped
-      end
-      else if
         (if restart_limit > 0 then !conflicts_here >= restart_limit
          else !conflicts_here >= 50 && ema_restart_due t)
       then begin
@@ -1075,8 +1065,7 @@ let search t ~root_level ~restart_limit ~budget ~stop =
   done;
   match !result with Some r -> r | None -> assert false
 
-let solve ?(conflict_budget = 0) ?(assumptions = []) ?stop t =
-  if Fault_core.active () then Fault_core.fire "sat.solve";
+let solve ?(conflict_budget = 0) ?(assumptions = []) t =
   if not t.ok then Unsat
   else begin
     cancel_until t 0;
@@ -1125,10 +1114,10 @@ let solve ?(conflict_budget = 0) ?(assumptions = []) ?stop t =
             if t.stab_stable then int_of_float (luby 2.0 t.stable_idx *. 512.0)
             else 0
           in
-          match search t ~root_level ~restart_limit ~budget ~stop with
+          match search t ~root_level ~restart_limit ~budget with
           | O_sat -> Sat
           | O_unsat -> Unsat
-          | O_budget | O_stopped -> Unknown
+          | O_budget -> Unknown
           | O_restart ->
             t.restarts <- t.restarts + 1;
             if t.stab_stable then t.stable_idx <- t.stable_idx + 1;

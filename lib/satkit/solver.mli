@@ -53,7 +53,6 @@ val add_clause : t -> Lit.t list -> unit
 val solve :
   ?conflict_budget:int ->
   ?assumptions:Lit.t list ->
-  ?stop:(unit -> bool) ->
   t ->
   result
 (** Solve the current formula.
@@ -62,13 +61,6 @@ val solve :
       "unsatisfiable under the assumptions".
     - [conflict_budget] > 0 bounds the search; exceeding it yields
       [Unknown] (never a wrong answer).
-    - [stop] is polled every 256 search steps; once it returns [true]
-      the solve gives up with [Unknown].  It is the kernel half of the
-      flows' stop hook, which callers adapt to a boolean (a wall-clock
-      budget is one such hook).
-
-    Under fault injection ({!Fault_core.configure}) this is the [sat.solve]
-    point: an armed draw raises {!Fault_core.Injected} on entry.
 
     After [Sat], the model is available through {!model_value} until the
     next [solve] or [add_clause]. *)

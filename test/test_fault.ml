@@ -1,13 +1,17 @@
-(* Tests for the fault-tolerant execution layer: the deterministic
-   injection registry itself, per-job isolation and the stop hook in
-   Parmap, the engine's checkpoint/degrade path, CEC's anomaly fallback,
-   partition failure containment and cancellation, and a seeded
-   end-to-end fuzz asserting the invariant the whole layer exists for —
-   every run ends in either a CEC-equivalent output or a clean, marked
-   degradation. *)
+(* Tests for the fault-tolerant execution layer: per-job isolation and
+   the stop hook in Parmap, the engine's checkpoint/rollback path, CEC's
+   anomaly fallback, partition failure containment and cancellation, and
+   a seeded end-to-end fuzz asserting the invariant the whole layer exists
+   for — every run ends in either a CEC-equivalent output or a clean,
+   marked degradation.
+
+   Faults come from fake networks built on the network interface: each
+   fake is an AIG with one operation that raises on cue, so a fault lands
+   wherever the code under test calls that operation — inside a pass that
+   has already changed the network, inside a piece's job, inside the
+   stitch or the CEC encoder. *)
 
 open Network
-module Fault = Flow.Fault
 module F = Flow.Engine.Make (Aig)
 module P = Flow.Partition.Make (Aig)
 module Cec_aa = Algo.Cec.Make (Aig) (Aig)
@@ -15,13 +19,82 @@ module Copy = Convert.Make (Aig) (Aig)
 module S = Lsgen.Suite.Make (Aig)
 module G = Gen.Make (Aig)
 
-(* Every test arms its own spec and disarms on the way out, so no fault
-   configuration leaks into other suites. *)
-let with_faults ?seed spec f =
-  (match Fault.configure ?seed spec with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Fun.protect ~finally:Fault.disable f
+exception Injected
+
+(* Which calls of one operation raise: while [with_armed ~times c k f]
+   runs [f], calls k .. k + times - 1 of [tick c] (counting from 0) raise
+   [Injected].  The count is atomic, so partition workers on several
+   domains share one schedule. *)
+type countdown = { left : int Atomic.t; mutable times : int }
+
+let countdown () = { left = Atomic.make 0; times = 0 }
+
+let tick c =
+  let n = Atomic.fetch_and_add c.left (-1) in
+  if n <= 0 && n > -c.times then raise Injected
+
+(* Whether call k was reached since the countdown was armed. *)
+let fired c = Atomic.get c.left < 0
+
+let with_armed ?(times = 1) c k f =
+  c.times <- times;
+  Atomic.set c.left k;
+  Fun.protect ~finally:(fun () -> c.times <- 0) f
+
+(* Passes call [substitute_node]; conversion, the checkpoint copy, export
+   and the stitch never do, so a firing lands inside a pass, possibly
+   after it has changed the network. *)
+let substitutions = countdown ()
+
+module Fail_substitute = struct
+  include Aig
+
+  let substitute_node t n s =
+    tick substitutions;
+    Aig.substitute_node t n s
+end
+
+(* Pricing a candidate dereferences its MFFC, so every [rw] piece does;
+   carving, export, the equivalence guard and the stitch never do. *)
+let derefs = countdown ()
+
+module Fail_deref = struct
+  include Aig
+
+  let decr_ref t n =
+    tick derefs;
+    Aig.decr_ref t n
+end
+
+(* The stitch and the identity copy both size their destination by the
+   parent; only creations at [create_capacity] count. *)
+let creates = countdown ()
+let create_capacity = ref (-1)
+
+module Fail_create = struct
+  include Aig
+
+  let create ?initial_capacity () =
+    if initial_capacity = Some !create_capacity then tick creates;
+    Aig.create ?initial_capacity ()
+end
+
+(* CEC reads every gate's fanins while it encodes the miter. *)
+let fanins = countdown ()
+
+module Fail_fanin = struct
+  include Aig
+
+  let fanin t n =
+    tick fanins;
+    Aig.fanin t n
+end
+
+module F_sub = Flow.Engine.Make (Fail_substitute)
+module P_sub = Flow.Partition.Make (Fail_substitute)
+module P_deref = Flow.Partition.Make (Fail_deref)
+module P_create = Flow.Partition.Make (Fail_create)
+module Cec_fanin = Algo.Cec.Make (Fail_fanin) (Aig)
 
 let check_equiv msg a b =
   match Cec_aa.check a b with
@@ -29,75 +102,11 @@ let check_equiv msg a b =
   | Algo.Cec.Counterexample _ -> Alcotest.fail (msg ^ ": not equivalent")
   | Algo.Cec.Unknown -> Alcotest.fail (msg ^ ": cec unknown")
 
-(* -- registry -- *)
+let reasons degs = List.map (fun d -> d.Flow.Engine.d_reason) degs
 
-let test_disabled_noop () =
-  Fault.disable ();
-  Alcotest.(check bool) "inactive" false (Fault.active ());
-  Alcotest.(check bool) "hit is false" false (Fault.hit "parmap.job");
-  Fault.fire "parmap.job" (* must not raise *)
-
-let test_parse_errors () =
-  List.iter
-    (fun spec ->
-      match Fault.configure spec with
-      | Ok () -> Alcotest.failf "accepted %S" spec
-      | Error _ -> ())
-    [ "parmap.job"; "p:2.0"; "p:-1"; "p:0.5:-3"; ":0.5"; "p:0.5:x" ];
-  List.iter
-    (fun spec ->
-      match Fault.configure spec with
-      | Ok () -> Fault.disable ()
-      | Error e -> Alcotest.failf "rejected %S: %s" spec e)
-    [ "p:0"; "p:1"; "p:0.25"; "a:0.1,b:1:3"; " a:0.5 , b:0 "; "" ]
-
-let test_deterministic_sequence () =
-  let draw_seq seed n =
-    with_faults ~seed "p:0.5" (fun () ->
-        List.init n (fun _ -> Fault.hit "p"))
-  in
-  let a = draw_seq 42 200 in
-  Alcotest.(check (list bool)) "same seed, same sequence" a (draw_seq 42 200);
-  Alcotest.(check bool)
-    "different seed differs" true
-    (a <> draw_seq 43 200);
-  Alcotest.(check bool)
-    "mid rate in band" true
-    (let fires = List.length (List.filter Fun.id a) in
-     fires > 50 && fires < 150)
-
-let test_rate_extremes () =
-  with_faults "p:0" (fun () ->
-      for _ = 1 to 100 do
-        Alcotest.(check bool) "rate 0 never fires" false (Fault.hit "p")
-      done);
-  with_faults "p:1" (fun () ->
-      for _ = 1 to 100 do
-        Alcotest.(check bool) "rate 1 always fires" true (Fault.hit "p")
-      done);
-  with_faults "p:1" (fun () ->
-      Alcotest.(check bool) "unknown point never fires" false (Fault.hit "q"))
-
-let test_max_fires_cap () =
-  with_faults "p:1:3" (fun () ->
-      let fires = List.init 10 (fun _ -> Fault.hit "p") in
-      Alcotest.(check (list bool))
-        "exactly the first 3 draws fire"
-        [ true; true; true; false; false; false; false; false; false; false ]
-        fires;
-      match Fault.counts () with
-      | [ ("p", draws, fired) ] ->
-        Alcotest.(check int) "draws counted" 10 draws;
-        Alcotest.(check int) "fires clamped to cap" 3 fired;
-        Alcotest.(check bool) "fired()" true (Fault.fired ())
-      | _ -> Alcotest.fail "counts shape")
-
-let test_fire_raises () =
-  with_faults "p:1:1" (fun () ->
-      (match Fault.fire "p" with
-      | () -> Alcotest.fail "expected Injected"
-      | exception Fault.Injected "p" -> ());
-      Fault.fire "p" (* cap reached: second call is a no-op *))
+(* A stop hook that never fires: passing it arms the run, so a pass that
+   raises is rolled back instead of propagating. *)
+let armed_stop () = None
 
 (* -- parmap isolation -- *)
 
@@ -124,25 +133,6 @@ let test_parmap_isolation () =
   let bad = Array.to_list results |> List.filter Result.is_error in
   Alcotest.(check int) "exactly one failure" 1 (List.length bad)
 
-let test_parmap_injected_fault_isolated () =
-  with_faults "parmap.job:1:2" (fun () ->
-      let results, _ =
-        Flow.Parmap.map_results ~jobs:1
-          ~init:(fun _ -> ())
-          ~f:(fun () i -> i)
-          (Array.init 5 Fun.id)
-      in
-      let failed =
-        Array.to_list results
-        |> List.filter (fun r ->
-               match r with
-               | Error { Flow.Parmap.err_exn = Fault.Injected "parmap.job"; _ }
-                 ->
-                 true
-               | _ -> false)
-      in
-      Alcotest.(check int) "cap bounds the damage" 2 (List.length failed))
-
 let test_parmap_stop_cancels () =
   let results, _ =
     Flow.Parmap.map_results ~jobs:1
@@ -162,19 +152,31 @@ let test_parmap_stop_cancels () =
 
 (* -- engine checkpoint / degrade -- *)
 
+(* One "exception" record exactly when the armed substitution was
+   reached. *)
+let records_for c = if fired c then [ "exception" ] else []
+
+(* A pass that raises after it has started rewriting is rolled back to
+   the last checkpoint: wherever the k-th substitution falls, the run
+   records exactly one "exception" and returns an equivalent network. *)
 let test_engine_pass_exception_degrades () =
   let baseline = S.build "ctrl" in
-  with_faults "engine.pass:1" (fun () ->
-      let env = Flow.Engine.make_env Flow.Run_config.Aig in
-      let r, degs =
-        F.run_script_safe env (Copy.convert baseline) "bz; rw; rf"
-      in
-      Alcotest.(check int) "every command degraded" 3 (List.length degs);
-      List.iter
-        (fun d ->
-          Alcotest.(check string) "reason" "exception" d.Flow.Engine.d_reason)
-        degs;
-      check_equiv "best-so-far is the input" baseline r)
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
+  let hit = ref [] in
+  for k = 0 to 40 do
+    let r, degs =
+      with_armed substitutions k (fun () ->
+          F_sub.run_script_safe env ~stop:armed_stop (Copy.convert baseline)
+            "bz; rw; rf")
+    in
+    let msg = Printf.sprintf "substitution %d" k in
+    hit := List.map (fun d -> d.Flow.Engine.d_pass) degs @ !hit;
+    Alcotest.(check (list string)) (msg ^ ": records")
+      (records_for substitutions) (reasons degs);
+    check_equiv msg baseline r
+  done;
+  Alcotest.(check (list string)) "faults landed in every pass"
+    [ "bz"; "rf"; "rw" ] (List.sort_uniq compare !hit)
 
 let test_engine_deadline_degrades () =
   let baseline = S.build "ctrl" in
@@ -218,47 +220,54 @@ let test_engine_clean_run_no_markers () =
 let test_cec_anomaly_unknown () =
   let a = S.build "ctrl" in
   let b = Copy.convert a in
-  (* every solve attempt dies: the check must degrade to Unknown, not
-     raise into the caller's guards *)
-  with_faults "sat.solve:1" (fun () ->
-      let r, rep = Cec_aa.check_full a b in
-      Alcotest.(check bool) "unknown, not raised" true (r = Algo.Cec.Unknown);
-      Alcotest.(check string) "marked anomaly" "anomaly" rep.Cec_aa.winner)
+  (* the encoder dies: the check must degrade to Unknown, not raise into
+     the caller's guards *)
+  let r, rep = with_armed fanins 0 (fun () -> Cec_fanin.check_full a b) in
+  Alcotest.(check bool) "unknown, not raised" true (r = Algo.Cec.Unknown);
+  Alcotest.(check string) "marked anomaly" "anomaly" rep.Cec_fanin.winner
 
 (* -- partition containment -- *)
 
+(* Every dereference fails: each piece's job raises, and every piece
+   keeps its original cone. *)
 let test_partition_all_jobs_fail () =
   let baseline = S.build "int2float" in
-  with_faults "parmap.job:1" (fun () ->
-      let r, st =
-        P.run ~size_cap:60 ~jobs:2
-          ~script:"rw"
+  let r, st =
+    with_armed ~times:max_int derefs 0 (fun () ->
+        P_deref.run ~size_cap:60 ~jobs:2 ~script:"rw"
           ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
-          (Copy.convert baseline)
-      in
-      Alcotest.(check bool) "pieces exist" true (st.P.partitions > 0);
-      Alcotest.(check int) "every job failed" st.P.partitions st.P.failed;
-      Alcotest.(check int) "nothing accepted" 0 st.P.accepted;
-      Alcotest.(check (list string)) "one exception record per piece"
-        (List.init st.P.partitions (fun _ -> "exception"))
-        (List.map (fun d -> d.Flow.Engine.d_reason) st.P.degradations);
-      check_equiv "original cones kept" baseline r)
+          (Copy.convert baseline))
+  in
+  Alcotest.(check bool) "pieces exist" true (st.P_deref.partitions > 0);
+  Alcotest.(check int) "every job failed" st.P_deref.partitions
+    st.P_deref.failed;
+  Alcotest.(check int) "nothing accepted" 0 st.P_deref.accepted;
+  Alcotest.(check (list string)) "one exception record per piece"
+    (List.init st.P_deref.partitions (fun _ -> "exception"))
+    (reasons st.P_deref.degradations);
+  check_equiv "original cones kept" baseline r
 
+(* The first two networks created at the parent's size are the two stitch
+   attempts; the third, the identity copy, succeeds.  A piece of at most
+   60 gates exports into at most 3 * 60 + 2 nodes, fewer than the
+   parent's. *)
 let test_partition_stitch_fallback () =
   let baseline = S.build "int2float" in
-  with_faults "partition.stitch:1" (fun () ->
-      let r, st =
-        P.run ~size_cap:60 ~jobs:2 ~script:"rw"
+  let input = Copy.convert baseline in
+  create_capacity := Aig.size input;
+  let r, st =
+    with_armed ~times:2 creates 0 (fun () ->
+        P_create.run ~size_cap:60 ~jobs:2 ~script:"rw"
           ~env:(Flow.Engine.make_env Flow.Run_config.Aig)
-          (Copy.convert baseline)
-      in
-      Alcotest.(check int) "identity fallback" 2 st.P.stitch_fallbacks;
-      Alcotest.(check (list string)) "both stitch attempts recorded"
-        [ "partition-stitch exception"; "partition-stitch exception" ]
-        (List.map
-           (fun d -> d.Flow.Engine.d_pass ^ " " ^ d.Flow.Engine.d_reason)
-           st.P.degradations);
-      check_equiv "fallback preserves function" baseline r)
+          input)
+  in
+  Alcotest.(check int) "identity fallback" 2 st.P_create.stitch_fallbacks;
+  Alcotest.(check (list string)) "both stitch attempts recorded"
+    [ "partition-stitch exception"; "partition-stitch exception" ]
+    (List.map
+       (fun d -> d.Flow.Engine.d_pass ^ " " ^ d.Flow.Engine.d_reason)
+       st.P_create.degradations);
+  check_equiv "fallback preserves function" baseline r
 
 (* An expired deadline degrades every piece with the hook's own reason,
    never a reason outside the documented vocabulary. *)
@@ -315,10 +324,6 @@ let test_partition_stop_cancels () =
   Alcotest.(check int) "cancelled is not failed" 0 st.P.failed;
   check_equiv "cancelled pieces keep their cones" baseline r
 
-(* -- store crash points -- *)
-
-(* covered in depth by Test_store; here only the registry wiring *)
-
 (* -- trace round-trip -- *)
 
 let test_degraded_trace_round_trip () =
@@ -349,58 +354,59 @@ let test_degraded_trace_round_trip () =
 
 (* -- end-to-end fuzz: the layer's invariant -- *)
 
-(* An env whose database has no shipped table, so [rw] runs exact
-   synthesis and a [sat.solve] fault can fire partway through a pass that
-   has already changed the network. *)
-let untabled_env () =
-  {
-    (Flow.Engine.make_env Flow.Run_config.Aig) with
-    Flow.Engine.db =
-      Exact.Database.create
-        { Exact.Synth.aig_config with conflict_budget = 20_000 };
-  }
-
+(* Random networks, each with one substitution fault at a random call in
+   a safe engine run and in a partition run, and a random number of
+   failed stitch attempts.  The schedule comes from [Seed.state], so
+   GENLOG_TEST_SEED replays it. *)
 let test_fault_fuzz () =
-  let iters = 4 * Seed.fuzz_iters in
-  let base_seed = Seed.get 0xfa17 in
-  for i = 1 to iters do
-    let seed = base_seed + i in
+  let rng = Seed.state 0xfa17 in
+  let env () = Flow.Engine.make_env Flow.Run_config.Aig in
+  for i = 1 to 4 * Seed.fuzz_iters do
+    let seed = Random.State.bits rng in
     let net =
-      G.generate ~seed ~num_pis:6 ~num_gates:(40 + (seed mod 40)) ~num_pos:4 ()
+      G.generate ~seed ~num_pis:6 ~num_gates:(40 + (seed mod 40)) ~num_pos:8 ()
     in
-    (* arm a broad mid-rate spec over every execution point *)
-    with_faults ~seed
-      "engine.pass:0.3,parmap.job:0.3,partition.stitch:0.2,sat.solve:0.05:2"
-      (fun () ->
-        let env = untabled_env () in
-        let r, degs = F.run_script_safe env (Copy.convert net) "bz; rw; rf" in
-        let p, _ =
-          P.run ~size_cap:30 ~jobs:2 ~script:"rw"
-            ~env:(untabled_env ())
-            (Copy.convert net)
-        in
-        (* disarm before the oracle so the verification itself is clean *)
-        Fault.disable ();
-        check_equiv
-          (Printf.sprintf "seed %d: safe engine (degs = %d)" seed
-             (List.length degs))
-          net r;
-        check_equiv (Printf.sprintf "seed %d: partition" seed) net p)
+    let msg what =
+      Printf.sprintf "GENLOG_TEST_SEED=%d iteration %d: %s" (Seed.get 0xfa17)
+        i what
+    in
+    let r, degs =
+      with_armed substitutions (Random.State.int rng 10) (fun () ->
+          F_sub.run_script_safe (env ()) ~stop:armed_stop (Copy.convert net)
+            "bz; rw; rf")
+    in
+    Alcotest.(check (list string)) (msg "engine records")
+      (records_for substitutions) (reasons degs);
+    check_equiv (msg "safe engine") net r;
+    let p, st =
+      with_armed substitutions (Random.State.int rng 10) (fun () ->
+          P_sub.run ~size_cap:15 ~jobs:2 ~script:"rw" ~env:(env ())
+            (Copy.convert net))
+    in
+    Alcotest.(check int) (msg "failed pieces")
+      (if fired substitutions then 1 else 0) st.P_sub.failed;
+    check_equiv (msg "partition") net p;
+    (* pieces of at most [cap] gates export into networks smaller than
+       the parent, so only the stitch, the identity copy and a piece's
+       final cleanup can meet a creation at the parent's size; each
+       failed creation costs one stitch attempt or fails one piece *)
+    let input = Copy.convert net in
+    let cap = max 1 ((Aig.size input - 3) / 3) in
+    let times = Random.State.int rng 3 in
+    create_capacity := Aig.size input;
+    let s, st =
+      with_armed ~times creates 0 (fun () ->
+          P_create.run ~size_cap:cap ~jobs:2 ~script:"rw" ~env:(env ()) input)
+    in
+    Alcotest.(check int) (msg "failed creations") times
+      (st.P_create.failed + st.P_create.stitch_fallbacks);
+    check_equiv (msg "stitch") net s
   done
 
 let suite =
   [
-    Alcotest.test_case "disabled registry is a no-op" `Quick test_disabled_noop;
-    Alcotest.test_case "spec parse errors" `Quick test_parse_errors;
-    Alcotest.test_case "deterministic in the seed" `Quick
-      test_deterministic_sequence;
-    Alcotest.test_case "rate extremes" `Quick test_rate_extremes;
-    Alcotest.test_case "max_fires cap" `Quick test_max_fires_cap;
-    Alcotest.test_case "fire raises Injected" `Quick test_fire_raises;
     Alcotest.test_case "parmap isolates one bad item" `Quick
       test_parmap_isolation;
-    Alcotest.test_case "injected parmap fault isolated" `Quick
-      test_parmap_injected_fault_isolated;
     Alcotest.test_case "stop cancels cleanly" `Quick test_parmap_stop_cancels;
     Alcotest.test_case "engine: pass exception degrades" `Slow
       test_engine_pass_exception_degrades;

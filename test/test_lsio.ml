@@ -194,7 +194,7 @@ let test_aiger_hostile_headers () =
 (* The CLI reports a malformed input as `genlog: FILE: msg` with the
    bad-input exit code 2, for each reader; `exact` does the same for a
    malformed truth table.  `opt` reports it as a one-line job failure
-   (exit 1), without a backtrace. *)
+   (exit 1), without a backtrace, and a malformed `--script` with exit 2. *)
 let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/genlog_cli.exe"
 
 let test_cli_parse_errors () =
@@ -227,7 +227,17 @@ let test_cli_parse_errors () =
       Alcotest.(check (pair int string)) (Printf.sprintf "exact %S" hex)
         (2, "genlog: exact: Tt.of_hex: " ^ msg)
         (run "exact" hex))
-    [ ("zz", "bad character"); ("abc", "bad length"); ("", "bad length") ]
+    [ ("zz", "bad character"); ("abc", "bad length"); ("", "bad length") ];
+  (* a malformed script is rejected once, before any input is read *)
+  with_text ".aag" huge_m (fun path ->
+      List.iter
+        (fun (script, msg) ->
+          Alcotest.(check (pair int string)) (Printf.sprintf "opt -s %S" script)
+            (2, "opt: bad --script: " ^ msg)
+            (run ("opt -s " ^ Filename.quote script) path))
+        [ ("bogus", "unknown command: bogus");
+          ("rs -c x", "bad rs -c value: x");
+          ("rs -c", "bad rs option: -c") ])
 
 (* A path the CLI cannot read or write is bad input too: exit 2 and one
    line, never an uncaught exception; `opt` reports an unreadable input

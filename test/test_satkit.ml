@@ -230,27 +230,6 @@ let prop_minimization_preserves_models =
           | Solver.Unknown -> false)
         configs)
 
-let add_php s n =
-  let var p h = (p * n) + h in
-  for p = 0 to n do
-    Solver.add_clause s (List.init n (fun h -> lit (var p h) false))
-  done;
-  for h = 0 to n - 1 do
-    for p1 = 0 to n do
-      for p2 = p1 + 1 to n do
-        Solver.add_clause s [ lit (var p1 h) true; lit (var p2 h) true ]
-      done
-    done
-  done
-
-let test_stop_hook () =
-  (* a stop hook that fires immediately must yield Unknown, not an answer *)
-  let s = Solver.create () in
-  add_php s 8;
-  match Solver.solve ~stop:(fun () -> true) s with
-  | Solver.Unknown -> ()
-  | Solver.Sat | Solver.Unsat -> Alcotest.fail "stopped solve must be Unknown"
-
 let suite =
   [
     Alcotest.test_case "trivial sat + model" `Quick test_trivial_sat;
@@ -263,5 +242,4 @@ let suite =
     Seed.to_alcotest prop_random_3sat_assumptions;
     Alcotest.test_case "repeated assumption solves" `Quick test_repeated_solves_with_assumptions;
     Seed.to_alcotest prop_minimization_preserves_models;
-    Alcotest.test_case "stop hook" `Quick test_stop_hook;
   ]
