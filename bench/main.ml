@@ -7,7 +7,6 @@
      dune exec bench/main.exe micro      -- Bechamel kernel microbenchmarks
      dune exec bench/main.exe cuts       -- cut-enumeration kernel sweep
      dune exec bench/main.exe ablation   -- design-choice ablations
-     dune exec bench/main.exe smoke      -- fast deterministic CI QoR gate
      dune exec bench/main.exe cost       -- cost-objective matrix, CEC-checked
      dune exec bench/main.exe partition  -- partition-parallel engine vs sequential
      dune exec bench/main.exe sat        -- CDCL kernel on CEC miters
@@ -16,7 +15,10 @@
 
    Every subcommand additionally writes a machine-readable
    [BENCH_<name>.json] (benchmark, stage, nodes, levels, LUTs, seconds)
-   for regression tracking across PRs.
+   for comparison across commits; [genlog report --bench] prints one.
+   No subcommand gates QoR: the one QoR gate is test/test_golden.ml,
+   which [dune runtest] runs on the five smoke circuits (ctrl, cavlc,
+   int2float, dec, router).
 
    Absolute numbers differ from the paper (scaled benchmark generators, an
    OCaml implementation, a from-scratch SAT solver); the comparisons the
@@ -212,47 +214,6 @@ let table2 () =
   Printf.printf "[bench] wrote TRACE_table2.jsonl (%d events)\n%!"
     (List.length (Trace.events trace));
   Bench_json.write "table2" (List.rev !rows)
-
-(* -------------------------------------------------------------------- *)
-(* Smoke: a fast deterministic QoR fingerprint for CI.  compress2rs +    *)
-(* 6-LUT mapping on a handful of small benchmarks; the flow is           *)
-(* deterministic, so nodes/levels/luts are exact and [report --check]    *)
-(* can gate them with a tight threshold (time stays advisory).           *)
-(* -------------------------------------------------------------------- *)
-
-let smoke () =
-  print_endline "=== Smoke: CI QoR fingerprint (compress2rs + 6-LUT map) ===";
-  let module F = Flow.Make (Aig) in
-  let env = Flow.make_env Run_config.Aig in
-  let trace = Trace.create ~flow:"smoke" () in
-  let rows = ref [] in
-  Printf.printf "%-12s | %8s %5s %6s %6s %8s\n" "benchmark" "nodes" "lvl"
-    "luts" "lutlvl" "time";
-  List.iter
-    (fun name ->
-      let baseline = Suite.build name in
-      let tr = Trace.child trace ~flow:name in
-      let opt, seconds =
-        time_it (fun () -> F.run_script env ~trace:tr baseline Script.compress2rs)
-      in
-      let m = L.map opt ~trace:tr ~k:6 () in
-      Trace.merge trace [ tr ];
-      let nodes = Aig.num_gates opt and levels = D.depth opt in
-      Printf.printf "%-12s | %8d %5d %6d %6d %7.2fs\n%!" name nodes levels
-        m.L.lut_count m.L.depth seconds;
-      rows :=
-        row name "generic"
-          [ ("nodes", Bench_json.Int nodes);
-            ("levels", Bench_json.Int levels);
-            ("luts", Bench_json.Int m.L.lut_count);
-            ("lut_levels", Bench_json.Int m.L.depth);
-            ("seconds", Bench_json.Float seconds) ]
-        :: !rows)
-    [ "ctrl"; "cavlc"; "int2float"; "dec"; "router" ];
-  Trace.write_file trace "TRACE_smoke.jsonl";
-  Printf.printf "[bench] wrote TRACE_smoke.jsonl (%d events)\n%!"
-    (List.length (Trace.events trace));
-  Bench_json.write "smoke" (List.rev !rows)
 
 (* -------------------------------------------------------------------- *)
 (* Cost matrix: the generic flow under each built-in objective on three  *)
@@ -843,7 +804,6 @@ let () =
   | "micro" -> micro ()
   | "cuts" -> cuts_bench ()
   | "ablation" -> ablation ()
-  | "smoke" -> smoke ()
   | "partition" -> partition_bench ()
   | "sat" -> sat_bench ()
   | "cache" -> cache_bench ()
@@ -863,6 +823,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown bench target %s \
-       (table1|table2|micro|cuts|ablation|smoke|partition|sat|cache|cost|tables|all)\n"
+       (table1|table2|micro|cuts|ablation|partition|sat|cache|cost|tables|all)\n"
       other;
     exit 1

@@ -464,6 +464,12 @@ let map_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE")
   in
   let run file k cost output =
+    (* a LUT needs at least two inputs, and its table at most
+       [Tt.max_vars] *)
+    if k < 2 || k > Genlog.Tt.max_vars then begin
+      Printf.eprintf "map: -k %d out of [2,%d]\n" k Genlog.Tt.max_vars;
+      exit 2
+    end;
     let t = read_aig file in
     let spec =
       match Genlog.Cost.Spec.of_string cost with
@@ -578,7 +584,7 @@ let report_cmd =
       value
       & opt (some file) None
       & info [ "bench" ] ~docv:"BENCH.json"
-          ~doc:"Benchmark result file to report on / gate against.")
+          ~doc:"Benchmark result file to report on.")
   in
   let chrome_out =
     Arg.(
@@ -588,16 +594,6 @@ let report_cmd =
           ~doc:"Export the trace as Chrome trace-event JSON (load in \
                 chrome://tracing or Perfetto). Requires $(b,--trace).")
   in
-  let check_against =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check" ] ~docv:"BASELINE.json"
-          ~doc:"QoR gate: compare $(b,--bench) against $(docv) and exit \
-                1 when a QoR field (nodes/levels/luts/lut_levels, or the \
-                fields of the run's cost objective) regresses by more \
-                than 2%. Requires $(b,--bench).")
-  in
   (* a malformed or unreadable artifact is bad input, not an internal
      error *)
   let load f path =
@@ -606,7 +602,7 @@ let report_cmd =
       Printf.eprintf "report: %s: %s\n" path (path_reason path msg);
       exit 2
   in
-  let run trace_in bench_in chrome_out check_against =
+  let run trace_in bench_in chrome_out =
     if trace_in = None && bench_in = None then begin
       Printf.eprintf "report: nothing to do; pass --trace and/or --bench\n";
       exit 2
@@ -614,11 +610,6 @@ let report_cmd =
     (match chrome_out with
     | Some _ when trace_in = None ->
       Printf.eprintf "report: --chrome requires --trace\n";
-      exit 2
-    | _ -> ());
-    (match check_against with
-    | Some _ when bench_in = None ->
-      Printf.eprintf "report: --check requires --bench (the current run)\n";
       exit 2
     | _ -> ());
     Option.iter
@@ -632,34 +623,16 @@ let report_cmd =
           chrome_out)
       trace_in;
     Option.iter
-      (fun bench_path ->
-        let current = load Genlog.Json.parse_file bench_path in
-        Format.printf "%a" Genlog.Report.pp_bench current;
-        Option.iter
-          (fun base_path ->
-            let baseline = load Genlog.Json.parse_file base_path in
-            match Genlog.Report.check ~baseline ~current with
-            | [] ->
-              (* evidence on success too: what was compared, and how it
-                 moved *)
-              Printf.printf "[report] QoR gate passed: %s vs baseline %s\n"
-                bench_path base_path;
-              List.iter
-                (fun d -> Printf.printf "  %s\n" d)
-                (Genlog.Report.deltas ~baseline ~current)
-            | problems ->
-              Printf.eprintf "[report] QoR gate FAILED (%d regressions):\n"
-                (List.length problems);
-              List.iter (fun p -> Printf.eprintf "  %s\n" p) problems;
-              exit 1)
-          check_against)
+      (fun path ->
+        Format.printf "%a" Genlog.Bench_json.pp
+          (load Genlog.Json.parse_file path))
       bench_in
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Join trace/bench artifacts into tables, gate QoR against a \
-             baseline, and export Chrome traces")
-    Term.(const run $ trace_in $ bench_in $ chrome_out $ check_against)
+       ~doc:"Render trace/bench artifacts as tables and export Chrome \
+             traces")
+    Term.(const run $ trace_in $ bench_in $ chrome_out)
 
 (* -- fraig -- *)
 

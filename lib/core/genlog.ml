@@ -88,7 +88,6 @@ module Suite = Lsgen.Suite.Make (Network.Aig)
 (* observability *)
 module Trace = Obs.Trace
 module Chrome = Obs.Chrome
-module Report = Obs.Report
 module Json = Obs.Json
 module Runmeta = Obs.Runmeta
 module Bench_json = Obs.Bench_json

@@ -116,6 +116,10 @@ let read (ic : in_channel) : Klut.t =
       in
       gather ();
       let k = Array.length inputs in
+      if k > Tt.max_vars then
+        raise
+          (Parse_error
+             (Printf.sprintf ".names with %d inputs (at most %d)" k Tt.max_vars));
       let tt = ref (Tt.const0 k) in
       List.iter
         (fun pattern ->

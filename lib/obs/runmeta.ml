@@ -2,8 +2,8 @@
    are comparable across PRs and machines: without the producing commit,
    compiler version, and domain count, two BENCH_*.json files cannot be
    diffed responsibly.  The schema version is bumped whenever the event
-   or row layout changes incompatibly, so [report] can refuse to join
-   artifacts written by incompatible producers. *)
+   or row layout changes incompatibly, so a reader can tell which layout
+   an artifact uses. *)
 
 (* v1: PR 1 BENCH rows / PR 2 trace events.
    v2: gc deltas on pass_end, degraded events, meta stamping. *)
@@ -57,9 +57,9 @@ let set_cache kvs = cache_fields := Some kvs
 
 (* Optional cost-objective spec ("area", "depth", "weights:FILE", ...)
    stamped by the driver via [set_cost]; rendered into the trace meta line
-   and BENCH headers only when set, mirroring the cache block, so the QoR
-   gate ([Report.check]) can refuse to compare runs optimized for
-   different objectives. *)
+   and BENCH headers only when set, mirroring the cache block, so a reader
+   knows which objective produced a file: results optimized for different
+   objectives do not compare. *)
 let cost_field : string option ref = ref None
 let set_cost spec = cost_field := Some spec
 

@@ -1146,37 +1146,15 @@ let model_value t v = t.assign.(v) = 1
 
 (* -- statistics -- *)
 
-(* A point-in-time copy of every kernel counter, cheap enough to take
-   before and after each solve.  This is the telemetry surface the
-   observability layer consumes (satkit itself has no obs dependency):
-   callers diff two snapshots to attribute solver work to a pass, and
-   publish the result as [solver_*] trace counters.  [lbd] is a histogram of
-   learn-time LBDs (bucket i = clauses learnt with LBD i, last bucket
-   open-ended): the distribution that tells a glue-rich easy instance
-   apart from a thrashing one. *)
-type snapshot = {
-  s_vars : int;
-  s_clauses : int;
-  s_learnts : int;
-  s_learnts_core : int;
-  s_learnts_tier2 : int;
-  s_learnts_local : int;
-  s_learned_total : int;
-  s_conflicts : int;
-  s_decisions : int;
-  s_propagations : int;
-  s_restarts : int;
-  s_reduces : int;
-  s_inprocess_rounds : int;
-  s_minimized_lits : int;
-  s_subsumed : int;
-  s_strengthened : int;
-  s_vivified : int;
-  s_vivified_lits : int;
-  s_lbd : int array;  (* learn-time LBD histogram; last bucket open-ended *)
-}
-
-let snapshot t : snapshot =
+(* Every kernel counter as label/value pairs, cheap enough to take
+   before and after each solve (one learnt-DB scan).  This is the
+   telemetry surface the observability layer consumes (satkit itself has
+   no obs dependency): callers publish it as [solver_*] trace counters.
+   The learn-time LBD histogram ([lbd_hist]: bucket i = clauses learnt
+   with LBD i, last bucket open-ended) is summarized into the three
+   tier-defining ranges, the distribution that tells a glue-rich easy
+   instance apart from a thrashing one. *)
+let stats t =
   let core = ref 0 and tier2 = ref 0 and local = ref 0 in
   cvec_iter
     (fun c ->
@@ -1184,90 +1162,33 @@ let snapshot t : snapshot =
       else if c.tier = tier_two then incr tier2
       else incr local)
     t.learnts;
-  {
-    s_vars = t.num_vars;
-    s_clauses = t.clauses.cn;
-    s_learnts = t.learnts.cn;
-    s_learnts_core = !core;
-    s_learnts_tier2 = !tier2;
-    s_learnts_local = !local;
-    s_learned_total = t.learned_total;
-    s_conflicts = t.conflicts;
-    s_decisions = t.decisions;
-    s_propagations = t.propagations;
-    s_restarts = t.restarts;
-    s_reduces = t.reduces;
-    s_inprocess_rounds = t.inprocess_rounds;
-    s_minimized_lits = t.minimized_lits;
-    s_subsumed = t.subsumed;
-    s_strengthened = t.strengthened;
-    s_vivified = t.vivified;
-    s_vivified_lits = t.vivified_lits;
-    s_lbd = Array.copy t.lbd_hist;
-  }
-
-(* The snapshot as label/value pairs, the format the trace layer stores.
-   The histogram is summarized into the three tier-defining ranges (the
-   full array stays available on the record). *)
-let stats_of_snapshot (s : snapshot) =
   let lbd_range lo hi =
     let acc = ref 0 in
-    for i = lo to min hi (Array.length s.s_lbd - 1) do
-      acc := !acc + s.s_lbd.(i)
+    for i = lo to min hi (Array.length t.lbd_hist - 1) do
+      acc := !acc + t.lbd_hist.(i)
     done;
     !acc
   in
   [
-    ("vars", s.s_vars);
-    ("clauses", s.s_clauses);
-    ("learnts", s.s_learnts);
-    ("learnts_core", s.s_learnts_core);
-    ("learnts_tier2", s.s_learnts_tier2);
-    ("learnts_local", s.s_learnts_local);
-    ("learned_total", s.s_learned_total);
-    ("conflicts", s.s_conflicts);
-    ("decisions", s.s_decisions);
-    ("propagations", s.s_propagations);
-    ("restarts", s.s_restarts);
-    ("reduces", s.s_reduces);
-    ("inprocess_rounds", s.s_inprocess_rounds);
-    ("minimized_lits", s.s_minimized_lits);
-    ("subsumed", s.s_subsumed);
-    ("strengthened", s.s_strengthened);
-    ("vivified", s.s_vivified);
-    ("vivified_lits", s.s_vivified_lits);
+    ("vars", t.num_vars);
+    ("clauses", t.clauses.cn);
+    ("learnts", t.learnts.cn);
+    ("learnts_core", !core);
+    ("learnts_tier2", !tier2);
+    ("learnts_local", !local);
+    ("learned_total", t.learned_total);
+    ("conflicts", t.conflicts);
+    ("decisions", t.decisions);
+    ("propagations", t.propagations);
+    ("restarts", t.restarts);
+    ("reduces", t.reduces);
+    ("inprocess_rounds", t.inprocess_rounds);
+    ("minimized_lits", t.minimized_lits);
+    ("subsumed", t.subsumed);
+    ("strengthened", t.strengthened);
+    ("vivified", t.vivified);
+    ("vivified_lits", t.vivified_lits);
     ("lbd_glue", lbd_range 0 2);
     ("lbd_mid", lbd_range 3 6);
-    ("lbd_high", lbd_range 7 (Array.length s.s_lbd - 1));
+    ("lbd_high", lbd_range 7 (Array.length t.lbd_hist - 1));
   ]
-
-(* Per-field difference [b - a] of two snapshots of the *same* solver:
-   attributes the work of one solve (or one pass) when the solver is
-   reused.  Sizes (vars, clause counts) are reported as-of [b], not
-   diffed — a difference of two gauges means nothing. *)
-let diff_snapshot (a : snapshot) (b : snapshot) : snapshot =
-  {
-    b with
-    s_learned_total = b.s_learned_total - a.s_learned_total;
-    s_conflicts = b.s_conflicts - a.s_conflicts;
-    s_decisions = b.s_decisions - a.s_decisions;
-    s_propagations = b.s_propagations - a.s_propagations;
-    s_restarts = b.s_restarts - a.s_restarts;
-    s_reduces = b.s_reduces - a.s_reduces;
-    s_inprocess_rounds = b.s_inprocess_rounds - a.s_inprocess_rounds;
-    s_minimized_lits = b.s_minimized_lits - a.s_minimized_lits;
-    s_subsumed = b.s_subsumed - a.s_subsumed;
-    s_strengthened = b.s_strengthened - a.s_strengthened;
-    s_vivified = b.s_vivified - a.s_vivified;
-    s_vivified_lits = b.s_vivified_lits - a.s_vivified_lits;
-    s_lbd = Array.init (Array.length b.s_lbd) (fun i -> b.s_lbd.(i) - a.s_lbd.(i));
-  }
-
-let stats t = stats_of_snapshot (snapshot t)
-
-let pp_stats fmt t =
-  Format.fprintf fmt
-    "vars=%d clauses=%d conflicts=%d decisions=%d props=%d restarts=%d \
-     learnts=%d minimized=%d subsumed=%d vivified=%d"
-    t.num_vars t.clauses.cn t.conflicts t.decisions t.propagations t.restarts
-    t.learnts.cn t.minimized_lits t.subsumed t.vivified

@@ -69,53 +69,14 @@ val model_value : t -> int -> bool
 (** Value of a variable in the model; meaningful only right after a [Sat]
     answer. *)
 
-(** {1 Telemetry}
-
-    The kernel's internal counters, exposed as a plain record so callers
-    (CEC, fraig, exact synthesis) can publish them into the observability
-    layer without satkit depending on it.  Take a snapshot before and
-    after a solve and {!diff_snapshot} the two to attribute the work. *)
-
-type snapshot = {
-  s_vars : int;
-  s_clauses : int;
-  s_learnts : int;          (** learnt clauses currently in the database *)
-  s_learnts_core : int;     (** tier: lbd <= 2, kept forever *)
-  s_learnts_tier2 : int;    (** tier: lbd <= 6, demoted when unused *)
-  s_learnts_local : int;    (** tier: everything else *)
-  s_learned_total : int;    (** learnt clauses ever recorded *)
-  s_conflicts : int;
-  s_decisions : int;
-  s_propagations : int;
-  s_restarts : int;
-  s_reduces : int;          (** learnt-DB reduction rounds *)
-  s_inprocess_rounds : int;
-  s_minimized_lits : int;   (** literals removed by learnt minimization *)
-  s_subsumed : int;
-  s_strengthened : int;
-  s_vivified : int;
-  s_vivified_lits : int;
-  s_lbd : int array;
-      (** learn-time LBD histogram: [s_lbd.(i)] clauses were learnt with
-          LBD [i]; the last bucket is open-ended.  Unit clauses land in
-          bucket 0/1. *)
-}
-
-val snapshot : t -> snapshot
-(** A point-in-time copy of every counter; cheap (one learnt-DB scan). *)
-
-val stats_of_snapshot : snapshot -> (string * int) list
-(** The snapshot as label/value pairs (histogram summarized into
-    glue/mid/high ranges), for trace counters. *)
-
-val diff_snapshot : snapshot -> snapshot -> snapshot
-(** [diff_snapshot before after]: per-field [after - before] for the
-    monotone counters; sizes (vars, clause tiers) are taken from
-    [after]. *)
+(** {1 Telemetry} *)
 
 val stats : t -> (string * int) list
-(** [stats_of_snapshot (snapshot t)] — solver counters (conflicts,
-    propagations, restarts, clause tiers, minimization/inprocessing
-    totals, LBD ranges) as label/value pairs. *)
-
-val pp_stats : Format.formatter -> t -> unit
+(** The kernel's internal counters as label/value pairs, so callers
+    (CEC, fraig, exact synthesis) can publish them into the
+    observability layer without satkit depending on it: sizes (vars,
+    clauses, learnt-clause tiers), the monotone search counters
+    (conflicts, decisions, propagations, restarts, reductions,
+    minimization and inprocessing totals) and the learn-time LBD
+    histogram summarized into glue/mid/high ranges.  Cheap: one
+    learnt-DB scan. *)

@@ -54,6 +54,22 @@ module Fail_substitute = struct
     Aig.substitute_node t n s
 end
 
+(* A pass that corrupts the network before it fails: the k-th
+   substitution first substitutes the complement of the given signal,
+   then raises. *)
+let corruptions = countdown ()
+
+module Corrupt_substitute = struct
+  include Aig
+
+  let substitute_node t n s =
+    match tick corruptions with
+    | () -> Aig.substitute_node t n s
+    | exception Injected ->
+      Aig.substitute_node t n (Aig.complement s);
+      raise Injected
+end
+
 (* Pricing a candidate dereferences its MFFC, so every [rw] piece does;
    carving, export, the equivalence guard and the stitch never do. *)
 let derefs = countdown ()
@@ -91,6 +107,7 @@ module Fail_fanin = struct
 end
 
 module F_sub = Flow.Engine.Make (Fail_substitute)
+module F_corrupt = Flow.Engine.Make (Corrupt_substitute)
 module P_sub = Flow.Partition.Make (Fail_substitute)
 module P_deref = Flow.Partition.Make (Fail_deref)
 module P_create = Flow.Partition.Make (Fail_create)
@@ -177,6 +194,24 @@ let test_engine_pass_exception_degrades () =
   done;
   Alcotest.(check (list string)) "faults landed in every pass"
     [ "bz"; "rf"; "rw" ] (List.sort_uniq compare !hit)
+
+(* The rollback resumes from the checkpoint, not from the network the
+   failed pass left behind: a fault in the first pass that has already
+   inverted a node must not reach the passes after it, or the result. *)
+let test_engine_rollback_discards_corruption () =
+  let baseline = S.build "ctrl" in
+  let env = Flow.Engine.make_env Flow.Run_config.Aig in
+  for k = 0 to 4 do
+    let r, degs =
+      with_armed corruptions k (fun () ->
+          F_corrupt.run_script_safe env ~stop:armed_stop
+            (Copy.convert baseline) "bz; rw; rf")
+    in
+    let msg = Printf.sprintf "corrupted substitution %d" k in
+    Alcotest.(check (list string)) (msg ^ ": records") [ "exception" ]
+      (reasons degs);
+    check_equiv msg baseline r
+  done
 
 let test_engine_deadline_degrades () =
   let baseline = S.build "ctrl" in
@@ -410,6 +445,8 @@ let suite =
     Alcotest.test_case "stop cancels cleanly" `Quick test_parmap_stop_cancels;
     Alcotest.test_case "engine: pass exception degrades" `Slow
       test_engine_pass_exception_degrades;
+    Alcotest.test_case "engine: rollback discards a corrupted pass" `Quick
+      test_engine_rollback_discards_corruption;
     Alcotest.test_case "engine: deadline degrades" `Quick
       test_engine_deadline_degrades;
     Alcotest.test_case "engine: stop degrades" `Quick test_engine_stop_degrades;

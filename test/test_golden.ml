@@ -1,13 +1,15 @@
-(* Golden parity regression for the cost-generic refactor.
+(* Golden parity regression for the cost-generic refactor, and the
+   repository's one QoR gate.
 
    The five optimization passes now compute every gain through the shared
    cost engine (Algo.Cost).  Under [--cost area] that engine must be
    bit-for-bit equivalent to the seed's inline node-count arithmetic: the
-   smoke flow (compress2rs + 6-LUT map on the lsgen suite) must reproduce
-   the pinned per-pass decision counters AND final QoR exactly.  The
-   pinned numbers are the smoke values since the CDCL kernel rewrite
-   (commit 469725a), not the seed's: that rewrite moved ctrl from 150/24/61/5 to
-   148/24/68/7 and int2float's luts from 33 to 32 (EXPERIMENTS.md).
+   smoke flow (compress2rs + 6-LUT map on the five smoke circuits of the
+   lsgen suite) must reproduce the pinned per-pass decision counters AND
+   final QoR exactly.  The pinned numbers are the smoke values since the
+   CDCL kernel rewrite (commit 469725a), not the seed's: that rewrite
+   moved ctrl from 150/24/61/5 to 148/24/68/7 and int2float's luts from
+   33 to 32 (EXPERIMENTS.md).
 
    [--cost depth] has no seed counterpart; its QoR is pinned as a plain
    regression value so objective-specific decision drift is caught. *)
@@ -25,8 +27,7 @@ type qor = { nodes : int; levels : int; luts : int; lut_levels : int }
 type golden = { q : qor; decisions : (string * (int * int)) list }
 
 (* smoke goldens (since 469725a): compress2rs + 6-LUT map, straight on the
-   suite baselines (same construction as [bench smoke] and
-   bench/BASELINE_smoke.json) *)
+   suite baselines *)
 let area_goldens =
   [
     ( "ctrl",
@@ -40,6 +41,17 @@ let area_goldens =
             ("rewrite", (1515, 42));
           ];
       } );
+    ( "cavlc",
+      {
+        q = { nodes = 450; levels = 43; luts = 182; lut_levels = 13 };
+        decisions =
+          [
+            ("balance", (44, 23));
+            ("refactor", (176, 65));
+            ("resub", (199, 49));
+            ("rewrite", (4081, 116));
+          ];
+      } );
     ( "int2float",
       {
         q = { nodes = 90; levels = 17; luts = 32; lut_levels = 5 };
@@ -49,6 +61,17 @@ let area_goldens =
             ("refactor", (45, 15));
             ("resub", (110, 18));
             ("rewrite", (871, 25));
+          ];
+      } );
+    ( "dec",
+      {
+        q = { nodes = 304; levels = 3; luts = 287; lut_levels = 2 };
+        decisions =
+          [
+            ("balance", (0, 0));
+            ("refactor", (0, 0));
+            ("resub", (0, 0));
+            ("rewrite", (5916, 0));
           ];
       } );
     ( "router",

@@ -191,6 +191,92 @@ let test_aiger_hostile_headers () =
       Alcotest.(check (pair int int)) "huge M: i/o" (1, 1)
         (Aig.num_pis t, Aig.num_pos t))
 
+(* -- mutation fuzz over both readers: a mutated file either reads as a
+   network or raises that reader's [Parse_error], never anything else -- *)
+
+type mutation =
+  | Flip of int * int  (* the [i]-th digit (mod their count) becomes [d] *)
+  | Insert of int * int  (* a character of [inserted] at a position *)
+  | Truncate of int
+  | Dup_line of int
+
+let inserted = "0123456789 -.#x\\\n"
+
+let mutate text m =
+  let n = String.length text in
+  let splice p s = String.sub text 0 p ^ s ^ String.sub text p (n - p) in
+  match m with
+  | Flip (i, d) ->
+    let digits = List.filter (fun p -> text.[p] >= '0' && text.[p] <= '9')
+        (List.init n Fun.id) in
+    if digits = [] then text
+    else
+      let p = List.nth digits (i mod List.length digits) in
+      String.mapi (fun q c -> if q = p then Char.chr (Char.code '0' + d) else c) text
+  | Insert (p, c) ->
+    splice (p mod (n + 1)) (String.make 1 inserted.[c mod String.length inserted])
+  | Truncate p -> String.sub text 0 (p mod (n + 1))
+  | Dup_line l ->
+    let lines = String.split_on_char '\n' text in
+    let i = l mod List.length lines in
+    String.concat "\n"
+      (List.concat (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) lines))
+
+let arb_mutations =
+  let open QCheck.Gen in
+  let pos = int_bound 100_000 in
+  let mutation =
+    oneof
+      [ map2 (fun i d -> Flip (i, d)) pos (int_bound 9);
+        map2 (fun p c -> Insert (p, c)) pos (int_bound 99);
+        map (fun p -> Truncate p) pos;
+        map (fun l -> Dup_line l) pos ]
+  in
+  let print = function
+    | Flip (i, d) -> Printf.sprintf "Flip (%d, %d)" i d
+    | Insert (p, c) -> Printf.sprintf "Insert (%d, %d)" p c
+    | Truncate p -> Printf.sprintf "Truncate %d" p
+    | Dup_line l -> Printf.sprintf "Dup_line %d" l
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 1 4) mutation)
+
+(* int2float as AIGER text and its 6-LUT map as BLIF text *)
+let fuzz_seeds =
+  lazy
+    (let module S = Lsgen.Suite.Make (Aig) in
+     let module L = Algo.Lutmap.Make (Aig) in
+     let aig = S.build "int2float" in
+     let text write =
+       with_temp_file ".txt" (fun path ->
+           write path;
+           In_channel.with_open_bin path In_channel.input_all)
+     in
+     ( text (Lsio.Aiger.write_file aig),
+       text (Lsio.Blif.write_file (L.map aig ~k:6 ()).L.klut) ))
+
+let prop_readers_fuzz =
+  QCheck.Test.make ~name:"readers: a mutant parses or raises Parse_error"
+    ~count:300 arb_mutations (fun muts ->
+      let aag, blif = Lazy.force fuzz_seeds in
+      let mutant text = List.fold_left mutate text muts in
+      (match with_text ".aag" (mutant aag) Lsio.Aiger.read_file with
+      | _ | (exception Lsio.Aiger.Parse_error _) -> ());
+      (match with_text ".blif" (mutant blif) Lsio.Blif.read_file with
+      | _ | (exception Lsio.Blif.Parse_error _) -> ());
+      true)
+
+(* A LUT wider than a truth table can hold is a parse error too. *)
+let test_blif_wide_names () =
+  let names = List.init 21 (Printf.sprintf "i%d") in
+  let text =
+    Printf.sprintf ".model top\n.inputs %s\n.outputs f\n.names %s f\n%s 1\n.end\n"
+      (String.concat " " names) (String.concat " " names) (String.make 21 '1')
+  in
+  match with_text ".blif" text Lsio.Blif.read_file with
+  | exception Lsio.Blif.Parse_error msg ->
+    Alcotest.(check string) "message" ".names with 21 inputs (at most 20)" msg
+  | _ -> Alcotest.fail "accepted a 21-input .names"
+
 (* The CLI reports a malformed input as `genlog: FILE: msg` with the
    bad-input exit code 2, for each reader; `exact` does the same for a
    malformed truth table.  `opt` reports it as a one-line job failure
@@ -228,6 +314,14 @@ let test_cli_parse_errors () =
         (2, "genlog: exact: Tt.of_hex: " ^ msg)
         (run "exact" hex))
     [ ("zz", "bad character"); ("abc", "bad length"); ("", "bad length") ];
+  (* a LUT width outside [2, Tt.max_vars] is rejected before mapping *)
+  with_text ".aag" huge_m (fun path ->
+      List.iter
+        (fun k ->
+          Alcotest.(check (pair int string)) (Printf.sprintf "map -k %d" k)
+            (2, Printf.sprintf "map: -k %d out of [2,20]" k)
+            (run (Printf.sprintf "map -k %d" k) path))
+        [ 0; 1; 21 ]);
   (* a malformed script is rejected once, before any input is read *)
   with_text ".aag" huge_m (fun path ->
       List.iter
@@ -297,9 +391,11 @@ let extra_suite =
       test_cli_path_errors;
     Alcotest.test_case "blif complemented po" `Quick test_blif_complemented_po;
     Alcotest.test_case "blif constant po" `Quick test_blif_constant_po;
+    Alcotest.test_case "blif wide names rejected" `Quick test_blif_wide_names;
     Alcotest.test_case "aiger all benchmarks" `Slow test_aiger_all_benchmarks;
     Seed.to_alcotest prop_aiger_roundtrip;
     Seed.to_alcotest prop_blif_roundtrip;
+    Seed.to_alcotest prop_readers_fuzz;
   ]
 
 let suite = suite @ extra_suite

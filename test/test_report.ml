@@ -1,12 +1,10 @@
 (* Tests for the JSON codec and its consumers: the minimal JSON parser,
-   the BENCH QoR regression gate ([Report.check]), the JSONL round-trip
-   through [Trace.read_file], the typed run-metadata header, and the
-   Chrome trace-event export (valid JSON, per-track timestamp
-   monotonicity). *)
+   the JSONL round-trip through [Trace.read_file], the typed run-metadata
+   header, and the Chrome trace-event export (valid JSON, per-track
+   timestamp monotonicity). *)
 
 module T = Obs.Trace
 module J = Obs.Json
-module R = Obs.Report
 
 (* -- the JSON parser -- *)
 
@@ -37,147 +35,6 @@ let test_json_parser () =
       in
       Alcotest.(check bool) ("rejects " ^ bad) true rejected)
     [ "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\" 1}"; "1 2" ]
-
-(* -- the QoR gate -- *)
-
-let bench_json ?cost rows =
-  let cost_header =
-    match cost with
-    | None -> ""
-    | Some c -> Printf.sprintf "\"cost\":\"%s\"," c
-  in
-  J.parse
-    (Printf.sprintf
-       "{\"bench\":\"t\",\"schema\":2,%s\"rows\":[%s]}" cost_header
-       (String.concat ","
-          (List.map
-             (fun (b, s, fields) ->
-               Printf.sprintf
-                 "{\"benchmark\":\"%s\",\"stage\":\"%s\"%s}" b s
-                 (String.concat ""
-                    (List.map
-                       (fun (k, v) -> Printf.sprintf ",\"%s\":%g" k v)
-                       fields)))
-             rows)))
-
-let base_rows =
-  [
-    ("ctrl", "generic", [ ("nodes", 150.0); ("luts", 61.0); ("seconds", 1.0) ]);
-    ("cavlc", "generic", [ ("nodes", 450.0); ("luts", 182.0); ("seconds", 2.0) ]);
-  ]
-
-let test_check_self_passes () =
-  let b = bench_json base_rows in
-  Alcotest.(check (list string))
-    "identical files pass" []
-    (R.check ~baseline:b ~current:b);
-  (* improvements and sub-threshold jitter also pass *)
-  let better =
-    bench_json
-      [
-        ("ctrl", "generic", [ ("nodes", 140.0); ("luts", 60.0); ("seconds", 0.9) ]);
-        ("cavlc", "generic",
-         [ ("nodes", 450.0); ("luts", 183.0); ("seconds", 2.01) ]);
-        ("extra", "generic", [ ("nodes", 10.0) ]);
-      ]
-  in
-  Alcotest.(check (list string))
-    "improvement + jitter + new coverage pass" []
-    (R.check ~baseline:(bench_json base_rows) ~current:better)
-
-let test_check_flags_regressions () =
-  let regressed =
-    bench_json
-      [
-        ("ctrl", "generic", [ ("nodes", 150.0); ("luts", 80.0); ("seconds", 1.0) ]);
-        ("cavlc", "generic",
-         [ ("nodes", 450.0); ("luts", 182.0); ("seconds", 9.0) ]);
-      ]
-  in
-  let problems =
-    R.check ~baseline:(bench_json base_rows) ~current:regressed
-  in
-  (* luts 61 -> 80 breaks the 2% QoR limit; seconds 2 -> 9 is not gated *)
-  Alcotest.(check int) "one regression" 1 (List.length problems);
-  let mentions needle =
-    List.exists
-      (fun p ->
-        let n = String.length p and m = String.length needle in
-        let rec scan i = i + m <= n && (String.sub p i m = needle || scan (i + 1)) in
-        scan 0)
-      problems
-  in
-  Alcotest.(check bool) "flags luts" true (mentions "luts");
-  Alcotest.(check bool) "time not gated" false (mentions "seconds")
-
-let test_check_missing_row_fails () =
-  let dropped = bench_json [ List.hd base_rows ] in
-  let problems =
-    R.check ~baseline:(bench_json base_rows) ~current:dropped
-  in
-  Alcotest.(check int) "dropped benchmark is a regression" 1
-    (List.length problems)
-
-(* -- the cost-aware gate -- *)
-
-let mentions problems needle =
-  List.exists
-    (fun p ->
-      let n = String.length p and m = String.length needle in
-      let rec scan i = i + m <= n && (String.sub p i m = needle || scan (i + 1)) in
-      scan 0)
-    problems
-
-let test_check_cost_mismatch () =
-  (* comparing runs optimized for different objectives is meaningless and
-     must be flagged rather than silently passing *)
-  let rows = [ ("ctrl", "generic", [ ("nodes", 150.0) ]) ] in
-  let problems =
-    R.check
-      ~baseline:(bench_json ~cost:"area" rows)
-      ~current:(bench_json ~cost:"depth" rows)
-  in
-  Alcotest.(check bool) "mismatch flagged" true
-    (mentions problems "cost-spec mismatch");
-  (* same spec on both sides: no mismatch problem *)
-  Alcotest.(check (list string))
-    "matching cost passes" []
-    (R.check
-       ~baseline:(bench_json ~cost:"depth" rows)
-       ~current:(bench_json ~cost:"depth" rows)
-      )
-
-let test_check_cost_gated_fields () =
-  (* a depth run gates levels, not nodes: an area explosion alone passes,
-     a level regression fails *)
-  let base =
-    bench_json ~cost:"depth"
-      [ ("ctrl", "generic", [ ("nodes", 150.0); ("levels", 20.0) ]) ]
-  in
-  let fatter_but_flat =
-    bench_json ~cost:"depth"
-      [ ("ctrl", "generic", [ ("nodes", 400.0); ("levels", 20.0) ]) ]
-  in
-  Alcotest.(check (list string))
-    "depth gate ignores node growth" []
-    (R.check ~baseline:base ~current:fatter_but_flat);
-  let deeper =
-    bench_json ~cost:"depth"
-      [ ("ctrl", "generic", [ ("nodes", 150.0); ("levels", 30.0) ]) ]
-  in
-  let problems = R.check ~baseline:base ~current:deeper in
-  Alcotest.(check bool) "depth gate flags levels" true
-    (mentions problems "levels");
-  (* the engine's own objective field is gated whenever present *)
-  let with_obj v =
-    bench_json ~cost:"depth"
-      [ ("ctrl", "generic", [ ("objective", v); ("levels", 20.0) ]) ]
-  in
-  let problems =
-    R.check ~baseline:(with_obj 20.0) ~current:(with_obj 40.0)
-  in
-  Alcotest.(check bool) "objective regression flagged" true
-    (mentions problems "objective")
 
 (* -- JSONL round-trip through the offline loader -- *)
 
@@ -259,7 +116,7 @@ let test_runmeta_commit_is_string () =
             (J.member "git_commit" (J.parse doc) = Some (J.Str "0123456")))
         [ ("meta line", meta); ("bench header", bench) ];
       Alcotest.(check int) "bench row survives" 1
-        (List.length (R.bench_rows (J.parse bench))))
+        (List.length (Obs.Bench_json.rows (J.parse bench))))
 
 (* -- Chrome trace-event export -- *)
 
@@ -320,16 +177,6 @@ let test_chrome_export () =
 let suite =
   [
     Alcotest.test_case "json parser" `Quick test_json_parser;
-    Alcotest.test_case "qor gate: self-comparison passes" `Quick
-      test_check_self_passes;
-    Alcotest.test_case "qor gate: regressions flagged" `Quick
-      test_check_flags_regressions;
-    Alcotest.test_case "qor gate: dropped row fails" `Quick
-      test_check_missing_row_fails;
-    Alcotest.test_case "qor gate: cost-spec mismatch" `Quick
-      test_check_cost_mismatch;
-    Alcotest.test_case "qor gate: cost-gated fields" `Quick
-      test_check_cost_gated_fields;
     Alcotest.test_case "trace jsonl round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "runmeta commit is a string" `Quick
       test_runmeta_commit_is_string;

@@ -1,4 +1,4 @@
-(* Tests for the solver-depth telemetry layer: Solver snapshot
+(* Tests for the solver-depth telemetry layer: Solver.stats counter
    monotonicity under both kernels, per-pass SAT aggregation in
    Trace.summarize, and exact-synthesis telemetry counters. *)
 
@@ -8,7 +8,7 @@ module Solver = Satkit.Solver
 let lit v neg = Satkit.Lit.of_var v ~negated:neg
 
 (* php(n+1, n): UNSAT with real conflict-driven search, so every counter
-   the snapshot tracks actually moves. *)
+   [Solver.stats] reports actually moves. *)
 let add_php s n =
   let var p h = (p * n) + h in
   for p = 0 to n do
@@ -22,78 +22,58 @@ let add_php s n =
     done
   done
 
-(* -- snapshot monotonicity, both kernels -- *)
+(* -- counter monotonicity, both kernels -- *)
 
-let monotone_fields (a : Solver.snapshot) (b : Solver.snapshot) =
-  [
-    ("learned_total", a.Solver.s_learned_total, b.Solver.s_learned_total);
-    ("conflicts", a.Solver.s_conflicts, b.Solver.s_conflicts);
-    ("decisions", a.Solver.s_decisions, b.Solver.s_decisions);
-    ("propagations", a.Solver.s_propagations, b.Solver.s_propagations);
-    ("restarts", a.Solver.s_restarts, b.Solver.s_restarts);
-    ("reduces", a.Solver.s_reduces, b.Solver.s_reduces);
-    ("inprocess_rounds", a.Solver.s_inprocess_rounds, b.Solver.s_inprocess_rounds);
-    ("minimized_lits", a.Solver.s_minimized_lits, b.Solver.s_minimized_lits);
-    ("subsumed", a.Solver.s_subsumed, b.Solver.s_subsumed);
-    ("strengthened", a.Solver.s_strengthened, b.Solver.s_strengthened);
-    ("vivified", a.Solver.s_vivified, b.Solver.s_vivified);
-  ]
+let monotone =
+  [ "learned_total"; "conflicts"; "decisions"; "propagations"; "restarts";
+    "reduces"; "inprocess_rounds"; "minimized_lits"; "subsumed";
+    "strengthened"; "vivified" ]
 
-let check_snapshot_monotone config name =
+(* one counter of a [stats] list; a missing label fails *)
+let get stats k =
+  match List.assoc_opt k stats with
+  | Some v -> v
+  | None -> Alcotest.failf "stats lacks %s" k
+
+(* [stats] before and after a solve of php(6) *)
+let check_stats_monotone config name =
   let s = Solver.create ~config () in
   add_php s 6;
-  let s0 = Solver.snapshot s in
+  let s0 = Solver.stats s in
   (* fresh solver: every counter starts at zero *)
   List.iter
-    (fun (k, v, _) ->
-      Alcotest.(check int) (name ^ ": " ^ k ^ " starts at 0") 0 v)
-    (monotone_fields s0 s0);
+    (fun k -> Alcotest.(check int) (name ^ ": " ^ k ^ " starts at 0") 0 (get s0 k))
+    monotone;
   Alcotest.(check bool)
     (name ^ ": unsat") true
     (Solver.solve s = Solver.Unsat);
-  let s1 = Solver.snapshot s in
-  List.iter
-    (fun (k, before, after) ->
-      Alcotest.(check bool)
-        (name ^ ": " ^ k ^ " monotone")
-        true (after >= before))
-    (monotone_fields s0 s1);
-  Alcotest.(check bool)
-    (name ^ ": search happened") true
-    (s1.Solver.s_conflicts > 0 && s1.Solver.s_propagations > 0
-    && s1.Solver.s_decisions > 0);
-  (* the learn-time LBD histogram accounts for every learnt clause *)
-  Alcotest.(check int)
-    (name ^ ": lbd histogram sums to learned_total")
-    s1.Solver.s_learned_total
-    (Array.fold_left ( + ) 0 s1.Solver.s_lbd);
-  (* diff against the zero snapshot is the snapshot itself (counters) *)
-  let d = Solver.diff_snapshot s0 s1 in
-  Alcotest.(check int)
-    (name ^ ": diff conflicts")
-    s1.Solver.s_conflicts d.Solver.s_conflicts;
-  (* stats_of_snapshot exposes the counters under stable labels *)
-  let labels = List.map fst (Solver.stats_of_snapshot s1) in
+  let s1 = Solver.stats s in
   List.iter
     (fun k ->
-      Alcotest.(check bool) (name ^ ": stats carries " ^ k) true
-        (List.mem k labels))
-    [ "conflicts"; "propagations"; "learned_total"; "lbd_glue"; "lbd_mid";
-      "lbd_high" ];
+      Alcotest.(check bool)
+        (name ^ ": " ^ k ^ " monotone")
+        true (get s1 k >= get s0 k))
+    monotone;
+  Alcotest.(check bool)
+    (name ^ ": search happened") true
+    (get s1 "conflicts" > 0 && get s1 "propagations" > 0
+    && get s1 "decisions" > 0);
+  (* the learn-time LBD ranges account for every learnt clause *)
+  Alcotest.(check int)
+    (name ^ ": lbd ranges sum to learned_total")
+    (get s1 "learned_total")
+    (get s1 "lbd_glue" + get s1 "lbd_mid" + get s1 "lbd_high");
   s1
 
 let test_snapshot_modern () =
-  ignore (check_snapshot_monotone Solver.default_config "modern")
+  ignore (check_stats_monotone Solver.default_config "modern")
 
 (* the over-eager cadence makes reductions and inprocessing fire on php(6),
    so their counters are covered too *)
 let test_snapshot_small_intervals () =
-  let s1 =
-    check_snapshot_monotone Test_satkit.small_intervals "small intervals"
-  in
-  Alcotest.(check bool) "reductions fired" true (s1.Solver.s_reduces > 0);
-  Alcotest.(check bool) "inprocessing fired" true
-    (s1.Solver.s_inprocess_rounds > 0)
+  let s1 = check_stats_monotone Test_satkit.small_intervals "small intervals" in
+  Alcotest.(check bool) "reductions fired" true (get s1 "reduces" > 0);
+  Alcotest.(check bool) "inprocessing fired" true (get s1 "inprocess_rounds" > 0)
 
 (* -- per-pass SAT aggregation by summarize -- *)
 
