@@ -405,7 +405,6 @@ let partition_bench () =
                 ("accepted", Bench_json.Int st.P.accepted);
                 ("rejected_cost", Bench_json.Int st.P.rejected_cost);
                 ("rejected_cex", Bench_json.Int st.P.rejected_cex);
-                ("sim_mismatches", Bench_json.Int st.P.sim_mismatches);
                 ("speedup", Bench_json.Float (t_seq /. t_par)) ]
             :: !rows)
         [ 1; 2; 4 ])
@@ -417,10 +416,11 @@ let partition_bench () =
 (* Sat: the CDCL kernel on CEC miters.  Each smoke benchmark is          *)
 (* optimized with compress2rs and mitered against its own baseline — an  *)
 (* UNSAT instance whose difficulty comes from the structural divergence  *)
-(* the flow introduced.  Each miter is one unbounded solve, in the stage *)
-(* [modern] (the name the committed rows have always used).  The        *)
-(* whole-network [div] miter is too hard for the budget ladder: what we  *)
-(* record there is *bounded* termination.                                *)
+(* the flow introduced.  Each check sweeps the miter and gives the open  *)
+(* outputs one unbounded solve, in the stage [modern] (the name the      *)
+(* committed rows have always used).  The whole-network [div] check      *)
+(* (against its "rw; bz" result) climbs a two-rung ladder and must end   *)
+(* EQUIVALENT.                                                           *)
 (* -------------------------------------------------------------------- *)
 
 let sat_bench () =

@@ -219,10 +219,10 @@ let optimize_network env ~(cfg : RC.t) ~trace (aig : Aig.t) :
       in
       Printf.eprintf
         "partition: %d pieces, %d accepted, %d rejected (cost), %d rejected \
-         (cex), %d failed, %d degraded, %d sim mismatches, jobs = %d%s\n\
+         (cex), %d failed, %d degraded, jobs = %d%s\n\
          %!"
         st.P.partitions st.P.accepted st.P.rejected_cost st.P.rejected_cex
-        st.P.failed st.P.degraded_pieces st.P.sim_mismatches st.P.jobs
+        st.P.failed st.P.degraded_pieces st.P.jobs
         (if st.P.stitch_fallbacks > 0 then
            Printf.sprintf " (stitch fallback level %d)" st.P.stitch_fallbacks
          else "");
@@ -505,10 +505,10 @@ let cec_cmd =
   let run file_a file_b budget =
     let a = read_aig file_a and b = read_aig file_b in
     let module C = Genlog.Cec.Make (Aig) (Aig) in
-    let result, report =
-      if budget < 0 then C.check_full ~ladder:[] a b
-      else C.check_full ~conflict_budget:budget a b
+    let ladder =
+      if budget < 0 then Some [] else if budget > 0 then Some [ budget ] else None
     in
+    let result, report = C.check_full ?ladder a b in
     Printf.eprintf "cec: winner = %s, conflicts = %d, rungs = %d\n%!"
       report.C.winner report.C.conflicts report.C.rungs_used;
     match result with

@@ -67,27 +67,3 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
     in
     Array.init (N.num_pis t) (fun _ -> random_tt ())
 end
-
-(* Random-simulation equivalence check across two networks (a fast
-   necessary condition; the SAT-based [Cec] is the sufficient one). *)
-module Cross (A : Network.Intf.TRAVERSABLE) (B : Network.Intf.TRAVERSABLE) = struct
-  module Sa = Make (A)
-  module Sb = Make (B)
-
-  (* four rounds of 256 patterns (8-variable tables) *)
-  let probably_equivalent (a : A.t) (b : B.t) : bool =
-    A.num_pis a = B.num_pis b
-    && A.num_pos a = B.num_pos b
-    &&
-    let ok = ref true in
-    for round = 0 to 3 do
-      if !ok then begin
-        let pa = Sa.random_values ~num_vars:8 ~seed:(97 * (round + 1)) a in
-        let pb = Array.map (fun tt -> tt) pa in
-        let oa = Sa.output_values a (Sa.simulate a pa) in
-        let ob = Sb.output_values b (Sb.simulate b pb) in
-        if not (Array.for_all2 Tt.equal oa ob) then ok := false
-      end
-    done;
-    !ok
-end

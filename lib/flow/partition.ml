@@ -17,10 +17,8 @@
    leaf, PO per boundary gate) and any [Script] pipeline runs on the
    pieces concurrently across OCaml 5 domains ([Parmap]).  A replacement
    is kept only when it improves the cost function (gate count, then
-   depth), and every kept replacement is guarded: a random-simulation
-   fingerprint first ([Algo.Simulate.Cross]), escalating to a full SAT
-   equivalence check ([Algo.Cec]) when the fingerprint disagrees.  The
-   guarded pieces are then rebuilt into a fresh parent through the
+   depth), and every kept replacement is guarded by a SAT equivalence
+   check ([Algo.Cec]) that must prove it equivalent.  The guarded pieces are then rebuilt into a fresh parent through the
    destination's structural hasher, which also deduplicates across
    partition boundaries and sweeps dangling logic.
 
@@ -34,7 +32,6 @@ module Make (N : Network.Intf.NETWORK) = struct
   module E = Engine.Make (N)
   module Dp = Algo.Depth.Make (N)
   module Copy = Network.Convert.Make (N) (N)
-  module Sim = Algo.Simulate.Cross (N) (N)
   module Cec = Algo.Cec.Make (N) (N)
   module Co = Algo.Cost.Make (N)
 
@@ -205,8 +202,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     part : partition;
     chosen : N.t;  (* what the stitch will instantiate *)
     verdict : verdict;
-    sim_mismatch : bool;
-    cec_checked : bool;
     degradation : Engine.degradation option;
         (* why the piece's job failed or was cancelled *)
   }
@@ -234,18 +229,14 @@ module Make (N : Network.Intf.NETWORK) = struct
         let eng = Co.engine env.Engine.cost in
         Co.network_better eng ~before:sub ~after:optimized
       in
-      let chosen, verdict, sim_mismatch, cec_checked =
-        if not improved then (sub, Rejected_cost, false, false)
-        else if Sim.probably_equivalent sub optimized then
-          (optimized, Accepted, false, false)
-        else begin
-          (* The fingerprint disagreed: let SAT decide.  Only a proof of
-             equivalence may override it; Unknown keeps the original. *)
+      (* only a proof of equivalence accepts the piece; a counterexample
+         or Unknown keeps the original *)
+      let chosen, verdict =
+        if not improved then (sub, Rejected_cost)
+        else
           match Cec.check ~trace sub optimized with
-          | Algo.Cec.Equivalent -> (optimized, Accepted, true, true)
-          | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
-            (sub, Rejected_cex, true, true)
-        end
+          | Algo.Cec.Equivalent -> (optimized, Accepted)
+          | Algo.Cec.Counterexample _ | Algo.Cec.Unknown -> (sub, Rejected_cex)
       in
       let gates_after = N.num_gates chosen in
       Obs.Trace.report trace ~algo:"partition"
@@ -256,11 +247,8 @@ module Make (N : Network.Intf.NETWORK) = struct
           ("outputs", Array.length p.outputs);
           ("gain", gates_before - gates_after);
           ("accepted", if verdict = Accepted then 1 else 0);
-          ("sim_mismatch", if sim_mismatch then 1 else 0);
-          ("cec_checked", if cec_checked then 1 else 0);
         ];
-      { part = p; chosen; verdict; sim_mismatch; cec_checked;
-        degradation = None })
+      { part = p; chosen; verdict; degradation = None })
 
   (* -- stitch: rebuild the parent from the guarded pieces -- *)
 
@@ -301,7 +289,6 @@ module Make (N : Network.Intf.NETWORK) = struct
     accepted : int;
     rejected_cost : int;
     rejected_cex : int;
-    sim_mismatches : int;
     failed : int;  (* jobs that raised (cone kept) *)
     degraded_pieces : int;  (* failed or cancelled pieces *)
     stitch_fallbacks : int;  (* 0 = clean; 1 = all-original; 2 = identity *)
@@ -369,7 +356,6 @@ module Make (N : Network.Intf.NETWORK) = struct
                       ~reason ~detail
                   in
                   { part = p; chosen = export net p; verdict;
-                    sim_mismatch = false; cec_checked = false;
                     degradation = Some d })
               job_results
           in
@@ -382,7 +368,6 @@ module Make (N : Network.Intf.NETWORK) = struct
               accepted = count (fun r -> r.verdict = Accepted);
               rejected_cost = count (fun r -> r.verdict = Rejected_cost);
               rejected_cex = count (fun r -> r.verdict = Rejected_cex);
-              sim_mismatches = count (fun r -> r.sim_mismatch);
               failed = count (fun r -> r.verdict = Failed);
               degraded_pieces = count (fun r -> r.degradation <> None);
               stitch_fallbacks = 0;
@@ -395,8 +380,6 @@ module Make (N : Network.Intf.NETWORK) = struct
               ("accepted", st.accepted);
               ("rejected_cost", st.rejected_cost);
               ("rejected_cex", st.rejected_cex);
-              ("sim_mismatches", st.sim_mismatches);
-              ("cec_escalations", count (fun r -> r.cec_checked));
               ("failed", st.failed);
               ("degraded", st.degraded_pieces);
               ("jobs", jobs);

@@ -121,6 +121,24 @@ let cec_equal name a b =
   | Algo.Cec.Counterexample _ -> Alcotest.fail (name ^ ": counterexample found")
   | Algo.Cec.Unknown -> Alcotest.fail (name ^ ": cec unknown")
 
+(* Outputs of [t] under one input assignment, by simulation: a
+   counterexample is checked without trusting the solver that found it. *)
+let outputs_at (type t) (module N : Intf.TRAVERSABLE with type t = t) (t : t)
+    cex =
+  let module S = Algo.Simulate.Make (N) in
+  S.output_values t
+    (S.simulate t
+       (Array.map (fun v -> if v then Tt.const1 0 else Tt.const0 0) cex))
+
+let expect_cex (type a b) name (module A : Intf.TRAVERSABLE with type t = a)
+    (module B : Intf.TRAVERSABLE with type t = b) (a : a) (b : b) = function
+  | Algo.Cec.Counterexample cex ->
+    Alcotest.(check bool) (name ^ ": cex distinguishes") false
+      (Array.for_all2 Tt.equal (outputs_at (module A) a cex)
+         (outputs_at (module B) b cex))
+  | Algo.Cec.Equivalent | Algo.Cec.Unknown ->
+    Alcotest.fail (name ^ ": expected cex")
+
 let test_cec_basic () =
   let t1, _ = sample_aig () in
   let t2 = Aig.create () in
@@ -134,19 +152,35 @@ let test_cec_basic () =
   let a3 = Aig.create_pi t3 and b3 = Aig.create_pi t3 in
   let c3 = Aig.create_pi t3 and d3 = Aig.create_pi t3 in
   Aig.create_po t3 (Aig.create_and t3 (Aig.create_or t3 a3 b3) (Aig.create_and t3 c3 d3));
-  (match Cec_aig.check t1 t3 with
+  let r = Cec_aig.check t1 t3 in
+  (match r with
   | Algo.Cec.Counterexample cex ->
-    Alcotest.(check int) "cex width" 4 (Array.length cex);
-    (* the counterexample must actually distinguish the two networks *)
-    let eval t =
-      let pis = Array.map (fun v -> if v then Tt.const1 0 else Tt.const0 0) cex in
-      let module S = Algo.Simulate.Make (Aig) in
-      let values = S.simulate t pis in
-      S.output_values t values
-    in
-    let o1 = eval t1 and o3 = eval t3 in
-    Alcotest.(check bool) "cex distinguishes" false (Tt.equal o1.(0) o3.(0))
-  | Algo.Cec.Equivalent | Algo.Cec.Unknown -> Alcotest.fail "expected cex")
+    Alcotest.(check int) "cex width" 4 (Array.length cex)
+  | Algo.Cec.Equivalent | Algo.Cec.Unknown -> ());
+  expect_cex "chain vs or" (module Aig) (module Aig) t1 t3 r;
+  (* a 20-input AND against constant 0: random simulation cannot tell
+     them apart, so the counterexample comes from the solver *)
+  let wide = Aig.create () and zero = Aig.create () in
+  let xs = List.init 20 (fun _ -> Aig.create_pi wide) in
+  Aig.create_po wide (Aig.create_nary_and wide xs);
+  for _ = 1 to 20 do ignore (Aig.create_pi zero) done;
+  Aig.create_po zero (Aig.constant false);
+  expect_cex "and20 vs 0" (module Aig) (module Aig) wide zero
+    (Cec_aig.check wide zero);
+  (* across representations: an AIG against the LUT mapping of a copy
+     whose first output is complemented *)
+  let module R = Gen.Make (Aig) in
+  let module L = Algo.Lutmap.Make (Aig) in
+  let module Cp = Convert.Make (Aig) (Aig) in
+  let module Cx = Algo.Cec.Make (Aig) (Klut) in
+  let t = R.generate ~seed:(Seed.get 23) ~num_pis:6 ~num_gates:60 ~num_pos:3 () in
+  let bad = Aig.create () in
+  let pis = Array.init (Aig.num_pis t) (fun _ -> Aig.create_pi bad) in
+  Array.iteri
+    (fun i s -> Aig.create_po bad (Aig.complement_if (i = 0) s))
+    (Cp.instantiate bad t pis);
+  let k = (L.map bad ~k:4 ()).L.klut in
+  expect_cex "aig vs klut" (module Aig) (module Klut) t k (Cx.check t k)
 
 let test_cec_cross_representation () =
   let module Conv = Convert.Make (Aig) (Mig) in
@@ -498,7 +532,7 @@ let test_cec_budget_unknown () =
   let s = Seed.get 51 in
   let t1 = R.generate ~seed:s ~num_pis:8 ~num_gates:150 ~num_pos:2 () in
   let t2 = R.generate ~seed:(s + 1) ~num_pis:8 ~num_gates:150 ~num_pos:2 () in
-  match Cec_aig.check ~conflict_budget:1 t1 t2 with
+  match Cec_aig.check ~ladder:[ 1 ] t1 t2 with
   | Algo.Cec.Equivalent -> Alcotest.fail "different seeds equivalent?"
   | Algo.Cec.Counterexample _ | Algo.Cec.Unknown -> ()
 

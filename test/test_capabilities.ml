@@ -27,9 +27,9 @@ module _ : Intf.NETWORK = Klut
 module Topo_min = Topo.Make (Traversable)
 module Depth_min = Algo.Depth.Make (Traversable)
 module _ = Algo.Simulate.Make (Traversable)
-module _ = Algo.Simulate.Cross (Traversable) (Traversable)
 module _ = Algo.Cuts.Make (Traversable)
 module _ = Algo.Reconv.Make (Traversable)
+module _ = Algo.Sweep.Make (Traversable)
 module _ = Algo.Cec.Make (Traversable) (Traversable)
 
 (* COUNTED: traversal + reference counts. *)

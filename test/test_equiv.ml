@@ -33,12 +33,15 @@ let fuzz_log name seed =
 
 (* Run [pass] over random networks and CEC the result against the input.
    [pass] returns the network to check so both in-place passes (return
-   the argument) and rebuilding passes (partition) fit. *)
+   the argument) and rebuilding passes (partition) fit.  The sweeping
+   engine behind fraig also runs the CEC, so exhaustive simulation of the
+   5-input output functions checks each result independently of it. *)
 let check_pass (type t) ~name (module N : Intf.NETWORK with type t = t)
     ~(pass : t -> t) () =
   let module G = Gen.Make (N) in
   let module C = Algo.Cec.Make (N) (N) in
   let module Cl = Convert.Cleanup (N) in
+  let module S = Algo.Simulate.Make (N) in
   let use_maj = N.max_fanin >= 3 in
   List.iter
     (fun seed ->
@@ -52,6 +55,16 @@ let check_pass (type t) ~name (module N : Intf.NETWORK with type t = t)
         fuzz_log name seed;
         Alcotest.failf "%s: GENLOG_TEST_SEED=%d integrity: %s" name seed
           (String.concat "; " errs));
+      if
+        not
+          (Array.for_all2 Kitty.Tt.equal
+             (S.output_functions reference)
+             (S.output_functions result))
+      then begin
+        fuzz_log name seed;
+        Alcotest.failf "%s: GENLOG_TEST_SEED=%d output functions differ" name
+          seed
+      end;
       match C.check reference result with
       | Algo.Cec.Equivalent -> ()
       | Algo.Cec.Counterexample _ ->

@@ -54,8 +54,9 @@ let test_span_sequence () =
     "span sequence" expected (span_events trace)
 
 (* Golden partition span sequence: carve, then one span per piece on the
-   worker's child trace inside the opt span, then the stitch.  Captured
-   from int2float with one worker and a 40-gate cap. *)
+   worker's child trace inside the opt span (an improved piece adds the
+   guard's "cec" event), then the stitch.  Captured from int2float with
+   one worker and a 40-gate cap. *)
 let test_partition_span_sequence () =
   let module P = Flow.Partition.Make (Aig) in
   let trace = T.create ~flow:"aig" () in
@@ -78,8 +79,10 @@ let test_partition_span_sequence () =
     [
       "begin partition-carve 0 160 21"; "counters partition";
       "end partition-carve 0 160 21"; "begin partition-opt 1 160 21";
-      "begin part0 0 40 14"; "counters partition"; "end part0 0 23 10";
-      "begin part1 1 40 6"; "counters partition"; "end part1 1 38 5";
+      "begin part0 0 40 14"; "counters cec";
+      "counters partition"; "end part0 0 23 10";
+      "begin part1 1 40 6"; "counters cec";
+      "counters partition"; "end part1 1 38 5";
       "begin part2 2 40 8"; "counters partition"; "end part2 2 40 8";
       "begin part3 3 3 3"; "counters partition"; "end part3 3 3 3";
       "counters partition"; "end partition-opt 1 160 21";
