@@ -531,6 +531,17 @@ let micro () =
     let arr = Array.of_list !gates in
     Array.init 64 (fun _ -> arr.(Random.State.int rng (Array.length arr)))
   in
+  (* cut functions in the width mix rewriting meets on warm_arith (about
+     6 : 9 : 9 two-, three- and four-leaf cuts) *)
+  let cut_mix =
+    Array.concat
+      (List.map
+         (fun (n, count) ->
+           Array.init count (fun _ ->
+               Kitty.Tt.of_int64 n
+                 (Int64.of_int (Random.State.int rng (1 lsl (1 lsl n))))))
+         [ (2, 6); (3, 9); (4, 9) ])
+  in
   let tests =
     [
       Test.make ~name:"cut-enumeration(k=4, priority)"
@@ -567,6 +578,9 @@ let micro () =
              for v = 4096 to 4223 do
                ignore (Kitty.Npn.canonize (Kitty.Tt.of_int64 4 (Int64.of_int v)))
              done));
+      Test.make ~name:"npn-canonize(cut mix)"
+        (Staged.stage (fun () ->
+             Array.iter (fun f -> ignore (Kitty.Npn.canonize f)) cut_mix));
     ]
   in
   let rows = ref [] in

@@ -26,8 +26,6 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* literal = (signal, function over window leaves) *)
   type literal = N.signal * Tt.t
 
-  let implies a b = Tt.is_const0 Tt.(a &: ~:b)
-
   (* 0-resub: the target is a constant or an existing literal. *)
   let resub0 (lits : literal array) target =
     if Tt.is_const0 target then Some (N.constant false)
@@ -44,7 +42,7 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* OR 1-resub: target = l1 | l2 with both literals implying the target. *)
   let resub_or net (lits : literal array) target =
     let pool =
-      List.filter (fun (_, tt) -> implies tt target) (Array.to_list lits)
+      List.filter (fun (_, tt) -> Tt.implies tt target) (Array.to_list lits)
     in
     let rec pairs = function
       | [] -> None
@@ -61,7 +59,7 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* AND 1-resub via duality: target = l1 & l2  iff  !target = !l1 | !l2. *)
   let resub_and net (lits : literal array) target =
     let pool =
-      List.filter (fun (_, tt) -> implies target tt) (Array.to_list lits)
+      List.filter (fun (_, tt) -> Tt.implies target tt) (Array.to_list lits)
     in
     let rec pairs = function
       | [] -> None
@@ -79,13 +77,13 @@ module Make (N : Network.Intf.NETWORK) = struct
      counterpart. *)
   let resub_xor net (lits : literal array) target =
     let found = ref None in
-    let table = Hashtbl.create (Array.length lits) in
-    Array.iter (fun (s, tt) -> Hashtbl.replace table (Tt.to_hex tt) s) lits;
+    let table = Tt.Tbl.create (Array.length lits) in
+    Array.iter (fun (s, tt) -> Tt.Tbl.replace table tt s) lits;
     Array.iter
       (fun (s1, t1) ->
         if !found = None then begin
           let needed = Tt.( ^: ) target t1 in
-          match Hashtbl.find_opt table (Tt.to_hex needed) with
+          match Tt.Tbl.find_opt table needed with
           | Some s2 when s2 <> s1 -> found := Some (N.create_xor net s1 s2)
           | Some _ | None -> ()
         end)
@@ -95,17 +93,17 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* OR 2-resub: target = l1 | (l2 & l3). *)
   let resub_or_and net (lits : literal array) target =
     let unate =
-      List.filter (fun (_, tt) -> implies tt target) (Array.to_list lits)
+      List.filter (fun (_, tt) -> Tt.implies tt target) (Array.to_list lits)
     in
     let result = ref None in
     List.iter
       (fun (s1, t1) ->
         if !result = None then begin
-          let rem = Tt.(target &: ~:t1) in
+          let rem = Tt.and_c false target true t1 in
           if not (Tt.is_const0 rem) then begin
             (* both remaining literals must cover the remainder *)
             let covering =
-              List.filter (fun (_, tt) -> implies rem tt) (Array.to_list lits)
+              List.filter (fun (_, tt) -> Tt.implies rem tt) (Array.to_list lits)
             in
             let rec pairs = function
               | [] -> ()
@@ -135,8 +133,8 @@ module Make (N : Network.Intf.NETWORK) = struct
 
   (* XOR 2-resub: target = l1 ^ (l2 & l3), by exact hashing of l1. *)
   let resub_xor_and net (lits : literal array) target =
-    let table = Hashtbl.create (Array.length lits) in
-    Array.iter (fun (s, tt) -> Hashtbl.replace table (Tt.to_hex tt) s) lits;
+    let table = Tt.Tbl.create (Array.length lits) in
+    Array.iter (fun (s, tt) -> Tt.Tbl.replace table tt s) lits;
     let n_lits = Array.length lits in
     let result = ref None in
     let i = ref 0 in
@@ -148,7 +146,7 @@ module Make (N : Network.Intf.NETWORK) = struct
         if N.node_of_signal s2 <> N.node_of_signal s3 then begin
           let conj = Tt.( &: ) t2 t3 in
           let needed = Tt.( ^: ) target conj in
-          match Hashtbl.find_opt table (Tt.to_hex needed) with
+          match Tt.Tbl.find_opt table needed with
           | Some s1 -> result := Some (N.create_xor net s1 (N.create_and net s2 s3))
           | None -> ()
         end;
@@ -173,8 +171,8 @@ module Make (N : Network.Intf.NETWORK) = struct
         let s2, t2 = lits.(!j) in
         if
           N.node_of_signal s1 <> N.node_of_signal s2
-          && implies Tt.(t1 &: t2) target
-          && implies target Tt.(t1 |: t2)
+          && Tt.implies Tt.(t1 &: t2) target
+          && Tt.implies target Tt.(t1 |: t2)
         then begin
           let differ = Tt.(t1 ^: t2) in
           let k = ref 0 in

@@ -8,20 +8,25 @@ open Kitty
 module Make (N : Network.Intf.TRAVERSABLE) = struct
   module T = Network.Topo.Make (N)
 
-  (* Value of a gate from its fanin values (edge complements applied here). *)
+  (* Value of a gate from its fanin values (edge complements applied here).
+     A two-input AND, the hot case, is one fused [Tt.and_c]. *)
   let gate_value (t : N.t) n (value_of : N.node -> Tt.t) : Tt.t =
-    let args =
-      Array.map
-        (fun s ->
-          let v = value_of (N.node_of_signal s) in
-          if N.is_complemented s then Tt.( ~: ) v else v)
-        (N.fanin t n)
+    let fanin = N.fanin t n in
+    let arg s =
+      let v = value_of (N.node_of_signal s) in
+      if N.is_complemented s then Tt.( ~: ) v else v
     in
+    let fold op = Array.fold_left (fun acc s -> op acc (arg s)) (arg fanin.(0)) in
     match N.gate_kind t n with
-    | Network.Kind.And -> Array.fold_left Tt.( &: ) args.(0) (Array.sub args 1 (Array.length args - 1))
-    | Network.Kind.Xor -> Array.fold_left Tt.( ^: ) args.(0) (Array.sub args 1 (Array.length args - 1))
-    | Network.Kind.Maj -> Tt.maj args.(0) args.(1) args.(2)
-    | Network.Kind.Lut tt -> Tt.apply tt args
+    | Network.Kind.And when Array.length fanin = 2 ->
+      let a = fanin.(0) and b = fanin.(1) in
+      let va = value_of (N.node_of_signal a) in
+      let vb = value_of (N.node_of_signal b) in
+      Tt.and_c (N.is_complemented a) va (N.is_complemented b) vb
+    | Network.Kind.And -> fold Tt.( &: ) (Array.sub fanin 1 (Array.length fanin - 1))
+    | Network.Kind.Xor -> fold Tt.( ^: ) (Array.sub fanin 1 (Array.length fanin - 1))
+    | Network.Kind.Maj -> Tt.maj (arg fanin.(0)) (arg fanin.(1)) (arg fanin.(2))
+    | Network.Kind.Lut tt -> Tt.apply tt (Array.map arg fanin)
     | Network.Kind.Const | Network.Kind.Pi ->
       invalid_arg "Simulate.gate_value: not a gate"
 

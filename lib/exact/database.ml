@@ -34,7 +34,7 @@ open Kitty
 
 type t = {
   config : Synth.config;
-  cache : (string, Synth.result) Hashtbl.t;
+  cache : Synth.result Tt.Tbl.t; (* keyed by the canonical table *)
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -47,16 +47,15 @@ type t = {
   mutable flushed : int; (* entries [flush] added to the store so far *)
 }
 
-(* Cache keys carry the variable count: a bare hex string is ambiguous
-   below three variables (0-, 1- and 2-variable tables all print as a
-   single nibble). *)
-let key_of num_vars hex = string_of_int num_vars ^ ":" ^ hex
+(* A store or table entry's canonical table ([Store.load] and the shipped
+   tables only return entries whose key parses). *)
+let table_of (e : Store.entry) = Tt.of_hex e.Store.num_vars e.Store.key
 
 let create ?store config =
   let db =
     {
       config;
-      cache = Hashtbl.create 512;
+      cache = Tt.Tbl.create 512;
       lock = Mutex.create ();
       hits = 0;
       misses = 0;
@@ -70,8 +69,7 @@ let create ?store config =
   in
   Option.iter
     (List.iter (fun (e : Store.entry) ->
-         Hashtbl.replace db.cache (key_of e.Store.num_vars e.Store.key)
-           e.Store.result))
+         Tt.Tbl.replace db.cache (table_of e) e.Store.result))
     (Tables.find config);
   Option.iter
     (fun path ->
@@ -82,9 +80,9 @@ let create ?store config =
         db.store_path <- Some path;
         List.iter
           (fun (e : Store.entry) ->
-            let k = key_of e.Store.num_vars e.Store.key in
-            if not (Hashtbl.mem db.cache k) then
-              Hashtbl.replace db.cache k e.Store.result)
+            let k = table_of e in
+            if not (Tt.Tbl.mem db.cache k) then
+              Tt.Tbl.replace db.cache k e.Store.result)
           l.Store.entries;
         db.loaded <- l.Store.loaded
       end)
@@ -95,11 +93,8 @@ let create ?store config =
    transform mapping [f] to that representative. *)
 let lookup db f =
   let canonical, tr = Npn.canonize f in
-  let num_vars = Tt.num_vars canonical in
-  let hex = Tt.to_hex canonical in
-  let key = key_of num_vars hex in
   Mutex.lock db.lock;
-  match Hashtbl.find_opt db.cache key with
+  match Tt.Tbl.find_opt db.cache canonical with
   | Some e ->
     db.hits <- db.hits + 1;
     Mutex.unlock db.lock;
@@ -110,13 +105,19 @@ let lookup db f =
     let e = Synth.synthesize db.config canonical in
     Mutex.lock db.lock;
     let e =
-      match Hashtbl.find_opt db.cache key with
+      match Tt.Tbl.find_opt db.cache canonical with
       | Some winner -> winner (* another worker raced us; keep its result *)
       | None ->
         if e = Synth.Failed then db.failures <- db.failures + 1;
-        Hashtbl.replace db.cache key e;
+        Tt.Tbl.replace db.cache canonical e;
         if db.store_path <> None then
-          db.pending <- { Store.num_vars; key = hex; result = e } :: db.pending;
+          db.pending <-
+            {
+              Store.num_vars = Tt.num_vars canonical;
+              key = Tt.to_hex canonical;
+              result = e;
+            }
+            :: db.pending;
         e
     in
     Mutex.unlock db.lock;
@@ -137,10 +138,10 @@ let flush db =
     (* [create] already printed what this file's load warns about *)
     let l = Store.load ~config:db.config p in
     if l.Store.domain_ok then begin
-      let seen = Hashtbl.create 256 in
+      let seen = Tt.Tbl.create 256 in
       let fresh (e : Store.entry) =
-        let k = key_of e.Store.num_vars e.Store.key in
-        (not (Hashtbl.mem seen k)) && (Hashtbl.replace seen k (); true)
+        let k = table_of e in
+        (not (Tt.Tbl.mem seen k)) && (Tt.Tbl.replace seen k (); true)
       in
       let kept = List.filter fresh l.Store.entries in
       let added = List.filter fresh batch in
@@ -159,7 +160,7 @@ let with_lock db f =
   Mutex.lock db.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock db.lock) f
 
-let size db = with_lock db (fun () -> Hashtbl.length db.cache)
+let size db = with_lock db (fun () -> Tt.Tbl.length db.cache)
 let hits db = db.hits
 let misses db = db.misses
 let failures db = db.failures

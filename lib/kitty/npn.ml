@@ -13,7 +13,11 @@
                              x_{perm.(n-1)} XOR flip_{n-1})
 
    where [flip_i] is bit [i] of [flips].  [apply tr f = g] realizes exactly
-   this composition, and [apply_inverse tr g = f] undoes it. *)
+   this composition, and [apply_inverse tr g = f] undoes it.
+
+   [canonize] answers every function of up to four variables (the cut
+   widths of rewriting) from a per-width memo, so the exhaustive search
+   runs once per distinct table. *)
 
 type transform = {
   perm : int array;  (* g reads f's variable i from position perm.(i) *)
@@ -100,19 +104,15 @@ let canonize_exhaustive f =
     perms;
   (!best, !best_tr)
 
-(* Memoized canonization for 4-variable functions — the hot path of cut
-   rewriting.  The table is filled lazily, keyed by the 16-bit truth table. *)
-let cache4 : (Tt.t * transform) option array = Array.make 65536 None
+(* Memoized canonization for the widths of cut rewriting: one table per
+   width [n <= memo_limit], filled lazily and keyed by the table's single
+   word (2^(2^n) entries: 65536 at four variables).  Entries are pure
+   values of their key, so racing domains can only write equal values and
+   the tables need no lock. *)
+let memo_limit = 4
 
-let canonize4 f =
-  assert (Tt.num_vars f = 4);
-  let key = Int64.to_int (Tt.to_int64 f) in
-  match cache4.(key) with
-  | Some r -> r
-  | None ->
-    let r = canonize_exhaustive f in
-    cache4.(key) <- Some r;
-    r
+let memo : (Tt.t * transform) option array array =
+  Array.init (memo_limit + 1) (fun n -> Array.make (1 lsl (1 lsl n)) None)
 
 (* Greedy sifting heuristic for larger functions: repeatedly tries single
    input flips, output flip, and adjacent swaps while the table shrinks
@@ -154,6 +154,14 @@ let canonize_sifting f =
 
 let canonize f =
   let n = Tt.num_vars f in
-  if n = 4 then canonize4 f
+  if n <= memo_limit then begin
+    let table = memo.(n) and key = Int64.to_int (Tt.to_int64 f) in
+    match table.(key) with
+    | Some r -> r
+    | None ->
+      let r = canonize_exhaustive f in
+      table.(key) <- Some r;
+      r
+  end
   else if n <= exhaustive_limit then canonize_exhaustive f
   else canonize_sifting f

@@ -32,8 +32,10 @@ val db_input_assignment : transform -> (int * bool) array * bool
 
 val canonize : Tt.t -> Tt.t * transform
 (** Canonical representative and the transform reaching it.  Exhaustive
-    (and exact) up to 5 variables — memoized for the 4-variable hot path —
-    and a deterministic greedy sifting heuristic beyond. *)
+    (and exact) up to 5 variables — memoized per function up to 4
+    variables, the widths of cut rewriting — and a deterministic greedy
+    sifting heuristic beyond.  A memoized result is shared between calls:
+    do not mutate it. *)
 
 val canonize_exhaustive : Tt.t -> Tt.t * transform
 (** Exhaustive search over all [2^n * n! * 2] transforms (n <= 5). *)

@@ -108,6 +108,13 @@ let compare a b =
     !c
   end
 
+module Tbl = Hashtbl.Make (struct
+  type t = Bytes.t
+
+  let equal = Bytes.equal
+  let hash = Hashtbl.hash
+end)
+
 let is_const0 tt =
   let n = words tt and i = ref 0 in
   while !i < n && word tt !i = 0L do incr i done;
@@ -156,6 +163,29 @@ let ( ~: ) a =
   let n = num_vars a in
   if n < 6 then set_word r 0 (Int64.logand (word r 0) (word_mask n));
   r
+
+(* [(if ca then ~:a else a) &: (if cb then ~:b else b)] in one loop: a
+   complemented input is its words XORed with all ones. *)
+let and_c ca a cb b =
+  check a b;
+  let r = blank a in
+  let ma = if ca then -1L else 0L and mb = if cb then -1L else 0L in
+  for i = 0 to words a - 1 do
+    set_word r i
+      (Int64.logand (Int64.logxor (word a i) ma) (Int64.logxor (word b i) mb))
+  done;
+  let n = num_vars a in
+  if n < 6 then set_word r 0 (Int64.logand (word r 0) (word_mask n));
+  r
+
+(* [is_const0 (a &: ~:b)] without building either table. *)
+let implies a b =
+  check a b;
+  let n = words a and i = ref 0 in
+  while !i < n && Int64.logand (word a !i) (Int64.lognot (word b !i)) = 0L do
+    incr i
+  done;
+  !i = n
 
 let xnor a b = ~:(a ^: b)
 let nand a b = ~:(a &: b)

@@ -65,12 +65,23 @@ val compare : t -> t -> int
 val is_const0 : t -> bool
 val is_const1 : t -> bool
 
+val implies : t -> t -> bool
+(** [implies a b] is [is_const0 (a &: ~:b)]: every minterm of [a] is one
+    of [b].  Allocates nothing. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by truth tables (variable count and words). *)
+
 (** {1 Boolean operations} *)
 
 val ( &: ) : t -> t -> t
 val ( |: ) : t -> t -> t
 val ( ^: ) : t -> t -> t
 val ( ~: ) : t -> t
+val and_c : bool -> t -> bool -> t -> t
+(** [and_c ca a cb b] is [(if ca then ~:a else a) &: (if cb then ~:b else b)]
+    in one word loop, allocating only the result. *)
+
 val xnor : t -> t -> t
 val nand : t -> t -> t
 val nor : t -> t -> t

@@ -223,9 +223,56 @@ let test_chain_pp () =
     Alcotest.(check bool) "pp mentions inputs" true (String.length s > 10)
   | _ -> Alcotest.fail "xor should be a chain"
 
+(* A one-step chain applying [op] to the inputs, decoded into [N],
+   simulates to [op], and takes one gate when [single op]: pins the
+   operator tables [Decode] matches steps against, for every 2-input (16)
+   and 3-input (256) operator. *)
+module Decode_all_ops (N : Network.Intf.NETWORK) = struct
+  module D = Exact.Decode.Make (N)
+  module S = Algo.Simulate.Make (N)
+
+  let check name ~single =
+    for k = 2 to 3 do
+      for v = 0 to (1 lsl (1 lsl k)) - 1 do
+        let op = Tt.of_int64 k (Int64.of_int v) in
+        let c =
+          {
+            Exact.Chain.num_inputs = k;
+            steps = [| { Exact.Chain.fanins = Array.init k (fun i -> i + 1); op } |];
+            out_complement = false;
+          }
+        in
+        let t = N.create () in
+        let inputs = Array.init k (fun _ -> N.create_pi t) in
+        N.create_po t (D.chain t c inputs);
+        let got = (S.output_functions t).(0) in
+        if not (Tt.equal got op) then
+          Alcotest.failf "%s: %d-input op 0x%s decodes to 0x%s" name k
+            (Tt.to_hex op) (Tt.to_hex got);
+        if single op && N.num_gates t <> 1 then
+          Alcotest.failf "%s: op 0x%s takes %d gates, not 1" name (Tt.to_hex op)
+            (N.num_gates t)
+      done
+    done
+end
+
+let test_decode_every_op () =
+  let module A = Decode_all_ops (Network.Aig) in
+  let module M = Decode_all_ops (Network.Mig) in
+  (* an AND with complemented inputs and/or output *)
+  let and_like op =
+    Tt.num_vars op = 2 && (Tt.count_ones op = 1 || Tt.count_ones op = 3)
+  in
+  let maj = Tt.(maj (nth_var 3 0) (nth_var 3 1) (nth_var 3 2)) in
+  let maj_like op = List.exists (Tt.equal op) (maj :: List.init 3 (Tt.flip maj)) in
+  A.check "aig" ~single:and_like;
+  M.check "mig" ~single:(fun op -> and_like op || maj_like op)
+
 let extra_suite =
   [
     Alcotest.test_case "decode into mig" `Quick test_decode_into_mig;
+    Alcotest.test_case "decode every 2-/3-input op (aig, mig)" `Quick
+      test_decode_every_op;
     Seed.to_alcotest prop_database_decode_sound;
     Alcotest.test_case "chain pp" `Quick test_chain_pp;
   ]

@@ -438,6 +438,58 @@ let prop_storage_contract =
       in
       ops_ok && not_ok && equal_ok && const_ok && order_ok && codecs_ok)
 
+(* The memoized canonization answers exactly what the search it caches
+   answers, on a first (filling) and a second (reading) call. *)
+let test_npn_memo_matches_exhaustive () =
+  let same f =
+    let expect = Npn.canonize_exhaustive f in
+    let first = Npn.canonize f in
+    let second = Npn.canonize f in
+    let eq (g, (tr : Npn.transform)) (g', (tr' : Npn.transform)) =
+      Tt.equal g g' && tr.Npn.perm = tr'.Npn.perm && tr.Npn.flips = tr'.Npn.flips
+      && tr.Npn.out_flip = tr'.Npn.out_flip
+    in
+    if not (eq first expect && eq second expect) then
+      Alcotest.failf "canonize %d-var 0x%s differs from canonize_exhaustive"
+        (Tt.num_vars f) (Tt.to_hex f)
+  in
+  for n = 0 to 3 do
+    for v = 0 to (1 lsl (1 lsl n)) - 1 do
+      same (Tt.of_int64 n (Int64.of_int v))
+    done
+  done;
+  let rng = Seed.state 32 in
+  for _ = 1 to 300 do
+    same (Tt.of_int64 4 (Int64.of_int (Random.State.int rng 65536)))
+  done
+
+let prop_fused_kernels =
+  QCheck.Test.make ~name:"and_c and implies match their unfused forms"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = Random.State.int rng 13 in
+      let a = random_table rng n in
+      let b =
+        match Random.State.int rng 3 with
+        | 0 -> random_table rng n
+        | 1 -> near_table rng a
+        | _ -> Tt.(a |: random_table rng n)
+      in
+      let lit c x = if c then Tt.( ~: ) x else x in
+      let and_ok =
+        List.for_all
+          (fun (ca, cb) ->
+            Tt.equal (Tt.and_c ca a cb b) Tt.(lit ca a &: lit cb b))
+          [ (false, false); (true, false); (false, true); (true, true) ]
+      in
+      let implies_ok =
+        List.for_all
+          (fun (x, y) -> Tt.implies x y = Tt.is_const0 Tt.(x &: ~:y))
+          [ (a, b); (b, a); (a, a); (Tt.const0 n, a); (a, Tt.const1 n) ]
+      in
+      and_ok && implies_ok)
+
 let extra_suite =
   [
     Alcotest.test_case "multiword ops" `Quick test_multiword_ops;
@@ -450,6 +502,9 @@ let extra_suite =
     Alcotest.test_case "isop irredundant" `Quick test_isop_irredundant;
     Alcotest.test_case "factoring no worse than sop" `Quick test_factor_not_worse_than_sop;
     Seed.to_alcotest prop_storage_contract;
+    Alcotest.test_case "npn memo = exhaustive (0-4 vars)" `Quick
+      test_npn_memo_matches_exhaustive;
+    Seed.to_alcotest prop_fused_kernels;
   ]
 
 let suite = suite @ extra_suite
