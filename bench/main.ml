@@ -571,7 +571,7 @@ let micro () =
                  let mffc = Mffc_a.collect net n in
                  let divs = Window_a.divisors net w ~mffc ~max:24 in
                  let values = Window_a.simulate net w in
-                 Window_a.simulate_divisors net w values divs)
+                 Window_a.simulate_divisors net values divs)
                some_gates));
       Test.make ~name:"npn-canonize(128 fns, cached)"
         (Staged.stage (fun () ->

@@ -54,9 +54,9 @@ let () =
   report "after SAT sweeping:" t;
 
   (* 2. resubstitution cleans up what is left *)
-  let subs = Rs.run t ~kernel:Resub.And_or ~max_inserted:2 () in
+  let gain = Rs.run t ~kernel:Resub.And_or ~max_inserted:2 () in
   let t = Cl.cleanup t in
-  Printf.printf "resub: %d substitutions\n" subs;
+  Printf.printf "resub: %d gates saved\n" gain;
   report "after resubstitution:" t;
 
   (* 3. prove the pipeline *)

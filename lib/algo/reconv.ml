@@ -8,47 +8,65 @@
 module Make (N : Network.Intf.TRAVERSABLE) = struct
   (* Cost of replacing leaf [l] by its fanins: number of fanins that are not
      yet part of the cut, minus one (for [l] itself leaving). *)
-  let expansion_cost (t : N.t) visited_id l =
-    let fresh = ref 0 in
-    N.foreach_fanin t l (fun s ->
-        let c = N.node_of_signal s in
-        if N.visited t c <> visited_id then incr fresh);
-    !fresh - 1
+  let expansion_cost (t : N.t) id l =
+    let fanin = N.fanin t l in
+    let fresh = ref (-1) in
+    for i = 0 to Array.length fanin - 1 do
+      if N.visited t (N.node_of_signal fanin.(i)) <> id then incr fresh
+    done;
+    !fresh
 
   (* Compute a reconvergence-driven cut of at most [max_leaves] leaves for
-     [root].  Returns the leaves; constants never appear as leaves. *)
-  let compute (t : N.t) ?(max_leaves = 8) (root : N.node) : N.node list =
+     [root], in the order the leaves joined the cut.  Constants never
+     appear as leaves.
+
+     The cut lives in [buf.(0 .. !n - 1)], oldest leaf first; every node
+     marked [id] has been part of the cut (or is the root).  The leaf
+     expanded next is the first of minimum cost scanning newest first. *)
+  let compute (t : N.t) ?(max_leaves = 8) (root : N.node) : N.node array =
     let id = N.new_traversal_id t in
     N.set_visited t root id;
-    let leaves = ref [] in
-    let add_leaf c =
-      if N.visited t c <> id then begin
-        N.set_visited t c id;
-        if not (N.is_constant t c) then leaves := c :: !leaves
-      end
+    (* expansions never grow the cut past [max_leaves] (nor past the
+       network); only the root's own fanins can start it wider *)
+    let buf =
+      Array.make (max (min max_leaves (N.size t)) (N.fanin_size t root)) 0
     in
-    N.foreach_fanin t root (fun s -> add_leaf (N.node_of_signal s));
+    let n = ref 0 in
+    let add_fanins g =
+      let fanin = N.fanin t g in
+      for i = 0 to Array.length fanin - 1 do
+        let c = N.node_of_signal fanin.(i) in
+        if N.visited t c <> id then begin
+          N.set_visited t c id;
+          if not (N.is_constant t c) then begin
+            buf.(!n) <- c;
+            incr n
+          end
+        end
+      done
+    in
+    add_fanins root;
     let continue_expansion = ref true in
     while !continue_expansion do
-      (* pick the expandable gate leaf with minimum cost *)
-      let best = ref None in
-      List.iter
-        (fun l ->
-          if N.is_gate t l then begin
-            let c = expansion_cost t id l in
-            match !best with
-            | Some (_, bc) when bc <= c -> ()
-            | Some _ | None -> best := Some (l, c)
-          end)
-        !leaves;
-      match !best with
-      | None -> continue_expansion := false
-      | Some (l, c) ->
-        if List.length !leaves + c > max_leaves then continue_expansion := false
-        else begin
-          leaves := List.filter (fun x -> x <> l) !leaves;
-          N.foreach_fanin t l (fun s -> add_leaf (N.node_of_signal s))
+      let best = ref (-1) and best_cost = ref max_int in
+      for i = !n - 1 downto 0 do
+        let l = buf.(i) in
+        if N.is_gate t l then begin
+          let c = expansion_cost t id l in
+          if c < !best_cost then begin
+            best := i;
+            best_cost := c
+          end
         end
+      done;
+      if !best < 0 || !n + !best_cost > max_leaves then
+        continue_expansion := false
+      else begin
+        let l = buf.(!best) in
+        Array.blit buf (!best + 1) buf !best (!n - !best - 1);
+        decr n;
+        add_fanins l
+      end
     done;
-    List.rev !leaves
+    Array.sub buf 0 !n
 end

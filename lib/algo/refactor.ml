@@ -22,9 +22,8 @@ module Make (N : Network.Intf.NETWORK) = struct
        truth table *)
     if k < 1 || k > 10 then false
     else begin
-      let w = W.of_cut net n leaves in
-      let values = W.simulate net w in
-      let root_tt = Hashtbl.find values n in
+      let w = W.of_cut net n (Array.of_list leaves) in
+      let root_tt = W.find net (W.simulate net w) n in
       let leaf_sigs = Array.map N.signal_of_node w.W.leaves in
       let mark = eng.Co.mark net in
       let s = B.of_tt net leaf_sigs root_tt in

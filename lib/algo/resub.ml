@@ -222,76 +222,110 @@ module Make (N : Network.Intf.NETWORK) = struct
     in
     go (kernel_candidates kernel k)
 
-  (* One resubstitution pass (paper Algorithm 5). *)
+  (* The literals of [divisors]: each divisor's signal and its
+     complement, with their tables, filled in place. *)
+  let no_literal = (N.constant false, Tt.const0 0)
+
+  let literals (net : N.t) tb (divisors : N.node array) : literal array =
+    let lits = Array.make (2 * Array.length divisors) no_literal in
+    Array.iteri
+      (fun i d ->
+        let tt = W.find net tb d in
+        let s = N.signal_of_node d in
+        lits.(2 * i) <- (s, tt);
+        lits.((2 * i) + 1) <- (N.complement s, Tt.( ~: ) tt))
+      divisors;
+    lits
+
+  (* One resubstitution pass (paper Algorithm 5); returns the accumulated
+     gain (in units of the cost objective) of the accepted substitutions.
+     A traced pass also times its phases: windowing (reconvergent cut,
+     cone, MFFC and divisors), simulation (window tables and literals)
+     and the kernels. *)
   let run (net : N.t) ~(kernel : kernel) ?(trace = Obs.Trace.null)
       ?(cost = Cost.Spec.Area) ?(max_leaves = 8) ?(max_inserted = 1) () : int =
     let eng = Co.engine cost in
-    let substitutions = ref 0 in
+    let substitutions = ref 0 and total_gain = ref 0 in
     let tried = ref 0 and rejected = ref 0 in
+    let window_ns = ref 0 and sim_ns = ref 0 and kernel_ns = ref 0 in
+    let timed = Obs.Trace.enabled trace in
+    (* [f ()], its time added to [acc] when the pass is traced *)
+    let time acc f =
+      if not timed then f ()
+      else begin
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        acc := !acc + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+        r
+      end
+    in
+    let window n =
+      let leaves = R.compute net ~max_leaves n in
+      if Array.length leaves = 0 then None
+      else begin
+        let w = W.of_cut net n leaves in
+        let mffc = M.collect net n in
+        if mffc = [] then None
+        else
+          (* the root is in its own MFFC, so never a divisor *)
+          Some (w, List.length mffc, W.divisors net w ~mffc ~max:24)
+      end
+    in
     List.iter
       (fun n ->
         if N.is_gate net n && (not (N.is_dead net n)) && N.ref_count net n > 0
-        then begin
-          let leaves = R.compute net ~max_leaves n in
-          if leaves <> [] then begin
-            let w = W.of_cut net n leaves in
-            let mffc = M.collect net n in
-            let mffc_size = List.length mffc in
-            if mffc_size > 0 then begin
-              let divisors = W.divisors net w ~mffc ~max:24 in
-              let divisors = List.filter (fun d -> d <> n) divisors in
-              let values = W.simulate net w in
-              W.simulate_divisors net w values divisors;
-              let target = Hashtbl.find values n in
-              let lits =
-                Array.of_list
-                  (List.concat_map
-                     (fun d ->
-                       let tt = Hashtbl.find values d in
-                       let s = N.signal_of_node d in
-                       [ (s, tt); (N.complement s, Tt.( ~: ) tt) ])
-                     divisors)
-              in
-              (* candidate cones are built from divisor literals, so the
-                 cycle guard can stop at divisors as well as leaves *)
-              let stop_nodes =
-                Array.append w.W.leaves (Array.of_list divisors)
-              in
-              (* try k = 0, 1, ... and accept the first positive gain *)
-              let rec attempt k =
-                if k > max_inserted || k >= mffc_size then ()
-                else begin
-                  let mark = eng.Co.mark net in
-                  match try_kernel net kernel k lits target with
-                  | None -> attempt (k + 1)
-                  | Some s ->
-                    incr tried;
-                    let root = N.node_of_signal s in
-                    let gain = Co.gain eng net ~mark ~root n in
-                    if
-                      Co.accept eng gain && root <> n
-                      && not (T.cone_contains net ~root ~leaves:stop_nodes n)
-                    then begin
-                      N.substitute_node net n s;
-                      incr substitutions
-                    end
-                    else begin
-                      incr rejected;
-                      N.take_out_if_dead net root;
-                      attempt (k + 1)
-                    end
-                end
-              in
-              attempt 0
-            end
-          end
-        end)
+        then
+          match time window_ns (fun () -> window n) with
+          | None -> ()
+          | Some (w, mffc_size, divisors) ->
+            let target, lits =
+              time sim_ns (fun () ->
+                  let tb = W.simulate net w in
+                  W.simulate_divisors net tb divisors;
+                  (W.find net tb n, literals net tb divisors))
+            in
+            (* candidate cones are built from divisor literals, so the
+               cycle guard can stop at divisors as well as leaves *)
+            let stop_nodes = Array.append w.W.leaves divisors in
+            (* try k = 0, 1, ... and accept the first positive gain *)
+            let rec attempt k =
+              if k > max_inserted || k >= mffc_size then ()
+              else begin
+                let mark = eng.Co.mark net in
+                match
+                  time kernel_ns (fun () -> try_kernel net kernel k lits target)
+                with
+                | None -> attempt (k + 1)
+                | Some s ->
+                  incr tried;
+                  let root = N.node_of_signal s in
+                  let gain = Co.gain eng net ~mark ~root n in
+                  if
+                    Co.accept eng gain && root <> n
+                    && not (T.cone_contains net ~root ~leaves:stop_nodes n)
+                  then begin
+                    N.substitute_node net n s;
+                    incr substitutions;
+                    total_gain := !total_gain + gain
+                  end
+                  else begin
+                    incr rejected;
+                    N.take_out_if_dead net root;
+                    attempt (k + 1)
+                  end
+              end
+            in
+            attempt 0)
       (T.order net);
     Obs.Trace.report trace ~algo:"resub"
       [
         ("tried", !tried);
         ("accepted", !substitutions);
         ("rejected", !rejected);
+        ("gain", !total_gain);
+        ("window_ns", !window_ns);
+        ("sim_ns", !sim_ns);
+        ("kernel_ns", !kernel_ns);
       ];
-    !substitutions
+    !total_gain
 end

@@ -41,20 +41,21 @@ module Make (N : Intf.TRAVERSABLE) = struct
   (* Does the structural cone of [root], cut off at [leaves], contain [n]?
      Used to guard substitutions against cycles when structural hashing
      resolves a freshly built candidate to existing nodes.  The cone is
-     bounded by the candidate structure, so this stays cheap. *)
+     bounded by the candidate structure, so this stays cheap.  Takes two
+     traversal ids: one marks the leaves, one the gates already seen. *)
   let cone_contains (t : N.t) ~(root : N.node) ~(leaves : N.node array)
       (n : N.node) : bool =
-    let stop = Hashtbl.create 8 in
-    Array.iter (fun l -> Hashtbl.replace stop l ()) leaves;
-    let seen = Hashtbl.create 16 in
+    let stop = N.new_traversal_id t in
+    let seen = N.new_traversal_id t in
+    Array.iter (fun l -> N.set_visited t l stop) leaves;
     let rec go m =
       m = n
-      || (not (Hashtbl.mem stop m))
-         && (not (Hashtbl.mem seen m))
-         && N.is_gate t m
-         &&
-         (Hashtbl.replace seen m ();
-          Array.exists (fun s -> go (N.node_of_signal s)) (N.fanin t m))
+      ||
+      let v = N.visited t m in
+      v <> stop && v <> seen && N.is_gate t m
+      &&
+      (N.set_visited t m seen;
+       Array.exists (fun s -> go (N.node_of_signal s)) (N.fanin t m))
     in
     go root
 end

@@ -9,6 +9,7 @@ let () =
       ("store", Test_store.suite);
       ("tables", Test_tables.suite);
       ("algo", Test_algo.suite);
+      ("window", Test_window.suite);
       ("lsgen", Test_lsgen.suite);
       ("lsio", Test_lsio.suite);
       ("flow", Test_flow.suite);

@@ -216,6 +216,38 @@ let telescoping_props =
           gain >= 0 && before - after >= gain))
     additive_specs
 
+(* The same law for resubstitution, one kernel per representation:
+   under the area objective, the gain a pass returns never exceeds the
+   gates it removed. *)
+module Resub_gain (N : Network.Intf.NETWORK) = struct
+  module G = Gen.Make (N)
+  module C = Algo.Cost.Make (N)
+  module R = Algo.Resub.Make (N)
+
+  let holds ?use_maj kernel seed =
+    let net =
+      G.generate ?use_maj ~seed:(seed + 1) ~num_pis:5 ~num_gates:40
+        ~num_pos:3 ()
+    in
+    let area = Algo.Cost.Spec.Area in
+    let before = C.eval area net in
+    let gain = R.run net ~kernel ~cost:area ~max_inserted:2 () in
+    let after = C.eval area net in
+    gain >= 0 && before - after >= gain
+end
+
+module Resub_gain_aig = Resub_gain (Aig)
+module Resub_gain_xag = Resub_gain (Xag)
+module Resub_gain_mig = Resub_gain (Mig)
+
+let resub_telescoping =
+  QCheck.Test.make ~name:"resub: pass gain bounds realized delta" ~count:8
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      Resub_gain_aig.holds Algo.Resub.And_or seed
+      && Resub_gain_xag.holds Algo.Resub.And_or_xor seed
+      && Resub_gain_mig.holds ~use_maj:true Algo.Resub.Maj3 seed)
+
 (* -- depth monotonicity: the max-monoid pass never deepens -- *)
 
 let depth_never_worsens =
@@ -345,7 +377,7 @@ let suite =
     (eval_is_fold_props @ eval_is_fold_mig_props
    @ freed_is_mffc_mass_props @ gain_holds_root_props
    @ added_is_eval_delta_props @ telescoping_props
-   @ [ depth_never_worsens ])
+   @ [ resub_telescoping; depth_never_worsens ])
   @ [
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
       Alcotest.test_case "weights file" `Quick test_weights_file;

@@ -168,16 +168,16 @@ module Kernel_pin (N : Network.Intf.NETWORK) = struct
   let run kernel name =
     let net = Sn.build name in
     let trace = Obs.Trace.create ~flow:name () in
-    let accepted = Rs.run net ~kernel ~trace ~max_leaves:8 ~max_inserted:2 () in
-    let tried =
+    ignore (Rs.run net ~kernel ~trace ~max_leaves:8 ~max_inserted:2 ());
+    let counter key =
       List.fold_left
         (fun acc -> function
           | Obs.Trace.Counters { algo = "resub"; counters; _ } ->
-            acc + Option.value ~default:0 (List.assoc_opt "tried" counters)
+            acc + Option.value ~default:0 (List.assoc_opt key counters)
           | _ -> acc)
         0 (Obs.Trace.events trace)
     in
-    (tried, accepted, N.num_gates net)
+    (counter "tried", counter "accepted", N.num_gates net)
 end
 
 module Pin_xag = Kernel_pin (Xag)
