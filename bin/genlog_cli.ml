@@ -115,10 +115,10 @@ let partition_arg =
     & opt int base_cfg.RC.partition
     & info [ "partition" ] ~docv:"SIZE"
         ~doc:"Carve the network into partitions of at most $(docv) gates and \
-              optimize them in parallel (0 disables partitioning). Every \
-              stitched replacement is guarded by random simulation with SAT \
-              escalation, so the result is equivalence-checked by \
-              construction.")
+              optimize them in parallel (0 disables partitioning). A piece's \
+              replacement is kept only when it improves the cost and one SAT \
+              equivalence check proves it, so the result is \
+              equivalence-checked by construction.")
 
 let jobs_arg =
   Arg.(
@@ -464,10 +464,10 @@ let map_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE")
   in
   let run file k cost output =
-    (* a LUT needs at least two inputs, and its table at most
-       [Tt.max_vars] *)
-    if k < 2 || k > Genlog.Tt.max_vars then begin
-      Printf.eprintf "map: -k %d out of [2,%d]\n" k Genlog.Tt.max_vars;
+    (* a LUT needs at least two inputs, and at most the k-LUT network's
+       fanin bound *)
+    if k < 2 || k > Genlog.Klut.max_fanin then begin
+      Printf.eprintf "map: -k %d out of [2,%d]\n" k Genlog.Klut.max_fanin;
       exit 2
     end;
     let t = read_aig file in

@@ -16,13 +16,17 @@
      ((size, depth-estimate) per [prefer]); candidates are inserted in
      place and the worst cut is evicted on overflow;
    - truth tables are computed only for the cuts that survive dominance
-     and the priority cap, through a word-level fast path for cuts of at
-     most 6 leaves (the common case for k <= 6). *)
+     and the priority cap, at every width the same way: each chosen child
+     cut's table is moved onto the merged leaves by [Tt.expand] (word-level
+     variable swaps) and the gate is evaluated over them by
+     [Simulate.gate_value], the evaluator windows, sweeping and the cost
+     engines share. *)
 
 open Kitty
 
 module Make (N : Network.Intf.TRAVERSABLE) = struct
   module T = Network.Topo.Make (N)
+  module Sim = Simulate.Make (N)
 
   type cut = {
     leaves : N.node array;  (* ascending node ids; never constants *)
@@ -104,38 +108,6 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
     in
     go 0 0 0
 
-  let index_of leaves x =
-    let rec go i = if leaves.(i) = x then i else go (i + 1) in
-    go 0
-
-  (* express a child-cut function over the merged leaves (generic slow
-     path, used when the merged cut has more than 6 leaves) *)
-  let remap child merged =
-    let m = Array.length merged in
-    if Array.length child.leaves = 0 then
-      if Tt.is_const1 child.tt then Tt.const1 m else Tt.const0 m
-    else begin
-      let args =
-        Array.map (fun leaf -> Tt.nth_var m (index_of merged leaf)) child.leaves
-      in
-      Tt.apply child.tt args
-    end
-
-  (* The word-level fast path manipulates <= 64-bit tables as two native
-     32-bit halves: Int64 arithmetic allocates a box per operation, which
-     dominated the kernel profile, while native ints stay unboxed. *)
-  let mask32 = 0xFFFFFFFF
-
-  (* Meaningful low/high bits of a table over [n] <= 6 variables. *)
-  let half_masks n =
-    if n >= 6 then (mask32, mask32)
-    else ((1 lsl (1 lsl n)) - 1, 0)
-
-  (* Projection patterns of variables 0..5 in the 64-bit minterm space,
-     split into halves. *)
-  let proj_lo = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000; 0 |]
-  let proj_hi = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000; mask32 |]
-
   (* Enumerate cuts for every node reachable from the outputs.
 
      [prefer] decides which cuts survive the [cut_limit] cap: rewriting
@@ -156,23 +128,6 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
     N.foreach_pi net (fun n -> cuts.(n) <- [| trivial_cut n |]);
     (* structural depth, the tiebreaking estimate of the priority order *)
     let depth = Array.make size 0 in
-    (* Node local functions.  LUT gates carry their own table per node, so
-       caching them under their kind would conflate distinct same-arity
-       functions; only the fixed kinds (AND/XOR/MAJ), whose function is
-       determined by (kind, arity), go through the cache. *)
-    let node_fn_cache = Hashtbl.create 16 in
-    let node_fn n =
-      match N.gate_kind net n with
-      | Network.Kind.Lut tt -> tt
-      | kind -> (
-        let key = (kind, N.fanin_size net n) in
-        match Hashtbl.find_opt node_fn_cache key with
-        | Some f -> f
-        | None ->
-          let f = N.node_function net n in
-          Hashtbl.replace node_fn_cache key f;
-          f)
-    in
     (* -- preallocated per-node working state, reused across nodes --
 
        The bounded cut set stores its entries in recycled slots: each slot
@@ -197,11 +152,6 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
     let chosen = Array.make (max 1 N.max_fanin) constant_cut in
     (* one merge buffer per Cartesian-product level *)
     let scratch = Array.init (N.max_fanin + 1) (fun _ -> Array.make (max 1 k) 0) in
-    (* leaf positions of a child cut within the merged cut (fast path) *)
-    let pos = Array.make 6 0 in
-    (* expanded fanin words as native halves (fast path) *)
-    let words_lo = Array.make (max 1 N.max_fanin) 0 in
-    let words_hi = Array.make (max 1 N.max_fanin) 0 in
     let cut_depth leaves mlen =
       let d = ref 0 in
       for i = 0 to mlen - 1 do
@@ -295,134 +245,16 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
         end
       end
     in
-    (* Expand the table of child cut [c] (at most 6 leaves, single word)
-       into the merged leaf space [leaves[0..mlen)]; writes the native
-       halves into [words_lo]/[words_hi] at index [fi]. *)
-    let expand_child fi (c : cut) leaves mlen =
-      let nc = Array.length c.leaves in
-      if nc = mlen then begin
-        (* leaf sets are equal: the table carries over unchanged *)
-        let w = Tt.to_int64 c.tt in
-        words_lo.(fi) <- Int64.to_int (Int64.logand w 0xFFFFFFFFL);
-        words_hi.(fi) <- Int64.to_int (Int64.shift_right_logical w 32)
-      end
-      else begin
-        let j = ref 0 in
-        for i = 0 to nc - 1 do
-          while leaves.(!j) <> c.leaves.(i) do
-            incr j
-          done;
-          pos.(i) <- !j
-        done;
-        if nc = 1 then begin
-          (* a 1-leaf cut is the (possibly complemented) projection *)
-          let p = pos.(0) in
-          let lo_m, hi_m = half_masks mlen in
-          if Tt.get_bit c.tt 1 = 1 then begin
-            words_lo.(fi) <- proj_lo.(p) land lo_m;
-            words_hi.(fi) <- proj_hi.(p) land hi_m
-          end
-          else begin
-            words_lo.(fi) <- lnot proj_lo.(p) land lo_m;
-            words_hi.(fi) <- lnot proj_hi.(p) land hi_m
-          end
-        end
-        else begin
-          (* nc < mlen <= 6, so the child table fits 32 bits *)
-          let cw = Int64.to_int (Tt.to_int64 c.tt) in
-          let lo = ref 0 and hi = ref 0 in
-          for mm = 0 to (1 lsl mlen) - 1 do
-            let cm = ref 0 in
-            for i = 0 to nc - 1 do
-              if (mm lsr pos.(i)) land 1 = 1 then cm := !cm lor (1 lsl i)
-            done;
-            if (cw lsr !cm) land 1 = 1 then
-              if mm < 32 then lo := !lo lor (1 lsl mm)
-              else hi := !hi lor (1 lsl (mm - 32))
-          done;
-          words_lo.(fi) <- !lo;
-          words_hi.(fi) <- !hi
-        end
-      end
-    in
-    (* Truth table of a surviving cut from its chosen child cuts. *)
+    (* Truth table of a surviving cut: the gate over its chosen child
+       cuts, each expanded onto the merged leaves. *)
     let compute_tt n fanins leaves children =
-      let nf = Array.length fanins in
-      let mlen = Array.length leaves in
-      if mlen <= 6 then begin
-        (* word-level fast path: every child table fits one word because its
-           leaf set is contained in the merged one *)
-        let lo_m, hi_m = half_masks mlen in
-        for fi = 0 to nf - 1 do
-          let c = children.(fi) in
-          if Array.length c.leaves = 0 then
-            if Tt.is_const1 c.tt then begin
-              words_lo.(fi) <- lo_m;
-              words_hi.(fi) <- hi_m
-            end
-            else begin
-              words_lo.(fi) <- 0;
-              words_hi.(fi) <- 0
-            end
-          else expand_child fi c leaves mlen;
-          if N.is_complemented fanins.(fi) then begin
-            words_lo.(fi) <- lnot words_lo.(fi) land lo_m;
-            words_hi.(fi) <- lnot words_hi.(fi) land hi_m
-          end
-        done;
-        let out_lo = ref 0 and out_hi = ref 0 in
-        (match N.gate_kind net n with
-        | Network.Kind.And ->
-          out_lo := words_lo.(0);
-          out_hi := words_hi.(0);
-          for fi = 1 to nf - 1 do
-            out_lo := !out_lo land words_lo.(fi);
-            out_hi := !out_hi land words_hi.(fi)
-          done
-        | Network.Kind.Xor ->
-          out_lo := words_lo.(0);
-          out_hi := words_hi.(0);
-          for fi = 1 to nf - 1 do
-            out_lo := !out_lo lxor words_lo.(fi);
-            out_hi := !out_hi lxor words_hi.(fi)
-          done
-        | Network.Kind.Maj ->
-          let a = words_lo.(0) and b = words_lo.(1) and c = words_lo.(2) in
-          out_lo := a land b lor (a land c) lor (b land c);
-          let a = words_hi.(0) and b = words_hi.(1) and c = words_hi.(2) in
-          out_hi := a land b lor (a land c) lor (b land c)
-        | Network.Kind.Lut ltt ->
-          for mm = 0 to (1 lsl mlen) - 1 do
-            let idx = ref 0 in
-            if mm < 32 then begin
-              for fi = 0 to nf - 1 do
-                if (words_lo.(fi) lsr mm) land 1 = 1 then
-                  idx := !idx lor (1 lsl fi)
-              done
-            end
-            else
-              for fi = 0 to nf - 1 do
-                if (words_hi.(fi) lsr (mm - 32)) land 1 = 1 then
-                  idx := !idx lor (1 lsl fi)
-              done;
-            if Tt.get_bit ltt !idx = 1 then
-              if mm < 32 then out_lo := !out_lo lor (1 lsl mm)
-              else out_hi := !out_hi lor (1 lsl (mm - 32))
-          done
-        | Network.Kind.Const | Network.Kind.Pi -> assert false);
-        Tt.of_int64 mlen
-          (Int64.logor
-             (Int64.shift_left (Int64.of_int !out_hi) 32)
-             (Int64.logand (Int64.of_int !out_lo) 0xFFFFFFFFL))
-      end
-      else begin
-        let args =
-          Array.init nf (fun fi ->
-              let v = remap children.(fi) leaves in
-              if N.is_complemented fanins.(fi) then Tt.( ~: ) v else v)
-        in
-        Tt.apply (node_fn n) args
-      end
+      Sim.gate_value net n (fun c ->
+          let fi = ref 0 in
+          while N.node_of_signal fanins.(!fi) <> c do
+            incr fi
+          done;
+          let ch = children.(!fi) in
+          Tt.expand ch.tt ~from:ch.leaves ~into:leaves)
     in
     List.iter
       (fun n ->

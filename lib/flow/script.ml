@@ -32,7 +32,14 @@ let parse_command (s : string) : command =
     in
     let rec go cut_size max_inserted = function
       | [] -> Resub { cut_size; max_inserted }
-      | "-c" :: v :: rest -> go (int "-c" v) max_inserted rest
+      | "-c" :: v :: rest ->
+        (* the window's truth tables range over its leaves *)
+        let c = int "-c" v in
+        if c > Kitty.Tt.max_vars then
+          raise
+            (Parse_error
+               (Printf.sprintf "rs -c %d above %d leaves" c Kitty.Tt.max_vars));
+        go c max_inserted rest
       | "-d" :: v :: rest -> go cut_size (int "-d" v) rest
       | tok :: _ -> raise (Parse_error ("bad rs option: " ^ tok))
     in

@@ -12,7 +12,8 @@ type command =
 exception Parse_error of string
 
 val parse_command : string -> command
-(** Raises [Parse_error] on an unknown command, option or number. *)
+(** Raises [Parse_error] on an unknown command, option or number, and on
+    an [rs -c] above [Kitty.Tt.max_vars] leaves. *)
 
 val parse : string -> command list
 val to_string : command -> string

@@ -281,23 +281,104 @@ let flip tt i =
   end;
   r
 
-(* Swap variables [i] and [j]. *)
-let swap_vars tt i j =
-  if i = j then copy tt
-  else begin
-    let i, j = if i < j then (i, j) else (j, i) in
-    let n = num_vars tt in
-    let r = create n in
-    for m = 0 to (1 lsl n) - 1 do
-      if get_bit tt m = 1 then begin
-        let bi = (m lsr i) land 1 and bj = (m lsr j) land 1 in
-        let m' = m land lnot ((1 lsl i) lor (1 lsl j))
-                 lor (bj lsl i) lor (bi lsl j) in
-        set_bit r m'
+(* -- variable moves (kitty's [swap_inplace] / [extend_to]) -- *)
+
+(* Swap variables [i < j] of [tt] in place, word by word: a delta swap
+   inside every word when both are below 6, an exchange of bit groups
+   between the word pairs that differ in [j] when only [i] is, and an
+   exchange of whole words when neither is. *)
+let swap_inplace tt i j =
+  if j < 6 then begin
+    let pi = projections.(i) and pj = projections.(j) in
+    (* minterms with x_i = 1, x_j = 0 move up; x_i = 0, x_j = 1 down *)
+    let up = Int64.logand pi (Int64.lognot pj)
+    and down = Int64.logand (Int64.lognot pi) pj in
+    let keep = Int64.lognot (Int64.logor up down) in
+    let s = (1 lsl j) - (1 lsl i) in
+    for w = 0 to words tt - 1 do
+      let x = word tt w in
+      set_word tt w
+        (Int64.logor (Int64.logand x keep)
+           (Int64.logor
+              (Int64.shift_left (Int64.logand x up) s)
+              (Int64.shift_right_logical (Int64.logand x down) s)))
+    done
+  end
+  else if i < 6 then begin
+    let p = projections.(i) and s = 1 lsl i and d = 1 lsl (j - 6) in
+    for w = 0 to words tt - 1 do
+      if w land d = 0 then begin
+        let lo = word tt w and hi = word tt (w lor d) in
+        set_word tt w
+          (Int64.logor (Int64.logand lo (Int64.lognot p))
+             (Int64.logand (Int64.shift_left hi s) p));
+        set_word tt (w lor d)
+          (Int64.logor (Int64.logand hi p)
+             (Int64.shift_right_logical (Int64.logand lo p) s))
       end
+    done
+  end
+  else begin
+    let di = 1 lsl (i - 6) and dj = 1 lsl (j - 6) in
+    for w = 0 to words tt - 1 do
+      if w land di <> 0 && w land dj = 0 then begin
+        let w' = w - di + dj in
+        let x = word tt w in
+        set_word tt w (word tt w');
+        set_word tt w' x
+      end
+    done
+  end
+
+(* [tt] over [n >= num_vars tt] variables, independent of the new ones:
+   a table of fewer than 6 variables first doubles inside its word, then
+   the words repeat. *)
+let replicate tt n =
+  let k = num_vars tt in
+  let r = create n in
+  if k < 6 then begin
+    let w = ref (word tt 0) in
+    for v = k to min n 6 - 1 do
+      w := Int64.logor !w (Int64.shift_left !w (1 lsl v))
+    done;
+    fill r !w
+  end
+  else begin
+    let last = words tt - 1 in
+    for w = 0 to words r - 1 do
+      set_word r w (word tt (w land last))
+    done
+  end;
+  r
+
+(* [tt] over the variables [from] (ascending ids), re-expressed over the
+   ascending superset [into]: variable [i] moves to the index of
+   [from.(i)] in [into].  Moving the highest variable first, every target
+   index still holds a variable the table does not depend on. *)
+let expand tt ~from ~into =
+  let k = Array.length from and m = Array.length into in
+  if num_vars tt <> k || m < k then invalid_arg "Tt.expand: bad variable sets";
+  if k = m then tt
+  else begin
+    let r = replicate tt m in
+    let p = ref (m - 1) in
+    for i = k - 1 downto 0 do
+      while into.(!p) <> from.(i) do
+        decr p
+      done;
+      if !p <> i then swap_inplace r i !p;
+      decr p
     done;
     r
   end
+
+let swap_vars tt i j =
+  let n = num_vars tt in
+  if i < 0 || j < 0 || i >= n || j >= n then
+    invalid_arg "Tt.swap_vars: variable index out of range";
+  let r = copy tt in
+  if i <> j then swap_inplace r (min i j) (max i j);
+  r
 
 (* Apply variable permutation [perm]: result g with
    g(x_0,...,x_{n-1}) = f(x_{perm.(0)}, ..., x_{perm.(n-1)}).
@@ -323,14 +404,7 @@ let extend tt n =
   let k = num_vars tt in
   if n < k then invalid_arg "Tt.extend: shrinking"
   else if n = k then copy tt
-  else begin
-    let r = create n in
-    let src_bits = 1 lsl k in
-    for m = 0 to (1 lsl n) - 1 do
-      if get_bit tt (m land (src_bits - 1)) = 1 then set_bit r m
-    done;
-    r
-  end
+  else replicate tt n
 
 (* Shrink to [n] variables; variables >= n must not be in the support. *)
 let shrink tt n =

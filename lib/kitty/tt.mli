@@ -122,7 +122,8 @@ val flip : t -> int -> t
     [f] with [x_i] inverted. *)
 
 val swap_vars : t -> int -> int -> t
-(** Exchange two variables. *)
+(** Exchange two variables, word by word.
+    @raise Invalid_argument when either is outside [0, num_vars). *)
 
 val permute : t -> int array -> t
 (** [permute f perm] is the function [g] with
@@ -133,6 +134,16 @@ val permute : t -> int array -> t
 
 val extend : t -> int -> t
 (** Add variables (the function does not depend on them). *)
+
+val expand : t -> from:int array -> into:int array -> t
+(** [expand f ~from ~into] re-expresses [f], a function of the variables
+    named by the ascending ids [from], over the ascending superset [into]:
+    variable [i] of [f] becomes variable [j] of the result where
+    [into.(j) = from.(i)], and the result does not depend on the other
+    variables.  Word-level (kitty's [extend_to] then one swap per
+    variable); [f] itself when the two sets are equal.
+    @raise Invalid_argument when [num_vars f <> Array.length from] or
+    [into] is shorter than [from]. *)
 
 val shrink : t -> int -> t
 (** Drop the top variables; they must not be in the support. *)

@@ -116,7 +116,6 @@ module Make (Spec : SPEC) = struct
   let fanout t n = (data t n).fanout
   let ref_count t n = (data t n).refs
 
-  let pi_at t i = t.pis.(i)
   let po_at t i = t.pos.(i)
   let pis t = Array.sub t.pis 0 t.num_pis
   let pos t = Array.sub t.pos 0 t.num_pos
@@ -169,13 +168,6 @@ module Make (Spec : SPEC) = struct
 
   let set_value t n v = (data t n).value <- v
   let value t n = (data t n).value
-  let incr_value t n = let d = data t n in d.value <- d.value + 1; d.value
-  let decr_value t n = let d = data t n in d.value <- d.value - 1; d.value
-
-  let clear_values t =
-    for n = 0 to t.size - 1 do
-      (data t n).value <- 0
-    done
 
   let new_traversal_id t =
     t.traversal_id <- t.traversal_id + 1;
@@ -299,12 +291,6 @@ module Make (Spec : SPEC) = struct
       if decr_ref t o = 0 then take_out_node t o
     end
 
-  (* -- node functions -- *)
-
-  let node_function t n =
-    let d = data t n in
-    Kind.function_of d.kind (Array.length d.fanin)
-
   (* -- substitution (paper §2.2.3) --
 
      Replaces node [old_n] by signal [new_s] everywhere: primary outputs and
@@ -395,14 +381,7 @@ module Make (Spec : SPEC) = struct
       if r = 0 then take_out_node t (node_of_signal s)
     done
 
-  let replace_in_outputs t old_n new_s =
-    for i = 0 to t.num_pos - 1 do
-      let po = t.pos.(i) in
-      if node_of_signal po = old_n then
-        set_po t i (complement_if (is_complemented po) new_s)
-    done
-
-  (* -- statistics / debug -- *)
+  (* -- debug -- *)
 
   (* Structural invariants, used by tests and assertions: live nodes point
      at live children, reference counts equal fanout-edge plus PO counts,
@@ -439,8 +418,4 @@ module Make (Spec : SPEC) = struct
           d.fanout
     done;
     List.rev !errors
-
-  let pp_stats fmt t =
-    Format.fprintf fmt "%s: i/o = %d/%d  gates = %d  size = %d" Spec.name
-      t.num_pis t.num_pos t.num_gates t.size
 end

@@ -69,7 +69,6 @@ module type STRUCTURE = sig
   val fanin : t -> node -> signal array
   val fanin_size : t -> node -> int
   val fanout : t -> node -> node list
-  val pi_at : t -> int -> node
   val po_at : t -> int -> signal
   val pis : t -> node array
   val pos : t -> signal array
@@ -83,15 +82,9 @@ module type STRUCTURE = sig
   val foreach_fanin : t -> node -> (signal -> unit) -> unit
   val gates : t -> node list
 
-  val node_function : t -> node -> Kitty.Tt.t
-  (** Local function of a gate over its fanins; edge complements are applied
-      by the caller. *)
-
   val check_integrity : t -> string list
   (** Structural-invariant violations (empty when the network is sound);
       intended for tests and debugging. *)
-
-  val pp_stats : Format.formatter -> t -> unit
 end
 
 (** Construction: primary inputs/outputs and the generic gate constructors
@@ -138,7 +131,6 @@ module type RESTRUCTURE = sig
   type signal = Signal.t
 
   val substitute_node : t -> node -> signal -> unit
-  val replace_in_outputs : t -> node -> signal -> unit
   val take_out_if_dead : t -> node -> unit
 end
 
@@ -150,9 +142,6 @@ module type SCRATCH = sig
 
   val set_value : t -> node -> int -> unit
   val value : t -> node -> int
-  val incr_value : t -> node -> int
-  val decr_value : t -> node -> int
-  val clear_values : t -> unit
   val new_traversal_id : t -> int
   val set_visited : t -> node -> int -> unit
   val visited : t -> node -> int

@@ -40,9 +40,19 @@ let normalize_lut tt fanins =
   in
   let kept = List.sort (fun i j -> Stdlib.compare fanins.(i) fanins.(j)) kept in
   let m = List.length kept in
-  let args = Array.make k (Tt.const0 m) in
-  List.iteri (fun j i -> args.(i) <- Tt.nth_var m j) kept;
-  let tt' = Tt.apply !tt args in
+  (* kept variable [i] moves to its rank [j]; the others, on which the
+     table no longer depends, fill the indices from [m] up and drop off *)
+  let perm = Array.make k (-1) in
+  List.iteri (fun j i -> perm.(i) <- j) kept;
+  let next = ref m in
+  Array.iteri
+    (fun i p ->
+      if p < 0 then begin
+        perm.(i) <- !next;
+        incr next
+      end)
+    perm;
+  let tt' = Tt.shrink (Tt.permute !tt perm) m in
   let fanins' = Array.of_list (List.map (fun i -> fanins.(i)) kept) in
   if m = 0 then Core_network.Norm_signal (Signal.constant (Tt.is_const1 tt'))
   else if m = 1 && Tt.equal tt' (Tt.nth_var 1 0) then Core_network.Norm_signal fanins'.(0)

@@ -490,6 +490,106 @@ let prop_fused_kernels =
       in
       and_ok && implies_ok)
 
+(* -- variable moves: the word-level kernel against bit-level
+   references -- *)
+
+(* The bit loop [Tt.swap_vars] used before the word-level kernel: every
+   on-set minterm moves to the minterm with bits [i] and [j] exchanged. *)
+let reference_swap tt i j =
+  let n = Tt.num_vars tt in
+  let r = Tt.create n in
+  for m = 0 to (1 lsl n) - 1 do
+    if Tt.get_bit tt m = 1 then begin
+      let bi = (m lsr i) land 1 and bj = (m lsr j) land 1 in
+      let m' =
+        m land lnot ((1 lsl i) lor (1 lsl j)) lor (bj lsl i) lor (bi lsl j)
+      in
+      Tt.set_bit r m'
+    end
+  done;
+  r
+
+(* Covers all three cases of the kernel: both variables below 6, one
+   below and one above, both above. *)
+let prop_swap_vars_reference =
+  QCheck.Test.make ~name:"swap_vars equals the minterm loop (n <= 10)"
+    ~count:100 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 2 + Random.State.int rng 9 in
+      let f = random_table rng n in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let expect = reference_swap f i j in
+          if
+            not
+              (Tt.equal (Tt.swap_vars f i j) expect
+              && Tt.equal (Tt.swap_vars f j i) expect)
+          then ok := false
+        done;
+        if not (Tt.equal (Tt.swap_vars f i i) f) then ok := false
+      done;
+      !ok)
+
+(* [k] distinct elements of the ascending array [pool], ascending. *)
+let random_subset rng pool k =
+  let a = Array.copy pool in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  let s = Array.sub a 0 k in
+  Array.sort compare s;
+  s
+
+(* [expand] is the composition it replaced in the cut engine: [f] applied
+   to the projections of its variables' positions in [into]. *)
+let prop_expand_is_composition =
+  QCheck.Test.make ~name:"expand equals apply over projections (k <= 12, m <= 14)"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int = Random.State.int rng in
+      let k, m =
+        match int 4 with
+        | 0 ->
+          let m = 1 + int 6 in
+          (1 + int m, m)
+        | 1 -> (1 + int 5, 7 + int 8)
+        | 2 ->
+          let k = 6 + int 7 in
+          (k, k + 1 + int (14 - k))
+        | _ ->
+          let k = 1 + int 12 in
+          (k, k)
+      in
+      let into = random_subset rng (Array.init (2 * m) (fun i -> 3 * i)) m in
+      let from = random_subset rng into k in
+      let f = random_table rng k in
+      let position leaf =
+        let rec go p = if into.(p) = leaf then p else go (p + 1) in
+        go 0
+      in
+      let expect =
+        Tt.apply f (Array.map (fun l -> Tt.nth_var m (position l)) from)
+      in
+      Tt.equal (Tt.expand f ~from ~into) expect)
+
+(* A 0-variable table expands to the constant over [into]; [Tt.apply]
+   has no variable count to take there. *)
+let test_expand_constants () =
+  let rng = Seed.state 36 in
+  for m = 0 to 14 do
+    let into = random_subset rng (Array.init (2 * m) (fun i -> i)) m in
+    Alcotest.(check tt_testable) (Printf.sprintf "const0 into %d" m)
+      (Tt.const0 m) (Tt.expand (Tt.const0 0) ~from:[||] ~into);
+    Alcotest.(check tt_testable) (Printf.sprintf "const1 into %d" m)
+      (Tt.const1 m) (Tt.expand (Tt.const1 0) ~from:[||] ~into)
+  done
+
 let extra_suite =
   [
     Alcotest.test_case "multiword ops" `Quick test_multiword_ops;
@@ -505,6 +605,9 @@ let extra_suite =
     Alcotest.test_case "npn memo = exhaustive (0-4 vars)" `Quick
       test_npn_memo_matches_exhaustive;
     Seed.to_alcotest prop_fused_kernels;
+    Seed.to_alcotest prop_swap_vars_reference;
+    Seed.to_alcotest prop_expand_is_composition;
+    Alcotest.test_case "expand constants" `Quick test_expand_constants;
   ]
 
 let suite = suite @ extra_suite

@@ -314,14 +314,14 @@ let test_cli_parse_errors () =
         (2, "genlog: exact: Tt.of_hex: " ^ msg)
         (run "exact" hex))
     [ ("zz", "bad character"); ("abc", "bad length"); ("", "bad length") ];
-  (* a LUT width outside [2, Tt.max_vars] is rejected before mapping *)
+  (* a LUT width outside [2, Klut.max_fanin] is rejected before mapping *)
   with_text ".aag" huge_m (fun path ->
       List.iter
         (fun k ->
           Alcotest.(check (pair int string)) (Printf.sprintf "map -k %d" k)
-            (2, Printf.sprintf "map: -k %d out of [2,20]" k)
+            (2, Printf.sprintf "map: -k %d out of [2,16]" k)
             (run (Printf.sprintf "map -k %d" k) path))
-        [ 0; 1; 21 ]);
+        [ 0; 1; 17; 21 ]);
   (* a malformed script is rejected once, before any input is read *)
   with_text ".aag" huge_m (fun path ->
       List.iter
@@ -331,7 +331,8 @@ let test_cli_parse_errors () =
             (run ("opt -s " ^ Filename.quote script) path))
         [ ("bogus", "unknown command: bogus");
           ("rs -c x", "bad rs -c value: x");
-          ("rs -c", "bad rs option: -c") ])
+          ("rs -c", "bad rs option: -c");
+          ("rs -c 24", "rs -c 24 above 20 leaves") ])
 
 (* A path the CLI cannot read or write is bad input too: exit 2 and one
    line, never an uncaught exception; `opt` reports an unreadable input
