@@ -80,37 +80,31 @@ module Make (N : Network.Intf.NETWORK) = struct
     in
     go q
 
-  (* One balancing pass.  Returns the number of substitutions applied. *)
+  (* One balancing pass; returns the accumulated gain (in units of the
+     cost objective) of the accepted rebuilds. *)
   let run ?(trace = Obs.Trace.null) ?(cost = Cost.Spec.Area) (net : N.t) : int =
-    let eng = Co.engine cost in
     let tried = ref 0 in
     let level_of = Dp.overlay net in
-    let substitutions = ref 0 in
+    let substitutions = ref 0 and total_gain = ref 0 in
     let apply n leaves combine =
       if List.length leaves >= 3 then begin
         incr tried;
-        let mark = eng.Co.mark net in
-        let s = rebuild net ~level_of combine leaves in
-        let root = N.node_of_signal s in
-        let leaf_nodes = Array.of_list (List.map N.node_of_signal leaves) in
-        if
-          root <> n
-          && not (T.cone_contains net ~root ~leaves:leaf_nodes n)
-        then begin
-          (* the rebuilt tree computes the same function; for additive
-             objectives it never costs more than the group it replaces
-             (structural hashing only removes gates), so the zero-gain
-             accept reproduces the seed's unconditional substitution while
-             still rejecting objective-worsening rebuilds under other
-             costs; [s] carries any output complement *)
-          let gain = Co.gain eng net ~mark ~root n in
-          if Co.accept ~zero_gain:true eng gain then begin
-            N.substitute_node net n s;
-            incr substitutions
-          end
-          else N.take_out_if_dead net root
-        end
-        else N.take_out_if_dead net root
+        (* the rebuilt tree computes the same function; for additive
+           objectives it never costs more than the group it replaces
+           (structural hashing only removes gates), so the zero-gain
+           accept reproduces the seed's unconditional substitution while
+           still rejecting objective-worsening rebuilds under other
+           costs; the rebuilt signal carries any output complement *)
+        match
+          Co.replace ~zero_gain:true cost net
+            ~leaves:(Array.of_list (List.map N.node_of_signal leaves))
+            n
+            (fun () -> Some (rebuild net ~level_of combine leaves))
+        with
+        | Co.Replaced gain ->
+          incr substitutions;
+          total_gain := !total_gain + gain
+        | Co.No_candidate | Co.Cycle | Co.Rejected _ -> ()
       end
     in
     (* outputs-first so that maximal groups are balanced before their
@@ -145,6 +139,7 @@ module Make (N : Network.Intf.NETWORK) = struct
         ("tried", !tried);
         ("accepted", !substitutions);
         ("rejected", !tried - !substitutions);
+        ("gain", !total_gain);
       ];
-    !substitutions
+    !total_gain
 end

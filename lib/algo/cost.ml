@@ -1,30 +1,31 @@
-(* The cost-generic optimization layer: one shared gain engine behind
-   every restructuring pass.
+(* The cost-generic optimization layer: one replacement step behind
+   every resynthesis pass.
 
    The paper's "write once, instantiate many" discipline is extended from
    representations to cost functions (AnySyn, arXiv 2311.14721): a cost
    objective is a [Spec.t] — an integer per-node price ([node_cost])
    folded with [+] (additive objectives) or [max] (depth) into a
-   whole-network objective ([eval]) — and every optimization functor
-   computes its accept/reject decision
-   through the [engine] built here instead of inlining gates/depth
-   arithmetic.
+   whole-network objective ([eval]) — and every resynthesis pass
+   (balance, rewrite, refactor, resub) takes its replacements through
+   [replace] instead of inlining gates/depth arithmetic.
 
    Gain accounting follows the DAG-aware protocol the passes already
    used for plain gate counts (paper §2.2.3), generalized:
 
      mark  <- size of the network          (before building a candidate)
      build the candidate (structural hashing exposes sharing)
+     cycle guard: a candidate whose cone reads the target is taken out
      added <- cost of the nodes the build created ([mark, size) slice)
      freed <- cost released by removing the target's MFFC, with the
               candidate root held
      gain  =  freed - added; accept when gain > 0 (>= 0 in zero-gain
-              passes)
+              passes), then substitute — or take the candidate out
 
-   [gain] is that protocol in one function.  [freed] is computed *after*
-   the candidate exists, so nodes shared between the dying cone and the
-   candidate hold references and are priced by neither side — exactly
-   the seed semantics for area.
+   [replace] is that protocol in one function, and [price] is the same
+   step without the commit.  [freed] is computed *after* the candidate
+   exists, so nodes shared between the dying cone and the candidate hold
+   references and are priced by neither side — exactly the seed
+   semantics for area.
 
    Additive objectives (area, edges, switching activity, LUT count,
    per-kind weights) price a replacement by summing node costs.  Depth
@@ -229,7 +230,7 @@ end
 
 (* -------------------------------------------------- the cost functor -- *)
 
-module Make (N : Intf.COUNTED) = struct
+module Make (N : Intf.NETWORK) = struct
   module T = Network.Topo.Make (N)
   module Sim = Simulate.Make (N)
   module Dp = Depth.Make (N)
@@ -332,73 +333,99 @@ module Make (N : Intf.COUNTED) = struct
         (fun a n -> a + node_cost spec net n)
         0 (T.order_all net)
 
-  (* ------------------------------------------------------ the engine -- *)
+  (* -------------------------------------------- the replacement step -- *)
 
-  (* The engine every pass gains through; every objective is int-valued. *)
-  type engine = {
-    spec : Spec.t;
-    additive : bool;
-    mark : N.t -> int;
-    (* watermark before building a candidate: node slots are append-only,
-       so nodes created by the build are exactly [mark, size) *)
-    added : N.t -> mark:int -> root:N.node -> int;
-    (* objective cost the candidate build added.  Additive: sum of node
-       prices over the created slice (a candidate resolved entirely to
-       existing nodes adds 0, as the seed's gate-count delta did).
-       Depth: the candidate root's level, priced even when reused. *)
-    freed : N.t -> N.node -> int;
-    (* objective cost released by removing [n]: additive objectives sum
-       the MFFC (computed with the candidate's references live, so
-       shared nodes cancel out); depth prices [n]'s level *)
-    eval : N.t -> int;
-  }
+  (* Objective cost a candidate build added, the build having started at
+     watermark [mark]: node slots are append-only, so the nodes it
+     created are exactly [mark, size).  Additive: the sum of node prices
+     over that slice (a candidate resolved entirely to existing nodes
+     adds 0, as the seed's gate-count delta did).  Depth: the candidate
+     root's level, priced even when reused. *)
+  let added (spec : Spec.t) (net : N.t) ~mark ~(root : N.node) : int =
+    if Spec.is_additive spec then begin
+      let total = ref 0 in
+      for i = mark to N.size net - 1 do
+        total := !total + node_cost spec net i
+      done;
+      !total
+    end
+    else level net root
 
-  let additive_added of_node (net : N.t) ~mark ~root : int =
-    ignore root;
-    let total = ref 0 in
-    for i = mark to N.size net - 1 do
-      if N.is_gate net i && not (N.is_dead net i) then
-        total := !total + of_node net i
-    done;
-    !total
-
-  let engine (spec : Spec.t) : engine =
-    let of_node = node_cost spec in
+  (* Objective cost released by removing [n]: additive objectives sum the
+     MFFC (computed with the candidate's references live, so shared
+     nodes cancel out); depth prices [n]'s level. *)
+  let freed (spec : Spec.t) (net : N.t) (n : N.node) : int =
     if Spec.is_additive spec then
-      {
-        spec;
-        additive = true;
-        mark = N.size;
-        added = additive_added of_node;
-        freed = (fun net n -> M.fold net n (fun c m -> c + of_node net m) 0);
-        eval = eval spec;
-      }
-    else
-      {
-        spec;
-        additive = false;
-        mark = N.size;
-        added = (fun net ~mark:_ ~root -> level net root);
-        freed = (fun net n -> level net n);
-        eval = eval spec;
-      }
+      M.fold net n (fun c m -> c + node_cost spec net m) 0
+    else level net n
 
   (* The one pricing of a candidate: the gain of replacing [n] by the
      candidate rooted at [root] whose build started at [mark].  The root
      is held while [n]'s MFFC is priced: when structural hashing resolves
      the candidate to an existing node of [n]'s cone, that node survives
      the substitution and is not freed. *)
-  let gain (e : engine) (net : N.t) ~mark ~root:candidate (n : N.node) : int =
-    let added = e.added net ~mark ~root:candidate in
+  let gain (spec : Spec.t) (net : N.t) ~mark ~root:candidate (n : N.node) :
+      int =
+    let added = added spec net ~mark ~root:candidate in
     ignore (N.incr_ref net candidate);
-    let freed = e.freed net n in
+    let freed = freed spec net n in
     ignore (N.decr_ref net candidate);
     freed - added
 
   (* One accept rule for every pass: strictly positive gain, or zero gain
      when the pass runs in zero-gain mode (rwz/rfz refresh structure). *)
-  let accept ?(zero_gain = false) (_e : engine) gain =
-    gain > 0 || (zero_gain && gain = 0)
+  let accept ?(zero_gain = false) gain = gain > 0 || (zero_gain && gain = 0)
+
+  type outcome =
+    | No_candidate  (* the build found no structure *)
+    | Cycle  (* the candidate reads [n]: substituting would close a loop *)
+    | Rejected of int  (* priced, and the gain did not pass [accept] *)
+    | Replaced of int  (* substituted for [n], with this gain *)
+
+  (* Build a candidate for [n] under the watermark and price it, leaving
+     it built; a candidate equal to [n] or whose cone above [leaves]
+     contains [n] is taken out again. *)
+  let build_priced spec net ~leaves n build =
+    let mark = N.size net in
+    match build () with
+    | None -> Error No_candidate
+    | Some s ->
+      let root = N.node_of_signal s in
+      if root = n || T.cone_contains net ~root ~leaves n then begin
+        N.take_out_if_dead net root;
+        Error Cycle
+      end
+      else Ok (s, gain spec net ~mark ~root n)
+
+  (* The replacement step every resynthesis pass takes: [build] a
+     candidate for [n] over [leaves] (the nodes its cone stops at), guard
+     the cycle, price it, and substitute it when [accept] passes; the
+     candidate is taken out on every other outcome, so only [Replaced]
+     changes the network. *)
+  let replace ?zero_gain (spec : Spec.t) (net : N.t) ~leaves (n : N.node)
+      (build : unit -> N.signal option) : outcome =
+    match build_priced spec net ~leaves n build with
+    | Error outcome -> outcome
+    | Ok (s, gain) ->
+      if accept ?zero_gain gain then begin
+        N.substitute_node net n s;
+        Replaced gain
+      end
+      else begin
+        N.take_out_if_dead net (N.node_of_signal s);
+        Rejected gain
+      end
+
+  (* [replace] without the commit: the gain of [build]'s candidate, the
+     network left unchanged; [None] when there is no candidate or it
+     closes a cycle. *)
+  let price (spec : Spec.t) (net : N.t) ~leaves (n : N.node)
+      (build : unit -> N.signal option) : int option =
+    match build_priced spec net ~leaves n build with
+    | Error _ -> None
+    | Ok (s, gain) ->
+      N.take_out_if_dead net (N.node_of_signal s);
+      Some gain
 
   (* -------------------------------------- network-level comparisons -- *)
 
@@ -406,15 +433,19 @@ module Make (N : Intf.COUNTED) = struct
      break ties.  Under the area objective this is exactly the seed's
      (gates, depth) order, so checkpointing and the partition stitch
      gate keep their seed decisions by construction. *)
-  let network_cost (e : engine) (net : N.t) : int * int * int =
+  let network_cost (spec : Spec.t) (net : N.t) : int * int * int =
     let gates = N.num_gates net in
     let depth = Dp.depth net in
-    match e.spec with
+    match spec with
     | Spec.Area -> (gates, gates, depth)
     | Spec.Depth -> (depth, gates, depth)
-    | _ -> (e.eval net, gates, depth)
+    | _ -> (eval spec net, gates, depth)
 
   (* Strict improvement, for gates that replace only on a win. *)
-  let network_better (e : engine) ~(before : N.t) ~(after : N.t) : bool =
-    network_cost e after < network_cost e before
+  let network_better (spec : Spec.t) ~(before : N.t) ~(after : N.t) : bool =
+    network_cost spec after < network_cost spec before
+
+  (* An objective is its own pricing context.  The identity is kept
+     because the benchmark driver (perfbench) still calls [engine]. *)
+  let engine (spec : Spec.t) : Spec.t = spec
 end

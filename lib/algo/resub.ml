@@ -244,9 +244,8 @@ module Make (N : Network.Intf.NETWORK) = struct
      and the kernels. *)
   let run (net : N.t) ~(kernel : kernel) ?(trace = Obs.Trace.null)
       ?(cost = Cost.Spec.Area) ?(max_leaves = 8) ?(max_inserted = 1) () : int =
-    let eng = Co.engine cost in
     let substitutions = ref 0 and total_gain = ref 0 in
-    let tried = ref 0 and rejected = ref 0 in
+    let tried = ref 0 in
     let window_ns = ref 0 and sim_ns = ref 0 and kernel_ns = ref 0 in
     let timed = Obs.Trace.enabled trace in
     (* [f ()], its time added to [acc] when the pass is traced *)
@@ -290,30 +289,20 @@ module Make (N : Network.Intf.NETWORK) = struct
             (* try k = 0, 1, ... and accept the first positive gain *)
             let rec attempt k =
               if k > max_inserted || k >= mffc_size then ()
-              else begin
-                let mark = eng.Co.mark net in
+              else
                 match
-                  time kernel_ns (fun () -> try_kernel net kernel k lits target)
+                  Co.replace cost net ~leaves:stop_nodes n (fun () ->
+                      time kernel_ns (fun () ->
+                          try_kernel net kernel k lits target))
                 with
-                | None -> attempt (k + 1)
-                | Some s ->
+                | Co.No_candidate -> attempt (k + 1)
+                | Co.Cycle | Co.Rejected _ ->
                   incr tried;
-                  let root = N.node_of_signal s in
-                  let gain = Co.gain eng net ~mark ~root n in
-                  if
-                    Co.accept eng gain && root <> n
-                    && not (T.cone_contains net ~root ~leaves:stop_nodes n)
-                  then begin
-                    N.substitute_node net n s;
-                    incr substitutions;
-                    total_gain := !total_gain + gain
-                  end
-                  else begin
-                    incr rejected;
-                    N.take_out_if_dead net root;
-                    attempt (k + 1)
-                  end
-              end
+                  attempt (k + 1)
+                | Co.Replaced gain ->
+                  incr tried;
+                  incr substitutions;
+                  total_gain := !total_gain + gain
             in
             attempt 0)
       (T.order net);
@@ -321,7 +310,7 @@ module Make (N : Network.Intf.NETWORK) = struct
       [
         ("tried", !tried);
         ("accepted", !substitutions);
-        ("rejected", !rejected);
+        ("rejected", !tried - !substitutions);
         ("gain", !total_gain);
         ("window_ns", !window_ns);
         ("sim_ns", !sim_ns);

@@ -21,12 +21,9 @@ module Make (N : Network.Intf.NETWORK) = struct
     mutable gain : int;
   }
 
-  (* Measure the DAG-aware gain of replacing [n] by the database structure
-     for [cut]; returns the candidate signal and its gain, leaving the
-     network unchanged (candidate nodes are taken out again).  Candidates
-     whose chain is clearly larger than the node's MFFC are pruned before
-     anything is built ([sharing_margin] allows for structural-hashing
-     reuse). *)
+  (* Candidates whose chain is clearly larger than the node's MFFC are
+     pruned before anything is built ([sharing_margin] allows for
+     structural-hashing reuse). *)
   let sharing_margin = 3
 
   (* Candidate builders for a cut: the database chain (size-optimal in
@@ -57,29 +54,10 @@ module Make (N : Network.Intf.NETWORK) = struct
     ignore n;
     Array.length cut.C.leaves >= 2 && Array.for_all leaf_ok cut.C.leaves
 
-  (* Measure the DAG-aware gain of one candidate builder through the
-     shared cost engine, leaving the network unchanged. *)
-  let evaluate_builder eng net n (cut : C.cut) builder =
-    let mark = eng.Co.mark net in
-    match builder () with
-    | None -> None
-    | Some s ->
-      let root = N.node_of_signal s in
-      if root = n || T.cone_contains net ~root ~leaves:cut.C.leaves n then begin
-        N.take_out_if_dead net root;
-        None
-      end
-      else begin
-        let gain = Co.gain eng net ~mark ~root n in
-        N.take_out_if_dead net root;
-        Some gain
-      end
-
   (* One rewriting pass; returns the accumulated gain (in units of the
      chosen cost objective). *)
   let run (net : N.t) ~(db : Exact.Database.t) ?(trace = Obs.Trace.null)
       ?(cost = Cost.Spec.Area) ?(allow_zero_gain = false) () : int =
-    let eng = Co.engine cost in
     let stats = { candidates = 0; substitutions = 0; gain = 0 } in
     (* 4-leaf cuts, the width of the shipped NPN tables; 8 per node *)
     let cuts = C.enumerate net ~k:4 ~cut_limit:8 ~trace () in
@@ -99,13 +77,13 @@ module Make (N : Network.Intf.NETWORK) = struct
                 let leaf_sigs = Array.map N.signal_of_node cut.C.leaves in
                 List.iter
                   (fun builder ->
-                    match evaluate_builder eng net n cut builder with
+                    match Co.price cost net ~leaves:cut.C.leaves n builder with
                     | None -> ()
                     | Some gain ->
                       stats.candidates <- stats.candidates + 1;
                       let keep =
                         match !best with
-                        | None -> Co.accept ~zero_gain:allow_zero_gain eng gain
+                        | None -> Co.accept ~zero_gain:allow_zero_gain gain
                         | Some (bg, _, _) -> gain > bg
                       in
                       if keep then best := Some (gain, cut, builder))
@@ -114,23 +92,18 @@ module Make (N : Network.Intf.NETWORK) = struct
             (C.cuts_of cuts n);
           match !best with
           | None -> ()
-          | Some (gain, cut, builder) ->
-            (* rebuild the winner (cheap: structural hashing replays it) and
-               substitute *)
-            (match builder () with
-            | None -> ()
-            | Some s ->
-              if
-                N.node_of_signal s <> n
-                && not
-                     (T.cone_contains net ~root:(N.node_of_signal s)
-                        ~leaves:cut.C.leaves n)
-              then begin
-                N.substitute_node net n s;
-                stats.substitutions <- stats.substitutions + 1;
-                stats.gain <- stats.gain + gain
-              end
-              else N.take_out_if_dead net (N.node_of_signal s))
+          | Some (_, cut, builder) -> (
+            (* rebuild the winner (cheap: structural hashing replays it)
+               and substitute; the rebuild prices to the same gain, which
+               already passed the pass's accept rule *)
+            match
+              Co.replace ~zero_gain:true cost net ~leaves:cut.C.leaves n
+                builder
+            with
+            | Co.Replaced gain ->
+              stats.substitutions <- stats.substitutions + 1;
+              stats.gain <- stats.gain + gain
+            | Co.No_candidate | Co.Cycle | Co.Rejected _ -> ())
         end)
       nodes;
     Obs.Trace.report trace ~algo:"rewrite"

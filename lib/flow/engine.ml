@@ -203,8 +203,7 @@ module Make (N : Network.Intf.NETWORK) = struct
     let note pass reason detail =
       degradations := degrade trace ~pass ~reason ~detail :: !degradations
     in
-    let eng = Co.engine env.cost in
-    let cost (n : N.t) = Co.network_cost eng n in
+    let cost (n : N.t) = Co.network_cost env.cost n in
     let best = ref (if armed then Copy.convert net else net) in
     let best_cost = ref (if armed then cost net else (0, 0, 0)) in
     let work = ref net in

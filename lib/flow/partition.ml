@@ -226,8 +226,7 @@ module Make (N : Network.Intf.NETWORK) = struct
          this is exactly the historical "fewer gates, or gates-equal with
          less depth" rule *)
       let improved =
-        let eng = Co.engine env.Engine.cost in
-        Co.network_better eng ~before:sub ~after:optimized
+        Co.network_better env.Engine.cost ~before:sub ~after:optimized
       in
       (* only a proof of equivalence accepts the piece; a counterexample
          or Unknown keeps the original *)

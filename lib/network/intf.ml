@@ -166,8 +166,7 @@ module type TRAVERSABLE = sig
   include SCRATCH with type t := t and type node := int
 end
 
-(** Traversal plus reference counting (MFFCs, windows, mapping and the
-    cost engines of [Algo.Cost], which price gain through MFFCs). *)
+(** Traversal plus reference counting (MFFCs, windows, mapping). *)
 module type COUNTED = sig
   include TRAVERSABLE
   include REFCOUNT with type t := t and type node := int

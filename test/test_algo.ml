@@ -200,8 +200,9 @@ let test_balance_reduces_depth () =
   let before = Aig.num_gates t in
   let module B = Algo.Balance.Make (Aig) in
   let t_ref, _ = sample_aig () in
-  let subs = B.run t in
-  Alcotest.(check bool) "balanced something" true (subs > 0);
+  (* a depth-only rebalance frees no gate: its gain is 0 *)
+  let gain = B.run t in
+  Alcotest.(check bool) "gain never negative" true (gain >= 0);
   Alcotest.(check int) "depth reduced to 2" 2 (Depth_aig.depth t);
   Alcotest.(check bool) "no size increase" true (Aig.num_gates t <= before);
   cec_equal "balance preserves function" t_ref t
@@ -285,8 +286,8 @@ let test_refactor_reduces () =
   let module C = Convert.Cleanup (Aig) in
   let t_ref = C.cleanup t in
   let module Rf = Algo.Refactor.Make (Aig) in
-  let subs = Rf.run t () in
-  Alcotest.(check bool) "refactored" true (subs > 0);
+  let gain = Rf.run t () in
+  Alcotest.(check bool) "refactored" true (gain > 0);
   Alcotest.(check int) "collapsed to a wire" 0 (Aig.num_gates t);
   Alcotest.(check int) "po = a" a (Aig.po_at t 0);
   cec_equal "refactor preserves function" t_ref t

@@ -8,6 +8,8 @@
    - gain telescoping (additive objectives): [freed] is exactly the MFFC
      objective mass, [added] is exactly the eval delta of a build, and a
      pass's accumulated gain lower-bounds the realized network delta
+   - the replacement step ([Cost.replace]) changes the network only when
+     it substitutes
 
    The laws run on random networks over random seeds. *)
 
@@ -19,6 +21,8 @@ module G = Gen.Make (Aig)
 module Gm = Gen.Make (Mig)
 module Rw = Algo.Rewrite.Make (Aig)
 module Rf = Algo.Refactor.Make (Aig)
+module Bz = Algo.Balance.Make (Aig)
+module Cec = Algo.Cec.Make (Aig) (Aig)
 module T = Network.Topo.Make (Aig)
 
 let test_weights =
@@ -106,7 +110,7 @@ let db = lazy (Exact.Database.create Exact.Synth.aig_config)
 
 module Mf = Algo.Mffc.Make (Aig)
 
-(* One property per additive spec: [check net eng mass n] holds for every
+(* One property per additive spec: [check net spec mass n] holds for every
    live gate [n] of random networks, [mass] summing node prices. *)
 let per_gate_props ~name check =
   List.map
@@ -119,7 +123,6 @@ let per_gate_props ~name check =
           let net =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:30 ~num_pos:3 ()
           in
-          let eng = Co.engine spec in
           let mass =
             List.fold_left (fun acc m -> acc + Co.node_cost spec net m) 0
           in
@@ -128,14 +131,14 @@ let per_gate_props ~name check =
               if
                 (not (Aig.is_dead net n))
                 && Aig.ref_count net n > 0
-                && not (check net eng mass n)
+                && not (check net spec mass n)
               then ok := false);
           !ok))
     additive_specs
 
 let freed_is_mffc_mass_props =
-  per_gate_props ~name:"freed = MFFC mass" (fun net eng mass n ->
-      eng.Co.freed net n = mass (Mf.collect net n))
+  per_gate_props ~name:"freed = MFFC mass" (fun net spec mass n ->
+      Co.freed spec net n = mass (Mf.collect net n))
 
 (* [gain ~root:m n] for an existing node [m] of [n]'s MFFC, with nothing
    built above the mark: holding [m] keeps alive [m] and every MFFC node
@@ -143,7 +146,7 @@ let freed_is_mffc_mass_props =
    kept part.  (The kept part is [m]'s own MFFC only when no other MFFC
    node shares [m]'s fanin cone.) *)
 let gain_holds_root_props =
-  per_gate_props ~name:"gain holding an MFFC node" (fun net eng mass n ->
+  per_gate_props ~name:"gain holding an MFFC node" (fun net spec mass n ->
       let cone = Mf.collect net n in
       let rec kept acc x =
         if List.mem x acc || not (List.mem x cone) then acc
@@ -155,7 +158,7 @@ let gain_holds_root_props =
       List.for_all
         (fun m ->
           m = n
-          || Co.gain eng net ~mark:(eng.Co.mark net) ~root:m n
+          || Co.gain spec net ~mark:(Aig.size net) ~root:m n
              = mass cone - mass (kept [] m))
         cone)
 
@@ -170,9 +173,8 @@ let added_is_eval_delta_props =
           let net =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:25 ~num_pos:3 ()
           in
-          let eng = Co.engine spec in
-          let before = eng.Co.eval net in
-          let mark = eng.Co.mark net in
+          let before = Co.eval spec net in
+          let mark = Aig.size net in
           (* grow a deterministic slice above the watermark; structural
              hashing may dedupe some of it — the accounting must agree
              either way *)
@@ -192,11 +194,13 @@ let added_is_eval_delta_props =
             root := Aig.create_and net !root (pick ())
           done;
           let added =
-            eng.Co.added net ~mark ~root:(Aig.node_of_signal !root)
+            Co.added spec net ~mark ~root:(Aig.node_of_signal !root)
           in
-          eng.Co.eval net - before = added))
+          Co.eval spec net - before = added))
     additive_specs
 
+(* Rewrite, then refactor, then balance on one network, each pass's
+   returned gain checked against the delta that pass realized. *)
 let telescoping_props =
   List.map
     (fun spec ->
@@ -210,10 +214,14 @@ let telescoping_props =
           let net =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:40 ~num_pos:3 ()
           in
-          let before = Co.eval spec net in
-          let gain = Rw.run net ~db:(Lazy.force db) ~cost:spec () in
-          let after = Co.eval spec net in
-          gain >= 0 && before - after >= gain))
+          let bounded pass =
+            let before = Co.eval spec net in
+            let gain = pass () in
+            gain >= 0 && before - Co.eval spec net >= gain
+          in
+          bounded (fun () -> Rw.run net ~db:(Lazy.force db) ~cost:spec ())
+          && bounded (fun () -> Rf.run net ~cost:spec ())
+          && bounded (fun () -> Bz.run ~cost:spec net)))
     additive_specs
 
 (* The same law for resubstitution, one kernel per representation:
@@ -306,27 +314,25 @@ let test_weights_file () =
 
 let test_engine_area () =
   let net = G.generate ~seed:7 ~num_pis:5 ~num_gates:30 ~num_pos:3 () in
-  let eng = Co.engine Algo.Cost.Spec.Area in
-  Alcotest.(check bool) "additive" true eng.Co.additive;
-  Alcotest.(check int) "eval = num_gates" (Aig.num_gates net) (eng.Co.eval net);
+  let area = Algo.Cost.Spec.Area in
+  Alcotest.(check bool) "additive" true (Algo.Cost.Spec.is_additive area);
+  Alcotest.(check int) "eval = num_gates" (Aig.num_gates net) (Co.eval area net);
   (* freed of a live gate = MFFC size *)
   let n =
     List.find (fun n -> Aig.ref_count net n > 0) (List.rev (T.order net))
   in
   let mffc = List.length (Mf.collect net n) in
-  Alcotest.(check int) "freed = mffc" mffc (eng.Co.freed net n);
+  Alcotest.(check int) "freed = mffc" mffc (Co.freed area net n);
   (* accept: strict gain, or zero gain only in zero-gain mode *)
-  Alcotest.(check bool) "gain 1 accepted" true (Co.accept eng 1);
-  Alcotest.(check bool) "gain 0 rejected" false (Co.accept eng 0);
-  Alcotest.(check bool) "gain 0 zero-gain ok" true
-    (Co.accept ~zero_gain:true eng 0);
-  Alcotest.(check bool) "gain -1 never" false (Co.accept ~zero_gain:true eng (-1))
+  Alcotest.(check bool) "gain 1 accepted" true (Co.accept 1);
+  Alcotest.(check bool) "gain 0 rejected" false (Co.accept 0);
+  Alcotest.(check bool) "gain 0 zero-gain ok" true (Co.accept ~zero_gain:true 0);
+  Alcotest.(check bool) "gain -1 never" false (Co.accept ~zero_gain:true (-1))
 
 let test_network_cost_area_is_seed_order () =
   let a = G.generate ~seed:11 ~num_pis:5 ~num_gates:30 ~num_pos:3 () in
-  let eng = Co.engine Algo.Cost.Spec.Area in
   let module Dp = Algo.Depth.Make (Aig) in
-  let o, g, d = Co.network_cost eng a in
+  let o, g, d = Co.network_cost Algo.Cost.Spec.Area a in
   Alcotest.(check int) "objective = gates" (Aig.num_gates a) o;
   Alcotest.(check int) "gates" (Aig.num_gates a) g;
   Alcotest.(check int) "depth" (Dp.depth a) d
@@ -369,8 +375,82 @@ let test_depth_ignores_dangling () =
   Alcotest.(check int) "network depth" 1 (Dp.depth net);
   Alcotest.(check int) "eval depth = network depth" (Dp.depth net)
     (Co.eval Algo.Cost.Spec.Depth net);
-  let _, _, d = Co.network_cost (Co.engine Algo.Cost.Spec.Depth) net in
+  let _, _, d = Co.network_cost Algo.Cost.Spec.Depth net in
   Alcotest.(check int) "network_cost depth" 1 d
+
+(* -- the replacement step, one case per outcome, on a hand-built AIG --
+
+   The fixture computes (a & c) | (b & c); its root [n] has a three-gate
+   MFFC.  A candidate that is not substituted must leave the network as
+   it was: the same gates, intact, and every node the build created dead
+   again. *)
+
+let replace_fixture () =
+  let net = Aig.create () in
+  let a = Aig.create_pi net and b = Aig.create_pi net in
+  let c = Aig.create_pi net in
+  let f = Aig.create_or net (Aig.create_and net a c) (Aig.create_and net b c) in
+  Aig.create_po net f;
+  (net, Aig.node_of_signal f, (a, b, c))
+
+let test_replace_outcomes () =
+  let area = Algo.Cost.Spec.Area in
+  let outcome = function
+    | Co.No_candidate -> "no candidate"
+    | Co.Cycle -> "cycle"
+    | Co.Rejected g -> Printf.sprintf "rejected %d" g
+    | Co.Replaced g -> Printf.sprintf "replaced %d" g
+  in
+  (* run [build] through [replace] on a fresh fixture; returns the
+     network, [n], the watermark and the outcome *)
+  let run build =
+    let net, n, pis = replace_fixture () in
+    let mark = Aig.size net in
+    let r = Co.replace area net ~leaves:(Aig.pis net) n (build net n pis) in
+    (net, n, mark, outcome r)
+  in
+  let unchanged name (net, _, mark, _) =
+    Alcotest.(check int) (name ^ ": gates") 3 (Aig.num_gates net);
+    Alcotest.(check (list string))
+      (name ^ ": integrity") [] (Aig.check_integrity net);
+    for i = mark to Aig.size net - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: candidate node %d dead" name i)
+        true (Aig.is_dead net i)
+    done
+  in
+  let (_, _, _, r) as none = run (fun _ _ _ () -> None) in
+  Alcotest.(check string) "no candidate" "no candidate" r;
+  unchanged "no candidate" none;
+  (* the candidate reads [n] itself *)
+  let (_, _, _, r) as cycle =
+    run (fun net n (a, _, _) () ->
+        Some (Aig.create_and net (Aig.signal_of_node n) a))
+  in
+  Alcotest.(check string) "cycle" "cycle" r;
+  unchanged "cycle" cycle;
+  (* four new gates for a three-gate MFFC *)
+  let (_, _, _, r) as rejected =
+    run (fun net _ (a, b, c) () ->
+        Some (Aig.create_and net (Aig.create_xor net a b) c))
+  in
+  Alcotest.(check string) "rejected" "rejected -1" r;
+  unchanged "rejected" rejected;
+  (* c & (a | b): two new gates for the three-gate MFFC; the output
+     reads [n] complemented, so [n] is replaced by the complement *)
+  let net, n, _, r =
+    run (fun net _ (a, b, c) () ->
+        Some (Aig.complement (Aig.create_and net c (Aig.create_or net a b))))
+  in
+  Alcotest.(check string) "replaced" "replaced 1" r;
+  Alcotest.(check bool) "n dead" true (Aig.is_dead net n);
+  Alcotest.(check int) "gates" 2 (Aig.num_gates net);
+  Alcotest.(check (list string)) "integrity" [] (Aig.check_integrity net);
+  let reference, _, _ = replace_fixture () in
+  match Cec.check reference net with
+  | Algo.Cec.Equivalent -> ()
+  | Algo.Cec.Counterexample _ | Algo.Cec.Unknown ->
+    Alcotest.fail "replaced network differs from the reference"
 
 let suite =
   List.map Seed.to_alcotest
@@ -382,6 +462,8 @@ let suite =
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
       Alcotest.test_case "weights file" `Quick test_weights_file;
       Alcotest.test_case "engine area semantics" `Quick test_engine_area;
+      Alcotest.test_case "replace: one case per outcome" `Quick
+        test_replace_outcomes;
       Alcotest.test_case "network cost (area = seed order)" `Quick
         test_network_cost_area_is_seed_order;
       Alcotest.test_case "rewrite gain bound regressions" `Quick
