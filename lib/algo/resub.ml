@@ -23,35 +23,38 @@ module Make (N : Network.Intf.NETWORK) = struct
   module M = Mffc.Make (N)
   module Co = Cost.Make (N)
 
-  (* literal = (signal, function over window leaves) *)
-  type literal = N.signal * Tt.t
+  (* A literal: a divisor's signal, or its complement, over the divisor's
+     one window table.  [neg] says the literal's function is the table's
+     complement.  The AND/OR and MAJ kernels read it through the
+     [Tt.*_c] checks and build no complement; only the XOR kernels,
+     which hash functions, do. *)
+  type literal = { s : N.signal; tt : Tt.t; neg : bool }
 
   (* 0-resub: the target is a constant or an existing literal. *)
   let resub0 (lits : literal array) target =
     if Tt.is_const0 target then Some (N.constant false)
     else if Tt.is_const1 target then Some (N.constant true)
-    else begin
-      let found = ref None in
-      Array.iter
-        (fun (s, tt) ->
-          if !found = None && Tt.equal tt target then found := Some s)
-        lits;
-      !found
-    end
+    else
+      Array.find_map
+        (fun l -> if Tt.equal_c l.neg l.tt target then Some l.s else None)
+        lits
 
   (* OR 1-resub: target = l1 | l2 with both literals implying the target. *)
   let resub_or net (lits : literal array) target =
     let pool =
-      List.filter (fun (_, tt) -> Tt.implies tt target) (Array.to_list lits)
+      List.filter
+        (fun l -> Tt.implies_c l.neg l.tt false target)
+        (Array.to_list lits)
     in
     let rec pairs = function
       | [] -> None
-      | (s1, t1) :: rest ->
-        let hit =
-          List.find_opt (fun (_, t2) -> Tt.equal Tt.(t1 |: t2) target) rest
-        in
-        (match hit with
-        | Some (s2, _) -> Some (N.create_or net s1 s2)
+      | l1 :: rest -> (
+        match
+          List.find_opt
+            (fun l2 -> Tt.or_equal_c l1.neg l1.tt l2.neg l2.tt target)
+            rest
+        with
+        | Some l2 -> Some (N.create_or net l1.s l2.s)
         | None -> pairs rest)
     in
     pairs pool
@@ -59,63 +62,82 @@ module Make (N : Network.Intf.NETWORK) = struct
   (* AND 1-resub via duality: target = l1 & l2  iff  !target = !l1 | !l2. *)
   let resub_and net (lits : literal array) target =
     let pool =
-      List.filter (fun (_, tt) -> Tt.implies target tt) (Array.to_list lits)
+      List.filter
+        (fun l -> Tt.implies_c false target l.neg l.tt)
+        (Array.to_list lits)
     in
     let rec pairs = function
       | [] -> None
-      | (s1, t1) :: rest ->
-        let hit =
-          List.find_opt (fun (_, t2) -> Tt.equal Tt.(t1 &: t2) target) rest
-        in
-        (match hit with
-        | Some (s2, _) -> Some (N.create_and net s1 s2)
+      | l1 :: rest -> (
+        match
+          List.find_opt
+            (fun l2 -> Tt.and_equal_c l1.neg l1.tt l2.neg l2.tt target)
+            rest
+        with
+        | Some l2 -> Some (N.create_and net l1.s l2.s)
         | None -> pairs rest)
     in
     pairs pool
 
+  (* The XOR kernels look up a needed function among the literals' own
+     functions, by hashing, and a hash key is a table: they build the
+     negative literals' complements, once per call, and map each function
+     to the last literal's signal. *)
+  let literal_functions (lits : literal array) =
+    Array.map (fun l -> if l.neg then Tt.( ~: ) l.tt else l.tt) lits
+
+  let function_table (lits : literal array) funcs =
+    let table = Tt.Tbl.create (Array.length lits) in
+    Array.iteri (fun i f -> Tt.Tbl.replace table f lits.(i).s) funcs;
+    table
+
   (* XOR 1-resub: target = l1 ^ l2, by exact hashing of the needed
      counterpart. *)
   let resub_xor net (lits : literal array) target =
-    let found = ref None in
-    let table = Tt.Tbl.create (Array.length lits) in
-    Array.iter (fun (s, tt) -> Tt.Tbl.replace table tt s) lits;
-    Array.iter
-      (fun (s1, t1) ->
-        if !found = None then begin
-          let needed = Tt.( ^: ) target t1 in
-          match Tt.Tbl.find_opt table needed with
-          | Some s2 when s2 <> s1 -> found := Some (N.create_xor net s1 s2)
-          | Some _ | None -> ()
-        end)
-      lits;
+    let funcs = literal_functions lits in
+    let table = function_table lits funcs in
+    let found = ref None and i = ref 0 in
+    while !found = None && !i < Array.length lits do
+      let s1 = lits.(!i).s in
+      (match Tt.Tbl.find_opt table (Tt.( ^: ) target funcs.(!i)) with
+      | Some s2 when s2 <> s1 -> found := Some (N.create_xor net s1 s2)
+      | Some _ | None -> ());
+      incr i
+    done;
     !found
 
   (* OR 2-resub: target = l1 | (l2 & l3). *)
   let resub_or_and net (lits : literal array) target =
     let unate =
-      List.filter (fun (_, tt) -> Tt.implies tt target) (Array.to_list lits)
+      List.filter
+        (fun l -> Tt.implies_c l.neg l.tt false target)
+        (Array.to_list lits)
     in
     let result = ref None in
     List.iter
-      (fun (s1, t1) ->
+      (fun l1 ->
         if !result = None then begin
-          let rem = Tt.and_c false target true t1 in
+          let rem = Tt.and_c false target (not l1.neg) l1.tt in
           if not (Tt.is_const0 rem) then begin
             (* both remaining literals must cover the remainder *)
             let covering =
-              List.filter (fun (_, tt) -> Tt.implies rem tt) (Array.to_list lits)
+              List.filter
+                (fun l -> Tt.implies_c false rem l.neg l.tt)
+                (Array.to_list lits)
             in
             let rec pairs = function
               | [] -> ()
-              | (s2, t2) :: rest ->
-                let hit =
+              | l2 :: rest -> (
+                match
                   List.find_opt
-                    (fun (_, t3) -> Tt.equal Tt.(t1 |: (t2 &: t3)) target)
+                    (fun l3 ->
+                      Tt.or_and_equal_c l1.neg l1.tt l2.neg l2.tt l3.neg l3.tt
+                        target)
                     rest
-                in
-                (match hit with
-                | Some (s3, _) ->
-                  result := Some (N.create_or net s1 (N.create_and net s2 s3))
+                with
+                | Some l3 ->
+                  result :=
+                    Some (N.create_or net l1.s (N.create_and net l2.s l3.s))
                 | None -> pairs rest)
             in
             pairs covering
@@ -124,29 +146,31 @@ module Make (N : Network.Intf.NETWORK) = struct
       unate;
     !result
 
-  (* AND 2-resub via duality: target = l1 & (l2 | l3). *)
+  (* AND 2-resub via duality: target = l1 & (l2 | l3), found as the OR
+     2-resub of the complemented target over the complemented literals. *)
   let resub_and_or net (lits : literal array) target =
-    let neg_lits = Array.map (fun (s, tt) -> (N.complement s, Tt.( ~: ) tt)) lits in
+    let neg_lits =
+      Array.map (fun l -> { l with s = N.complement l.s; neg = not l.neg }) lits
+    in
     match resub_or_and net neg_lits (Tt.( ~: ) target) with
     | Some s -> Some (N.complement s)
     | None -> None
 
   (* XOR 2-resub: target = l1 ^ (l2 & l3), by exact hashing of l1. *)
   let resub_xor_and net (lits : literal array) target =
-    let table = Tt.Tbl.create (Array.length lits) in
-    Array.iter (fun (s, tt) -> Tt.Tbl.replace table tt s) lits;
+    let funcs = literal_functions lits in
+    let table = function_table lits funcs in
     let n_lits = Array.length lits in
     let result = ref None in
     let i = ref 0 in
     while !result = None && !i < n_lits do
-      let s2, t2 = lits.(!i) in
+      let s2 = lits.(!i).s in
       let j = ref (!i + 1) in
       while !result = None && !j < n_lits do
-        let s3, t3 = lits.(!j) in
+        let s3 = lits.(!j).s in
         if N.node_of_signal s2 <> N.node_of_signal s3 then begin
-          let conj = Tt.( &: ) t2 t3 in
-          let needed = Tt.( ^: ) target conj in
-          match Tt.Tbl.find_opt table needed with
+          let conj = Tt.( &: ) funcs.(!i) funcs.(!j) in
+          match Tt.Tbl.find_opt table (Tt.( ^: ) target conj) with
           | Some s1 -> result := Some (N.create_xor net s1 (N.create_and net s2 s3))
           | None -> ()
         end;
@@ -165,24 +189,29 @@ module Make (N : Network.Intf.NETWORK) = struct
     let result = ref None in
     let i = ref 0 in
     while !result = None && !i < n_lits do
-      let s1, t1 = lits.(!i) in
+      let l1 = lits.(!i) in
       let j = ref (!i + 1) in
       while !result = None && !j < n_lits do
-        let s2, t2 = lits.(!j) in
+        let l2 = lits.(!j) in
         if
-          N.node_of_signal s1 <> N.node_of_signal s2
-          && Tt.implies Tt.(t1 &: t2) target
-          && Tt.implies target Tt.(t1 |: t2)
+          N.node_of_signal l1.s <> N.node_of_signal l2.s
+          && Tt.and_implies_c l1.neg l1.tt l2.neg l2.tt false target
+          (* !l1 & !l2 implies !target *)
+          && Tt.and_implies_c (not l1.neg) l1.tt (not l2.neg) l2.tt true target
         then begin
-          let differ = Tt.(t1 ^: t2) in
+          (* the minterms where l1 and l2 differ, as [differ] complemented
+             when [flip] *)
+          let differ = Tt.( ^: ) l1.tt l2.tt and flip = l1.neg <> l2.neg in
           let k = ref 0 in
           while !result = None && !k < n_lits do
-            let s3, t3 = lits.(!k) in
+            let l3 = lits.(!k) in
+            (* where they differ, l3 equals the target: l3 ^ target
+               vanishes there *)
             if
-              N.node_of_signal s3 <> N.node_of_signal s1
-              && N.node_of_signal s3 <> N.node_of_signal s2
-              && Tt.is_const0 Tt.((t3 ^: target) &: differ)
-            then result := Some (N.create_maj net s1 s2 s3);
+              N.node_of_signal l3.s <> N.node_of_signal l1.s
+              && N.node_of_signal l3.s <> N.node_of_signal l2.s
+              && Tt.implies_c flip differ (not l3.neg) (Tt.( ^: ) l3.tt target)
+            then result := Some (N.create_maj net l1.s l2.s l3.s);
             incr k
           done
         end;
@@ -223,8 +252,8 @@ module Make (N : Network.Intf.NETWORK) = struct
     go (kernel_candidates kernel k)
 
   (* The literals of [divisors]: each divisor's signal and its
-     complement, with their tables, filled in place. *)
-  let no_literal = (N.constant false, Tt.const0 0)
+     complement, both over the divisor's window table. *)
+  let no_literal = { s = N.constant false; tt = Tt.const0 0; neg = false }
 
   let literals (net : N.t) tb (divisors : N.node array) : literal array =
     let lits = Array.make (2 * Array.length divisors) no_literal in
@@ -232,8 +261,8 @@ module Make (N : Network.Intf.NETWORK) = struct
       (fun i d ->
         let tt = W.find net tb d in
         let s = N.signal_of_node d in
-        lits.(2 * i) <- (s, tt);
-        lits.((2 * i) + 1) <- (N.complement s, Tt.( ~: ) tt))
+        lits.(2 * i) <- { s; tt; neg = false };
+        lits.((2 * i) + 1) <- { s = N.complement s; tt; neg = true })
       divisors;
     lits
 

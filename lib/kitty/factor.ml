@@ -38,24 +38,30 @@ let expr_of_cube c =
   | lits -> And (List.map (fun (v, pol) -> Lit (v, not pol)) lits)
 
 (* Literal occurring in the largest number of cubes; ties broken towards the
-   smallest variable/polarity.  Returns [None] when no literal occurs twice. *)
+   smallest variable/polarity.  Returns [None] when no literal occurs twice.
+   Literal [(v, pol)] counts in slot [2 v + pol], so scanning the slots in
+   order meets the literals in [(v, pol)] order. *)
 let most_frequent_literal cubes =
-  let counts = Hashtbl.create 16 in
+  let counts = Array.make (2 * Tt.max_vars) 0 in
   List.iter
-    (fun c ->
-      List.iter
-        (fun (v, pol) ->
-          let key = (v, pol) in
-          Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
-        (Cube.literals c))
+    (fun (c : Cube.t) ->
+      let mask = ref c.mask and v = ref 0 in
+      while !mask <> 0 do
+        if !mask land 1 = 1 then begin
+          let slot = (2 * !v) + ((c.bits lsr !v) land 1) in
+          counts.(slot) <- counts.(slot) + 1
+        end;
+        mask := !mask lsr 1;
+        incr v
+      done)
     cubes;
-  Hashtbl.fold
-    (fun key count best ->
-      match best with
-      | Some (_, bc) when bc > count -> best
-      | Some (bk, bc) when bc = count && bk <= key -> best
-      | _ -> if count >= 2 then Some (key, count) else best)
-    counts None
+  let best = ref (-1) in
+  Array.iteri
+    (fun slot count ->
+      if count >= 2 && (!best < 0 || count > counts.(!best)) then best := slot)
+    counts;
+  if !best < 0 then None
+  else Some ((!best / 2, !best land 1 = 1), counts.(!best))
 
 let rec factor_cubes cubes =
   match cubes with

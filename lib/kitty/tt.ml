@@ -164,28 +164,134 @@ let ( ~: ) a =
   if n < 6 then set_word r 0 (Int64.logand (word r 0) (word_mask n));
   r
 
-(* [(if ca then ~:a else a) &: (if cb then ~:b else b)] in one loop: a
-   complemented input is its words XORed with all ones. *)
+(* A complemented operand is its words XORed with all ones. *)
+let[@inline] cmask c = if c then -1L else 0L
+
+(* [(if ca then ~:a else a) &: (if cb then ~:b else b)] in one loop. *)
 let and_c ca a cb b =
   check a b;
   let r = blank a in
-  let ma = if ca then -1L else 0L and mb = if cb then -1L else 0L in
+  let mask = word_mask (num_vars a) and ma = cmask ca and mb = cmask cb in
   for i = 0 to words a - 1 do
     set_word r i
-      (Int64.logand (Int64.logxor (word a i) ma) (Int64.logxor (word b i) mb))
+      (Int64.logand
+         (Int64.logand (Int64.logxor (word a i) ma) (Int64.logxor (word b i) mb))
+         mask)
   done;
-  let n = num_vars a in
-  if n < 6 then set_word r 0 (Int64.logand (word r 0) (word_mask n));
   r
 
-(* [is_const0 (a &: ~:b)] without building either table. *)
-let implies a b =
+(* Checks over complemented operands, allocating nothing: each word of
+   the outcome is compared under the word mask, so the high bits a
+   complemented short table sets never count. *)
+let equal_c ca a b =
   check a b;
+  let mask = word_mask (num_vars a) and ma = cmask ca in
   let n = words a and i = ref 0 in
-  while !i < n && Int64.logand (word a !i) (Int64.lognot (word b !i)) = 0L do
+  while
+    !i < n
+    && Int64.logand (Int64.logxor (Int64.logxor (word a !i) ma) (word b !i)) mask
+       = 0L
+  do
     incr i
   done;
   !i = n
+
+let implies_c ca a cb b =
+  check a b;
+  let mask = word_mask (num_vars a) and ma = cmask ca and mb = cmask (not cb) in
+  let n = words a and i = ref 0 in
+  while
+    !i < n
+    && Int64.logand
+         (Int64.logand (Int64.logxor (word a !i) ma) (Int64.logxor (word b !i) mb))
+         mask
+       = 0L
+  do
+    incr i
+  done;
+  !i = n
+
+let and_implies_c ca a cb b cc c =
+  check a b;
+  check a c;
+  let mask = word_mask (num_vars a) and ma = cmask ca and mb = cmask cb
+  and mc = cmask (not cc) in
+  let n = words a and i = ref 0 in
+  while
+    !i < n
+    && Int64.logand
+         (Int64.logand
+            (Int64.logand (Int64.logxor (word a !i) ma) (Int64.logxor (word b !i) mb))
+            (Int64.logxor (word c !i) mc))
+         mask
+       = 0L
+  do
+    incr i
+  done;
+  !i = n
+
+let or_equal_c ca a cb b t =
+  check a b;
+  check a t;
+  let mask = word_mask (num_vars a) and ma = cmask ca and mb = cmask cb in
+  let n = words a and i = ref 0 in
+  while
+    !i < n
+    && Int64.logand
+         (Int64.logxor
+            (Int64.logor (Int64.logxor (word a !i) ma) (Int64.logxor (word b !i) mb))
+            (word t !i))
+         mask
+       = 0L
+  do
+    incr i
+  done;
+  !i = n
+
+let and_equal_c ca a cb b t =
+  check a b;
+  check a t;
+  let mask = word_mask (num_vars a) and ma = cmask ca and mb = cmask cb in
+  let n = words a and i = ref 0 in
+  while
+    !i < n
+    && Int64.logand
+         (Int64.logxor
+            (Int64.logand (Int64.logxor (word a !i) ma) (Int64.logxor (word b !i) mb))
+            (word t !i))
+         mask
+       = 0L
+  do
+    incr i
+  done;
+  !i = n
+
+let or_and_equal_c ca a cb b cc c t =
+  check a b;
+  check a c;
+  check a t;
+  let mask = word_mask (num_vars a) and ma = cmask ca and mb = cmask cb
+  and mc = cmask cc in
+  let n = words a and i = ref 0 in
+  while
+    !i < n
+    && Int64.logand
+         (Int64.logxor
+            (Int64.logor
+               (Int64.logxor (word a !i) ma)
+               (Int64.logand
+                  (Int64.logxor (word b !i) mb)
+                  (Int64.logxor (word c !i) mc)))
+            (word t !i))
+         mask
+       = 0L
+  do
+    incr i
+  done;
+  !i = n
+
+(* [is_const0 (a &: ~:b)] without building either table. *)
+let implies a b = implies_c false a false b
 
 let xnor a b = ~:(a ^: b)
 let nand a b = ~:(a &: b)
@@ -244,7 +350,32 @@ let cofactor0 tt i =
   end;
   r
 
-let has_var tt i = not (equal (cofactor0 tt i) (cofactor1 tt i))
+(* Do the two cofactors differ?  Compared in place: below 6, each word
+   against itself shifted down by the variable's stride (the unused high
+   bits of a short table are zero, so they never differ); above, each
+   word with the variable at 0 against its partner at 1. *)
+let has_var tt i =
+  if i >= num_vars tt then false
+  else if i < 6 then begin
+    let p = Int64.lognot projections.(i) and s = 1 lsl i in
+    let n = words tt and w = ref 0 in
+    while
+      !w < n
+      && (let x = word tt !w in
+          Int64.logand (Int64.logxor (Int64.shift_right_logical x s) x) p = 0L)
+    do
+      incr w
+    done;
+    !w < n
+  end
+  else begin
+    let b = i - 6 in
+    let d = 1 lsl b and n = words tt and w = ref 0 in
+    while !w < n && ((!w lsr b) land 1 = 1 || word tt !w = word tt (!w lor d)) do
+      incr w
+    done;
+    !w < n
+  end
 
 (* List of variables the function actually depends on, ascending. *)
 let support tt =

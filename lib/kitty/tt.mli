@@ -69,6 +69,32 @@ val implies : t -> t -> bool
 (** [implies a b] is [is_const0 (a &: ~:b)]: every minterm of [a] is one
     of [b].  Allocates nothing. *)
 
+(** {2 Checks over complemented operands}
+
+    Each flag complements its operand: [equal_c c a b] is
+    [equal (if c then ~:a else a) b], and so on.  They compare word by
+    word and allocate nothing. *)
+
+val equal_c : bool -> t -> t -> bool
+
+val implies_c : bool -> t -> bool -> t -> bool
+(** [implies_c ca a cb b]: every minterm of [a] (complemented when [ca])
+    is one of [b] (complemented when [cb]). *)
+
+val and_implies_c : bool -> t -> bool -> t -> bool -> t -> bool
+(** [and_implies_c ca a cb b cc c]: every minterm of [a &: b] is one of
+    [c], each operand complemented by its flag. *)
+
+val or_equal_c : bool -> t -> bool -> t -> t -> bool
+(** [or_equal_c ca a cb b t]: [a |: b], operands complemented by their
+    flags, equals [t]. *)
+
+val and_equal_c : bool -> t -> bool -> t -> t -> bool
+(** [and_equal_c ca a cb b t]: [a &: b] equals [t]. *)
+
+val or_and_equal_c : bool -> t -> bool -> t -> bool -> t -> t -> bool
+(** [or_and_equal_c ca a cb b cc c t]: [a |: (b &: c)] equals [t]. *)
+
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by truth tables (variable count and words). *)
 
@@ -106,7 +132,9 @@ val cofactor1 : t -> int -> t
 (** Positive cofactor. *)
 
 val has_var : t -> int -> bool
-(** Does the function depend on the variable? *)
+(** Does the function depend on the variable?  Compares the two
+    cofactors in place, allocating nothing; [false] for a variable at or
+    above [num_vars]. *)
 
 val support : t -> int list
 (** Variables the function depends on, ascending. *)

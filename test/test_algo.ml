@@ -740,6 +740,214 @@ let prop_divisor_cap =
           end);
       !ok)
 
+(* -- resubstitution kernels on polarity literals against the kernels
+   over complemented copies they replaced -- *)
+
+(* The kernels as they were: a literal is a signal and its own table, the
+   complemented literal a complemented copy of the divisor's table. *)
+module Resub_reference (N : Intf.NETWORK) = struct
+  type literal = N.signal * Tt.t
+
+  let resub0 (lits : literal array) target =
+    if Tt.is_const0 target then Some (N.constant false)
+    else if Tt.is_const1 target then Some (N.constant true)
+    else
+      Array.find_map (fun (s, tt) -> if Tt.equal tt target then Some s else None) lits
+
+  let pairs_of pool hit build =
+    let rec pairs = function
+      | [] -> None
+      | (s1, t1) :: rest -> (
+        match List.find_opt (fun (_, t2) -> hit t1 t2) rest with
+        | Some (s2, _) -> Some (build s1 s2)
+        | None -> pairs rest)
+    in
+    pairs pool
+
+  let resub_or net (lits : literal array) target =
+    pairs_of
+      (List.filter (fun (_, tt) -> Tt.implies tt target) (Array.to_list lits))
+      (fun t1 t2 -> Tt.equal Tt.(t1 |: t2) target)
+      (N.create_or net)
+
+  let resub_and net (lits : literal array) target =
+    pairs_of
+      (List.filter (fun (_, tt) -> Tt.implies target tt) (Array.to_list lits))
+      (fun t1 t2 -> Tt.equal Tt.(t1 &: t2) target)
+      (N.create_and net)
+
+  let table_of (lits : literal array) =
+    let table = Tt.Tbl.create (Array.length lits) in
+    Array.iter (fun (s, tt) -> Tt.Tbl.replace table tt s) lits;
+    table
+
+  let resub_xor net (lits : literal array) target =
+    let table = table_of lits in
+    Array.find_map
+      (fun (s1, t1) ->
+        match Tt.Tbl.find_opt table (Tt.( ^: ) target t1) with
+        | Some s2 when s2 <> s1 -> Some (N.create_xor net s1 s2)
+        | Some _ | None -> None)
+      lits
+
+  let resub_or_and net (lits : literal array) target =
+    let all = Array.to_list lits in
+    List.find_map
+      (fun (s1, t1) ->
+        let rem = Tt.and_c false target true t1 in
+        if Tt.is_const0 rem then None
+        else
+          pairs_of
+            (List.filter (fun (_, tt) -> Tt.implies rem tt) all)
+            (fun t2 t3 -> Tt.equal Tt.(t1 |: (t2 &: t3)) target)
+            (fun s2 s3 -> N.create_or net s1 (N.create_and net s2 s3)))
+      (List.filter (fun (_, tt) -> Tt.implies tt target) all)
+
+  let resub_and_or net (lits : literal array) target =
+    let neg = Array.map (fun (s, tt) -> (N.complement s, Tt.( ~: ) tt)) lits in
+    Option.map N.complement (resub_or_and net neg (Tt.( ~: ) target))
+
+  let resub_xor_and net (lits : literal array) target =
+    let table = table_of lits in
+    let n = Array.length lits and result = ref None in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let s2, t2 = lits.(i) and s3, t3 = lits.(j) in
+        if !result = None && N.node_of_signal s2 <> N.node_of_signal s3 then
+          match Tt.Tbl.find_opt table Tt.(target ^: (t2 &: t3)) with
+          | Some s1 -> result := Some (N.create_xor net s1 (N.create_and net s2 s3))
+          | None -> ()
+      done
+    done;
+    !result
+
+  let resub_maj net (lits : literal array) target =
+    let n = Array.length lits and result = ref None in
+    let node i = N.node_of_signal (fst lits.(i)) in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let s1, t1 = lits.(i) and s2, t2 = lits.(j) in
+        if
+          !result = None && node i <> node j
+          && Tt.implies Tt.(t1 &: t2) target
+          && Tt.implies target Tt.(t1 |: t2)
+        then
+          for k = 0 to n - 1 do
+            let s3, t3 = lits.(k) in
+            if
+              !result = None && node k <> node i && node k <> node j
+              && Tt.is_const0 Tt.((t3 ^: target) &: (t1 ^: t2))
+            then result := Some (N.create_maj net s1 s2 s3)
+          done
+      done
+    done;
+    !result
+end
+
+module Resub_kernels (N : Intf.NETWORK) = struct
+  module G = Gen.Make (N)
+  module Rs = Algo.Resub.Make (N)
+  module Ref = Resub_reference (N)
+  module Rc = Algo.Reconv.Make (N)
+  module W = Algo.Window.Make (N)
+  module M = Algo.Mffc.Make (N)
+  module T = Topo.Make (N)
+
+  (* Every kernel of [kinds] answers what its reference answers, on the
+     window of every gate of a random network, for the root's own table
+     and for targets composed from random literals (so that the kernels
+     also find their structures). *)
+  let agree ?use_maj ~kinds seed =
+    let rng = Random.State.make [| seed |] in
+    let net =
+      G.generate ?use_maj ~seed ~num_pis:6 ~num_gates:50 ~num_pos:4 ()
+    in
+    let ok = ref true in
+    List.iter
+      (fun n ->
+        if N.is_gate net n && not (N.is_dead net n) then begin
+          let leaves = Rc.compute net ~max_leaves:8 n in
+          let mffc = M.collect net n in
+          if Array.length leaves > 0 && mffc <> [] then begin
+            let w = W.of_cut net n leaves in
+            let divisors = W.divisors net w ~mffc ~max:24 in
+            let tb = W.simulate net w in
+            W.simulate_divisors net tb divisors;
+            let lits = Rs.literals net tb divisors in
+            let ref_lits =
+              Array.map
+                (fun (l : Rs.literal) ->
+                  (l.s, if l.neg then Tt.( ~: ) l.tt else l.tt))
+                lits
+            in
+            let nl = Array.length lits in
+            let f i = snd ref_lits.(i) in
+            let composed () =
+              let a = f (Random.State.int rng nl)
+              and b = f (Random.State.int rng nl)
+              and c = f (Random.State.int rng nl) in
+              Tt.(
+                match Random.State.int rng 7 with
+                | 0 -> a |: b
+                | 1 -> a &: b
+                | 2 -> a ^: b
+                | 3 -> a |: (b &: c)
+                | 4 -> a &: (b |: c)
+                | 5 -> a ^: (b &: c)
+                | _ -> maj a b c)
+            in
+            let targets =
+              W.find net tb n
+              :: (if nl = 0 then [] else List.init 6 (fun _ -> composed ()))
+            in
+            List.iter
+              (fun target ->
+                List.iter
+                  (fun kind ->
+                    let expect, got =
+                      match kind with
+                      | `Zero -> (Ref.resub0 ref_lits target, Rs.resub0 lits target)
+                      | `Or ->
+                        (Ref.resub_or net ref_lits target, Rs.resub_or net lits target)
+                      | `And ->
+                        (Ref.resub_and net ref_lits target, Rs.resub_and net lits target)
+                      | `Xor ->
+                        (Ref.resub_xor net ref_lits target, Rs.resub_xor net lits target)
+                      | `Or_and ->
+                        ( Ref.resub_or_and net ref_lits target,
+                          Rs.resub_or_and net lits target )
+                      | `And_or ->
+                        ( Ref.resub_and_or net ref_lits target,
+                          Rs.resub_and_or net lits target )
+                      | `Xor_and ->
+                        ( Ref.resub_xor_and net ref_lits target,
+                          Rs.resub_xor_and net lits target )
+                      | `Maj ->
+                        (Ref.resub_maj net ref_lits target, Rs.resub_maj net lits target)
+                    in
+                    if expect <> got then ok := false)
+                  kinds)
+              targets
+          end
+        end)
+      (T.order net);
+    !ok
+end
+
+module Resub_kernels_aig = Resub_kernels (Aig)
+module Resub_kernels_xag = Resub_kernels (Xag)
+module Resub_kernels_mig = Resub_kernels (Mig)
+
+let and_or_kinds = [ `Zero; `Or; `And; `Or_and; `And_or ]
+
+let prop_resub_kernels =
+  QCheck.Test.make ~name:"resub kernels on polarity literals = reference"
+    ~count:10 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      Resub_kernels_aig.agree ~kinds:and_or_kinds seed
+      && Resub_kernels_xag.agree ~kinds:(and_or_kinds @ [ `Xor; `Xor_and ]) seed
+      && Resub_kernels_mig.agree ~use_maj:true ~kinds:[ `Zero; `Maj ] seed)
+
 let extra_suite =
   [
     Alcotest.test_case "cuts k=6 functions" `Quick test_cuts_k6;
@@ -757,6 +965,7 @@ let extra_suite =
     Alcotest.test_case "mffc respects po refs" `Quick test_mffc_respects_po_refs;
     Seed.to_alcotest prop_shared_walks;
     Seed.to_alcotest prop_divisor_cap;
+    Seed.to_alcotest prop_resub_kernels;
   ]
 
 let suite = suite @ extra_suite

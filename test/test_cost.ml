@@ -211,17 +211,24 @@ let telescoping_props =
         ~count:8
         QCheck.(int_bound 10_000)
         (fun seed ->
-          let net =
+          let generate () =
             G.generate ~seed:(seed + 1) ~num_pis:5 ~num_gates:40 ~num_pos:3 ()
           in
-          let bounded pass =
+          let net = generate () in
+          let bounded net pass =
             let before = Co.eval spec net in
             let gain = pass () in
             gain >= 0 && before - Co.eval spec net >= gain
           in
-          bounded (fun () -> Rw.run net ~db:(Lazy.force db) ~cost:spec ())
-          && bounded (fun () -> Rf.run net ~cost:spec ())
-          && bounded (fun () -> Bz.run ~cost:spec net)))
+          bounded net (fun () -> Rw.run net ~db:(Lazy.force db) ~cost:spec ())
+          && bounded net (fun () -> Rf.run net ~cost:spec ())
+          && bounded net (fun () -> Bz.run ~cost:spec net)
+          (* the specialized AIG rewriter counts gates: area only *)
+          && (spec <> Algo.Cost.Spec.Area
+             ||
+             let net = generate () in
+             bounded net (fun () -> Algo.Rewrite_aig.run net ~db:(Lazy.force db) ())
+             )))
     additive_specs
 
 (* The same law for resubstitution, one kernel per representation:
@@ -339,28 +346,36 @@ let test_network_cost_area_is_seed_order () =
 
 (* Networks on which rewriting once claimed more gain than it realized:
    the winning candidate resolved to an existing node inside the MFFC it
-   was priced as freeing. *)
+   was priced as freeing.  The specialized AIG rewriter had the same
+   fault (gain 2 against 1 on seed 143, 6 against 4 on seed 201). *)
 let test_gain_bound_regressions () =
+  let check name spec seed pass =
+    let net = G.generate ~seed ~num_pis:5 ~num_gates:40 ~num_pos:3 () in
+    let before = Co.eval spec net in
+    let gain = pass net in
+    let after = Co.eval spec net in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s seed %d: gain %d <= delta %d" name
+         (spec_name spec) seed gain (before - after))
+      true
+      (gain >= 0 && before - after >= gain)
+  in
   List.iter
     (fun (spec, seed) ->
-      let net =
-        G.generate ~seed ~num_pis:5 ~num_gates:40 ~num_pos:3 ()
-      in
-      let before = Co.eval spec net in
-      let gain = Rw.run net ~db:(Lazy.force db) ~cost:spec () in
-      let after = Co.eval spec net in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s seed %d: gain %d <= delta %d" (spec_name spec)
-           seed gain (before - after))
-        true
-        (gain >= 0 && before - after >= gain))
+      check "rw" spec seed (fun net ->
+          Rw.run net ~db:(Lazy.force db) ~cost:spec ()))
     [
       (Algo.Cost.Spec.Area, 114);
       (Algo.Cost.Spec.Area, 143);
       (Algo.Cost.Spec.Edges, 183);
       (Algo.Cost.Spec.Activity, 60);
       (Algo.Cost.Spec.Activity, 101);
-    ]
+    ];
+  List.iter
+    (fun seed ->
+      check "Rewrite_aig" Algo.Cost.Spec.Area seed (fun net ->
+          Algo.Rewrite_aig.run net ~db:(Lazy.force db) ()))
+    [ 143; 201 ]
 
 (* The depth objective is the network depth: a dangling gate deeper than
    every output delays none of them. *)

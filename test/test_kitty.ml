@@ -590,6 +590,113 @@ let test_expand_constants () =
       (Tt.const1 m) (Tt.expand (Tt.const1 0) ~from:[||] ~into)
   done
 
+(* -- the allocation-free kernels against the compositions they replace -- *)
+
+(* The single-word ISOP lists the cubes the multi-word recursion lists:
+   [Tt.extend f 7] takes the [Bytes] path, and the added variable is never
+   split on.  Every function of at most 4 variables. *)
+let test_isop_word_exhaustive () =
+  for n = 0 to 4 do
+    for v = 0 to (1 lsl (1 lsl n)) - 1 do
+      let f = Tt.of_int64 n (Int64.of_int v) in
+      if Isop.of_tt f <> Isop.of_tt (Tt.extend f 7) then
+        Alcotest.failf "ISOP of %d-var 0x%s differs from the multi-word one" n
+          (Tt.to_hex f)
+    done
+  done
+
+let prop_isop_word_wide =
+  QCheck.Test.make ~name:"single-word ISOP = multi-word ISOP (5, 6 vars)"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 5 + Random.State.int rng 2 in
+      let f =
+        match Random.State.int rng 3 with
+        | 0 -> random_table rng n
+        | 1 ->
+          (* free of variable 5 or of a lower one *)
+          let g = random_table rng n in
+          Tt.exists g (Random.State.int rng n)
+        | _ -> Tt.(random_table rng n &: random_table rng n)
+      in
+      Isop.of_tt f = Isop.of_tt (Tt.extend f 7))
+
+let prop_has_var_cofactors =
+  QCheck.Test.make ~name:"has_var = cofactors differ (n <= 10)" ~count:300
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = Random.State.int rng 11 in
+      let f = random_table rng n in
+      (* drop a variable now and then, so [false] answers occur too *)
+      let f = if n > 0 && Random.State.bool rng then Tt.exists f (Random.State.int rng n) else f in
+      List.for_all
+        (fun i ->
+          Tt.has_var f i
+          = not (Tt.equal (Tt.cofactor0 f i) (Tt.cofactor1 f i)))
+        (List.init n Fun.id))
+
+(* Each fused check against its allocating composition, for every flag
+   combination.  The targets are the composition itself and the
+   composition with one minterm flipped, so both answers occur; below 6
+   variables a complemented operand sets the word's unused bits, which
+   the checks must mask. *)
+let prop_complemented_checks =
+  QCheck.Test.make ~name:"checks over complemented operands = compositions (n <= 10)"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = Random.State.int rng 11 in
+      let a = random_table rng n and b = random_table rng n
+      and c = random_table rng n in
+      let lit f x = if f then Tt.( ~: ) x else x in
+      let near t =
+        let t = Tt.copy t and m = Random.State.int rng (1 lsl n) in
+        if Tt.get_bit t m = 1 then Tt.clear_bit t m else Tt.set_bit t m;
+        t
+      in
+      let flags = [ false; true ] in
+      List.for_all
+        (fun ca ->
+          List.for_all
+            (fun cb ->
+              let la = lit ca a and lb = lit cb b in
+              (* [b'] over which [a]'s literal implies [b']'s literal *)
+              let b' = lit cb Tt.(la |: c) in
+              let targets t = [ t; near t; c ] in
+              List.for_all
+                (fun t -> Tt.equal_c ca a t = Tt.equal la t)
+                (targets la)
+              && List.for_all
+                   (fun (x, y) ->
+                     Tt.implies_c ca x cb y = Tt.implies (lit ca x) (lit cb y))
+                   [ (a, b); (a, b'); (a, near b') ]
+              && List.for_all
+                   (fun cc ->
+                     List.for_all
+                       (fun t ->
+                         Tt.and_implies_c ca a cb b cc t
+                         = Tt.implies Tt.(la &: lb) (lit cc t))
+                       [ lit cc Tt.(la &: lb); lit cc (near Tt.(la &: lb)); c ])
+                   flags
+              && List.for_all
+                   (fun t -> Tt.or_equal_c ca a cb b t = Tt.equal Tt.(la |: lb) t)
+                   (targets Tt.(la |: lb))
+              && List.for_all
+                   (fun t -> Tt.and_equal_c ca a cb b t = Tt.equal Tt.(la &: lb) t)
+                   (targets Tt.(la &: lb))
+              && List.for_all
+                   (fun cc ->
+                     let expect = Tt.(la |: (lb &: lit cc c)) in
+                     List.for_all
+                       (fun t ->
+                         Tt.or_and_equal_c ca a cb b cc c t = Tt.equal expect t)
+                       (targets expect))
+                   flags)
+            flags)
+        flags)
+
 let extra_suite =
   [
     Alcotest.test_case "multiword ops" `Quick test_multiword_ops;
@@ -608,6 +715,11 @@ let extra_suite =
     Seed.to_alcotest prop_swap_vars_reference;
     Seed.to_alcotest prop_expand_is_composition;
     Alcotest.test_case "expand constants" `Quick test_expand_constants;
+    Alcotest.test_case "single-word ISOP = multi-word ISOP (0-4 vars)" `Quick
+      test_isop_word_exhaustive;
+    Seed.to_alcotest prop_isop_word_wide;
+    Seed.to_alcotest prop_has_var_cofactors;
+    Seed.to_alcotest prop_complemented_checks;
   ]
 
 let suite = suite @ extra_suite
