@@ -59,26 +59,38 @@ module Make (N : Network.Intf.NETWORK) = struct
     go (N.signal_of_node n) ~is_root:true;
     List.rev !leaves
 
+  (* The operands of a rebuild as (level, ordinal, signal), lowest level
+     first.  On equal levels a combined operand comes before every leaf
+     and the newest one first (ordinal [-1 - seq]); leaves keep their
+     group order (ordinal [i]).  That is the order of a sorted list each
+     combined operand is merged into (test_algo's reference), without
+     the list's quadratic insertion. *)
+  module Heap = Set.Make (struct
+    type t = int * int * N.signal
+
+    let compare (l1, o1, _) (l2, o2, _) =
+      if l1 <> l2 then Int.compare l1 l2 else Int.compare o1 o2
+  end)
+
   (* Rebuild a group as a balanced tree over [leaves], combining the two
      lowest-level operands first. *)
   let rebuild (net : N.t) ~level_of combine leaves =
-    let module Pq = struct
-      (* tiny mergeable priority list keyed by level *)
-      let insert l x lst = List.merge (fun (a, _) (b, _) -> compare a b) [ (l, x) ] lst
-    end in
-    let q =
-      List.sort
-        (fun (a, _) (b, _) -> compare a b)
-        (List.map (fun s -> (level_of (N.node_of_signal s), s)) leaves)
-    in
-    let rec go = function
-      | [] -> invalid_arg "Balance.rebuild: empty group"
-      | [ (_, s) ] -> s
-      | (l1, s1) :: (l2, s2) :: rest ->
+    let rec go seq q =
+      let ((l1, _, s1) as a) = Heap.min_elt q in
+      let q = Heap.remove a q in
+      if Heap.is_empty q then s1
+      else begin
+        let ((l2, _, s2) as b) = Heap.min_elt q in
         let s = combine net s1 s2 in
-        go (Pq.insert (max l1 l2 + 1) s rest)
+        go (seq + 1) (Heap.add (max l1 l2 + 1, -1 - seq, s) (Heap.remove b q))
+      end
     in
-    go q
+    match leaves with
+    | [] -> invalid_arg "Balance.rebuild: empty group"
+    | _ ->
+      go 0
+        (Heap.of_list
+           (List.mapi (fun i s -> (level_of (N.node_of_signal s), i, s)) leaves))
 
   (* One balancing pass; returns the accumulated gain (in units of the
      cost objective) of the accepted rebuilds. *)

@@ -6,8 +6,9 @@
    objective is a [Spec.t] — an integer per-node price ([node_cost])
    folded with [+] (additive objectives) or [max] (depth) into a
    whole-network objective ([eval]) — and every resynthesis pass
-   (balance, rewrite, refactor, resub) takes its replacements through
-   [replace] instead of inlining gates/depth arithmetic.
+   (balance, rewrite, refactor, resub, and the layer-4 AIG rewriting)
+   takes its replacements through [replace] instead of inlining
+   gates/depth arithmetic.
 
    Gain accounting follows the DAG-aware protocol the passes already
    used for plain gate counts (paper §2.2.3), generalized:
@@ -22,7 +23,9 @@
               passes), then substitute — or take the candidate out
 
    [replace] is that protocol in one function, and [price] is the same
-   step without the commit.  [freed] is computed *after* the candidate
+   step without the commit.  [commit] is the step without the pricing,
+   for MIG algebraic rewriting, which decides on level estimates before
+   it builds.  [freed] is computed *after* the candidate
    exists, so nodes shared between the dying cone and the candidate hold
    references and are priced by neither side — exactly the seed
    semantics for area.
@@ -382,11 +385,9 @@ module Make (N : Intf.NETWORK) = struct
     | Rejected of int  (* priced, and the gain did not pass [accept] *)
     | Replaced of int  (* substituted for [n], with this gain *)
 
-  (* Build a candidate for [n] under the watermark and price it, leaving
-     it built; a candidate equal to [n] or whose cone above [leaves]
-     contains [n] is taken out again. *)
-  let build_priced spec net ~leaves n build =
-    let mark = N.size net in
+  (* Build a candidate for [n] and guard the cycle: a candidate equal to
+     [n] or whose cone above [leaves] contains [n] is taken out again. *)
+  let build_guarded net ~leaves n build =
     match build () with
     | None -> Error No_candidate
     | Some s ->
@@ -395,7 +396,15 @@ module Make (N : Intf.NETWORK) = struct
         N.take_out_if_dead net root;
         Error Cycle
       end
-      else Ok (s, gain spec net ~mark ~root n)
+      else Ok s
+
+  (* [build_guarded] under the watermark, then priced; the candidate is
+     left built. *)
+  let build_priced spec net ~leaves n build =
+    let mark = N.size net in
+    match build_guarded net ~leaves n build with
+    | Error _ as e -> e
+    | Ok s -> Ok (s, gain spec net ~mark ~root:(N.node_of_signal s) n)
 
   (* The replacement step every resynthesis pass takes: [build] a
      candidate for [n] over [leaves] (the nodes its cone stops at), guard
@@ -426,6 +435,17 @@ module Make (N : Intf.NETWORK) = struct
     | Ok (s, gain) ->
       N.take_out_if_dead net (N.node_of_signal s);
       Some gain
+
+  (* The step without pricing, for a pass that decided before building
+     (MIG algebraic rewriting): substitute the guarded candidate for [n];
+     false when there is none or it closes a cycle. *)
+  let commit (net : N.t) ~leaves (n : N.node)
+      (build : unit -> N.signal option) : bool =
+    match build_guarded net ~leaves n build with
+    | Error _ -> false
+    | Ok s ->
+      N.substitute_node net n s;
+      true
 
   (* -------------------------------------- network-level comparisons -- *)
 

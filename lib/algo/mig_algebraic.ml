@@ -14,12 +14,18 @@
    cheapest rule that reduces the arrival time of the node, within a size
    budget for distributivity.  This is the engine behind the large depth
    reductions MIGs achieve on carry-chain circuits (paper §1: "impressive
-   delay reductions for arithmetic-intensive benchmark circuits"). *)
+   delay reductions for arithmetic-intensive benchmark circuits").
+
+   Only the axiom matching, the level estimates and the size budget are
+   specialized: the pass decides before it builds, so each rewrite is one
+   [Cost.commit] (build, cycle guard, substitute), the replacement step
+   of every generic pass without its pricing. *)
 
 open Network
 
 module T = Topo.Make (Mig)
 module Dp = Depth.Make (Mig)
+module Co = Cost.Make (Mig)
 
 type stats = {
   mutable associativity : int;
@@ -68,6 +74,8 @@ let sweep (t : Mig.t) ~level_of ~size_budget stats =
             Array.of_list (List.filteri (fun i _ -> i <> !gi) (Array.to_list gf))
           in
           let g_level = signal_level g in
+          (* the nodes a rewritten cone stops at *)
+          let leaves = Array.map Mig.node_of_signal (Array.append others gf) in
           (* estimated new arrival if g is hoisted next to the root *)
           let hoisted_ok lower_parts =
             let inner = List.fold_left max 0 lower_parts + 1 in
@@ -98,25 +106,13 @@ let sweep (t : Mig.t) ~level_of ~size_budget stats =
                 when g <> u
                      && hoisted_ok [ signal_level x; signal_level u; signal_level y ]
                 ->
-                let inner = Mig.create_maj t x u y in
-                let n' = Mig.create_maj t inner u g in
-                if
-                  Mig.node_of_signal n' <> n
-                  && not
-                       (T.cone_contains t ~root:(Mig.node_of_signal n')
-                          ~leaves:
-                            (Array.map Mig.node_of_signal
-                               (Array.append others gf))
-                          n)
-                then begin
-                  Mig.substitute_node t n n';
+                let applied =
+                  Co.commit t ~leaves n (fun () ->
+                      Some (Mig.create_maj t (Mig.create_maj t x u y) u g))
+                in
+                if applied then
                   stats.associativity <- stats.associativity + 1;
-                  true
-                end
-                else begin
-                  Mig.take_out_if_dead t (Mig.node_of_signal n');
-                  false
-                end
+                applied
               | _ -> false)
             | Some _ | None -> false
           in
@@ -132,23 +128,16 @@ let sweep (t : Mig.t) ~level_of ~size_budget stats =
                   max (signal_level u) (signal_level v) ]
             then begin
               let before = Mig.num_gates t in
-              let a = Mig.create_maj t x y u in
-              let b = Mig.create_maj t x y v in
-              let n' = Mig.create_maj t a b g in
               if
-                Mig.node_of_signal n' <> n
-                && not
-                     (T.cone_contains t ~root:(Mig.node_of_signal n')
-                        ~leaves:
-                          (Array.map Mig.node_of_signal (Array.append others gf))
-                        n)
+                Co.commit t ~leaves n (fun () ->
+                    let a = Mig.create_maj t x y u in
+                    let b = Mig.create_maj t x y v in
+                    Some (Mig.create_maj t a b g))
               then begin
-                Mig.substitute_node t n n';
                 budget := !budget - max 0 (Mig.num_gates t - before);
                 stats.distributivity <- stats.distributivity + 1;
                 incr rewrites
               end
-              else Mig.take_out_if_dead t (Mig.node_of_signal n')
             end
           end
           else if applied then incr rewrites

@@ -26,19 +26,25 @@ module Make (N : Network.Intf.NETWORK) = struct
      structural-hashing reuse). *)
   let sharing_margin = 3
 
+  (* The database chain for [f] over [leaf_sigs] as a candidate builder;
+     [None] when synthesis failed or the chain is clearly larger than the
+     node's MFFC. *)
+  let chain_builder net db f leaf_sigs ~mffc_size =
+    let lookup = Exact.Database.lookup db f in
+    match fst lookup with
+    | Exact.Synth.Chain c when Exact.Chain.size c > mffc_size + sharing_margin
+      -> None
+    | Exact.Synth.Failed -> None
+    | Exact.Synth.Chain _ | Exact.Synth.Const _ | Exact.Synth.Projection _ ->
+      Some (fun () -> D.of_lookup net lookup leaf_sigs)
+
   (* Candidate builders for a cut: the database chain (size-optimal in
      isolation) and, for larger cones, an ISOP-factored structure — which
      sometimes shares better with the existing graph even though it has
      more gates.  Both are gain-checked; the better one wins. *)
   let candidate_builders net db cut leaf_sigs ~mffc_size =
-    let lookup = Exact.Database.lookup db cut.C.tt in
     let chain_candidate =
-      match fst lookup with
-      | Exact.Synth.Chain c when Exact.Chain.size c > mffc_size + sharing_margin
-        -> []
-      | Exact.Synth.Failed -> []
-      | Exact.Synth.Chain _ | Exact.Synth.Const _ | Exact.Synth.Projection _ ->
-        [ (fun () -> D.of_lookup net lookup leaf_sigs) ]
+      Option.to_list (chain_builder net db cut.C.tt leaf_sigs ~mffc_size)
     in
     let factored_candidate =
       if mffc_size >= 3 then
@@ -49,10 +55,18 @@ module Make (N : Network.Intf.NETWORK) = struct
        to share better with neighbouring cones, so it wins ties *)
     factored_candidate @ chain_candidate
 
-  let cut_usable net n (cut : C.cut) =
+  (* A cut is worth rebuilding over when it has two or more leaves, all
+     live and none constant. *)
+  let cut_usable net leaves =
     let leaf_ok l = (not (N.is_dead net l)) && not (N.is_constant net l) in
-    ignore n;
-    Array.length cut.C.leaves >= 2 && Array.for_all leaf_ok cut.C.leaves
+    Array.length leaves >= 2 && Array.for_all leaf_ok leaves
+
+  (* The best candidate so far: the first must pass the accept rule, a
+     later one must beat it strictly. *)
+  let improves ~zero_gain best gain =
+    match best with
+    | None -> Co.accept ~zero_gain gain
+    | Some (best_gain, _) -> gain > best_gain
 
   (* One rewriting pass; returns the accumulated gain (in units of the
      chosen cost objective). *)
@@ -73,7 +87,7 @@ module Make (N : Network.Intf.NETWORK) = struct
           let best = ref None in
           List.iter
             (fun cut ->
-              if cut_usable net n cut then begin
+              if cut_usable net cut.C.leaves then begin
                 let leaf_sigs = Array.map N.signal_of_node cut.C.leaves in
                 List.iter
                   (fun builder ->
@@ -81,18 +95,14 @@ module Make (N : Network.Intf.NETWORK) = struct
                     | None -> ()
                     | Some gain ->
                       stats.candidates <- stats.candidates + 1;
-                      let keep =
-                        match !best with
-                        | None -> Co.accept ~zero_gain:allow_zero_gain gain
-                        | Some (bg, _, _) -> gain > bg
-                      in
-                      if keep then best := Some (gain, cut, builder))
+                      if improves ~zero_gain:allow_zero_gain !best gain then
+                        best := Some (gain, (cut, builder)))
                   (candidate_builders net db cut leaf_sigs ~mffc_size)
               end)
             (C.cuts_of cuts n);
           match !best with
           | None -> ()
-          | Some (_, cut, builder) -> (
+          | Some (_, (cut, builder)) -> (
             (* rebuild the winner (cheap: structural hashing replays it)
                and substitute; the rebuild prices to the same gain, which
                already passed the pass's accept rule *)

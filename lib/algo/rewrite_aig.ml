@@ -7,19 +7,19 @@
    int truth tables and direct AND-node handling.  Comparing this against
    [Rewrite.Make (Aig)] is the experiment behind Table 1.
 
-   It is not the generic pass made faster.  It keeps its own gate-count
-   gain arithmetic instead of [Cost.replace], and it tries only the
-   database chain (no ISOP-factored candidate).  That difference, not
-   genericity, explains part of Table 1's QoR gap.  Its pricing is the
-   generic one: the MFFC is sized with the candidate root held, as
-   [Cost.gain] does, so a candidate that structural hashing resolves into
-   the dying cone is not counted as freeing that node. *)
+   Only the cut enumeration is specialized.  Candidates come from the
+   generic [Rewrite.chain_builder], are priced by [Cost.price] under the
+   area objective and committed by [Cost.replace], so the replacement
+   step is the one every generic pass takes.  It tries only the database
+   chain (no ISOP-factored candidate); that difference, not genericity,
+   explains part of Table 1's QoR gap. *)
 
 open Network
 
-module D = Exact.Decode.Make (Aig)
 module T = Topo.Make (Aig)
 module M = Mffc.Make (Aig)
+module R = Rewrite.Make (Aig)
+module Co = R.Co
 
 type cut = {
   leaves : int array;  (* at most 4, ascending *)
@@ -48,10 +48,8 @@ let expand tt child merged =
     if (tt lsr !child_m) land 1 = 1 then out := !out lor (1 lsl m)
   done;
   (* normalize to the full 16-bit space *)
-  let bits = 1 lsl Array.length merged in
   let rec widen v width = if width >= 16 then v else widen (v lor (v lsl width)) (2 * width) in
-  ignore bits;
-  widen !out bits
+  widen !out (1 lsl Array.length merged)
 
 let merge_leaves a b =
   let la = Array.length a and lb = Array.length b in
@@ -147,73 +145,28 @@ let run (net : Aig.t) ~(db : Exact.Database.t) ?(allow_zero_gain = false) ()
       then begin
         let mffc_size = M.size net n in
         let best = ref None in
-        let build f leaf_sigs =
-          let lookup = Exact.Database.lookup db f in
-          match fst lookup with
-          | Exact.Synth.Chain c when Exact.Chain.size c > mffc_size + 3 -> None
-          | Exact.Synth.Failed -> None
-          | Exact.Synth.Chain _ | Exact.Synth.Const _ | Exact.Synth.Projection _
-            ->
-            D.of_lookup net lookup leaf_sigs
-        in
-        let evaluate (cut : cut) =
-          let leaf_ok l = (not (Aig.is_dead net l)) && not (Aig.is_constant net l) in
-          if Array.length cut.leaves < 2 || not (Array.for_all leaf_ok cut.leaves)
-          then None
-          else begin
-            let k = Array.length cut.leaves in
-            let mask = (1 lsl (1 lsl k)) - 1 in
-            let f = tt_of_int k (cut.tt land mask) in
-            let leaf_sigs = Array.map Aig.signal_of_node cut.leaves in
-            let g_before = Aig.num_gates net in
-            match build f leaf_sigs with
-            | None -> None
-            | Some s ->
-              let root = Aig.node_of_signal s in
-              let added = Aig.num_gates net - g_before in
-              if root = n || T.cone_contains net ~root ~leaves:cut.leaves n
-              then begin
-                Aig.take_out_if_dead net root;
-                None
-              end
-              else begin
-                (* held while the MFFC is priced, as in [Cost.gain] *)
-                ignore (Aig.incr_ref net root);
-                let freed = M.size net n in
-                ignore (Aig.decr_ref net root);
-                let gain = freed - added in
-                Aig.take_out_if_dead net root;
-                Some (gain, cut, f)
-              end
-          end
-        in
         List.iter
-          (fun cut ->
-            match evaluate cut with
-            | None -> ()
-            | Some (gain, cut, f) ->
-              let keep =
-                match !best with
-                | None -> gain > 0 || (allow_zero_gain && gain = 0)
-                | Some (bg, _, _) -> gain > bg
-              in
-              if keep then best := Some (gain, cut, f))
+          (fun (cut : cut) ->
+            if R.cut_usable net cut.leaves then begin
+              let k = Array.length cut.leaves in
+              let f = tt_of_int k (cut.tt land ((1 lsl (1 lsl k)) - 1)) in
+              let leaf_sigs = Array.map Aig.signal_of_node cut.leaves in
+              match R.chain_builder net db f leaf_sigs ~mffc_size with
+              | None -> ()
+              | Some build -> (
+                match Co.price Cost.Spec.Area net ~leaves:cut.leaves n build with
+                | None -> ()
+                | Some gain ->
+                  if R.improves ~zero_gain:allow_zero_gain !best gain then
+                    best := Some (gain, (cut.leaves, build)))
+            end)
           cuts.(n);
         match !best with
         | None -> ()
-        | Some (gain, cut, f) -> (
-          let leaf_sigs = Array.map Aig.signal_of_node cut.leaves in
-          match build f leaf_sigs with
-          | None -> ()
-          | Some s ->
-            if
-              Aig.node_of_signal s <> n
-              && not (T.cone_contains net ~root:(Aig.node_of_signal s) ~leaves:cut.leaves n)
-            then begin
-              Aig.substitute_node net n s;
-              total_gain := !total_gain + gain
-            end
-            else Aig.take_out_if_dead net (Aig.node_of_signal s))
+        | Some (_, (leaves, build)) -> (
+          match Co.replace ~zero_gain:true Cost.Spec.Area net ~leaves n build with
+          | Co.Replaced gain -> total_gain := !total_gain + gain
+          | Co.No_candidate | Co.Cycle | Co.Rejected _ -> ())
       end)
     nodes;
   !total_gain

@@ -386,7 +386,6 @@ let support tt =
   go (num_vars tt - 1) []
 
 let exists tt i = cofactor0 tt i |: cofactor1 tt i
-let forall tt i = cofactor0 tt i &: cofactor1 tt i
 
 (* Complement variable [i] in the function: f'(.., x_i, ..) = f(.., !x_i, ..). *)
 let flip tt i =
@@ -609,11 +608,6 @@ let of_hex n s =
   tt
 
 let pp fmt tt = Format.fprintf fmt "0x%s" (to_hex tt)
-
-(* Binary string, minterm 2^n-1 first. *)
-let to_binary tt =
-  let n = num_bits tt in
-  String.init n (fun i -> if get_bit tt (n - 1 - i) = 1 then '1' else '0')
 
 (* For tables of up to 6 variables: raw word access (low bits meaningful). *)
 let to_int64 tt =

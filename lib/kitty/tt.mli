@@ -142,9 +142,6 @@ val support : t -> int list
 val exists : t -> int -> t
 (** Existential quantification: [cofactor0 f i |: cofactor1 f i]. *)
 
-val forall : t -> int -> t
-(** Universal quantification. *)
-
 val flip : t -> int -> t
 (** [flip f i] complements variable [i]: the result maps [x] to
     [f] with [x_i] inverted. *)
@@ -184,7 +181,6 @@ val apply : t -> t array -> t
 (** {1 Printing} *)
 
 val to_hex : t -> string
-val to_binary : t -> string
 val to_int64 : t -> int64
 (** Raw low word; only for tables of at most 6 variables. *)
 

@@ -938,6 +938,52 @@ module Resub_kernels_aig = Resub_kernels (Aig)
 module Resub_kernels_xag = Resub_kernels (Xag)
 module Resub_kernels_mig = Resub_kernels (Mig)
 
+(* Reference for [Balance.rebuild]: a sorted operand list that each
+   combined operand is merged into, quadratic in the group size. *)
+let rebuild_by_merge net ~level_of combine leaves =
+  let insert l x lst =
+    List.merge (fun (a, _) (b, _) -> compare a b) [ (l, x) ] lst
+  in
+  let rec go = function
+    | [] -> invalid_arg "rebuild_by_merge: empty group"
+    | [ (_, s) ] -> s
+    | (l1, s1) :: (l2, s2) :: rest ->
+      go (insert (max l1 l2 + 1) (combine net s1 s2) rest)
+  in
+  go
+    (List.sort
+       (fun (a, _) (b, _) -> compare a b)
+       (List.map (fun s -> (level_of (Aig.node_of_signal s), s)) leaves))
+
+(* The heap pops operands in the merge's order: the same combine calls
+   in the same order, on groups whose leaf levels tie often. *)
+let prop_balance_rebuild_order =
+  QCheck.Test.make ~name:"balance rebuild = List.merge reference" ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module B = Algo.Balance.Make (Aig) in
+      let rng = Random.State.make [| seed |] in
+      let t = Aig.create () in
+      let pis = Array.init 12 (fun _ -> Aig.create_pi t) in
+      let levels = Array.init (Aig.size t) (fun _ -> Random.State.int rng 4) in
+      let leaves =
+        List.init
+          (1 + Random.State.int rng 40)
+          (fun _ ->
+            Aig.complement_if (Random.State.bool rng)
+              pis.(Random.State.int rng (Array.length pis)))
+      in
+      let run rebuild =
+        let calls = ref [] in
+        let combine net a b =
+          calls := (a, b) :: !calls;
+          Aig.create_and net a b
+        in
+        let root = rebuild t ~level_of:(fun n -> levels.(n)) combine leaves in
+        (root, List.rev !calls)
+      in
+      run B.rebuild = run rebuild_by_merge)
+
 let and_or_kinds = [ `Zero; `Or; `And; `Or_and; `And_or ]
 
 let prop_resub_kernels =
@@ -966,6 +1012,7 @@ let extra_suite =
     Seed.to_alcotest prop_shared_walks;
     Seed.to_alcotest prop_divisor_cap;
     Seed.to_alcotest prop_resub_kernels;
+    Seed.to_alcotest prop_balance_rebuild_order;
   ]
 
 let suite = suite @ extra_suite

@@ -265,6 +265,57 @@ let test_output_digests () =
         pins)
     output_goldens
 
+(* Layer-4 pins.  The specialized AIG flow ([Flow.Specialized_aig],
+   whose rewriting is [Algo.Rewrite_aig]) on the suite baseline with a
+   fresh environment: the MD5 of the AIGER text after compress2rs. *)
+let specialized_goldens =
+  [
+    ("ctrl", "a6c2ded1bdfb502c9ee971100027590a");
+    ("cavlc", "0d9be087936f401816b614940ffd2f68");
+    ("int2float", "979382e2df7860b76b9a734fd8b42d4e");
+    ("dec", "c60127ea99e55098b4cd896dcdadaed6");
+    ("router", "6abf1ec61ca50f6f841d86e31a074d30");
+  ]
+
+let test_specialized_digests () =
+  List.iter
+    (fun (name, expected) ->
+      let out =
+        Flow.Specialized_aig.run_script
+          (Flow.Engine.make_env Flow.Run_config.Aig)
+          (S.build name) Flow.Script.compress2rs
+      in
+      Alcotest.(check string)
+        (name ^ " specialized compress2rs digest")
+        expected
+        (with_aiger out (fun path -> Digest.to_hex (Digest.file path))))
+    specialized_goldens
+
+(* MIG algebraic depth rewriting with the size budget the ablation bench
+   gives it (the baseline's gate count): gates, depth, associativity and
+   distributivity counts, as in BENCH_ablation.json. *)
+module Sm = Lsgen.Suite.Make (Mig)
+module Dm = Algo.Depth.Make (Mig)
+
+let mig_algebraic_goldens =
+  [ ("adder", (607, 7, 0, 197)); ("voter", (3214, 37, 4, 151)) ]
+
+let test_mig_algebraic_pins () =
+  List.iter
+    (fun (name, (gates, depth, assoc, distrib)) ->
+      let t = Sm.build name in
+      let st = Algo.Mig_algebraic.run t ~size_budget:(Mig.num_gates t) () in
+      Alcotest.(check (list int))
+        (name ^ " gates/depth/associativity/distributivity")
+        [ gates; depth; assoc; distrib ]
+        [
+          Mig.num_gates t;
+          Dm.depth t;
+          st.Algo.Mig_algebraic.associativity;
+          st.Algo.Mig_algebraic.distributivity;
+        ])
+    mig_algebraic_goldens
+
 let suite =
   [
     Alcotest.test_case "area matches seed smoke goldens" `Quick
@@ -274,4 +325,7 @@ let suite =
     Alcotest.test_case "xor and maj resub kernel pins" `Quick
       test_kernel_pins;
     Alcotest.test_case "opt output digests" `Slow test_output_digests;
+    Alcotest.test_case "specialized aig flow digests" `Quick
+      test_specialized_digests;
+    Alcotest.test_case "mig algebraic pins" `Quick test_mig_algebraic_pins;
   ]
