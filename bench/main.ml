@@ -542,8 +542,38 @@ let micro () =
                  (Int64.of_int (Random.State.int rng (1 lsl (1 lsl n))))))
          [ (2, 6); (3, 9); (4, 9) ])
   in
+  (* strash churn: the substrate step under every speculative candidate.
+     Each run builds a 2-gate candidate over each of 64 random live leaf
+     pairs of a copy of the network, then takes it out.  Slots are never
+     reused, so the copy is replaced by a fresh one every 2^18 slots. *)
+  let module Cl = Network.Convert.Cleanup (Aig) in
+  let churn = ref (Cl.cleanup net) in
+  let churn_pairs =
+    let leaves =
+      Array.append
+        (Array.map Aig.signal_of_node (Aig.pis !churn))
+        (Array.of_list (List.map Aig.signal_of_node (Aig.gates !churn)))
+    in
+    let leaf () =
+      Aig.complement_if (Random.State.bool rng)
+        leaves.(Random.State.int rng (Array.length leaves))
+    in
+    Array.init 64 (fun _ -> (leaf (), leaf ()))
+  in
+  let strash_churn () =
+    if Aig.size !churn > 1 lsl 18 then churn := Cl.cleanup net;
+    let t = !churn in
+    Array.iter
+      (fun (a, b) ->
+        let g1 = Aig.create_and t a b in
+        let g2 = Aig.create_and t (Aig.complement g1) b in
+        Aig.take_out_if_dead t (Aig.node_of_signal g2);
+        Aig.take_out_if_dead t (Aig.node_of_signal g1))
+      churn_pairs
+  in
   let tests =
     [
+      Test.make ~name:"strash-churn(64 candidates, priority)" (Staged.stage strash_churn);
       Test.make ~name:"cut-enumeration(k=4, priority)"
         (Staged.stage (fun () -> ignore (Cuts_a.enumerate net ~k:4 ~cut_limit:8 ())));
       Test.make ~name:"cut-enumeration(k=6, priority)"

@@ -463,7 +463,8 @@ module Make (N : Intf.NETWORK) = struct
 
   (* Strict improvement, for gates that replace only on a win. *)
   let network_better (spec : Spec.t) ~(before : N.t) ~(after : N.t) : bool =
-    network_cost spec after < network_cost spec before
+    let a1, a2, a3 = network_cost spec after and b1, b2, b3 = network_cost spec before in
+    a1 < b1 || (a1 = b1 && (a2 < b2 || (a2 = b2 && a3 < b3)))
 
   (* An objective is its own pricing context.  The identity is kept
      because the benchmark driver (perfbench) still calls [engine]. *)

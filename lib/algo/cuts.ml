@@ -58,7 +58,7 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
   let constant_cut = { leaves = [||]; signature = 0; tt = Tt.const0 0 }
 
   (* is sorted prefix [a[0..la)] a subset of sorted prefix [b[0..lb)]? *)
-  let subset_len a la b lb =
+  let subset_len (a : int array) la (b : int array) lb =
     let rec go i j =
       if i >= la then true
       else if j >= lb then false
@@ -73,7 +73,7 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
   (* Merge the sorted prefix [a[0..la)] with the sorted array [b] into
      [out]; returns the merged length, or -1 when the union exceeds [k].
      [out] must hold at least [k] elements and be distinct from [a]. *)
-  let merge_into k a la b out =
+  let merge_into k (a : int array) la (b : int array) (out : int array) =
     let lb = Array.length b in
     let rec go i j m =
       if i < la && j < lb then begin
@@ -161,7 +161,7 @@ module Make (N : Network.Intf.TRAVERSABLE) = struct
     in
     (* strict priority order; smaller (size, depth) pairs come first for
        [`Small], larger sizes first for [`Large] *)
-    let precedes len1 d1 len2 d2 =
+    let precedes (len1 : int) (d1 : int) (len2 : int) (d2 : int) =
       match prefer with
       | `Small -> len1 < len2 || (len1 = len2 && d1 < d2)
       | `Large -> len1 > len2 || (len1 = len2 && d1 < d2)

@@ -55,7 +55,8 @@ module Make (N : Network.Intf.COUNTED) = struct
           let candidates =
             List.filter (fun c -> not (is_trivial c n)) (C.cuts_of cuts n)
           in
-          let best = ref None in
+          (* the best cut so far and its (primary, secondary) key *)
+          let best = ref None and best1 = ref 0.0 and best2 = ref 0.0 in
           List.iter
             (fun cut ->
               let a = cut_arrival cut and f = cut_area_flow cut in
@@ -63,10 +64,14 @@ module Make (N : Network.Intf.COUNTED) = struct
                 (not area_mode) || a <= required.(n) +. 0.5
               in
               if feasible then begin
-                let key = if area_mode then (f, a) else (a, f) in
+                let k1 = if area_mode then f else a
+                and k2 = if area_mode then a else f in
                 match !best with
-                | Some (bk, _) when bk <= key -> ()
-                | Some _ | None -> best := Some (key, cut)
+                | Some _ when !best1 < k1 || (!best1 = k1 && !best2 <= k2) -> ()
+                | Some _ | None ->
+                  best := Some cut;
+                  best1 := k1;
+                  best2 := k2
               end)
             candidates;
           match !best with
@@ -78,7 +83,7 @@ module Make (N : Network.Intf.COUNTED) = struct
               arrival.(n) <- cut_arrival cut;
               area_flow.(n) <- cut_area_flow cut /. refs_estimate n
             | [] -> assert false)
-          | Some (_, cut) ->
+          | Some cut ->
             best_cut.(n) <- Some cut;
             arrival.(n) <- cut_arrival cut;
             area_flow.(n) <- cut_area_flow cut /. refs_estimate n)

@@ -32,7 +32,7 @@ let full = 0xFFFF
 let proj = [| 0xAAAA; 0xCCCC; 0xF0F0; 0xFF00 |]
 
 (* Re-express [tt] over [child] leaves in the [merged] leaf space. *)
-let expand tt child merged =
+let expand tt (child : int array) (merged : int array) =
   let n_child = Array.length child in
   (* position of each child leaf within merged *)
   let pos = Array.map (fun l ->
@@ -51,7 +51,7 @@ let expand tt child merged =
   let rec widen v width = if width >= 16 then v else widen (v lor (v lsl width)) (2 * width) in
   widen !out (1 lsl Array.length merged)
 
-let merge_leaves a b =
+let merge_leaves (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let out = Array.make 4 0 in
   let rec go i j m =
@@ -71,7 +71,7 @@ let merge_leaves a b =
   in
   go 0 0 0
 
-let subset a b =
+let subset (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i j =
     if i >= la then true
@@ -112,7 +112,7 @@ let enumerate (t : Aig.t) ~cut_limit : cut list array =
         cuts.(c0);
       let sorted =
         List.sort
-          (fun a b -> compare (Array.length a.leaves) (Array.length b.leaves))
+          (fun a b -> Int.compare (Array.length a.leaves) (Array.length b.leaves))
           (List.rev !acc)
       in
       let rec take k = function

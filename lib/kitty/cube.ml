@@ -33,7 +33,11 @@ let remove_literal c var =
   { bits = c.bits land lnot (1 lsl var); mask = c.mask land lnot (1 lsl var) }
 
 let equal a b = a.bits = b.bits && a.mask = b.mask
-let compare = Stdlib.compare
+(* Field order, as the structural compare of the record: [bits], then
+   [mask]. *)
+let compare a b =
+  let c = Int.compare a.bits b.bits in
+  if c <> 0 then c else Int.compare a.mask b.mask
 
 let literals c =
   let rec go i acc =

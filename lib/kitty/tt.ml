@@ -485,7 +485,7 @@ let replicate tt n =
    ascending superset [into]: variable [i] moves to the index of
    [from.(i)] in [into].  Moving the highest variable first, every target
    index still holds a variable the table does not depend on. *)
-let expand tt ~from ~into =
+let expand tt ~(from : int array) ~(into : int array) =
   let k = Array.length from and m = Array.length into in
   if num_vars tt <> k || m < k then invalid_arg "Tt.expand: bad variable sets";
   if k = m then tt

@@ -38,7 +38,7 @@ let normalize_lut tt fanins =
       (fun i -> (not (Signal.is_constant fanins.(i))) && Tt.has_var !tt i)
       (List.init k (fun i -> i))
   in
-  let kept = List.sort (fun i j -> Stdlib.compare fanins.(i) fanins.(j)) kept in
+  let kept = List.sort (fun i j -> Int.compare fanins.(i) fanins.(j)) kept in
   let m = List.length kept in
   (* kept variable [i] moves to its rank [j]; the others, on which the
      table no longer depends, fill the indices from [m] up and drop off *)

@@ -5,9 +5,10 @@
    one complemented fanin. *)
 
 let normalize_maj fanins =
-  let arr = Array.copy fanins in
-  Array.sort Stdlib.compare arr;
-  let a = arr.(0) and b = arr.(1) and c = arr.(2) in
+  (* the three signals in ascending order, compared as ints *)
+  let x : Signal.t = fanins.(0) and y : Signal.t = fanins.(1) and z : Signal.t = fanins.(2) in
+  let a = Int.min x (Int.min y z) and c = Int.max x (Int.max y z) in
+  let b = x + y + z - a - c in
   if a = b then Core_network.Norm_signal a
   else if b = c then Core_network.Norm_signal b
   else if a = Signal.complement b then Core_network.Norm_signal c
@@ -18,12 +19,12 @@ let normalize_maj fanins =
       + (if Signal.is_complemented b then 1 else 0)
       + (if Signal.is_complemented c then 1 else 0)
     in
-    if complemented >= 2 then begin
-      let arr = Array.map Signal.complement arr in
-      Array.sort Stdlib.compare arr;
-      Core_network.Norm_node (Kind.Maj, arr, true)
-    end
-    else Core_network.Norm_node (Kind.Maj, arr, false)
+    (* the three nodes are distinct here, so complementing every signal
+       keeps them sorted *)
+    if complemented >= 2 then
+      Core_network.Norm_node
+        (Kind.Maj, [| Signal.complement a; Signal.complement b; Signal.complement c |], true)
+    else Core_network.Norm_node (Kind.Maj, [| a; b; c |], false)
   end
 
 include Core_network.Make (struct

@@ -331,7 +331,138 @@ let test_integrity_on_random () =
   in
   Alcotest.(check (list string)) "mig integrity" [] (Mig.check_integrity t)
 
+(* -- structural hashing against a reference model --
+
+   Random [create_node] / [substitute_node] / [take_out_if_dead] / PO
+   sequences on a network started at capacity 4 (so node storage grows
+   and the hash table rehashes), checked after every step against a
+   [Hashtbl] from each live gate's stored (kind, fanins) key to the gate:
+   no two live gates share a key, a [create_node] that allocates a gate
+   only does so when no live gate has its key, one that allocates none
+   and returns a gate returns the gate holding that key, and
+   [check_integrity] (strash chains included) is empty. *)
+
+module Churn (N : Intf.NETWORK) = struct
+  let key t n =
+    let table = match N.gate_kind t n with Kind.Lut tt -> Kitty.Tt.to_hex tt | _ -> "" in
+    (Kind.name (N.gate_kind t n), table, Array.to_list (N.fanin t n))
+
+  (* the model: every live gate under its stored key, and the first two
+     live gates found sharing a key, if any *)
+  let model t =
+    let m = Hashtbl.create 64 and dup = ref None in
+    List.iter
+      (fun n ->
+        match Hashtbl.find_opt m (key t n) with
+        | Some d -> dup := Some (d, n)
+        | None -> Hashtbl.replace m (key t n) n)
+      (N.gates t);
+    (m, !dup)
+
+  (* nodes in the transitive fanout of [n], [n] included *)
+  let tfo t n =
+    let seen = Hashtbl.create 16 in
+    let rec go n =
+      if not (Hashtbl.mem seen n) then begin
+        Hashtbl.replace seen n ();
+        List.iter go (N.fanout t n)
+      end
+    in
+    go n;
+    seen
+
+  (* [None] when every step holds, else the first violation *)
+  let run ~(gate : Random.State.t -> N.t -> (unit -> N.signal) -> N.signal) ~seed ~steps =
+    let rng = Random.State.make [| seed |] in
+    let t = N.create ~initial_capacity:4 () in
+    let pis = Array.init 4 (fun _ -> N.create_pi t) in
+    let nodes () =
+      Array.append (Array.map N.node_of_signal pis) (Array.of_list (N.gates t))
+    in
+    let pick () =
+      let ns = nodes () in
+      N.complement_if (Random.State.bool rng)
+        (N.signal_of_node ns.(Random.State.int rng (Array.length ns)))
+    in
+    let failure = ref None in
+    let step = ref 0 in
+    let fail fmt =
+      Printf.ksprintf (fun msg -> if !failure = None then failure := Some msg) fmt
+    in
+    while !failure = None && !step < steps do
+      incr step;
+      let m, _ = model t in
+      (match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 ->
+        let size0 = N.size t in
+        let n = N.node_of_signal (gate rng t pick) in
+        if n >= size0 then begin
+          match Hashtbl.find_opt m (key t n) with
+          | Some d -> fail "step %d: new gate %d duplicates live gate %d" !step n d
+          | None -> ()
+        end
+        else if N.is_gate t n then begin
+          match Hashtbl.find_opt m (key t n) with
+          | Some d when d = n -> ()
+          | Some d -> fail "step %d: lookup gave %d, model holds %d" !step n d
+          | None -> fail "step %d: lookup gave %d, not a live gate" !step n
+        end
+      | 5 | 6 -> (
+        match N.gates t with
+        | [] -> ()
+        | gs ->
+          let g = List.nth gs (Random.State.int rng (List.length gs)) in
+          let cone = tfo t g in
+          let outside =
+            List.filter (fun n -> not (Hashtbl.mem cone n)) (0 :: Array.to_list (nodes ()))
+          in
+          let r = List.nth outside (Random.State.int rng (List.length outside)) in
+          N.substitute_node t g (N.complement_if (Random.State.bool rng) (N.signal_of_node r)))
+      | 7 | 8 -> (
+        match N.gates t with
+        | [] -> ()
+        | gs -> N.take_out_if_dead t (List.nth gs (Random.State.int rng (List.length gs))))
+      | _ -> N.create_po t (pick ()));
+      (match model t with
+      | _, Some (a, b) -> fail "step %d: live gates %d and %d share a key" !step a b
+      | _, None -> ());
+      match N.check_integrity t with
+      | [] -> ()
+      | e :: _ -> fail "step %d: %s" !step e
+    done;
+    !failure
+end
+
+let churn_prop (type a) name (module N : Intf.NETWORK with type t = a)
+    (gate : Random.State.t -> a -> (unit -> Signal.t) -> Signal.t) =
+  let module C = Churn (N) in
+  QCheck.Test.make ~name:("strash model: " ^ name) ~count:40
+    QCheck.(pair (int_bound 9999) (int_range 1 120))
+    (fun (seed, steps) ->
+      match C.run ~gate ~seed ~steps with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let churn_props =
+  let two (type a) (module N : Intf.NETWORK with type t = a) kinds rng t pick =
+    let kind = kinds.(Random.State.int rng (Array.length kinds)) in
+    N.create_node t kind [| pick (); pick () |]
+  in
+  [
+    churn_prop "aig" (module Aig) (two (module Aig) [| Kind.And |]);
+    churn_prop "xag" (module Xag) (two (module Xag) [| Kind.And; Kind.Xor |]);
+    churn_prop "mig" (module Mig) (fun _ t pick -> Mig.create_node t Kind.Maj [| pick (); pick (); pick () |]);
+    churn_prop "xmg" (module Xmg) (fun rng t pick ->
+        if Random.State.bool rng then Xmg.create_node t Kind.Maj [| pick (); pick (); pick () |]
+        else Xmg.create_node t Kind.Xor [| pick (); pick () |]);
+    churn_prop "klut" (module Klut) (fun rng t pick ->
+        let k = 1 + Random.State.int rng 3 in
+        let tt = Kitty.Tt.of_int64 k (Random.State.int64 rng Int64.max_int) in
+        Klut.create_node t (Kind.Lut tt) (Array.init k (fun _ -> pick ())));
+  ]
+
 let extra_suite =
+  List.map Seed.to_alcotest churn_props @
   [
     Alcotest.test_case "xmg basics" `Quick test_xmg_basics;
     Alcotest.test_case "n-ary builders" `Quick test_nary_builders;
